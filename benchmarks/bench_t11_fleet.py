@@ -14,7 +14,13 @@ Workloads:
 * ``test_fleet_serving_64`` — the tester sweep over 64 bootstrap
   streams (the headline pair; acceptance bar: >= 3x recorded);
 * ``test_fleet_learn_64`` — a greedy learn over the same 64 streams
-  (the smaller win: the fleet's sort-free compile, same greedy rounds).
+  (the smaller win: the fleet's sort-free compile, same greedy rounds);
+* ``test_fleet_intake_64`` — reservoir intake on 64 streams through
+  ``FleetMaintainer.update_many``: a 4,096-item fill per stream, then
+  48-item batches, the serving benchmark's ingest pattern.  Its twin
+  feeds the same items through per-item ``update``; both must leave
+  identical reservoirs (the batched Algorithm R step is byte-identical
+  to the loop).
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import numpy as np
 from repro.api import ArraySource, HistogramFleet, HistogramSession
 from repro.core.params import GreedyParams, TesterParams
 from repro.distributions import families
+from repro.streaming.fleet import FleetMaintainer
 
 N = 4_096
 FLEET_SIZE = 64
@@ -46,6 +53,10 @@ LEARN_N = 256
 LEARN_PARAMS = GreedyParams(
     weight_sample_size=20_000, collision_sets=9, collision_set_size=120_000, rounds=3
 )
+
+INTAKE_CAPACITY = 4_096
+INTAKE_BATCH = 48
+INTAKE_BATCHES = 32  # steady-state batches per stream after the fill
 
 
 @lru_cache(maxsize=None)
@@ -110,6 +121,45 @@ def _learn_loop():
     ]
 
 
+@lru_cache(maxsize=None)
+def _intake_batches() -> tuple:
+    """``(member, batch)`` in arrival order: every stream's fill, then
+    round-robin steady-state batches (shared by the intake pair)."""
+    rng = np.random.default_rng(4_000)
+    sizes = (INTAKE_CAPACITY,) + (INTAKE_BATCH,) * INTAKE_BATCHES
+    return tuple(
+        (member, rng.integers(0, N, size=size))
+        for size in sizes
+        for member in range(FLEET_SIZE)
+    )
+
+
+def _intake_maintainer() -> FleetMaintainer:
+    return FleetMaintainer(FLEET_SIZE, N, 4, reservoir_capacity=INTAKE_CAPACITY, rng=11)
+
+
+def _intake_setup():
+    """``pedantic`` set-up: a fresh maintainer per round, built untimed."""
+    return (_intake_maintainer(),), {}
+
+
+def _intake_batched(maintainer):
+    for member, batch in _intake_batches():
+        maintainer.update_many(member, batch)
+    return maintainer
+
+
+def _intake_loop(maintainer):
+    for member, batch in _intake_batches():
+        for value in batch.tolist():
+            maintainer.update(member, value)
+    return maintainer
+
+
+def _reservoir_contents(maintainer) -> list[bytes]:
+    return [reservoir.contents().tobytes() for reservoir in maintainer._reservoirs]
+
+
 def test_fleet_serving_64(benchmark):
     """64-stream tester sweep through the fleet (cold compile included)."""
     results = benchmark.pedantic(_serving_fleet, rounds=3, iterations=1, warmup_rounds=1)
@@ -137,3 +187,22 @@ def test_fleet_learn_64_loop(benchmark):
     """The looped-session baseline for the 64-stream learn."""
     results = benchmark.pedantic(_learn_loop, rounds=2, iterations=1, warmup_rounds=1)
     assert len(results) == FLEET_SIZE
+
+
+def test_fleet_intake_64(benchmark):
+    """64-stream reservoir intake through batched ``update_many``."""
+    maintainer = benchmark.pedantic(
+        _intake_batched, setup=_intake_setup, rounds=3, iterations=1, warmup_rounds=1
+    )
+    reference = _intake_loop(_intake_maintainer())
+    assert _reservoir_contents(maintainer) == _reservoir_contents(reference)
+
+
+def test_fleet_intake_64_loop(benchmark):
+    """The per-item ``update`` baseline for the 64-stream intake."""
+    maintainer = benchmark.pedantic(
+        _intake_loop, setup=_intake_setup, rounds=3, iterations=1, warmup_rounds=1
+    )
+    assert maintainer.items_seen == [
+        INTAKE_CAPACITY + INTAKE_BATCH * INTAKE_BATCHES
+    ] * FLEET_SIZE

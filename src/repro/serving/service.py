@@ -910,10 +910,7 @@ class HistogramService:
         for request, future, _ in batch:
             member = self._index[request.stream]
             try:
-                values = np.asarray(request.values)
-                if values.size == 0:
-                    values = values.astype(np.int64)
-                self._maintainer.update_many(member, values)
+                self._maintainer.update_many(member, request.values)
             except ReproError as exc:
                 future.set_result(error_response(request, exc))
             else:

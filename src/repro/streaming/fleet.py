@@ -269,16 +269,19 @@ class FleetMaintainer:
         vectorised pass — so a bad batch raises a single
         :class:`InvalidParameterError` naming the member and the
         offending values *before* any item is absorbed (the reservoir
-        never sees half a batch).
+        never sees half a batch).  An empty batch, of any dtype, is a
+        no-op: the member stays fresh and its generation does not move.
         """
         self._check_member(member)
         values = np.asarray(values)
+        if values.size == 0:
+            return
         if values.dtype.kind not in "iu":
             raise InvalidParameterError(
                 f"stream {member}: batch dtype must be integer, got "
                 f"{values.dtype} (values are domain points in [0, {self._n}))"
             )
-        if values.size and (values.min() < 0 or values.max() >= self._n):
+        if values.min() < 0 or values.max() >= self._n:
             raise InvalidParameterError(
                 f"stream {member}: batch values span "
                 f"[{int(values.min())}, {int(values.max())}], outside the "

@@ -166,10 +166,25 @@ class StreamingHistogramMaintainer:
         self._stale = True
 
     def update_many(self, values: np.ndarray) -> None:
-        """Observe a batch of stream items."""
+        """Observe a batch of stream items.
+
+        The batch is validated up front, dtype then range, so a bad
+        batch raises :class:`InvalidParameterError` before any item is
+        absorbed.  An empty batch, of any dtype, is a no-op.
+        """
         values = np.asarray(values)
-        if values.size and (values.min() < 0 or values.max() >= self._n):
-            raise InvalidParameterError("stream values outside the domain")
+        if values.size == 0:
+            return
+        if values.dtype.kind not in "iu":
+            raise InvalidParameterError(
+                f"batch dtype must be integer, got {values.dtype} "
+                f"(values are domain points in [0, {self._n}))"
+            )
+        if values.min() < 0 or values.max() >= self._n:
+            raise InvalidParameterError(
+                f"batch values span [{int(values.min())}, {int(values.max())}], "
+                f"outside the domain [0, {self._n})"
+            )
         self._reservoir.update_many(values)
         self._items_seen += int(values.size)
         self._since_rebuild += int(values.size)

@@ -1,8 +1,28 @@
-"""Uniform reservoir sampling (Vitter's Algorithm R).
+"""Uniform reservoir sampling (Vitter's Algorithm R), batched.
 
-Maintains a uniform-without-replacement sample of a stream in O(1) per
-item; the streaming histogram maintainer uses it as the sample source
-for periodic greedy rebuilds.
+Maintains a uniform-without-replacement sample of a stream; the
+streaming maintainers use it as the sample source for greedy rebuilds
+and tester probes.
+
+Algorithm R treats the stream's ``j``-th item (counting from 0) in one
+of two ways: while the reservoir fills, the item takes slot ``j``;
+after that it draws a slot uniformly from ``[0, j]`` and replaces the
+occupant if the slot is below the capacity.
+:meth:`ReservoirSampler.update_many` runs that rule over a whole batch
+in a few array operations.  It copies the fill prefix as one slice,
+draws every later item's slot in one ``Generator.integers(0, highs)``
+call with ``highs[i] = j_i + 1``, and scatters the kept items so that,
+of two items drawing the same slot, the later one wins, as the
+sequential overwrite would.
+
+The batch is byte-identical to calling :meth:`ReservoirSampler.update`
+once per item.  NumPy draws an array of bounds element by element,
+through the same bounded-integer routine it uses for a scalar bound
+(Lemire's method on 32-bit words while the bound fits in them, on 64-bit
+words after).  So the batch consumes the bit stream exactly as the loop
+does: the same slots, the same contents, and the generator ends in the
+same state.  That last part matters because each maintainer stream
+shares one generator between its reservoir and its pool draws.
 """
 
 from __future__ import annotations
@@ -59,9 +79,35 @@ class ReservoirSampler:
         self._seen += 1
 
     def update_many(self, values: np.ndarray) -> None:
-        """Observe a batch (loop of :meth:`update`; order preserved)."""
-        for value in np.asarray(values).ravel():
-            self.update(int(value))
+        """Observe a batch, in order, as one batched Algorithm R step.
+
+        Leaves the reservoir and its generator exactly as :meth:`update`
+        on each item of ``values`` (flattened in C order) would; the
+        module docstring says why.  The values must be integers: any
+        other dtype raises :class:`InvalidParameterError` and absorbs
+        nothing.  An empty batch of any dtype is a no-op.
+        """
+        values = np.asarray(values).ravel()
+        count = values.size
+        if count == 0:
+            return
+        if values.dtype.kind not in "iu":
+            raise InvalidParameterError(
+                f"reservoir batch dtype must be integer, got {values.dtype}"
+            )
+        seen, capacity = self._seen, self._capacity
+        fill = min(max(capacity - seen, 0), count)
+        self._items[seen : seen + fill] = values[:fill]
+        if fill < count:
+            highs = np.arange(seen + fill + 1, seen + count + 1)
+            slots = self._rng.integers(0, highs)
+            kept = slots < capacity
+            # Duplicate slots in one fancy assignment land in no promised
+            # order, so keep each slot's last draw explicitly: the first
+            # occurrence in the reversed draws.
+            slots, last = np.unique(slots[kept][::-1], return_index=True)
+            self._items[slots] = values[fill:][kept][::-1][last]
+        self._seen = seen + count
 
     def contents(self) -> np.ndarray:
         """A copy of the current reservoir contents."""

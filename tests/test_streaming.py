@@ -4,12 +4,50 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.distributions import families
 from repro.distributions.distances import l1_distance
 from repro.errors import InvalidParameterError
 from repro.streaming.maintainer import StreamingHistogramMaintainer
 from repro.streaming.reservoir import ReservoirSampler
+
+# Batches of up to 64 items, flat or 2-D, including empty ones.
+_BATCHES = st.lists(
+    hnp.arrays(
+        np.int64,
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=8),
+        elements=st.integers(0, 99),
+    ),
+    max_size=6,
+)
+
+
+def _feed_twins(capacity, seed, batches, seen=None):
+    """A reservoir fed by ``update_many`` and its per-item ``update`` twin.
+
+    ``seen`` starts both twins full, as if that many items had passed.
+    """
+    twins = [ReservoirSampler(capacity, rng=seed) for _ in range(2)]
+    if seen is not None:
+        for reservoir in twins:
+            reservoir.update_many(np.arange(capacity))
+            reservoir._seen = seen
+    batched, looped = twins
+    for batch in batches:
+        batched.update_many(batch)
+        for value in batch.ravel():
+            looped.update(int(value))
+    return batched, looped
+
+
+def _assert_twins_agree(batched, looped):
+    assert batched.seen == looped.seen
+    assert np.array_equal(batched.contents(), looped.contents())
+    assert batched._rng.bit_generator.state == looped._rng.bit_generator.state
+    assert batched._rng.integers(0, 2**40) == looped._rng.integers(0, 2**40)
 
 
 class TestReservoir:
@@ -49,6 +87,32 @@ class TestReservoir:
     def test_invalid_capacity(self):
         with pytest.raises(InvalidParameterError):
             ReservoirSampler(0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(capacity=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), batches=_BATCHES)
+    def test_batched_update_equals_per_item_updates(self, capacity, seed, batches):
+        """``update_many`` is the loop of ``update``, down to the rng state.
+
+        Capacity 1 makes every kept draw collide on slot 0; the batches
+        straddle the fill boundary and include empty and 2-D ones.
+        """
+        _assert_twins_agree(*_feed_twins(capacity, seed, batches))
+
+    @pytest.mark.parametrize("capacity", [1, 4])
+    def test_batch_across_the_64_bit_draw_switch(self, capacity):
+        """Bounds past ``2**32`` move NumPy from 32-bit to 64-bit draws."""
+        batches = [np.arange(100, 112)]
+        _assert_twins_agree(*_feed_twins(capacity, 3, batches, seen=2**32 - 6))
+
+    def test_update_many_rejects_non_integer_dtype(self):
+        res = ReservoirSampler(4, rng=1)
+        res.update_many(np.array([1, 2]))
+        for bad in (np.array([1.5, 2.7]), np.array([3, np.nan])):
+            with pytest.raises(InvalidParameterError, match="dtype must be integer"):
+                res.update_many(bad)
+        assert res.seen == 2 and list(res.contents()) == [1, 2]
+        res.update_many(np.array([]))  # empty input is float64, still accepted
+        assert res.seen == 2
 
 
 class TestMaintainer:
@@ -121,6 +185,31 @@ class TestMaintainer:
         maintainer.update(5)
         maintainer.update_many(np.array([1, 2, 3]))
         assert maintainer.items_seen == 4
+
+    def test_update_many_rejects_non_integer_intake(self):
+        """Floats must not truncate into the reservoir, and a NaN must not
+        crash the batch halfway: both are refused with nothing absorbed."""
+        maintainer = StreamingHistogramMaintainer(64, 2, rng=11)
+        maintainer.update_many(np.array([1, 2, 3]))
+        before = maintainer._reservoir.contents()
+        for bad in (np.array([1.5, 2.7]), np.array([4.0, np.nan, 5.0])):
+            with pytest.raises(InvalidParameterError, match="dtype must be integer"):
+                maintainer.update_many(bad)
+        assert maintainer.items_seen == 3
+        assert np.array_equal(maintainer._reservoir.contents(), before)
+        maintainer.update_many(np.array([]))  # empty input of any dtype is fine
+        assert maintainer.items_seen == 3
+
+    def test_update_many_empty_batch_is_a_noop(self, rng):
+        maintainer = StreamingHistogramMaintainer(
+            64, 2, reservoir_capacity=200, rng=12
+        )
+        maintainer.update_many(rng.integers(0, 64, size=400))
+        first = maintainer.test()
+        drawn = maintainer._session.samples_drawn
+        maintainer.update_many(np.array([], dtype=np.int64))
+        assert maintainer.test() == first
+        assert maintainer._session.samples_drawn == drawn  # no redraw
 
     def test_invalid_construction(self):
         with pytest.raises(InvalidParameterError):
@@ -293,6 +382,43 @@ class TestFleetMaintainer:
         maintainer.update_many(0, np.array([], dtype=np.int64))
         assert maintainer.items_seen[0] == 0
         assert maintainer.ready == [False, False]
+        # On a warm member an empty ingest must neither force a redraw on
+        # the next probe nor move the generation (which would orphan its
+        # cache entries and put its slabs in the next delta checkpoint).
+        warm = self._fed(fleet_size=2)
+        warm.test()
+        drawn, generations = warm.fleet.samples_drawn, warm.generations
+        warm.update_many(0, np.array([], dtype=np.int64))
+        warm.update_many(1, np.array([]))
+        warm.test()
+        assert warm.fleet.samples_drawn == drawn
+        assert warm.generations == generations
+
+    def test_batched_and_per_item_intake_agree(self):
+        """Twins fed the same items, by batch and per item, answer alike."""
+        from repro.streaming import FleetMaintainer
+
+        feeder = np.random.default_rng(21)
+        batches = [
+            (member, feeder.integers(0, 64, size=size))
+            for size in (150, 37, 0, 90)
+            for member in range(2)
+        ]
+        batched, looped = (
+            FleetMaintainer(
+                2, 64, 2, reservoir_capacity=200, refresh_every=400, rng=13
+            )
+            for _ in range(2)
+        )
+        for member, batch in batches:
+            batched.update_many(member, batch)
+            for value in batch:
+                looped.update(member, int(value))
+        assert batched.test() == looped.test()
+        assert batched.min_k(0.3, max_k=6, norm="l2") == looped.min_k(
+            0.3, max_k=6, norm="l2"
+        )
+        assert batched.fleet.samples_drawn == looped.fleet.samples_drawn
 
     def test_probe_ready_subset_while_one_stream_quiet(self):
         from repro.errors import EmptyStreamError
