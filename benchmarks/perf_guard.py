@@ -8,13 +8,14 @@ not).  This guard reads one such summary and exits non-zero if any
 named kernel is missing or its speedup is under the floor::
 
     python benchmarks/perf_guard.py --summary BENCH_shard.ci.json \
-        --min-speedup 1.5 test_shard_learn_outofcore test_shard_learn_fleet_64
+        --min-speedup 1.5 test_shard_learn_outofcore
 
-The bench-smoke job runs it over the smoke-sized shard run: the learn
-kernels' lockstep-over-incremental ratio is a property of the engine,
-not the workload size, so a floor of 1.5x (full-size record: >= 2x)
-holds at CI scale and catches a regression that re-opens the
-sharded-learn gap.
+The bench-smoke job runs it over the smoke-sized shard run: the
+out-of-core pair's ratio — the production engine over its full-span
+reference on the same draws — is a property of the engine, not the
+workload size, so a floor of 1.5x (full-size record: >= 2x) holds at
+CI scale and catches a regression that brings back a full-grid cost
+per round.
 """
 
 from __future__ import annotations

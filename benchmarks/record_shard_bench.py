@@ -1,9 +1,7 @@
 """Summarise shard-engine benchmark runs into ``BENCH_shard.json``.
 
 ``bench_t12_shard.py`` benchmarks every workload twice in one run —
-``<kernel>`` through the parallel shard engine
-(:class:`repro.api.ParallelExecutor`, ``workers=4``) and
-``<kernel>_loop`` through the serial baseline — so a single
+``<kernel>`` and its ``<kernel>_loop`` baseline twin — so a single
 ``pytest-benchmark`` json carries its own pairing.  Two modes:
 
 * seed / refresh the checked-in record::
@@ -19,12 +17,14 @@
 Speedups use each kernel's *minimum* round time (the pairs run
 interleaved on shared CI machines; the mean is also recorded).  The
 acceptance bars for this suite: the 64-stream serving sweep at
-``workers=4`` records >= 2x over the looped-session baseline, and
-both learn pairs — the out-of-core lockstep grid and the 64-member
-fleet ``learn_many`` — record >= 2x over their incremental loops (CI
-additionally holds the learn pairs to a 1.5x floor at smoke size via
-``benchmarks/perf_guard.py``).  The reduction itself is the shared
-paired recorder (``benchmarks/_recorder.py``).
+``workers=4`` records >= 2x over the looped-session baseline, and the
+out-of-core learn pair — the production engine against its full-span
+reference over the same session draws — records >= 2x (CI
+additionally holds it to a 1.5x floor at smoke size via
+``benchmarks/perf_guard.py``).  The 64-member fleet ``learn_many``
+pair isolates fleet batching (same engine, no executor on either
+side) and is recorded without a bar.  The reduction itself is the
+shared paired recorder (``benchmarks/_recorder.py``).
 """
 
 from __future__ import annotations
@@ -40,10 +40,12 @@ SPEC = PairedBenchSpec(
     pair="loop",
     stat="min_s",
     extra="mean",
-    suite="bench_t12_shard kernel pairs (each workload runs through the "
-    "parallel shard engine at workers=4 and as its serial baseline in "
-    "the same run; speedup = loop_s / shard_s over per-kernel minimum "
-    "round times, cold compile included)",
+    suite="bench_t12_shard kernel pairs, each twin measured in the same "
+    "run: the serving sweep through a workers=4 fleet vs looped serial "
+    "sessions, the out-of-core learn on the production engine vs its "
+    "full-span reference, the fleet learn batched vs looped sessions; "
+    "speedup = loop_s / shard_s over per-kernel minimum round times, cold "
+    "compile included",
 )
 
 

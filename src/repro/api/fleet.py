@@ -21,12 +21,10 @@ compilation, and a Python-level binary search per probe — ``F`` times.
   (:func:`repro.core.tester.fleet_flat_partition`), batching fresh
   flatness statistics across members while each member keeps its own
   verdict memo;
-* **lockstep learning** — ``learn`` / ``learn_many`` (on the default
-  ``engine="lockstep"``) drive every member's Algorithm-1 greedy rounds
-  together (:func:`repro.core.lockstep.lockstep_learn`): one
-  rescore/argmin/commit pass per round over all still-active members'
-  stacked score state, with large-grid rescores optionally fanned over
-  the executor's pool.
+* **lockstep learning** — ``learn`` / ``learn_many`` drive every
+  member's Algorithm-1 greedy rounds together
+  (:func:`repro.core.greedy.lockstep_learn`): one rescore/argmin/commit
+  pass per round over all still-active members.
 
 The binding contract mirrors the session and engine PRs before it: every
 fleet operation is **byte-identical** — verdicts, learned histograms,
@@ -45,8 +43,7 @@ import numpy as np
 from repro.api.session import HistogramSession
 from repro.api.shard import _compile_member_rows
 from repro.core.flatness import FleetTesterSketches
-from repro.core.greedy import compile_greedy_sketches
-from repro.core.lockstep import LockstepRun, lockstep_learn
+from repro.core.greedy import LockstepRun, compile_greedy_sketches, lockstep_learn
 from repro.core.params import GreedyParams, TesterParams
 from repro.core.results import LearnResult, TestResult
 from repro.core.selection import SelectionResult, select_min_k_on_fleet
@@ -74,12 +71,10 @@ class HistogramFleet:
         independent child generator per member is spawned
         (:func:`repro.utils.rng.spawn_rngs`).  Mutually exclusive with
         ``rngs``.
-    scale / method / engine / tester_engine / learn_budget /
-    test_budget / max_candidates:
+    scale / method / tester_engine / learn_budget / test_budget /
+    max_candidates:
         As in :class:`~repro.api.HistogramSession`, applied to every
-        member — except the fleet's learner ``engine`` defaults to
-        ``"lockstep"``, the batched path (byte-identical to the
-        sessions' ``"incremental"`` default).
+        member.
     executor:
         Optional :class:`~repro.api.ParallelExecutor`, shared by every
         member session.  With a parallel executor the fleet's tester
@@ -91,9 +86,9 @@ class HistogramFleet:
         closes) the executor.
 
     Operations return one result per member, in member order.  Passing
-    ``engine="full"`` / ``tester_engine="full"`` (at construction or per
-    call) runs the members through their sessions' reference paths —
-    the fleet's own batched path is the ``"compiled"`` engine, and the
+    ``tester_engine="full"`` (or ``engine="full"`` per tester call) runs
+    the members' testers through their sessions' reference path — the
+    fleet's own batched path is the ``"compiled"`` engine, and the
     equivalence suite holds the two bit-for-bit equal.
     """
 
@@ -106,7 +101,6 @@ class HistogramFleet:
         rng: "int | None | np.random.Generator" = None,
         scale: float = 1.0,
         method: str = "fast",
-        engine: str = "lockstep",
         tester_engine: str = "compiled",
         learn_budget: GreedyParams | None = None,
         test_budget: TesterParams | None = None,
@@ -128,7 +122,6 @@ class HistogramFleet:
                 )
         self._n = int(n)
         self._method = method
-        self._engine = engine
         self._tester_engine = tester_engine
         self._max_candidates = max_candidates
         self._executor = executor
@@ -139,7 +132,6 @@ class HistogramFleet:
                 rng=member_rng,
                 scale=scale,
                 method=method,
-                engine=engine,
                 tester_engine=tester_engine,
                 learn_budget=learn_budget,
                 test_budget=test_budget,
@@ -244,7 +236,6 @@ class HistogramFleet:
         epsilon: float,
         *,
         method: str | None = None,
-        engine: str | None = None,
         params: GreedyParams | None = None,
         max_candidates: int | None = None,
         members: "Sequence[int] | None" = None,
@@ -254,47 +245,47 @@ class HistogramFleet:
         Pools are grown for all listed members first (one planned pass),
         then members missing a compiled grid for this configuration are
         compiled through the sort-free dense builder and planted into
-        their sessions' caches.  On the default ``engine="lockstep"``
-        the members' greedy rounds then run *together* — one
-        rescore/argmin/commit pass per round across the active members
-        (:func:`repro.core.lockstep.lockstep_learn`); other engines loop
-        :meth:`HistogramSession.learn`.  Either way results are the
-        sessions' results, byte for byte.  ``members`` restricts the op
-        to a subset of the fleet (results come back in the listed
-        order) — the entry point serving batches and partial maintainer
-        rebuilds coalesce into.
+        their sessions' caches, and the members' greedy rounds run
+        *together* — one rescore/argmin/commit pass per round across the
+        active members (:func:`repro.core.greedy.lockstep_learn`).
+        Results are the sessions' results, byte for byte.  ``members``
+        restricts the op to a subset of the fleet (results come back in
+        the listed order) — the entry point serving batches and partial
+        maintainer rebuilds coalesce into.
+        """
+        runs = self._learn_runs(
+            self._members(members), [(k, epsilon)], method, params, max_candidates
+        )
+        return lockstep_learn(runs, executor=self._executor)
+
+    def _learn_runs(
+        self,
+        members: "list[int]",
+        points: "list[tuple[int, float]]",
+        method: str | None,
+        params: GreedyParams | None,
+        max_candidates: int | None,
+    ) -> "list[LockstepRun]":
+        """One run per (point, member), point-major and member-minor.
+
+        Compiles happen in the same order, which is what keeps rng
+        consumption equal to looped sessions draw for draw.
         """
         method = self._method if method is None else method
-        engine = self._engine if engine is None else engine
         if max_candidates is None:
             max_candidates = self._max_candidates
-        members = self._members(members)
-        resolved = self._sessions[0]._learn_params(k, epsilon, params)
-        compiled = self._ensure_learn_compiled(
-            members, resolved, method, max_candidates
-        )
-        if engine == "lockstep":
-            runs = [
-                LockstepRun(
-                    compiled=member_compiled,
-                    params=resolved,
-                    method=method,
-                    n=self._n,
+        runs = []
+        for k, epsilon in points:
+            resolved = self._sessions[0]._learn_params(k, epsilon, params)
+            for compiled in self._ensure_learn_compiled(
+                members, resolved, method, max_candidates
+            ):
+                runs.append(
+                    LockstepRun(
+                        compiled=compiled, params=resolved, method=method, n=self._n
+                    )
                 )
-                for member_compiled in compiled
-            ]
-            return lockstep_learn(runs, executor=self._executor)
-        return [
-            self._sessions[member].learn(
-                k,
-                epsilon,
-                method=method,
-                engine=engine,
-                params=params,
-                max_candidates=max_candidates,
-            )
-            for member in members
-        ]
+        return runs
 
     def _ensure_learn_compiled(
         self,
@@ -307,8 +298,8 @@ class HistogramFleet:
 
         Pool draws and any candidate-cap rng consumption happen member
         by member in the listed order — exactly the order looped
-        sessions would use — which is what keeps every downstream learn
-        route (looped, lockstep, fanned) seed-for-seed replayable.
+        sessions would use — which is what keeps fleet learns
+        seed-for-seed equal to looped sessions.
         Returns each member's compiled sketches, positionally.
         """
         key = (
@@ -365,7 +356,6 @@ class HistogramFleet:
         grid: Iterable[tuple[int, float]],
         *,
         method: str | None = None,
-        engine: str | None = None,
         params: GreedyParams | None = None,
         max_candidates: int | None = None,
     ) -> list[list[LearnResult]]:
@@ -374,52 +364,19 @@ class HistogramFleet:
         Mirrors :meth:`HistogramSession.learn_many`: pools are prefetched
         to the grid's elementwise-largest budget before any point runs,
         so the whole batch issues at most one draw event per member.
-        On the default ``engine="lockstep"`` the entire ``F x P`` batch
-        — every member at every grid point — runs its greedy rounds as
-        one lockstep (runs whose round budgets differ drop out of the
-        active mask as they converge), compile order staying point-major
-        / member-minor so rng consumption matches looped sessions draw
-        for draw.  Returns ``results[member][point]``.
+        The entire ``F x P`` batch — every member at every grid point —
+        then runs its greedy rounds as one lockstep (runs whose round
+        budgets differ drop out as they converge).  Returns
+        ``results[member][point]``.
         """
         points = list(grid)
         self.prefetch_learn(points, params=params)
-        engine = self._engine if engine is None else engine
-        if engine == "lockstep":
-            resolved_method = self._method if method is None else method
-            cap = self._max_candidates if max_candidates is None else max_candidates
-            members = self._members(None)
-            runs = []
-            for k, epsilon in points:
-                resolved = self._sessions[0]._learn_params(k, epsilon, params)
-                for member_compiled in self._ensure_learn_compiled(
-                    members, resolved, resolved_method, cap
-                ):
-                    runs.append(
-                        LockstepRun(
-                            compiled=member_compiled,
-                            params=resolved,
-                            method=resolved_method,
-                            n=self._n,
-                        )
-                    )
-            results = lockstep_learn(runs, executor=self._executor)
-            return [
-                [results[p * self.size + f] for p in range(len(points))]
-                for f in range(self.size)
-            ]
-        per_point = [
-            self.learn(
-                k,
-                epsilon,
-                method=method,
-                engine=engine,
-                params=params,
-                max_candidates=max_candidates,
-            )
-            for k, epsilon in points
-        ]
+        runs = self._learn_runs(
+            self._members(None), points, method, params, max_candidates
+        )
+        results = lockstep_learn(runs, executor=self._executor)
         return [
-            [point_results[f] for point_results in per_point]
+            [results[p * self.size + f] for p in range(len(points))]
             for f in range(self.size)
         ]
 

@@ -40,8 +40,7 @@ import numpy as np
 
 from repro.api.sketches import SketchBundle
 from repro.api.source import SampleSource, as_sample_source
-from repro.core.greedy import _ENGINES, learn_from_samples
-from repro.core.lockstep import LockstepRun, lockstep_learn
+from repro.core.greedy import LockstepRun, lockstep_learn
 from repro.core.params import GreedyParams, TesterParams, greedy_rounds
 from repro.core.results import LearnResult, TestResult
 from repro.core.selection import SelectionResult, select_min_k_on_sketch
@@ -72,13 +71,6 @@ class HistogramSession:
     method:
         Default learner candidate strategy, ``"fast"`` or
         ``"exhaustive"``.
-    engine:
-        Default learner scoring engine: ``"incremental"`` (dirty-region
-        rescoring), ``"full"`` (rescore everything each round; kept for
-        the equivalence tests), or ``"lockstep"`` (cached per-grid-point
-        score terms with dirty-span refresh — the engine fleets batch
-        across members, see :mod:`repro.core.lockstep`).  All three are
-        byte-identical.
     tester_engine:
         Default tester flatness engine, ``"compiled"`` (precompiled
         prefix gathers plus a memoised oracle, shared across every
@@ -110,7 +102,6 @@ class HistogramSession:
         rng: int | None | np.random.Generator = None,
         scale: float = 1.0,
         method: str = "fast",
-        engine: str = "incremental",
         tester_engine: str = "compiled",
         learn_budget: GreedyParams | None = None,
         test_budget: TesterParams | None = None,
@@ -119,17 +110,12 @@ class HistogramSession:
     ) -> None:
         if int(n) != n or n < 1:
             raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
-        if engine not in _ENGINES:
-            raise InvalidParameterError(
-                f"engine must be one of {_ENGINES}, got {engine!r}"
-            )
         validate_tester_engine(tester_engine)
         self._source: SampleSource = as_sample_source(source, n)
         self._n = int(n)
         self._rng = as_rng(rng)
         self._scale = float(scale)
         self._method = method
-        self._engine = engine
         self._tester_engine = tester_engine
         self._learn_budget = learn_budget
         self._test_budget = test_budget
@@ -234,7 +220,6 @@ class HistogramSession:
         epsilon: float,
         *,
         method: str | None = None,
-        engine: str | None = None,
         params: GreedyParams | None = None,
         max_candidates: int | None = None,
     ) -> LearnResult:
@@ -242,27 +227,11 @@ class HistogramSession:
 
         Semantics of :func:`repro.core.greedy.learn_histogram`; samples
         and compiled sketches are reused across calls whenever the
-        resolved sizes allow it.
+        resolved sizes allow it.  A one-point :meth:`learn_many`.
         """
-        method = self._method if method is None else method
-        engine = self._engine if engine is None else engine
-        if max_candidates is None:
-            max_candidates = self._max_candidates
-        resolved = self._learn_params(k, epsilon, params)
-        samples, compiled = self._bundle.compiled_sketches(
-            resolved, method=method, max_candidates=max_candidates
-        )
-        return learn_from_samples(
-            samples,
-            self._n,
-            k,
-            epsilon,
-            params=resolved,
-            method=method,
-            engine=engine,
-            compiled=compiled,
-            executor=self._executor,
-        )
+        return self.learn_many(
+            [(k, epsilon)], method=method, params=params, max_candidates=max_candidates
+        )[0]
 
     def prefetch_learn(
         self,
@@ -294,7 +263,6 @@ class HistogramSession:
         grid: Iterable[tuple[int, float]],
         *,
         method: str | None = None,
-        engine: str | None = None,
         params: GreedyParams | None = None,
         max_candidates: int | None = None,
     ) -> list[LearnResult]:
@@ -302,45 +270,27 @@ class HistogramSession:
 
         The whole grid is planned before anything is drawn
         (:meth:`prefetch_learn`), so the batch issues at most one draw
-        event for the learn family regardless of grid size.  On the
-        lockstep engine the points additionally run their greedy rounds
-        *together* (one rescore/argmin/commit pass per round across the
-        batch, :func:`repro.core.lockstep.lockstep_learn`) — results
-        stay byte-identical to calling :meth:`learn` per point.
+        event for the learn family regardless of grid size, and the
+        points run their greedy rounds *together* (one
+        rescore/argmin/commit pass per round across the batch,
+        :func:`repro.core.greedy.lockstep_learn`) — results stay
+        byte-identical to calling :meth:`learn` per point.
         """
         points = list(grid)
         self.prefetch_learn(points, params=params)
-        engine = self._engine if engine is None else engine
-        if engine == "lockstep":
-            method = self._method if method is None else method
-            if max_candidates is None:
-                max_candidates = self._max_candidates
-            runs = []
-            for k, epsilon in points:
-                resolved = self._learn_params(k, epsilon, params)
-                _, compiled = self._bundle.compiled_sketches(
-                    resolved, method=method, max_candidates=max_candidates
-                )
-                runs.append(
-                    LockstepRun(
-                        compiled=compiled,
-                        params=resolved,
-                        method=method,
-                        n=self._n,
-                    )
-                )
-            return lockstep_learn(runs, executor=self._executor)
-        return [
-            self.learn(
-                k,
-                epsilon,
-                method=method,
-                engine=engine,
-                params=params,
-                max_candidates=max_candidates,
+        method = self._method if method is None else method
+        if max_candidates is None:
+            max_candidates = self._max_candidates
+        runs = []
+        for k, epsilon in points:
+            resolved = self._learn_params(k, epsilon, params)
+            _, compiled = self._bundle.compiled_sketches(
+                resolved, method=method, max_candidates=max_candidates
             )
-            for k, epsilon in points
-        ]
+            runs.append(
+                LockstepRun(compiled=compiled, params=resolved, method=method, n=self._n)
+            )
+        return lockstep_learn(runs, executor=self._executor)
 
     # -------------------------------------------------------------- #
     # testing

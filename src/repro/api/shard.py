@@ -187,15 +187,6 @@ class ParallelExecutor:
         *degrades*: permanently falls back to inline ``workers=1``
         execution.  Every task is a pure, idempotent write, so a
         re-issued or degraded batch is byte-identical to a healthy one.
-    learn_fan_min_candidates:
-        Smallest per-round dirty-candidate count for which the lockstep
-        learn engine fans its rescore over the pool
-        (:mod:`repro.core.lockstep`).  ``None`` (the default) disables
-        the fan — on a machine without spare cores the per-round IPC
-        only costs; set a threshold to opt large-grid learns in.  Purely
-        an evaluation strategy: results are byte-identical either way
-        (the conformance matrix sets ``1`` to force the fan on tiny
-        grids).
     faults:
         A test-only :class:`~repro.utils.faults.FaultPlan` chaos seam;
         ``None`` (the default) costs nothing on any path.
@@ -230,7 +221,6 @@ class ParallelExecutor:
         resolve_min_batch: int = 256,
         max_respawns: int = 2,
         faults: "FaultPlan | None" = None,
-        learn_fan_min_candidates: int | None = None,
     ) -> None:
         if int(workers) != workers or workers < 1:
             raise InvalidParameterError(
@@ -244,18 +234,10 @@ class ParallelExecutor:
             raise InvalidParameterError(
                 f"max_respawns must be a non-negative integer, got {max_respawns!r}"
             )
-        if learn_fan_min_candidates is not None and learn_fan_min_candidates < 1:
-            raise InvalidParameterError(
-                "learn_fan_min_candidates must be None or >= 1, "
-                f"got {learn_fan_min_candidates!r}"
-            )
         self._workers = int(workers)
         self._plan = plan if plan is not None else ShardPlan(self._workers)
         self._resolve_min_batch = int(resolve_min_batch)
         self._max_respawns = int(max_respawns)
-        self._learn_fan_min_candidates = (
-            None if learn_fan_min_candidates is None else int(learn_fan_min_candidates)
-        )
         self._faults = faults
         self._state = _ExecutorState()
         self._finalizer = weakref.finalize(self, _reap_executor, self._state)
@@ -299,15 +281,10 @@ class ParallelExecutor:
         """Pool respawns allowed before degrading to inline execution."""
         return self._max_respawns
 
-    @property
-    def learn_fan_min_candidates(self) -> int | None:
-        """Dirty-candidate floor for fanning lockstep rescores (None = off)."""
-        return self._learn_fan_min_candidates
-
     def record_timing(self, phase: str, seconds: float) -> None:
         """Accumulate wall-clock into a per-phase profiling bucket.
 
-        The learn engines bill their compile/rescore/argmin/commit time
+        The greedy learner bills its compile/rescore/argmin/commit time
         here; :meth:`health` (and the serving layer's ``stats()``)
         expose the buckets so perf work starts from a breakdown instead
         of a stopwatch.  Unknown phases get their own bucket.

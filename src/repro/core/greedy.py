@@ -36,22 +36,28 @@ round repaints at most one interval and truncates at most two
 neighbours, ``rel_J`` can only change for candidates whose span
 intersects the segments changed by the last commit; everything else
 shifts by the same global ``total`` delta, which preserves the argmin
-order.  The engine therefore rescores only the dirty region each round
-and keeps candidate minima in a lazily-repaired block-argmin structure.
-``engine="full"`` rescores every candidate every round through the same
-code path, which is what makes the two modes byte-identical (the
-equivalence the test suite asserts).
+order.  The remainder terms depend only on one candidate endpoint and
+the content of its containing segment, so the engine tabulates them per
+grid point, caches them across rounds, and refreshes them only over the
+dirty grid span; it then rescores only the dirty candidates and keeps
+candidate minima in a lazily-repaired block-argmin structure.  The
+engine's private ``full_span`` mode refreshes every grid point and
+rescores every candidate every round through the same code path — the
+reference the test suite holds the production engine to, bit for bit.
 
-The module is split into three layers so samples can be reused across
-calls (see :class:`repro.api.HistogramSession`):
+The module is split into layers so samples can be reused across calls
+(see :class:`repro.api.HistogramSession`):
 
 * :func:`draw_greedy_samples` — the only part that touches the source;
 * :func:`compile_greedy_sketches` — candidate grid + prefix compilation
   (one vectorised pass over all ``r`` collision sets) plus the
   round-invariant per-candidate self-costs;
-* :func:`learn_from_samples` — the pure algorithm over those inputs.
+* :func:`lockstep_learn` — the greedy rounds of any number of runs over
+  compiled sketches, advanced together round by round: the one learn
+  driver every session, fleet and maintainer goes through;
+* :func:`learn_from_samples` — the pure algorithm over one draw.
 
-:func:`learn_histogram` is the classic one-shot composition of the three.
+:func:`learn_histogram` is the classic one-shot composition.
 """
 
 from __future__ import annotations
@@ -78,7 +84,6 @@ from repro.utils.prefix import pairs_count
 from repro.utils.rng import as_rng
 
 _METHODS = ("fast", "exhaustive")
-_ENGINES = ("incremental", "full", "lockstep")
 _SCORE_CHUNK = 200_000
 _GATHER_CHUNK = 1_000_000
 _ARGMIN_BLOCK = 2_048
@@ -92,10 +97,9 @@ def _score_gather(
 ) -> np.ndarray:
     """``rel = self - removed + left + right`` over pre-gathered operands.
 
-    The one arithmetic spelling of the incremental decomposition, shared
-    by every engine (and the lockstep rescore workers): the float op
-    order here is part of the byte-identity contract, so nobody spells
-    it twice.
+    The one arithmetic spelling of the incremental decomposition: the
+    float op order here is part of the byte-identity contract, so nobody
+    spells it twice.
     """
     rel = self_costs - removed_pair
     rel = rel + left_at
@@ -116,9 +120,11 @@ def _piece_costs(
     """``z_I - y_I^2 / |I|`` for assigned pieces, ``z_I`` for gaps.
 
     The one scoring expression shared by the compile-time self-cost pass,
-    the per-round remainder scoring, and the cached segment costs.  A
+    the per-round remainder terms, and the cached segment costs.  A
     single code path is what makes a cached score bit-identical to a
-    fresh rescore — the invariant the incremental engine relies on.
+    fresh rescore — the invariant the engine relies on.  Rows are
+    independent (``np.median(..., axis=1)``), so tabulating a sub-span of
+    points yields the same bits as tabulating the whole grid.
     """
     lo = np.asarray(lo)
     hi = np.asarray(hi)
@@ -175,35 +181,36 @@ class RoundReport:
 
 
 class _GreedyEngine:
-    """Vectorised greedy rounds with dirty-region incremental rescoring.
+    """Vectorised greedy rounds over cached, dirty-span-refreshed terms.
 
     State per candidate: ``rel_J`` (score minus the shared ``total``
-    term), valid as of the last round that touched it.  State per
-    segment: grid-index endpoints, assignedness, and the cached piece
-    cost.  ``incremental=False`` rescans every candidate every round
-    through the same code path (the ``engine="full"`` reference).
+    term), valid as of the last round that touched it.  State per grid
+    point: the left/right remainder terms, valid as of the last round
+    whose dirty span covered the point.  State per segment: grid-index
+    endpoints, assignedness, and the cached piece cost.  A round is three
+    phases — :meth:`rescore`, :meth:`argmin`, :meth:`commit` — which
+    :func:`lockstep_learn` times separately.
+
+    ``full_span=True`` treats the whole grid as dirty every round: every
+    term is re-tabulated and every candidate rescored through the same
+    code path.  That is the private reference the tests hold the
+    production mode to; nothing in the library runs it.
     """
 
     def __init__(
-        self,
-        candidates: CandidateSet,
-        weight_prefix: np.ndarray,
-        weight_total: int,
-        pair_prefix_cols: np.ndarray,
-        pairs_per_set: float,
-        self_costs: np.ndarray,
-        incremental: bool = True,
-        rel_buffer: np.ndarray | None = None,
-        block_min_buffer: np.ndarray | None = None,
+        self, compiled: "CompiledGreedySketches", *, full_span: bool = False
     ) -> None:
+        candidates = compiled.candidates
         self._cands = candidates
         self._grid = candidates.grid
-        self._wprefix = np.asarray(weight_prefix).astype(np.float64)
-        self._wtotal = float(weight_total)
-        self._pp_cols = np.ascontiguousarray(pair_prefix_cols, dtype=np.float64)
-        self._pairs_per_set = float(pairs_per_set)
-        self._self_cost = np.asarray(self_costs, dtype=np.float64)
-        self._incremental = bool(incremental)
+        self._wprefix = np.asarray(compiled.weight_prefix).astype(np.float64)
+        self._wtotal = float(compiled.weight_set.size)
+        self._pp_cols = np.ascontiguousarray(
+            compiled.pair_prefix_cols, dtype=np.float64
+        )
+        self._pairs_per_set = float(compiled.pairs_per_set)
+        self._self_cost = np.asarray(compiled.self_costs, dtype=np.float64)
+        self._full_span = bool(full_span)
 
         last = self._grid.size - 1
         self._seg_lo: list[int] = [0]
@@ -215,25 +222,18 @@ class _GreedyEngine:
         # Everything is dirty before the first round.
         self._dirty_lo = 0
         self._dirty_hi = last
+        self._left_term = np.empty(self._grid.size, dtype=np.float64)
+        self._right_term = np.empty(self._grid.size, dtype=np.float64)
 
         # ``rel`` lives padded to a whole number of argmin blocks (the
         # pad stays +inf forever) so block repair is one reshaped
         # ``min(axis=1)`` instead of a Python loop per touched block.
-        # Callers may inject the buffers — the lockstep engine carves
-        # per-run views out of flat (shared-memory) slabs here.
         self._block = _ARGMIN_BLOCK
         num_blocks = max(1, -(-candidates.size // self._block))
-        padded = num_blocks * self._block
-        if rel_buffer is None:
-            rel_buffer = np.empty(padded, dtype=np.float64)
-        if block_min_buffer is None:
-            block_min_buffer = np.empty(num_blocks, dtype=np.float64)
-        rel_buffer[:] = np.inf
-        block_min_buffer[:] = np.inf
-        self._rel_padded = rel_buffer
-        self._rel = rel_buffer[: candidates.size]
-        self._rel_blocks = rel_buffer.reshape(num_blocks, self._block)
-        self._block_min = block_min_buffer
+        rel_padded = np.full(num_blocks * self._block, np.inf)
+        self._rel = rel_padded[: candidates.size]
+        self._rel_blocks = rel_padded.reshape(num_blocks, self._block)
+        self._block_min = np.full(num_blocks, np.inf)
 
     # -------------------------------------------------------------- #
     # estimate queries (grid-index space, vectorised)
@@ -263,27 +263,85 @@ class _GreedyEngine:
     # -------------------------------------------------------------- #
 
     def run_round(self) -> RoundReport:
-        """Rescore the dirty region, commit the argmin, report the diff."""
-        if self._incremental:
-            dirty_lo, dirty_hi = self._dirty_lo, self._dirty_hi
-        else:
-            dirty_lo, dirty_hi = 0, self._grid.size - 1
-        dirty = self._cands.intersecting(dirty_lo, dirty_hi)
-        self._rescore(dirty)
-        return self.commit_best(int(dirty.size))
+        """Rescore the dirty span, commit the argmin, report the diff."""
+        rescored = self.rescore()
+        return self.commit(self.argmin(), rescored)
 
-    def commit_best(self, rescored: int, best: int | None = None) -> RoundReport:
-        """Commit the current argmin and report the round's diff.
+    def rescore(self) -> int:
+        """Refresh the cached terms and ``rel`` over the dirty span.
 
-        Split from :meth:`run_round` so the lockstep driver — which owns
-        the rescore phase (cached terms, optional executor fan) — shares
-        the exact commit arithmetic and trace packaging with the serial
-        engines.
+        Every segment-dependent score term factors through a single
+        candidate endpoint: the containing segment ``ia`` and the left
+        remainder depend only on ``cand_lo``, ``ib`` and the right
+        remainder only on ``cand_hi``, and the removed-cost term on the
+        ``(ia, ib)`` pair.  The remainder terms are re-tabulated only at
+        the dirty grid points — every other point's containing segment is
+        unchanged — while ``ia``/``ib`` are looked up afresh at the dirty
+        candidates' endpoints, because segment *indices* shift globally
+        when the segment list grows.  Returns how many candidates were
+        rescored.
         """
-        if best is None:
-            best = self._argmin()
+        if self._full_span:
+            lo, hi = 0, self._grid.size - 1
+        else:
+            lo, hi = self._dirty_lo, self._dirty_hi
+        seg_lo = np.asarray(self._seg_lo, dtype=np.int64)
+        seg_hi = np.asarray(self._seg_hi, dtype=np.int64)
+        seg_assigned = np.asarray(self._seg_assigned, dtype=bool)
+        seg_costs = np.asarray(self._seg_cost, dtype=np.float64)
+        # removed[a, b]: summed cost of segments a..b, accumulated fresh
+        # from a (never as a difference of running prefixes) so the value
+        # for an untouched segment range is bitwise round-stable.
+        count = seg_lo.size
+        removed = np.zeros((count, count))
+        for a in range(count):
+            removed[a, a:] = np.cumsum(seg_costs[a:])
+        grid = self._grid
+        seg_starts = grid[seg_lo]
+
+        span = slice(lo, hi + 1)
+        points = np.arange(lo, hi + 1, dtype=np.int64)
+        at = grid[span]
+        ia = np.searchsorted(seg_starts, at, side="right") - 1
+        ib = np.searchsorted(seg_starts, at - 1, side="right") - 1
+        # Left remainder [segment start, a) for a candidate starting at a.
+        lcost = self._piece_cost(seg_lo[ia], points, seg_assigned[ia])
+        self._left_term[span] = np.where(seg_starts[ia] < at, lcost, 0.0)
+        # Right remainder [b, segment stop) for a candidate ending at b.
+        rcost = self._piece_cost(points, seg_hi[ib], seg_assigned[ib])
+        self._right_term[span] = np.where(grid[seg_hi[ib]] > at, rcost, 0.0)
+
+        dirty = self._cands.intersecting(lo, hi)
+        # When dirty candidates outnumber grid points, index per-point
+        # segment tables instead of searching once per candidate endpoint
+        # (the same integers either way).
+        per_point = dirty.size > grid.size
+        if per_point:
+            ia_at = np.searchsorted(seg_starts, grid, side="right") - 1
+            ib_at = np.searchsorted(seg_starts, grid - 1, side="right") - 1
+        for start in range(0, dirty.size, _GATHER_CHUNK):
+            part = dirty[start : start + _GATHER_CHUNK]
+            cand_lo = self._cands.lo[part]
+            cand_hi = self._cands.hi[part]
+            if per_point:
+                ia, ib = ia_at[cand_lo], ib_at[cand_hi]
+            else:
+                ia = np.searchsorted(seg_starts, grid[cand_lo], side="right") - 1
+                ib = np.searchsorted(seg_starts, grid[cand_hi] - 1, side="right") - 1
+            self._rel[part] = _score_gather(
+                self._self_cost[part],
+                removed[ia, ib],
+                self._left_term[cand_lo],
+                self._right_term[cand_hi],
+            )
+        if dirty.size:
+            self._repair_blocks(dirty)
+        return int(dirty.size)
+
+    def commit(self, best: int, rescored: int) -> RoundReport:
+        """Commit candidate ``best`` and report the round's diff."""
         # ``total`` is shared by every candidate this round; summed fresh
-        # from the cached per-segment costs so both engine modes agree.
+        # from the cached per-segment costs.
         total = float(np.sum(np.asarray(self._seg_cost, dtype=np.float64)))
         cost = float(total + self._rel[best])
         lo = int(self._cands.lo[best])
@@ -301,54 +359,6 @@ class _GreedyEngine:
             rescored=rescored,
         )
 
-    def _rescore(self, indices: np.ndarray) -> None:
-        """Refresh ``rel`` for ``indices`` and repair their argmin blocks.
-
-        Every segment-dependent score term factors through a single
-        candidate endpoint: the containing segment ``ia`` and the left
-        remainder depend only on ``cand_lo``, ``ib`` and the right
-        remainder only on ``cand_hi``, and the removed-cost term on the
-        ``(ia, ib)`` pair.  So each round tabulates those once per *grid
-        point* — O(G r) median work — and scoring a candidate is three
-        pure gathers, with no per-candidate median at all.
-        """
-        if indices.size == 0:
-            return
-        seg_lo = np.asarray(self._seg_lo, dtype=np.int64)
-        seg_hi = np.asarray(self._seg_hi, dtype=np.int64)
-        seg_assigned = np.asarray(self._seg_assigned, dtype=bool)
-        seg_costs = np.asarray(self._seg_cost, dtype=np.float64)
-        # removed[a, b]: summed cost of segments a..b, accumulated fresh
-        # from a (never as a difference of running prefixes) so the value
-        # for an untouched segment range is bitwise round-stable.
-        count = seg_lo.size
-        removed = np.zeros((count, count))
-        for a in range(count):
-            removed[a, a:] = np.cumsum(seg_costs[a:])
-        grid = self._grid
-        seg_starts = grid[seg_lo]
-        points = np.arange(grid.size, dtype=np.int64)
-        # Segment containing each grid point / the point just before it.
-        ia = np.searchsorted(seg_starts, grid, side="right") - 1
-        ib = np.searchsorted(seg_starts, grid - 1, side="right") - 1
-        # Left remainder [segment start, a) for a candidate starting at a.
-        lcost = self._piece_cost(seg_lo[ia], points, seg_assigned[ia])
-        left_term = np.where(seg_starts[ia] < grid, lcost, 0.0)
-        # Right remainder [b, segment stop) for a candidate ending at b.
-        rcost = self._piece_cost(points, seg_hi[ib], seg_assigned[ib])
-        right_term = np.where(grid[seg_hi[ib]] > grid, rcost, 0.0)
-        for start in range(0, indices.size, _GATHER_CHUNK):
-            part = indices[start : start + _GATHER_CHUNK]
-            cand_lo = self._cands.lo[part]
-            cand_hi = self._cands.hi[part]
-            self._rel[part] = _score_gather(
-                self._self_cost[part],
-                removed[ia[cand_lo], ib[cand_hi]],
-                left_term[cand_lo],
-                right_term[cand_hi],
-            )
-        self._repair_blocks(indices)
-
     def _repair_blocks(self, indices: np.ndarray) -> None:
         """Recompute block minima for the blocks ``indices`` touch.
 
@@ -361,7 +371,7 @@ class _GreedyEngine:
         touched = blocks[np.flatnonzero(np.diff(blocks, prepend=-1))]
         self._block_min[touched] = self._rel_blocks[touched].min(axis=1)
 
-    def _argmin(self) -> int:
+    def argmin(self) -> int:
         """Global first-minimum via the block minima (ties break low)."""
         block = int(np.argmin(self._block_min))
         begin = block * self._block
@@ -679,11 +689,7 @@ def _package_result(
     params: GreedyParams,
     method: str,
 ) -> LearnResult:
-    """Package a finished engine + its round reports as a LearnResult.
-
-    Shared by every engine route (serial and lockstep) so trace and
-    accounting packaging is spelled once.
-    """
+    """Package a finished engine + its round reports as a LearnResult."""
     size = engine_obj._cands.size
     trace: list[tuple[Interval, float, list[tuple[Interval, float]]]] = []
     rounds: list[GreedyRound] = []
@@ -710,6 +716,85 @@ def _package_result(
     )
 
 
+@dataclass(frozen=True)
+class LockstepRun:
+    """One learn for :func:`lockstep_learn` to drive.
+
+    ``compiled`` must come from :func:`compile_greedy_sketches` over the
+    samples the learn is for; ``params.rounds`` is the run's round budget
+    (runs with smaller budgets finish and drop out of the lockstep
+    earlier).
+    """
+
+    compiled: CompiledGreedySketches
+    params: GreedyParams
+    method: str
+    n: int
+
+
+def lockstep_learn(
+    runs: "list[LockstepRun]", *, executor: "object | None" = None
+) -> list[LearnResult]:
+    """Drive ``runs`` through their greedy rounds in lockstep.
+
+    The one learn driver: every session, fleet and maintainer learn ends
+    here.  Per round, one rescore pass over every run still inside its
+    round budget, then one argmin pass, then one commit pass.  Each run
+    owns its engine, so every result is byte-identical to driving that
+    run alone — and to the full-span reference the tests compare against.
+
+    ``executor`` never changes a result: when it keeps timing buckets
+    (:meth:`repro.api.ParallelExecutor.record_timing`), the per-phase
+    wall-clock is billed to it.
+    """
+    engines = [_GreedyEngine(run.compiled) for run in runs]
+    reports: list[list[RoundReport]] = [[] for _ in runs]
+    timings = {"rescore": 0.0, "argmin": 0.0, "commit": 0.0}
+    for round_index in range(max((run.params.rounds for run in runs), default=0)):
+        active = [i for i, run in enumerate(runs) if round_index < run.params.rounds]
+        started = perf_counter()
+        rescored = [engines[i].rescore() for i in active]
+        timings["rescore"] += perf_counter() - started
+        started = perf_counter()
+        best = [engines[i].argmin() for i in active]
+        timings["argmin"] += perf_counter() - started
+        started = perf_counter()
+        for i, index, count in zip(active, best, rescored):
+            reports[i].append(engines[i].commit(index, count))
+        timings["commit"] += perf_counter() - started
+    if executor is not None and hasattr(executor, "record_timing"):
+        for phase, seconds in timings.items():
+            executor.record_timing(phase, seconds)
+    return [
+        _package_result(engine, run_reports, run.n, run.params, run.method)
+        for engine, run_reports, run in zip(engines, reports, runs)
+    ]
+
+
+def _reference_learn(
+    runs: "list[LockstepRun]",
+    *,
+    executor: "object | None" = None,
+    full_span: bool = True,
+) -> list[LearnResult]:
+    """Drive each run alone through :meth:`_GreedyEngine.run_round`.
+
+    The private reference the tests (and the out-of-core bench pair)
+    hold :func:`lockstep_learn` to: with ``full_span`` every round
+    re-tabulates every grid point and rescores every candidate.  It
+    shares :func:`lockstep_learn`'s signature so it can stand in at a
+    facade's driver seam; ``executor`` is ignored.
+    """
+    results = []
+    for run in runs:
+        engine = _GreedyEngine(run.compiled, full_span=full_span)
+        reports = [engine.run_round() for _ in range(run.params.rounds)]
+        results.append(
+            _package_result(engine, reports, run.n, run.params, run.method)
+        )
+    return results
+
+
 def learn_from_samples(
     samples: GreedySamples,
     n: int,
@@ -718,7 +803,6 @@ def learn_from_samples(
     *,
     params: GreedyParams,
     method: str = "fast",
-    engine: str = "incremental",
     max_candidates: int | None = None,
     rng: int | None | np.random.Generator = None,
     compiled: CompiledGreedySketches | None = None,
@@ -730,24 +814,13 @@ def learn_from_samples(
     ``samples`` whose sizes match ``params`` it deterministically produces
     the same :class:`LearnResult` the one-shot entry point would.  Pass
     ``compiled`` (from :func:`compile_greedy_sketches` over the same
-    samples) to skip the grid/prefix compilation.
-
-    ``engine`` selects ``"incremental"`` (dirty-region rescoring, the
-    default), ``"full"`` (rescore every candidate every round — the
-    reference path the equivalence tests compare against), or
-    ``"lockstep"`` (cached per-grid-point score terms with dirty-span
-    refresh, the engine :class:`repro.api.HistogramFleet` batches across
-    members — see :mod:`repro.core.lockstep`); all three are
-    byte-identical by construction.
-
-    ``executor`` (a :class:`repro.api.ParallelExecutor`) is forwarded to
-    the compile step and, on the lockstep route, to the rescore fan —
-    results never depend on it.
+    samples) to skip the grid/prefix compilation.  The rounds run as a
+    one-run :func:`lockstep_learn`; ``executor`` (a
+    :class:`repro.api.ParallelExecutor`) is forwarded to the compile step
+    and the timing buckets — results never depend on it.
     """
     if method not in _METHODS:
         raise InvalidParameterError(f"method must be one of {_METHODS}, got {method!r}")
-    if engine not in _ENGINES:
-        raise InvalidParameterError(f"engine must be one of {_ENGINES}, got {engine!r}")
     if not samples.matches(params):
         raise InvalidParameterError(
             "sample array sizes do not match params "
@@ -765,22 +838,8 @@ def learn_from_samples(
             rng=rng,
             executor=executor,
         )
-    if engine == "lockstep":
-        from repro.core.lockstep import LockstepRun, lockstep_learn
-
-        run = LockstepRun(compiled=compiled, params=params, method=method, n=n)
-        return lockstep_learn([run], executor=executor)[0]
-    engine_obj = _GreedyEngine(
-        compiled.candidates,
-        compiled.weight_prefix,
-        compiled.weight_set.size,
-        compiled.pair_prefix_cols,
-        compiled.pairs_per_set,
-        compiled.self_costs,
-        incremental=(engine == "incremental"),
-    )
-    reports = [engine_obj.run_round() for _ in range(params.rounds)]
-    return _package_result(engine_obj, reports, n, params, method)
+    run = LockstepRun(compiled=compiled, params=params, method=method, n=n)
+    return lockstep_learn([run], executor=executor)[0]
 
 
 def learn_histogram(
@@ -790,7 +849,6 @@ def learn_histogram(
     epsilon: float,
     *,
     method: str = "fast",
-    engine: str = "incremental",
     scale: float = 1.0,
     params: GreedyParams | None = None,
     max_candidates: int | None = None,
@@ -825,10 +883,6 @@ def learn_histogram(
         ``"exhaustive"`` scores all ``C(n, 2)`` intervals per round
         (Algorithm 1); ``"fast"`` scores only intervals with endpoints in
         the sample-derived set ``T'`` (Theorem 2).
-    engine:
-        ``"incremental"`` (default) rescores only the dirty region each
-        round; ``"full"`` rescores everything — same results, kept for
-        the equivalence tests.
     scale:
         Multiplier on the paper's sample sizes (see
         :mod:`repro.core.params`).
@@ -860,7 +914,6 @@ def learn_histogram(
         epsilon,
         params=params,
         method=method,
-        engine=engine,
         max_candidates=max_candidates,
         rng=generator,
     )

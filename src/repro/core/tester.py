@@ -51,7 +51,7 @@ from repro.samples.estimators import MultiSketch
 from repro.utils.deprecation import warn_one_shot_shim
 from repro.utils.rng import as_rng
 
-TESTER_ENGINES = ("compiled", "full")
+_TESTER_CHOICES = ("compiled", "full")
 
 
 def flat_partition(
@@ -315,9 +315,9 @@ def draw_tester_sets(
 
 def validate_tester_engine(engine: str) -> None:
     """Reject unknown tester engines."""
-    if engine not in TESTER_ENGINES:
+    if engine not in _TESTER_CHOICES:
         raise InvalidParameterError(
-            f"engine must be one of {TESTER_ENGINES}, got {engine!r}"
+            f"engine must be one of {_TESTER_CHOICES}, got {engine!r}"
         )
 
 

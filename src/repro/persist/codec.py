@@ -270,7 +270,6 @@ def fleet_state(fleet) -> tuple[dict, dict]:
         "n": int(fleet._n),
         "size": int(fleet.size),
         "method": fleet._method,
-        "engine": fleet._engine,
         "tester_engine": fleet._tester_engine,
         "max_candidates": fleet._max_candidates,
         "members": members,
@@ -283,7 +282,6 @@ def _fleet_fingerprint(fleet) -> dict:
         "n": int(fleet._n),
         "size": int(fleet.size),
         "method": fleet._method,
-        "engine": fleet._engine,
         "tester_engine": fleet._tester_engine,
         "max_candidates": fleet._max_candidates,
     }

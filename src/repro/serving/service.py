@@ -171,8 +171,7 @@ class HistogramService:
         :class:`~repro.utils.faults.FaultPlan` chaos seam.  Both require
         the service to own its executor — a caller-owned executor
         carries its own settings.
-    reservoir_capacity / refresh_every / params / engine /
-    tester_engine / rng:
+    reservoir_capacity / refresh_every / params / tester_engine / rng:
         Forwarded to the maintainer.
     snapshot_dir:
         Directory for warm-start checkpoints (created if missing).  At
@@ -227,7 +226,6 @@ class HistogramService:
         refresh_every: int | None = None,
         params: GreedyParams | None = None,
         tester_params: TesterParams | None = None,
-        engine: str = "lockstep",
         tester_engine: str = "compiled",
         rng: "int | None | np.random.Generator" = None,
         snapshot_dir: "str | os.PathLike | None" = None,
@@ -264,7 +262,6 @@ class HistogramService:
             reservoir_capacity=reservoir_capacity,
             refresh_every=refresh_every,
             params=params,
-            engine=engine,
             tester_engine=tester_engine,
             rng=rng,
             executor=self._executor,

@@ -49,10 +49,9 @@ class FleetMaintainer:
     params:
         Explicit learner sizes; defaults to a budget matched to the
         reservoir, as in the single-stream maintainer.
-    engine / tester_engine:
-        Forwarded to the fleet (learner scoring / flatness engines);
-        rebuild waves default to the fleet's batched ``"lockstep"``
-        learner, byte-identical to the serial engines.
+    tester_engine:
+        Forwarded to the fleet (the flatness engine of :meth:`test` and
+        :meth:`min_k`).
     rng:
         Base seed; one independent child generator is spawned per
         stream (reservoir and session draws share it, mirroring the
@@ -76,7 +75,6 @@ class FleetMaintainer:
         refresh_every: int | None = None,
         reservoir_capacity: int = 4096,
         params: GreedyParams | None = None,
-        engine: str = "lockstep",
         tester_engine: str = "compiled",
         rng: "int | None | np.random.Generator" = None,
         executor: "object | None" = None,
@@ -113,7 +111,6 @@ class FleetMaintainer:
             self._n,
             rngs=rngs,
             method="fast",
-            engine=engine,
             tester_engine=tester_engine,
             executor=executor,
         )
@@ -250,8 +247,18 @@ class FleetMaintainer:
     # -------------------------------------------------------------- #
 
     def update(self, member: int, value: int) -> None:
-        """Observe one item on stream ``member``."""
+        """Observe one item on stream ``member``.
+
+        ``value`` must be a Python or NumPy integer: like a float batch
+        in :meth:`update_many`, a float is refused before the reservoir
+        sees it rather than silently truncated.
+        """
         self._check_member(member)
+        if not isinstance(value, (int, np.integer)):
+            raise InvalidParameterError(
+                f"stream {member}: value must be an integer, got {value!r} "
+                f"(values are domain points in [0, {self._n}))"
+            )
         if not 0 <= value < self._n:
             raise InvalidParameterError(
                 f"stream value {value} outside the domain [0, {self._n})"
@@ -347,23 +354,7 @@ class FleetMaintainer:
 
     def histogram(self, member: int) -> TilingHistogram:
         """One stream's current summary (rebuilding lazily if needed)."""
-        self._check_member(member)
-        if self._reservoirs[member].size == 0:
-            raise EmptyStreamError(
-                f"stream {member} has no observations yet; update() it first"
-            )
-        if (
-            self._histograms[member] is None
-            or self._since_rebuild[member] >= self._refresh_every
-        ):
-            self._sync()
-            session = self._fleet.session(member)
-            result = session.learn(self._k, self._epsilon, params=self._params)
-            self._histograms[member] = result.filled_histogram
-            self._since_rebuild[member] = 0
-            self._rebuilds += 1
-            self._mutations[member] += 1
-        return self._histograms[member]
+        return self.histograms_for([member])[0]
 
     # -------------------------------------------------------------- #
     # testing the streams

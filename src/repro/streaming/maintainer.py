@@ -6,9 +6,9 @@ fast greedy learner.  Between rebuilds the summary is stale by at most
 unseen suffix; the reservoir keeps rebuild quality independent of the
 stream length.
 
-Both engine choices ride through the facade session: ``engine`` selects
-the learner's scoring engine and ``tester_engine`` the flatness engine
-used by :meth:`StreamingHistogramMaintainer.test` /
+The tester engine choice rides through the facade session:
+``tester_engine`` selects the flatness engine used by
+:meth:`StreamingHistogramMaintainer.test` /
 :meth:`StreamingHistogramMaintainer.min_k`, which probe the reservoir's
 current contents for k-histogram structure (e.g. to adapt ``k`` as the
 stream drifts).
@@ -54,9 +54,6 @@ class StreamingHistogramMaintainer:
         sliding-window semantics (the summary reflects roughly the last
         ``refresh_every`` items) — use this for drifting streams.  The
         default ``False`` keeps Algorithm R's whole-stream uniformity.
-    engine:
-        Learner scoring engine forwarded to the session
-        (``"incremental"`` or ``"full"``).
     tester_engine:
         Flatness engine forwarded to the session for :meth:`test` /
         :meth:`min_k` (``"compiled"`` or ``"full"``).
@@ -77,7 +74,6 @@ class StreamingHistogramMaintainer:
         reservoir_capacity: int = 4096,
         params: GreedyParams | None = None,
         forget_after_rebuild: bool = False,
-        engine: str = "incremental",
         tester_engine: str = "compiled",
         rng: "int | None | np.random.Generator" = None,
         executor: "object | None" = None,
@@ -87,7 +83,6 @@ class StreamingHistogramMaintainer:
         self._n = int(n)
         self._k = int(k)
         self._epsilon = float(epsilon)
-        self._engine = engine
         self._tester_engine = tester_engine
         self._executor = executor
         self._rng = as_rng(rng)
@@ -123,7 +118,6 @@ class StreamingHistogramMaintainer:
             self._n,
             rng=self._rng,
             method="fast",
-            engine=self._engine,
             tester_engine=self._tester_engine,
             executor=self._executor,
         )
@@ -155,7 +149,17 @@ class StreamingHistogramMaintainer:
         return self._histogram
 
     def update(self, value: int) -> None:
-        """Observe one stream item."""
+        """Observe one stream item.
+
+        ``value`` must be a Python or NumPy integer: like a float batch
+        in :meth:`update_many`, a float is refused before the reservoir
+        sees it rather than silently truncated.
+        """
+        if not isinstance(value, (int, np.integer)):
+            raise InvalidParameterError(
+                f"stream value must be an integer, got {value!r} "
+                f"(values are domain points in [0, {self._n}))"
+            )
         if not 0 <= value < self._n:
             raise InvalidParameterError(
                 f"stream value {value} outside the domain [0, {self._n})"

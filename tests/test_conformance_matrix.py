@@ -1,10 +1,13 @@
-"""Scenario-matrix conformance: every engine/source/driver combination
-answers a pinned workload identically.
+"""Scenario-matrix conformance: every learn-route/engine/source/driver
+combination answers a pinned workload identically.
 
 One fixed operation script (learn + l2/l1 tester grid + min-k) runs at
 pinned seeds through every combination of
 
-* learner engine         — ``incremental`` / ``full`` / ``lockstep``,
+* learn route            — ``lockstep`` (the one production driver, as
+  every facade calls it), ``incremental`` (each run stepped alone on
+  the same engine) or ``full`` (the engine's private full-span
+  reference), swapped in at the facades' driver seam,
 * tester (flatness) engine — ``compiled`` / ``full``,
 * sample source          — :class:`ArraySource` / :class:`CountingSource`,
 * driver                 — a :class:`HistogramSession` loop /
@@ -17,8 +20,9 @@ the others anywhere in the stack — a new engine or source adapter joins
 the matrix, not a bespoke suite.
 
 A second matrix covers the parallel shard engine: shards (1/2/7) ×
-workers (1/4) × tester engine, on both drivers, must reproduce the
-serial single-buffer outcomes bit for bit — *including* every compiled
+workers (1/4) × tester engine × learn route, on both drivers, must
+reproduce the serial single-buffer outcomes bit for bit — *including*
+every compiled
 sketch's flatness-memo accounting, since the executor fans compiles and
 miss batches across processes but must never change what gets memoised
 where.
@@ -26,12 +30,16 @@ where.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import os
 
 import numpy as np
 import pytest
 
+import repro.api.fleet as api_fleet
+import repro.api.session as api_session
 from repro.api import (
     ArraySource,
     CountingSource,
@@ -40,6 +48,7 @@ from repro.api import (
     ParallelExecutor,
     ShardPlan,
 )
+from repro.core.greedy import _reference_learn
 from repro.core.params import GreedyParams, TesterParams
 from repro.distributions import families
 from repro.utils.faults import FaultPlan
@@ -53,17 +62,32 @@ LEARN_PARAMS = GreedyParams(
 )
 TEST_GRID = [(2, 0.3), (4, 0.25)]
 
-ENGINES = ("incremental", "full", "lockstep")
-# The learn-engine axis of the shard/chaos matrices: "full" never
-# interacts with the executor (it is covered against "incremental"
-# through the main matrix), while "lockstep" must additionally hold
-# with its rescore fan forced on (learn_fan_min_candidates=1).
-SHARD_LEARN_ENGINES = ("incremental", "lockstep")
+# Each learn route's driver; ``None`` keeps the production one.
+LEARN_ROUTES = {
+    "incremental": functools.partial(_reference_learn, full_span=False),
+    "full": _reference_learn,
+    "lockstep": None,
+}
+# The learn-route axis of the shard/chaos matrices: the executor only
+# touches compiles, which every route shares, so the full-span route
+# adds nothing there.
+SHARD_LEARN_ROUTES = ("incremental", "lockstep")
 TESTER_ENGINES = ("compiled", "full")
 SOURCE_KINDS = ("array", "counting")
 DRIVERS = ("session", "fleet")
 
-MATRIX = list(itertools.product(ENGINES, TESTER_ENGINES, SOURCE_KINDS, DRIVERS))
+MATRIX = list(itertools.product(LEARN_ROUTES, TESTER_ENGINES, SOURCE_KINDS, DRIVERS))
+
+
+@contextlib.contextmanager
+def learn_route(route: str):
+    """Send every session/fleet learn through ``route``'s driver."""
+    driver = LEARN_ROUTES[route]
+    with pytest.MonkeyPatch.context() as patch:
+        if driver is not None:
+            patch.setattr(api_session, "lockstep_learn", driver)
+            patch.setattr(api_fleet, "lockstep_learn", driver)
+        yield
 
 
 def _make_sources(kind: str):
@@ -106,7 +130,7 @@ def _freeze_memo(sessions) -> tuple:
 
 
 def run_scenario(
-    engine: str,
+    route: str,
     tester_engine: str,
     source_kind: str,
     driver: str,
@@ -122,28 +146,28 @@ def run_scenario(
     sources = _make_sources(source_kind)
     seeds = [seed + f for f in range(FLEET_SIZE)]
     kwargs = dict(
-        engine=engine,
         tester_engine=tester_engine,
         learn_budget=LEARN_PARAMS,
         test_budget=TEST_PARAMS,
         executor=executor,
     )
-    if driver == "fleet":
-        fleet = HistogramFleet(sources, N, rngs=seeds, **kwargs)
-        learned = fleet.learn(3, 0.3)
-        tested_l2 = fleet.test_many(TEST_GRID, norm="l2")
-        tested_l1 = fleet.test_l1(3, 0.3)
-        selected = fleet.min_k(0.3, max_k=6, norm="l2")
-        sessions = fleet._sessions
-    else:
-        sessions = [
-            HistogramSession(source, N, rng=member_seed, **kwargs)
-            for source, member_seed in zip(sources, seeds)
-        ]
-        learned = [session.learn(3, 0.3) for session in sessions]
-        tested_l2 = [session.test_many(TEST_GRID, norm="l2") for session in sessions]
-        tested_l1 = [session.test_l1(3, 0.3) for session in sessions]
-        selected = [session.min_k(0.3, max_k=6, norm="l2") for session in sessions]
+    with learn_route(route):
+        if driver == "fleet":
+            fleet = HistogramFleet(sources, N, rngs=seeds, **kwargs)
+            learned = fleet.learn(3, 0.3)
+            tested_l2 = fleet.test_many(TEST_GRID, norm="l2")
+            tested_l1 = fleet.test_l1(3, 0.3)
+            selected = fleet.min_k(0.3, max_k=6, norm="l2")
+            sessions = fleet._sessions
+        else:
+            sessions = [
+                HistogramSession(source, N, rng=member_seed, **kwargs)
+                for source, member_seed in zip(sources, seeds)
+            ]
+            learned = [session.learn(3, 0.3) for session in sessions]
+            tested_l2 = [s.test_many(TEST_GRID, norm="l2") for s in sessions]
+            tested_l1 = [session.test_l1(3, 0.3) for session in sessions]
+            selected = [s.min_k(0.3, max_k=6, norm="l2") for s in sessions]
     outcome = (
         tuple(_freeze_learn(result) for result in learned),
         tuple(tuple(member) for member in tested_l2),
@@ -155,26 +179,27 @@ def run_scenario(
 
 @pytest.fixture(scope="module")
 def reference_outcomes():
-    """The matrix's reference cell, computed once per pinned seed."""
+    """The matrix's reference cell (the full-span learn route),
+    computed once per pinned seed."""
     return {
-        seed: run_scenario("incremental", "compiled", "array", "session", seed)[0]
+        seed: run_scenario("full", "compiled", "array", "session", seed)[0]
         for seed in SEEDS
     }
 
 
 @pytest.mark.parametrize(
-    "engine,tester_engine,source_kind,driver",
+    "route,tester_engine,source_kind,driver",
     MATRIX,
     ids=["-".join(cell) for cell in MATRIX],
 )
 @pytest.mark.parametrize("seed", SEEDS)
 def test_matrix_cell_matches_reference(
-    engine, tester_engine, source_kind, driver, seed, reference_outcomes
+    route, tester_engine, source_kind, driver, seed, reference_outcomes
 ):
     """Pairwise identity via a shared reference cell (equality is
     transitive, so all C(|matrix|, 2) pairs agree iff each cell agrees
     with the reference)."""
-    outcome, _ = run_scenario(engine, tester_engine, source_kind, driver, seed)
+    outcome, _ = run_scenario(route, tester_engine, source_kind, driver, seed)
     assert outcome == reference_outcomes[seed]
 
 
@@ -185,7 +210,7 @@ def test_matrix_cell_matches_reference(
 SHARDS = (1, 2, 7)
 WORKERS = (1, 4)
 SHARD_MATRIX = list(
-    itertools.product(SHARDS, WORKERS, TESTER_ENGINES, SHARD_LEARN_ENGINES)
+    itertools.product(SHARDS, WORKERS, TESTER_ENGINES, SHARD_LEARN_ROUTES)
 )
 
 
@@ -200,7 +225,7 @@ def shard_references():
     """
     return {
         (tester_engine, driver): run_scenario(
-            "incremental", tester_engine, "array", driver, SEEDS[0]
+            "full", tester_engine, "array", driver, SEEDS[0]
         )
         for tester_engine in TESTER_ENGINES
         for driver in DRIVERS
@@ -208,29 +233,26 @@ def shard_references():
 
 
 @pytest.mark.parametrize(
-    "shards,workers,tester_engine,engine",
+    "shards,workers,tester_engine,route",
     SHARD_MATRIX,
-    ids=[f"shards{s}-workers{w}-{te}-{e}" for s, w, te, e in SHARD_MATRIX],
+    ids=[f"shards{s}-workers{w}-{te}-{r}" for s, w, te, r in SHARD_MATRIX],
 )
 def test_shard_matrix_cell_matches_reference(
-    shards, workers, tester_engine, engine, shard_references
+    shards, workers, tester_engine, route, shard_references
 ):
     """Sharded + parallel execution is byte-identical to the serial
     single-buffer engine on both drivers — verdicts, histograms, query
     logs, and per-member memo accounting.  ``resolve_min_batch=1``
     forces even this tiny fleet's flatness misses through the worker
-    fan-out path when the executor is parallel, and
-    ``learn_fan_min_candidates=1`` forces the lockstep learner's rescore
-    fan the same way."""
+    fan-out path when the executor is parallel."""
     with ParallelExecutor(
         workers,
         plan=ShardPlan(shards),
         resolve_min_batch=1,
-        learn_fan_min_candidates=1,
     ) as executor:
         for driver in DRIVERS:
             outcome, memo = run_scenario(
-                engine,
+                route,
                 tester_engine,
                 "array",
                 driver,
@@ -269,23 +291,22 @@ CHAOS_CELLS = [
 
 
 @pytest.mark.shm_guard
-@pytest.mark.parametrize("engine", SHARD_LEARN_ENGINES)
+@pytest.mark.parametrize("route", SHARD_LEARN_ROUTES)
 @pytest.mark.parametrize(
     "label,make_plan,max_respawns,must_degrade",
     CHAOS_CELLS,
     ids=[cell[0] for cell in CHAOS_CELLS],
 )
 def test_chaos_cell_matches_reference(
-    label, make_plan, max_respawns, must_degrade, engine, shard_references
+    label, make_plan, max_respawns, must_degrade, route, shard_references
 ):
     """Every rung of the fault-recovery ladder is byte-identical.
 
     Workers SIGKILLed mid-batch (respawned, or driven all the way to
     inline degradation), stalled workers, and failed slab allocations
     must reproduce the serial reference cell exactly — verdicts,
-    histograms, query logs, and memo accounting.  The lockstep cells run
-    with the learner's rescore fan forced on, so kills land mid
-    learn-round too."""
+    histograms, query logs, and memo accounting.  Kills land in the
+    learners' sharded compiles as well as the testers' fan-outs."""
     plan = make_plan()
     with ParallelExecutor(
         4,
@@ -293,11 +314,10 @@ def test_chaos_cell_matches_reference(
         resolve_min_batch=1,
         max_respawns=max_respawns,
         faults=plan,
-        learn_fan_min_candidates=1,
     ) as executor:
         for driver in DRIVERS:
             outcome, memo = run_scenario(
-                engine,
+                route,
                 "compiled",
                 "array",
                 driver,
@@ -355,7 +375,6 @@ def test_snapshot_cell_matches_live_fleet(tmp_path, workers, shards):
             _make_sources("array"),
             N,
             rngs=list(seeds),
-            engine="lockstep",
             tester_engine="compiled",
             learn_budget=LEARN_PARAMS,
             test_budget=TEST_PARAMS,
@@ -378,7 +397,6 @@ def test_snapshot_cell_matches_live_fleet(tmp_path, workers, shards):
             workers,
             plan=ShardPlan(shards),
             resolve_min_batch=1,
-            learn_fan_min_candidates=1,
         )
     try:
         live = build(executor)

@@ -1,32 +1,42 @@
-"""Equivalence of the incremental greedy engine against the full rescorer.
+"""The one greedy engine against its private full-span reference.
 
-The incremental engine (``engine="incremental"``) rescores only the
-candidates whose span intersects the segments changed by the last commit;
-``engine="full"`` rescores every candidate every round through the same
-code path.  The contract is *byte*-identity: same chosen intervals, same
-estimated costs, same traces — not just statistical agreement.  These
-tests pin that contract on one-shot learns, on session grids, and (the
-property at the heart of the design) on the cached candidate totals
-themselves after every single round.
+The production engine keeps each grid point's left/right remainder
+terms cached across rounds and refreshes them — and rescores candidates
+— only over the span the last commit dirtied; its private ``full_span``
+mode re-tabulates every grid point and rescores every candidate every
+round through the same code path.  The contract is *byte*-identity:
+same chosen intervals, same estimated costs, same traces — not just
+statistical agreement.  These tests pin that contract on one-shot
+learns, on session grids, and (the property at the heart of the design)
+on the engine's cached state itself after every single round.
 """
 
 from __future__ import annotations
+
+import contextlib
+import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import HistogramSession
+import repro.api.session as api_session
+import repro.core.greedy as greedy
+from repro.api import HistogramFleet, HistogramSession
 from repro.core.greedy import (
     _GreedyEngine,
+    _reference_learn,
     compile_greedy_sketches,
     draw_greedy_samples,
+    learn_from_samples,
     learn_histogram,
 )
 from repro.core.params import GreedyParams
 from repro.distributions import families
-from repro.errors import InvalidParameterError
+from repro.serving import HistogramService
+from repro.streaming import FleetMaintainer, StreamingHistogramMaintainer
 
 GRID = [(2, 0.3), (4, 0.25), (6, 0.2)]
 PARAMS = GreedyParams(
@@ -45,120 +55,178 @@ def assert_results_identical(a, b):
     assert a.samples_used == b.samples_used
 
 
+@contextlib.contextmanager
+def _full_span():
+    """Route one-shot and session learns through the full-span reference."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(greedy, "lockstep_learn", _reference_learn)
+        patch.setattr(api_session, "lockstep_learn", _reference_learn)
+        yield
+
+
 class TestLearnEquivalence:
-    """One-shot learns: incremental == full, bit for bit."""
+    """One-shot learns: production engine == full-span reference."""
 
     @pytest.mark.parametrize("method", ["fast", "exhaustive"])
     @pytest.mark.parametrize("seed", [1, 17, 92])
     def test_fresh_draw_equivalence(self, method, seed):
         dist = families.zipf(128, 1.0)
-        incremental = learn_histogram(
-            dist, 128, 4, 0.25, method=method, scale=0.05, rng=seed
-        )
-        full = learn_histogram(
-            dist, 128, 4, 0.25, method=method, engine="full", scale=0.05, rng=seed
-        )
-        assert_results_identical(incremental, full)
+
+        def learn():
+            return learn_histogram(
+                dist, 128, 4, 0.25, method=method, scale=0.05, rng=seed
+            )
+
+        production = learn()
+        with _full_span():
+            assert_results_identical(production, learn())
 
     @pytest.mark.parametrize("method", ["fast", "exhaustive"])
     def test_structured_distribution(self, method):
         dist = families.random_tiling_histogram(96, 5, rng=3, min_piece=4)
-        incremental = learn_histogram(
-            dist, 96, 5, 0.3, method=method, params=PARAMS, rng=11
-        )
-        full = learn_histogram(
-            dist, 96, 5, 0.3, method=method, engine="full", params=PARAMS, rng=11
-        )
-        assert_results_identical(incremental, full)
+
+        def learn():
+            return learn_histogram(
+                dist, 96, 5, 0.3, method=method, params=PARAMS, rng=11
+            )
+
+        production = learn()
+        with _full_span():
+            assert_results_identical(production, learn())
 
     def test_invalid_engine_rejected(self):
-        with pytest.raises(InvalidParameterError):
+        """There is one learner engine: no entry point takes ``engine=``,
+        and a stray one is a TypeError rather than a silent choice."""
+        for entry in (
+            learn_from_samples,
+            learn_histogram,
+            HistogramSession,
+            HistogramFleet,
+            FleetMaintainer,
+            StreamingHistogramMaintainer,
+            HistogramService,
+        ):
+            assert "engine" not in inspect.signature(entry).parameters, entry
+        with pytest.raises(TypeError):
             learn_histogram(
-                families.uniform(16), 16, 2, 0.5, engine="magic", params=PARAMS, rng=1
+                families.uniform(16), 16, 2, 0.5, engine="full", params=PARAMS, rng=1
             )
 
 
 class TestSessionEquivalence:
-    """A (k, eps) grid through HistogramSession: engines agree per point."""
+    """A (k, eps) grid through HistogramSession: both modes agree per point."""
 
     @pytest.mark.parametrize("method", ["fast", "exhaustive"])
     def test_learn_many_grid(self, method):
         dist = families.zipf(128, 1.0)
-        inc_session = HistogramSession(
-            dist, 128, rng=5, method=method, learn_budget=PARAMS
-        )
-        full_session = HistogramSession(
-            dist, 128, rng=5, method=method, engine="full", learn_budget=PARAMS
-        )
-        for a, b in zip(inc_session.learn_many(GRID), full_session.learn_many(GRID)):
+
+        def run():
+            session = HistogramSession(
+                dist, 128, rng=5, method=method, learn_budget=PARAMS
+            )
+            return session.learn_many(GRID), session.draw_events
+
+        production, events = run()
+        with _full_span():
+            reference, reference_events = run()
+        for a, b in zip(production, reference):
             assert_results_identical(a, b)
+        assert events == reference_events
 
     def test_engine_override_per_call(self):
-        dist = families.zipf(64, 1.0)
-        session = HistogramSession(dist, 64, rng=2, learn_budget=PARAMS)
-        a = session.learn(3, 0.3)
-        b = session.learn(3, 0.3, engine="full")
-        assert_results_identical(a, b)
+        """The per-call override went with the knob: session and fleet
+        learns take no ``engine=``."""
+        for method in (
+            HistogramSession.learn,
+            HistogramSession.learn_many,
+            HistogramFleet.learn,
+            HistogramFleet.learn_many,
+        ):
+            assert "engine" not in inspect.signature(method).parameters, method
+        session = HistogramSession(
+            families.zipf(64, 1.0), 64, rng=2, learn_budget=PARAMS
+        )
+        with pytest.raises(TypeError):
+            session.learn(3, 0.3, engine="full")
 
 
-def _lockstep_engines(n, seed, method):
-    """Two engines (incremental / full) over one compiled draw."""
+def _engines(n, seed, method, max_candidates=None):
+    """The production engine and its full-span reference over one draw."""
     dist = families.random_tiling_histogram(n, 3, rng=seed % 7 + 1, min_piece=2)
     params = GreedyParams(
         weight_sample_size=400, collision_sets=3, collision_set_size=300, rounds=8
     )
     samples = draw_greedy_samples(dist, params, seed)
-    compiled = compile_greedy_sketches(samples, n, method=method)
-    engines = tuple(
-        _GreedyEngine(
-            compiled.candidates,
-            compiled.weight_prefix,
-            compiled.weight_set.size,
-            compiled.pair_prefix_cols,
-            compiled.pairs_per_set,
-            compiled.self_costs,
-            incremental=incremental,
-        )
-        for incremental in (True, False)
+    compiled = compile_greedy_sketches(
+        samples, n, method=method, max_candidates=max_candidates, rng=seed
     )
+    engines = (_GreedyEngine(compiled), _GreedyEngine(compiled, full_span=True))
     return engines, params.rounds
 
 
-class TestCachedTotalsProperty:
-    """After every round, cached candidate totals == full rescoring.
+def _fresh_terms(engine):
+    """A from-scratch full-grid tabulation of the left/right remainder
+    terms over the engine's current segments (bypassing its cache)."""
+    grid = engine._grid
+    seg_lo = np.asarray(engine._seg_lo, dtype=np.int64)
+    seg_hi = np.asarray(engine._seg_hi, dtype=np.int64)
+    assigned = np.asarray(engine._seg_assigned, dtype=bool)
+    starts = grid[seg_lo]
+    points = np.arange(grid.size, dtype=np.int64)
+    ia = np.searchsorted(starts, grid, side="right") - 1
+    ib = np.searchsorted(starts, grid - 1, side="right") - 1
+    left = engine._piece_cost(seg_lo[ia], points, assigned[ia])
+    right = engine._piece_cost(points, seg_hi[ib], assigned[ib])
+    return (
+        np.where(starts[ia] < grid, left, 0.0),
+        np.where(grid[seg_hi[ib]] > grid, right, 0.0),
+    )
 
-    This is the dirty-region invariant stated in README.md ("Incremental
-    scoring"): a clean candidate's cached ``rel`` must be bitwise equal
-    to what a from-scratch rescore would produce, round after round.
+
+class TestCachedTotalsProperty:
+    """After every round, the cached state == a from-scratch recomputation.
+
+    This is the dirty-span invariant stated in README.md ("Incremental
+    scoring"): a clean grid point's cached remainder terms, and a clean
+    candidate's cached ``rel``, must be bitwise equal to what a full
+    re-tabulation and a full rescore would produce, round after round.
     """
 
     @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_cached_rel_matches_full_rescore(self, seed):
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        method=st.sampled_from(["fast", "exhaustive"]),
+        capped=st.booleans(),
+    )
+    def test_cached_rel_matches_full_rescore(self, seed, method, capped):
         n = 32 + seed % 3 * 16
-        method = "exhaustive" if seed % 2 else "fast"
-        (incremental, full), rounds = _lockstep_engines(n, seed, method)
+        (engine, reference), rounds = _engines(
+            n, seed, method, max_candidates=150 if capped else None
+        )
         for _ in range(rounds):
-            a = incremental.run_round()
-            b = full.run_round()
+            rescored = engine.rescore()
+            full = reference.rescore()
+            # No candidate starts at the last grid point or ends at the
+            # first, so those two entries are never read (nor kept fresh).
+            left, right = _fresh_terms(engine)
+            assert np.array_equal(engine._left_term[:-1], left[:-1])
+            assert np.array_equal(engine._right_term[1:], right[1:])
+            assert np.array_equal(engine._rel, reference._rel)
+            # The production engine never rescans more than the reference.
+            assert rescored <= full == engine._cands.size
+            a = engine.commit(engine.argmin(), rescored)
+            b = reference.commit(reference.argmin(), full)
             # Identical commit and trace (rescored differs by design).
-            assert a.candidate_index == b.candidate_index
-            assert a.cost == b.cost
-            assert a.weight_estimate == b.weight_estimate
-            assert a.chosen == b.chosen
-            assert a.value == b.value
-            assert a.neighbours == b.neighbours
-            assert np.array_equal(incremental._rel, full._rel)
-            assert incremental._seg_lo == full._seg_lo
-            assert incremental._seg_hi == full._seg_hi
-            assert incremental._seg_cost == full._seg_cost
-            # The incremental engine never rescans more than the full one.
-            assert a.rescored <= b.rescored
+            assert dataclasses.replace(a, rescored=0) == dataclasses.replace(
+                b, rescored=0
+            )
+            assert engine.segments() == reference.segments()
+            assert engine._seg_cost == reference._seg_cost
 
     def test_rescored_counts_shrink(self):
         """Steady-state rounds touch a strict subset of the candidates."""
-        (incremental, _), rounds = _lockstep_engines(64, 5, "fast")
-        reports = [incremental.run_round() for _ in range(rounds)]
-        total = incremental._cands.size
+        (engine, _), rounds = _engines(64, 5, "fast")
+        reports = [engine.run_round() for _ in range(rounds)]
+        total = engine._cands.size
         assert reports[0].rescored == total
         assert min(r.rescored for r in reports[1:]) < total

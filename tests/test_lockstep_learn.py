@@ -1,24 +1,29 @@
-"""Lockstep learn engine: byte-identity against looped references.
+"""The lockstep learn driver: byte-identity against per-run references.
 
-The lockstep contract (ISSUE: fleet-lockstep greedy learning): running
-any batch of greedy learns as one round-synchronised pass — across a
-session's ``learn_many`` grid, across a fleet's members, or across the
-full fleet x grid product — produces *byte*-identical histograms,
-per-round priority traces, and draw accounting to looping
-``HistogramSession.learn`` with the incremental engine.  Pinned here as
-a hypothesis lockstep over random fleets and grids (mixed round budgets
-so early-converging runs drop out of the active mask mid-batch), plus
-chaos cells where the rescore fan's workers are killed or starved of
-slabs mid-round and must heal bit-equal.
+:func:`repro.core.greedy.lockstep_learn` is the one learn driver:
+sessions, fleets and maintainers hand it any batch of runs (a session's
+``learn_many`` grid, a fleet's members, the full fleet x grid product)
+and it advances them round by round together on the one greedy engine.
+Its contract — byte-identical histograms, per-round traces, priority
+logs and draw accounting — is pinned here against two references
+swapped in at the facades' driver seam: every run stepped alone on the
+same incremental engine, and the engine's private full-span mode.  The
+hypothesis cases mix round budgets (so early-finishing runs drop out of
+the lockstep mid-batch) and cover both candidate methods.
 """
 
 from __future__ import annotations
+
+import contextlib
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.api.fleet as api_fleet
+import repro.api.session as api_session
 from repro.api import (
     ArraySource,
     HistogramFleet,
@@ -26,9 +31,9 @@ from repro.api import (
     ParallelExecutor,
     ShardPlan,
 )
+from repro.core.greedy import _reference_learn
 from repro.core.params import GreedyParams, greedy_rounds
 from repro.distributions import families
-from repro.utils.faults import FaultPlan
 
 LEARN_PARAMS = GreedyParams(
     weight_sample_size=3_000, collision_sets=4, collision_set_size=1_500, rounds=2
@@ -37,6 +42,18 @@ LEARN_PARAMS = GreedyParams(
 # batched run the small-k points converge and leave the active mask
 # while the large-k points are still committing rounds.
 MIXED_GRID = [(2, 0.4), (6, 0.2), (3, 0.3)]
+METHODS = st.sampled_from(["fast", "exhaustive"])
+# Every run stepped alone on the production (dirty-span) engine.
+ALONE = functools.partial(_reference_learn, full_span=False)
+
+
+@contextlib.contextmanager
+def _routed(driver):
+    """Send every session/fleet learn through ``driver`` for the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(api_session, "lockstep_learn", driver)
+        patch.setattr(api_fleet, "lockstep_learn", driver)
+        yield
 
 
 def _freeze(result):
@@ -70,45 +87,42 @@ def test_grid_round_budgets_really_differ():
 
 
 @settings(max_examples=10, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10_000))
-def test_session_lockstep_matches_incremental(seed):
-    """Session-level lockstep — ``learn`` and the batched ``learn_many``
-    — is byte-identical to the incremental engine, draw events
-    included."""
+@given(seed=st.integers(min_value=0, max_value=10_000), method=METHODS)
+def test_session_lockstep_matches_incremental(seed, method):
+    """Session ``learn`` and the batched ``learn_many`` are byte-identical
+    to stepping every run alone on the same incremental engine, draw
+    events included."""
     n = 96
     (values,) = _member_values(n, 1, seed)
-    lock = HistogramSession(
-        ArraySource(values, n),
-        n,
-        rng=seed,
-        engine="lockstep",
-        learn_budget=LEARN_PARAMS,
-    )
-    incr = HistogramSession(
-        ArraySource(values, n),
-        n,
-        rng=seed,
-        engine="incremental",
-        learn_budget=LEARN_PARAMS,
-    )
-    assert _freeze(lock.learn(3, 0.3)) == _freeze(incr.learn(3, 0.3))
-    lock_grid = lock.learn_many(MIXED_GRID)
-    incr_grid = incr.learn_many(MIXED_GRID)
-    assert [_freeze(r) for r in lock_grid] == [_freeze(r) for r in incr_grid]
-    assert lock.draw_events == incr.draw_events
-    assert lock.samples_drawn == incr.samples_drawn
+
+    def run():
+        session = HistogramSession(
+            ArraySource(values, n),
+            n,
+            rng=seed,
+            method=method,
+            learn_budget=LEARN_PARAMS,
+        )
+        single = _freeze(session.learn(3, 0.3))
+        grid = [_freeze(r) for r in session.learn_many(MIXED_GRID)]
+        return single, grid, session.draw_events, session.samples_drawn
+
+    lockstep = run()
+    with _routed(ALONE):
+        assert run() == lockstep
 
 
 @settings(max_examples=8, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     fleet_size=st.integers(min_value=1, max_value=4),
+    method=METHODS,
 )
-def test_fleet_learn_many_matches_looped_sessions(seed, fleet_size):
+def test_fleet_learn_many_matches_looped_sessions(seed, fleet_size, method):
     """Fleet lockstep over the full ``F x P`` batch — members with
     differing round budgets dropping out mid-lockstep — equals looping
-    incremental sessions point by point: histograms, round traces,
-    priority histograms, and draw accounting."""
+    sessions through the full-span reference point by point: histograms,
+    round traces, priority histograms, and draw accounting."""
     n = 96
     member_values = _member_values(n, fleet_size, seed)
     seeds = [seed + 7 * f for f in range(fleet_size)]
@@ -116,7 +130,7 @@ def test_fleet_learn_many_matches_looped_sessions(seed, fleet_size):
         [ArraySource(values, n) for values in member_values],
         n,
         rngs=seeds,
-        engine="lockstep",
+        method=method,
         learn_budget=LEARN_PARAMS,
     )
     sessions = [
@@ -124,13 +138,14 @@ def test_fleet_learn_many_matches_looped_sessions(seed, fleet_size):
             ArraySource(values, n),
             n,
             rng=s,
-            engine="incremental",
+            method=method,
             learn_budget=LEARN_PARAMS,
         )
         for values, s in zip(member_values, seeds)
     ]
     fleet_results = fleet.learn_many(MIXED_GRID)
-    session_results = [session.learn_many(MIXED_GRID) for session in sessions]
+    with _routed(_reference_learn):
+        session_results = [session.learn_many(MIXED_GRID) for session in sessions]
     assert [
         [_freeze(r) for r in member] for member in fleet_results
     ] == [[_freeze(r) for r in member] for member in session_results]
@@ -141,8 +156,8 @@ def test_fleet_learn_many_matches_looped_sessions(seed, fleet_size):
 
 def test_fleet_learn_matches_looped_sessions_single_point():
     """``HistogramFleet.learn`` (the serving/maintainer entry point)
-    holds the same contract on a single point, member subsets
-    included."""
+    holds the same contract against the full-span reference on a single
+    point, member subsets included."""
     n = 128
     member_values = _member_values(n, 5, 3)
     seeds = list(range(5))
@@ -150,82 +165,25 @@ def test_fleet_learn_matches_looped_sessions_single_point():
         [ArraySource(values, n) for values in member_values],
         n,
         rngs=seeds,
-        engine="lockstep",
         learn_budget=LEARN_PARAMS,
     )
     sessions = [
-        HistogramSession(
-            ArraySource(values, n),
-            n,
-            rng=s,
-            engine="incremental",
-            learn_budget=LEARN_PARAMS,
-        )
+        HistogramSession(ArraySource(values, n), n, rng=s, learn_budget=LEARN_PARAMS)
         for values, s in zip(member_values, seeds)
     ]
     subset = [3, 1]
     fleet_results = fleet.learn(4, 0.25, members=subset)
-    session_results = [sessions[f].learn(4, 0.25) for f in subset]
+    with _routed(_reference_learn):
+        session_results = [sessions[f].learn(4, 0.25) for f in subset]
     assert [_freeze(r) for r in fleet_results] == [
         _freeze(r) for r in session_results
     ]
 
 
-@pytest.mark.shm_guard
-@pytest.mark.parametrize(
-    "label,make_plan,max_respawns",
-    [
-        ("kill-mid-round", lambda: FaultPlan(kill_at=[0], kill_limit=2), 4),
-        ("kill-until-inline", lambda: FaultPlan(kill_every=1), 1),
-        ("slab-alloc-failures", lambda: FaultPlan(fail_alloc_at=[0, 1]), 2),
-    ],
-    ids=["kill-mid-round", "kill-until-inline", "slab-alloc-failures"],
-)
-def test_chaos_mid_learn_round_heals_bit_equal(label, make_plan, max_respawns):
-    """With the rescore fan forced on (``learn_fan_min_candidates=1``),
-    workers SIGKILLed mid learn-round, degraded all the way to inline,
-    or denied scratch slabs (which drops the whole batch back to the
-    serial lockstep path) all reproduce the no-executor reference bit
-    for bit."""
-    n = 96
-    member_values = _member_values(n, 3, 1)
-    seeds = [11, 22, 33]
-
-    def run(executor):
-        fleet = HistogramFleet(
-            [ArraySource(values, n) for values in member_values],
-            n,
-            rngs=seeds,
-            engine="lockstep",
-            learn_budget=LEARN_PARAMS,
-            executor=executor,
-        )
-        return fleet.learn_many(MIXED_GRID)
-
-    reference = [[_freeze(r) for r in member] for member in run(None)]
-    plan = make_plan()
-    with ParallelExecutor(
-        4,
-        plan=ShardPlan(2),
-        max_respawns=max_respawns,
-        faults=plan,
-        learn_fan_min_candidates=1,
-    ) as executor:
-        chaotic = [[_freeze(r) for r in member] for member in run(executor)]
-        health = executor.health()
-        injected = plan.injected
-    assert chaotic == reference, label
-    assert sum(injected.values()) > 0, label  # chaos really fired
-    if injected["kills"]:
-        assert health["worker_crashes"] >= 1
-    if injected["alloc_failures"]:
-        assert health["slab_fallbacks"] >= 1
-
-
-def test_fan_and_serial_lockstep_agree():
-    """The fanned rescore path (forced via ``learn_fan_min_candidates=1``)
-    and the serial lockstep produce identical results and populate the
-    per-phase timing buckets satellites surface in ``health()``."""
+def test_learns_bill_phase_timings_to_the_executor():
+    """A learn through an executor fills its compile/rescore/argmin/commit
+    timing buckets — the ones ``health()`` and the service's ``stats()``
+    surface — and the executor moves no byte of the results."""
     n = 96
     member_values = _member_values(n, 2, 9)
 
@@ -234,20 +192,14 @@ def test_fan_and_serial_lockstep_agree():
             [ArraySource(values, n) for values in member_values],
             n,
             rngs=[1, 2],
-            engine="lockstep",
             learn_budget=LEARN_PARAMS,
             executor=executor,
         )
-        return fleet.learn_many(MIXED_GRID)
+        return [[_freeze(r) for r in member] for member in fleet.learn_many(MIXED_GRID)]
 
-    serial = [[_freeze(r) for r in member] for member in run(None)]
-    with ParallelExecutor(
-        2, plan=ShardPlan(2), learn_fan_min_candidates=1
-    ) as executor:
-        fanned = [[_freeze(r) for r in member] for member in run(executor)]
+    serial = run(None)
+    with ParallelExecutor(2, plan=ShardPlan(2)) as executor:
+        assert run(executor) == serial
         timings = executor.health()["timings"]
-    assert fanned == serial
-    assert timings["rescore"] > 0.0
-    assert timings["argmin"] > 0.0
-    assert timings["commit"] > 0.0
-    assert timings["compile"] > 0.0
+    for phase in ("compile", "rescore", "argmin", "commit"):
+        assert timings[phase] > 0.0, phase

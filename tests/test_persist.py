@@ -562,6 +562,22 @@ class TestMaintainerRoundTrip:
         )
         assert _freeze_probe(live) == _freeze_probe(restored)
 
+    def test_legacy_engine_key_in_fleet_meta_still_restores(self, tmp_path):
+        """Snapshots from before the learner engine knob went carry
+        ``"engine": "lockstep"`` in their fleet meta; the key is no
+        longer fingerprinted, so they keep restoring."""
+        from repro.persist import codec
+
+        live = _built_maintainer(seed=3)
+        meta, slabs = codec.maintainer_state(live)
+        assert "engine" not in meta["fleet"]
+        meta["fleet"]["engine"] = "lockstep"
+        path = tmp_path / "m.snap"
+        write_snapshot(path, kind="maintainer", meta=meta, slabs=slabs)
+        restored = _fresh_maintainer(seed=3)
+        restored.restore(path)
+        assert _freeze_probe(live) == _freeze_probe(restored)
+
     def test_pool_growth_never_writes_the_mapping(self, tmp_path):
         """A larger post-restore budget grows pools off the mapped file."""
         live = _built_maintainer(seed=3)

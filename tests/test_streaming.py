@@ -200,6 +200,17 @@ class TestMaintainer:
         maintainer.update_many(np.array([]))  # empty input of any dtype is fine
         assert maintainer.items_seen == 3
 
+    def test_scalar_update_rejects_non_integer_values(self):
+        """A float must not truncate into the reservoir (5.5 -> 5): the
+        scalar path refuses it, as update_many refuses float batches."""
+        maintainer = StreamingHistogramMaintainer(64, 2, rng=13)
+        maintainer.update(np.int64(3))  # NumPy integers are fine
+        for bad in (5.5, np.float64(5.5), 4.0):
+            with pytest.raises(InvalidParameterError, match="must be an integer"):
+                maintainer.update(bad)
+        assert maintainer.items_seen == 1
+        assert maintainer._reservoir.contents().tolist() == [3]
+
     def test_update_many_empty_batch_is_a_noop(self, rng):
         maintainer = StreamingHistogramMaintainer(
             64, 2, reservoir_capacity=200, rng=12
@@ -335,6 +346,19 @@ class TestFleetMaintainer:
         maintainer.update(0, 1)
         with pytest.raises(InvalidParameterError):
             maintainer.test(norm="tv")
+
+    def test_scalar_update_rejects_non_integer_values(self):
+        """A float must not truncate into the reservoir (3.7 -> 3): the
+        scalar path refuses it, as update_many refuses float batches."""
+        from repro.streaming import FleetMaintainer
+
+        maintainer = FleetMaintainer(2, 64, 2, rng=1)
+        maintainer.update(0, np.int64(3))  # NumPy integers are fine
+        for bad in (3.7, np.float64(5.5), 4.0):
+            with pytest.raises(InvalidParameterError, match="must be an integer"):
+                maintainer.update(0, bad)
+        assert maintainer.items_seen == [1, 0]
+        assert maintainer._reservoirs[0].contents().tolist() == [3]
 
     def test_update_many_rejects_bad_dtype_with_member_context(self):
         from repro.streaming import FleetMaintainer
