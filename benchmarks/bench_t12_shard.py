@@ -18,7 +18,10 @@ Three kernel pairs ride the ``ShardedSketch`` +
   per-grid-point score terms refreshed only over each round's dirty
   span) against its private full-span reference, which re-tabulates
   every grid point and rescores every candidate every round.
-  Byte-identical results, >= 2x.
+  Byte-identical results, >= 2x.  Its ``max_candidates`` cap makes the
+  candidates a pair list, so both twins run the engine's pair-list
+  ``rel`` store (the dense triangle store has its own pair in
+  ``bench_t2_greedy_fast``).
 * ``test_shard_learn_fleet_64`` / ``_loop`` — 64 members learning a
   2-point grid through one fleet ``learn_many`` (pooled draws, dense
   compiles, every member's rounds advanced together) against 64 looped

@@ -6,12 +6,21 @@ The kernel benchmarks track the one greedy engine (README.md,
 grid point — millions of candidates over many rounds, where dirty-span
 rescoring pays — and feeds ``BENCH_greedy.json`` (see
 ``benchmarks/record_greedy_bench.py``).
+
+``test_fast_greedy_kernel_large_pairs`` is its within-run twin: the same
+draw and prefixes with the uncapped candidates handed over as a pair
+list, so only the ``rel`` store varies (the dense triangle matrix
+against the flat pair list the engine keeps for capped sets).  CI holds
+the pair's speedup to a floor through ``benchmarks/perf_guard.py``.
 """
 
 from __future__ import annotations
 
+import numpy as np
 from conftest import emit
 
+import repro.core.greedy as greedy
+from repro.core.candidates import CandidateSet, sample_endpoint_candidates
 from repro.core.greedy import learn_histogram
 from repro.core.params import GreedyParams
 from repro.distributions import families
@@ -41,17 +50,34 @@ def test_fast_greedy_kernel(benchmark):
     )
 
 
+def _learn_large(dist):
+    return learn_histogram(
+        dist, LARGE_N, 8, 0.2, method="fast", params=LARGE_PARAMS, rng=1
+    )
+
+
+def _pair_list_candidates(*args, **kwargs):
+    """Theorem 2's candidates as an explicit pair list."""
+    candidates = sample_endpoint_candidates(*args, **kwargs)
+    return CandidateSet(candidates.grid, candidates.lo, candidates.hi)
+
+
 def test_fast_greedy_kernel_large(benchmark):
     """Macro: the largest grid point — ~2.4M candidates, 12 rounds."""
     dist = families.zipf(LARGE_N, 1.0)
-    result = benchmark.pedantic(
-        lambda: learn_histogram(
-            dist, LARGE_N, 8, 0.2, method="fast", params=LARGE_PARAMS, rng=1
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    result = benchmark.pedantic(_learn_large, args=(dist,), rounds=3, iterations=1)
     assert result.num_candidates > 1_000_000
+
+
+def test_fast_greedy_kernel_large_pairs(benchmark, monkeypatch):
+    """The same learn on the pair-list store (the dense store's twin)."""
+    dist = families.zipf(LARGE_N, 1.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(greedy, "sample_endpoint_candidates", _pair_list_candidates)
+        result = benchmark.pedantic(_learn_large, args=(dist,), rounds=3, iterations=1)
+    dense = _learn_large(dist)
+    assert np.array_equal(result.histogram.values, dense.histogram.values)
+    assert result.rounds == dense.rounds
 
 
 def test_exhaustive_greedy_kernel(benchmark):

@@ -16,6 +16,13 @@ reference on the same draws — is a property of the engine, not the
 workload size, so a floor of 1.5x (full-size record: >= 2x) holds at
 CI scale and catches a regression that brings back a full-grid cost
 per round.
+
+``--key`` names the ratio to guard when a summary keeps more than one:
+``BENCH_greedy.json`` records its within-run dense-vs-pair-list store
+pair as ``store_speedup``::
+
+    python benchmarks/perf_guard.py --summary BENCH_greedy.ci.json \
+        --key store_speedup --min-speedup 1.3 test_fast_greedy_kernel_large
 """
 
 from __future__ import annotations
@@ -37,6 +44,11 @@ def main(argv: list[str] | None = None) -> int:
         help="fail below this within-run pair speedup (default 1.5)",
     )
     parser.add_argument(
+        "--key",
+        default="speedup",
+        help="the summary field holding the ratio (default speedup)",
+    )
+    parser.add_argument(
         "kernels", nargs="+", help="kernel names that must hold the floor"
     )
     args = parser.parse_args(argv)
@@ -47,15 +59,14 @@ def main(argv: list[str] | None = None) -> int:
     failures = []
     for kernel in args.kernels:
         entry = benchmarks.get(kernel)
-        if entry is None or "speedup" not in entry:
-            failures.append(f"{kernel}: missing from {args.summary}")
+        if entry is None or args.key not in entry:
+            failures.append(f"{kernel}: {args.key} missing from {args.summary}")
             continue
-        verdict = "ok" if entry["speedup"] >= args.min_speedup else "FAIL"
-        print(f"{kernel}: {entry['speedup']}x (floor {args.min_speedup}x) {verdict}")
-        if entry["speedup"] < args.min_speedup:
-            failures.append(
-                f"{kernel}: {entry['speedup']}x < {args.min_speedup}x"
-            )
+        ratio = entry[args.key]
+        verdict = "ok" if ratio >= args.min_speedup else "FAIL"
+        print(f"{kernel}: {ratio}x (floor {args.min_speedup}x) {verdict}")
+        if ratio < args.min_speedup:
+            failures.append(f"{kernel}: {ratio}x < {args.min_speedup}x")
     for failure in failures:
         print(f"perf-guard: {failure}", file=sys.stderr)
     return 1 if failures else 0

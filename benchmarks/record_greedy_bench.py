@@ -19,6 +19,11 @@ future PRs.  Unlike the paired suites, the before/after sides here come
 from *separate* runs (two engines cannot share one process), so this
 script keeps its own reducer on top of the shared loading and output
 helpers in ``benchmarks/_recorder.py``.
+
+One pair does share a run: a kernel with a ``<kernel>_pairs`` twin (the
+same learn on the pair-list ``rel`` store) also records ``pairs_s`` and
+the within-run ``store_speedup`` over per-kernel minimum round times,
+which CI guards with ``perf_guard.py --key store_speedup``.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ import platform
 import sys
 
 from _recorder import load_stats, write_summary
+
+PAIR_SUFFIX = "_pairs"
 
 
 def _summary(
@@ -44,6 +51,10 @@ def _summary(
             entry["before_s"] = round(before[name]["mean_s"], 5)
             if stats["mean_s"] > 0:
                 entry["speedup"] = round(before[name]["mean_s"] / stats["mean_s"], 2)
+        twin = after.get(name + PAIR_SUFFIX)
+        if twin is not None and stats["min_s"] > 0:
+            entry["pairs_s"] = round(twin["min_s"], 5)
+            entry["store_speedup"] = round(twin["min_s"] / stats["min_s"], 2)
         benchmarks[name] = entry
     return {
         "suite": "bench_t2_greedy_fast kernels (bench_t9_session_reuse runs "
@@ -80,7 +91,10 @@ def main(argv: list[str] | None = None) -> int:
     write_summary(summary, args.out)
     for name, entry in sorted(summary["benchmarks"].items()):
         ratio = f' ({entry["speedup"]}x)' if "speedup" in entry else ""
-        print(f'{name}: {entry["after_s"]}s{ratio}')
+        store = (
+            f' [store {entry["store_speedup"]}x]' if "store_speedup" in entry else ""
+        )
+        print(f'{name}: {entry["after_s"]}s{ratio}{store}')
     return 0
 
 

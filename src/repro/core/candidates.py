@@ -7,14 +7,21 @@ the guarantee up to ``8 eps`` because intervals missed this way carry at
 most ``xi`` weight (Lemma 2).
 
 Candidates are expressed in *grid space*: a sorted array of endpoint
-positions plus ``(lo, hi)`` index pairs into it.  The greedy engine
-compiles every sample set's prefix sums onto the grid once, making each
-candidate evaluation a pure gather.
+positions plus grid indices into it.  The greedy engine compiles every
+sample set's prefix sums onto the grid once, making each candidate
+evaluation a pure gather.  A set takes one of two forms (README.md,
+"Incremental scoring"):
+
+* a *triangle* — two sorted grid-index axes ``starts``/``stops`` whose
+  candidate ``(i, j)`` exists when ``j >= i``, numbered row-major.  Both
+  uncapped searches have this shape (``T'`` x ``T'`` for Theorem 2,
+  ``[0, n)`` x ``(0, n]`` for Algorithm 1), and the engine scores it as
+  a dense matrix;
+* a *pair list* — explicit ``lo``/``hi`` index arrays, for an arbitrary
+  subset of a triangle (a ``max_candidates`` cap).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,33 +29,89 @@ from repro.errors import InvalidParameterError
 from repro.utils.rng import as_rng
 
 
-@dataclass(frozen=True)
 class CandidateSet:
     """Candidate intervals over a shared endpoint grid.
+
+    ``CandidateSet(grid, lo, hi)`` builds a pair list;
+    :meth:`CandidateSet.triangle` builds the triangle form.
 
     Attributes
     ----------
     grid:
         Sorted unique positions; always contains 0 and ``n``.
+    starts / stops:
+        The triangle's strictly increasing grid-index axes (``None`` for
+        a pair list); candidate ``(i, j)``, ``j >= i``, is the half-open
+        interval ``[grid[starts[i]], grid[stops[j]])``.
     lo / hi:
-        Index pairs into ``grid``; candidate ``j`` is the half-open
-        interval ``[grid[lo[j]], grid[hi[j]])``.
+        Index pairs into ``grid``; candidate ``c`` is the half-open
+        interval ``[grid[lo[c]], grid[hi[c]])``.  A triangle builds them
+        on demand, in row-major order.
     """
 
-    grid: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
+    __slots__ = ("grid", "starts", "stops", "_lo", "_hi")
 
-    def __post_init__(self) -> None:
-        if self.lo.shape != self.hi.shape:
+    def __init__(self, grid: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+        if lo.shape != hi.shape:
             raise InvalidParameterError("lo and hi must have equal shapes")
-        if self.lo.size and not np.all(self.grid[self.hi] > self.grid[self.lo]):
+        if lo.size and not np.all(grid[hi] > grid[lo]):
             raise InvalidParameterError("candidates must be non-empty intervals")
+        self.grid = grid
+        self.starts = self.stops = None
+        self._lo = lo
+        self._hi = hi
+
+    @classmethod
+    def triangle(
+        cls, grid: np.ndarray, starts: np.ndarray, stops: np.ndarray
+    ) -> "CandidateSet":
+        """Every ``[grid[starts[i]], grid[stops[j]])`` with ``j >= i``."""
+        if starts.ndim != 1 or starts.shape != stops.shape:
+            raise InvalidParameterError("starts and stops must be equal-length axes")
+        if np.any(np.diff(starts) <= 0) or np.any(np.diff(stops) <= 0):
+            raise InvalidParameterError("starts and stops must strictly increase")
+        if not np.all(grid[stops] > grid[starts]):
+            raise InvalidParameterError("candidates must be non-empty intervals")
+        built = cls.__new__(cls)
+        built.grid = grid
+        built.starts = starts
+        built.stops = stops
+        built._lo = built._hi = None
+        return built
+
+    @property
+    def is_triangle(self) -> bool:
+        """Whether the set is a whole triangle (else an explicit pair list)."""
+        return self.starts is not None
+
+    @property
+    def lo(self) -> np.ndarray:
+        """Start grid index of every candidate, in candidate order."""
+        if self._lo is not None:
+            return self._lo
+        rows, _ = np.triu_indices(self.starts.size)
+        return self.starts[rows]
+
+    @property
+    def hi(self) -> np.ndarray:
+        """Stop grid index of every candidate, in candidate order."""
+        if self._hi is not None:
+            return self._hi
+        _, cols = np.triu_indices(self.stops.size)
+        return self.stops[cols]
 
     @property
     def size(self) -> int:
         """Number of candidate intervals."""
-        return int(self.lo.shape[0])
+        if self.starts is not None:
+            count = int(self.starts.size)
+            return count * (count + 1) // 2
+        return int(self._lo.shape[0])
+
+    def row_offsets(self) -> np.ndarray:
+        """A triangle's flat candidate index of each diagonal cell ``(i, i)``."""
+        rows = np.arange(self.starts.size, dtype=np.int64)
+        return rows * self.starts.size - rows * (rows - 1) // 2
 
     def locate(self, points: np.ndarray) -> np.ndarray:
         """Grid indices of ``points`` (which must be grid members)."""
@@ -63,8 +126,9 @@ class CandidateSet:
         The span denotes the half-open point region
         ``[grid[lo_index], grid[hi_index])``; because the grid is strictly
         increasing, overlap reduces to two integer comparisons per
-        candidate.  This is the greedy engine's dirty-region query: after
-        a commit, only candidates returned here can have changed scores.
+        candidate.  This is the pair-list store's dirty-region query:
+        after a commit, only candidates returned here can have changed
+        scores (a triangle's dirty region is a rectangle of its axes).
         """
         return np.nonzero((self.hi > lo_index) & (self.lo < hi_index))[0]
 
@@ -74,7 +138,13 @@ class CandidateSet:
         """Uniformly subsample candidates (practicality escape hatch).
 
         Deviates from the paper (README.md, "Design notes"); only used when
-        the caller explicitly caps the candidate count.
+        the caller explicitly caps the candidate count.  The kept
+        positions come from one ``choice(size, size=cap, replace=False)``
+        call (plus sort) in either form; a triangle inverts them to
+        ``(i, j)`` arithmetically, so capping never allocates the whole
+        pair list — which matters out of core, where ``|T'|^2`` pairs
+        would dwarf every other allocation of a learn.  A cap at or above
+        the size touches the generator not at all.
         """
         if max_candidates < 1:
             raise InvalidParameterError("max_candidates must be >= 1")
@@ -82,50 +152,25 @@ class CandidateSet:
             return self
         keep = as_rng(rng).choice(self.size, size=max_candidates, replace=False)
         keep.sort()
-        return CandidateSet(self.grid, self.lo[keep], self.hi[keep])
+        if self.starts is None:
+            return CandidateSet(self.grid, self._lo[keep], self._hi[keep])
+        offsets = self.row_offsets()
+        rows = np.searchsorted(offsets, keep, side="right") - 1
+        cols = keep - offsets[rows] + rows
+        return CandidateSet(self.grid, self.starts[rows], self.stops[cols])
 
 
 def all_interval_candidates(n: int) -> CandidateSet:
     """Every interval of ``[0, n)`` — Algorithm 1's exhaustive search.
 
-    The grid is ``0..n`` and candidates are all ``C(n+1, 2)`` index pairs;
-    quadratic in ``n``, intended for moderate domains.
+    The grid is ``0..n`` and candidates are all ``C(n+1, 2)`` index pairs
+    (the triangle ``starts = 0..n-1`` x ``stops = 1..n``); quadratic in
+    ``n``, intended for moderate domains.
     """
     if int(n) != n or n < 1:
         raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
     grid = np.arange(n + 1, dtype=np.int64)
-    lo, hi = np.triu_indices(n + 1, k=1)
-    return CandidateSet(grid, lo.astype(np.int64), hi.astype(np.int64))
-
-
-def _triu_pairs(
-    count: int, max_candidates: int | None, rng: int | None | np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(i, j)`` row/column pairs of the ``count x count`` upper triangle.
-
-    With a cap smaller than the ``count (count + 1) / 2`` total, the kept
-    flat positions are drawn with the *same* single
-    ``choice(total, size=cap, replace=False)`` call (plus sort) that
-    :meth:`CandidateSet.subsample` would make on the materialised set, and
-    inverted to ``(i, j)`` arithmetically — so a capped build never
-    allocates the full pair arrays yet consumes the generator identically
-    and keeps identical candidates.  Uncapped (or a cap at/above the
-    total) touches the generator not at all, exactly like ``subsample``'s
-    early return.
-    """
-    total = count * (count + 1) // 2
-    if max_candidates is None or total <= max_candidates:
-        i_idx, j_idx = np.triu_indices(count, k=0)
-        return i_idx.astype(np.int64), j_idx.astype(np.int64)
-    keep = as_rng(rng).choice(total, size=max_candidates, replace=False)
-    keep.sort()
-    # Row i starts at flat position i*count - i*(i-1)/2; invert by
-    # binary search, then recover the column offset within the row.
-    rows = np.arange(count, dtype=np.int64)
-    row_starts = rows * count - rows * (rows - 1) // 2
-    i_idx = np.searchsorted(row_starts, keep, side="right") - 1
-    j_idx = keep - row_starts[i_idx] + i_idx
-    return i_idx.astype(np.int64), j_idx.astype(np.int64)
+    return CandidateSet.triangle(grid, grid[:-1], grid[1:])
 
 
 def sample_endpoint_candidates(
@@ -140,13 +185,13 @@ def sample_endpoint_candidates(
     ``T' = {min(i+1, n-1), i, max(i-1, 0) : i in T}`` for the distinct
     sample values ``T`` (0-based translation of the paper's set), and the
     candidates are all closed intervals ``[a, b]`` with ``a <= b`` in
-    ``T'`` — here represented half-open as ``[a, b + 1)``.
+    ``T'`` — here represented half-open as ``[a, b + 1)``: the triangle
+    over the axes ``T'`` and ``T' + 1``.
 
-    ``max_candidates`` caps the pair count *lazily*: the kept pairs are
-    chosen before any per-pair array exists (see :func:`_triu_pairs`),
-    byte- and rng-identical to building everything and calling
-    :meth:`CandidateSet.subsample` — which matters out of core, where
-    ``|T'|^2`` pairs would dwarf every other allocation of a learn.
+    ``max_candidates`` caps the pair count lazily through
+    :meth:`CandidateSet.subsample` (validated before any generator
+    draw), so a capped set is a pair list that never materialised the
+    uncapped one.
     """
     samples = np.asarray(samples, dtype=np.int64)
     if int(n) != n or n < 1:
@@ -168,11 +213,11 @@ def sample_endpoint_candidates(
     # Closed candidate [T'[i], T'[j]] (j >= i) is half-open
     # [T'[i], T'[j] + 1); grid holds both endpoint families.
     grid = np.unique(np.concatenate([t_prime, t_prime + 1, [0, n]]))
-    starts_idx = np.searchsorted(grid, t_prime)
-    stops_idx = np.searchsorted(grid, t_prime + 1)
-    i_idx, j_idx = _triu_pairs(t_prime.size, max_candidates, rng)
-    return CandidateSet(
+    candidates = CandidateSet.triangle(
         grid,
-        starts_idx[i_idx].astype(np.int64),
-        stops_idx[j_idx].astype(np.int64),
+        np.searchsorted(grid, t_prime).astype(np.int64),
+        np.searchsorted(grid, t_prime + 1).astype(np.int64),
     )
+    if max_candidates is not None:
+        candidates = candidates.subsample(max_candidates, rng)
+    return candidates

@@ -39,11 +39,16 @@ shifts by the same global ``total`` delta, which preserves the argmin
 order.  The remainder terms depend only on one candidate endpoint and
 the content of its containing segment, so the engine tabulates them per
 grid point, caches them across rounds, and refreshes them only over the
-dirty grid span; it then rescores only the dirty candidates and keeps
-candidate minima in a lazily-repaired block-argmin structure.  The
-engine's private ``full_span`` mode refreshes every grid point and
-rescores every candidate every round through the same code path — the
-reference the test suite holds the production engine to, bit for bit.
+dirty grid span; it then rescores only the dirty candidates.  Where the
+candidates' ``rel`` lives follows the candidate set's form: a whole
+triangle (every uncapped search) is a dense ``(K, K)`` matrix whose
+dirty candidates are one rectangle of contiguous row slices, and a
+pair list (a ``max_candidates`` cap, or a snapshot from before the
+triangle form) is a flat vector with a block-argmin.  The two stores
+agree bit for bit.  The engine's private ``full_span`` mode refreshes
+every grid point and rescores every candidate every round through the
+same code path — the reference the test suite holds the production
+engine to, bit for bit.
 
 The module is split into layers so samples can be reused across calls
 (see :class:`repro.api.HistogramSession`):
@@ -51,7 +56,8 @@ The module is split into layers so samples can be reused across calls
 * :func:`draw_greedy_samples` — the only part that touches the source;
 * :func:`compile_greedy_sketches` — candidate grid + prefix compilation
   (one vectorised pass over all ``r`` collision sets) plus the
-  round-invariant per-candidate self-costs;
+  round-invariant per-candidate self-costs (a dense matrix for a
+  triangle, a flat vector for a pair list);
 * :func:`lockstep_learn` — the greedy rounds of any number of runs over
   compiled sketches, advanced together round by round: the one learn
   driver every session, fleet and maintainer goes through;
@@ -63,7 +69,7 @@ The module is split into layers so samples can be reused across calls
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 
 import numpy as np
@@ -84,27 +90,67 @@ from repro.utils.prefix import pairs_count
 from repro.utils.rng import as_rng
 
 _METHODS = ("fast", "exhaustive")
-_SCORE_CHUNK = 200_000
+# Values in a scoring block's largest temporary: ``cells * r`` per-set
+# estimates when compiling self-costs, ``cells`` when rescoring.  Blocks
+# this small stay cache-resident; 200k-cell blocks measured up to 2x
+# slower on a 2-core VM.
+_SCORE_CHUNK = 65_536
 _GATHER_CHUNK = 1_000_000
 _ARGMIN_BLOCK = 2_048
 
 
-def _score_gather(
-    self_costs: np.ndarray,
-    removed_pair: np.ndarray,
-    left_at: np.ndarray,
-    right_at: np.ndarray,
-) -> np.ndarray:
-    """``rel = self - removed + left + right`` over pre-gathered operands.
+def _median3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Elementwise middle value of three arrays (a min/max network)."""
+    return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
 
-    The one arithmetic spelling of the incremental decomposition: the
-    float op order here is part of the byte-identity contract, so nobody
-    spells it twice.
+
+def _median5(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, e: np.ndarray
+) -> np.ndarray:
+    """Elementwise middle value of five arrays (a min/max network).
+
+    The least and the greatest of ``a..d`` cannot be the middle of five,
+    so dropping both leaves the middle of the other two and ``e``.
     """
-    rel = self_costs - removed_pair
-    rel = rel + left_at
-    rel = rel + right_at
-    return rel
+    return _median3(
+        np.maximum(np.minimum(a, b), np.minimum(c, d)),
+        np.minimum(np.maximum(a, b), np.maximum(c, d)),
+        e,
+    )
+
+
+_MEDIAN_NETWORKS = {1: lambda a: a, 3: _median3, 5: _median5}
+
+
+def _collision_z(
+    pair_prefix_cols: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    pairs_per_set: float,
+) -> np.ndarray:
+    """``z_I``: the median over the ``r`` sets of ``coll(S^i_I) / C(m, 2)``.
+
+    An exact selection, bit-identical to ``np.median`` of the normalised
+    per-set estimates along the set axis: the middle order statistic for
+    odd ``r``, the mean of the two middle ones for even ``r``.  Dividing
+    by the positive ``C(m, 2)`` is monotone, so selecting on the raw
+    pair counts and normalising only the selected values picks the same
+    bits.  ``r`` of 1, 3 or 5 runs a min/max network over one array per
+    set; any other ``r`` partitions a sets-last ``(..., r)`` block.
+    ``lo``/``hi`` may be any broadcastable index arrays.
+    """
+    sets = pair_prefix_cols.shape[1]
+    network = _MEDIAN_NETWORKS.get(sets)
+    if network is not None:
+        counts = [pair_prefix_cols[hi, s] - pair_prefix_cols[lo, s] for s in range(sets)]
+        return network(*counts) / pairs_per_set
+    counts = pair_prefix_cols[hi] - pair_prefix_cols[lo]
+    half = sets // 2
+    if sets % 2:
+        return np.partition(counts, half, axis=-1)[..., half] / pairs_per_set
+    ordered = np.partition(counts, (half - 1, half), axis=-1)
+    below = ordered[..., half - 1] / pairs_per_set
+    return (below + ordered[..., half] / pairs_per_set) / 2
 
 
 def _piece_costs(
@@ -119,24 +165,24 @@ def _piece_costs(
 ) -> np.ndarray:
     """``z_I - y_I^2 / |I|`` for assigned pieces, ``z_I`` for gaps.
 
-    The one scoring expression shared by the compile-time self-cost pass,
-    the per-round remainder terms, and the cached segment costs.  A
-    single code path is what makes a cached score bit-identical to a
-    fresh rescore — the invariant the engine relies on.  Rows are
-    independent (``np.median(..., axis=1)``), so tabulating a sub-span of
-    points yields the same bits as tabulating the whole grid.
+    The one scoring expression shared by the compile-time self-cost
+    passes, the per-round remainder terms, and the cached segment costs.
+    A single code path is what makes a cached score bit-identical to a
+    fresh rescore — the invariant the engine relies on.  Entries are
+    independent, so tabulating a sub-span of points, or a block of the
+    triangle from broadcast ``lo``/``hi`` axes, yields the same bits as
+    tabulating everything.
     """
     lo = np.asarray(lo)
     hi = np.asarray(hi)
     lengths = (grid[hi] - grid[lo]).astype(np.float64)
-    per_set = (pair_prefix_cols[hi] - pair_prefix_cols[lo]) / pairs_per_set
-    z = np.median(per_set, axis=1)
+    z = _collision_z(pair_prefix_cols, lo, hi, pairs_per_set)
     y = (weight_prefix[hi] - weight_prefix[lo]) / weight_total
     fitted = z - y * y / np.maximum(lengths, 1.0)
     return np.where(np.asarray(assigned), fitted, z)
 
 
-def _candidate_self_costs(
+def _pair_self_costs(
     candidates: CandidateSet,
     weight_prefix: np.ndarray,
     weight_total: float,
@@ -144,10 +190,11 @@ def _candidate_self_costs(
     pairs_per_set: float,
     chunk_size: int = _SCORE_CHUNK,
 ) -> np.ndarray:
-    """Round-invariant ``z_J - y_J^2/|J|`` for every candidate (chunked)."""
+    """Round-invariant ``z_J - y_J^2/|J|`` per pair-list candidate (chunked)."""
     out = np.empty(candidates.size, dtype=np.float64)
-    for start in range(0, candidates.size, chunk_size):
-        sl = slice(start, min(start + chunk_size, candidates.size))
+    step = max(1, chunk_size // pair_prefix_cols.shape[1])
+    for start in range(0, candidates.size, step):
+        sl = slice(start, min(start + step, candidates.size))
         out[sl] = _piece_costs(
             candidates.grid,
             weight_prefix,
@@ -158,6 +205,44 @@ def _candidate_self_costs(
             candidates.hi[sl],
             True,
         )
+    return out
+
+
+def _triangle_self_costs(
+    candidates: CandidateSet,
+    weight_prefix: np.ndarray,
+    weight_total: float,
+    pair_prefix_cols: np.ndarray,
+    pairs_per_set: float,
+    chunk_size: int = _SCORE_CHUNK,
+) -> np.ndarray:
+    """The self-costs of a triangle as a dense row-major ``(K, K)`` matrix.
+
+    Row blocks of about ``chunk_size`` per-set estimates broadcast the
+    prefixes at the block's ``starts`` against ``stops`` from the
+    block's first row on, so no per-candidate gather or pair list is
+    ever built.  Cells below the diagonal (``j < i``, not candidates)
+    hold ``+inf``.
+    """
+    starts, stops = candidates.starts, candidates.stops
+    count = starts.size
+    out = np.empty((count, count), dtype=np.float64)
+    step = max(1, chunk_size // (count * pair_prefix_cols.shape[1]))
+    for first in range(0, count, step):
+        last = min(first + step, count)
+        block = out[first:last, first:]
+        block[...] = _piece_costs(
+            candidates.grid,
+            weight_prefix,
+            weight_total,
+            pair_prefix_cols,
+            pairs_per_set,
+            starts[first:last, None],
+            stops[None, first:],
+            True,
+        )
+        out[first:last, :first] = np.inf
+        block[:, : last - first][np.tri(last - first, k=-1, dtype=bool)] = np.inf
     return out
 
 
@@ -180,16 +265,210 @@ class RoundReport:
     rescored: int
 
 
+def _score(
+    out: np.ndarray,
+    self_costs: np.ndarray,
+    removed: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+) -> None:
+    """``out = ((self - removed) + left) + right``, operands broadcast.
+
+    The one arithmetic spelling of the incremental decomposition, shared
+    by both ``rel`` stores: the float op order here is part of the
+    byte-identity contract, so nobody spells it twice.
+    """
+    np.subtract(self_costs, removed, out=out)
+    out += left
+    out += right
+
+
+class _PairStore:
+    """``rel`` of a pair-list candidate set, as a flat vector.
+
+    The store for ``max_candidates``-capped sets (arbitrary subsets of
+    the triangle) and for snapshots written before the triangle form.
+    Each round masks the candidates intersecting the dirty span, gathers
+    their operands, scatters the new ``rel`` and repairs the minima of
+    the touched argmin blocks.
+    """
+
+    def __init__(self, candidates: CandidateSet, self_costs: np.ndarray) -> None:
+        self._cands = candidates
+        self._lo = candidates.lo
+        self._hi = candidates.hi
+        self._self_cost = self_costs
+        # ``rel`` lives padded to a whole number of argmin blocks (the
+        # pad stays +inf forever) so block repair is one reshaped
+        # ``min(axis=1)`` instead of a Python loop per touched block.
+        self._block = _ARGMIN_BLOCK
+        num_blocks = max(1, -(-candidates.size // self._block))
+        rel_padded = np.full(num_blocks * self._block, np.inf)
+        self.rel = rel_padded[: candidates.size]
+        self._rel_blocks = rel_padded.reshape(num_blocks, self._block)
+        self._block_min = np.full(num_blocks, np.inf)
+
+    def rescore(
+        self,
+        lo: int,
+        hi: int,
+        seg_starts: np.ndarray,
+        removed: np.ndarray,
+        left_term: np.ndarray,
+        right_term: np.ndarray,
+    ) -> int:
+        """Rescore the candidates overlapping grid span ``[lo, hi]``."""
+        grid = self._cands.grid
+        dirty = self._cands.intersecting(lo, hi)
+        # When dirty candidates outnumber grid points, index per-point
+        # segment tables instead of searching once per candidate endpoint
+        # (the same integers either way).
+        per_point = dirty.size > grid.size
+        if per_point:
+            ia_at = np.searchsorted(seg_starts, grid, side="right") - 1
+            ib_at = np.searchsorted(seg_starts, grid - 1, side="right") - 1
+        for start in range(0, dirty.size, _GATHER_CHUNK):
+            part = dirty[start : start + _GATHER_CHUNK]
+            cand_lo = self._lo[part]
+            cand_hi = self._hi[part]
+            if per_point:
+                ia, ib = ia_at[cand_lo], ib_at[cand_hi]
+            else:
+                ia = np.searchsorted(seg_starts, grid[cand_lo], side="right") - 1
+                ib = np.searchsorted(seg_starts, grid[cand_hi] - 1, side="right") - 1
+            rel = np.empty(part.size)
+            _score(
+                rel,
+                self._self_cost[part],
+                removed[ia, ib],
+                left_term[cand_lo],
+                right_term[cand_hi],
+            )
+            self.rel[part] = rel
+        if dirty.size:
+            self._repair_blocks(dirty)
+        return int(dirty.size)
+
+    def _repair_blocks(self, indices: np.ndarray) -> None:
+        """Recompute block minima for the blocks ``indices`` touch.
+
+        ``indices`` ascends (``np.nonzero`` order), so consecutive
+        deduplication finds each touched block once, and the padded
+        reshaped view turns the repair into one fancy-indexed
+        ``min(axis=1)`` — no Python loop over blocks.
+        """
+        blocks = indices // self._block
+        touched = blocks[np.flatnonzero(np.diff(blocks, prepend=-1))]
+        self._block_min[touched] = self._rel_blocks[touched].min(axis=1)
+
+    def argmin(self) -> int:
+        """Global first-minimum via the block minima (ties break low)."""
+        block = int(np.argmin(self._block_min))
+        begin = block * self._block
+        within = self.rel[begin : begin + self._block]
+        return begin + int(np.argmin(within))
+
+    def endpoints(self, index: int) -> tuple[int, int]:
+        """Grid-index ``(lo, hi)`` of candidate ``index``."""
+        return int(self._lo[index]), int(self._hi[index])
+
+    def value(self, index: int) -> np.float64:
+        """Candidate ``index``'s current ``rel``."""
+        return self.rel[index]
+
+
+class _TriangleStore:
+    """``rel`` of a triangle candidate set, as a dense ``(K, K)`` matrix.
+
+    Row-major over the ``starts`` x ``stops`` axes with +inf below the
+    diagonal, so candidate ``(i, j)``'s flat index is its row offset
+    plus ``j - i``.  The candidates overlapping a dirty span are the
+    rectangle ``rows < I1`` x ``cols >= J0`` of the axes (two
+    ``searchsorted`` calls), rescored as contiguous row slices; the
+    self-costs are +inf below the diagonal too, so a whole rectangle
+    keeps those cells +inf.  Per-row minima make the argmin ``O(K)``.
+    """
+
+    def __init__(self, candidates: CandidateSet, self_costs: np.ndarray) -> None:
+        self._starts = candidates.starts
+        self._stops = candidates.stops
+        self._start_at = candidates.grid[self._starts]
+        self._stop_at = candidates.grid[self._stops]
+        self._self_cost = self_costs
+        self._offsets = candidates.row_offsets()
+        count = self._starts.size
+        self.rel = np.full((count, count), np.inf)
+        self._row_min = np.full(count, np.inf)
+        self._rows_per_block = max(1, _SCORE_CHUNK // count)
+
+    def rescore(
+        self,
+        lo: int,
+        hi: int,
+        seg_starts: np.ndarray,
+        removed: np.ndarray,
+        left_term: np.ndarray,
+        right_term: np.ndarray,
+    ) -> int:
+        """Rescore the candidates overlapping grid span ``[lo, hi]``."""
+        count = self._starts.size
+        rows = int(np.searchsorted(self._starts, hi, side="left"))
+        first = int(np.searchsorted(self._stops, lo, side="right"))
+        ia = np.searchsorted(seg_starts, self._start_at[:rows], side="right") - 1
+        ib = np.searchsorted(seg_starts, self._stop_at[first:] - 1, side="right") - 1
+        # removed[ia, ib] as whole rows of one (segments, columns) gather.
+        removed_cols = removed[:, ib]
+        left = left_term[self._starts[:rows], None]
+        right = right_term[self._stops[first:]]
+        for top in range(0, rows, self._rows_per_block):
+            bottom = min(top + self._rows_per_block, rows)
+            col = max(top, first)
+            _score(
+                self.rel[top:bottom, col:],
+                self._self_cost[top:bottom, col:],
+                removed_cols[ia[top:bottom], col - first :],
+                left[top:bottom],
+                right[col - first :],
+            )
+            self._row_min[top:bottom] = self.rel[top:bottom, top:].min(axis=1)
+        # Upper-triangle cells of the rectangle: rows above ``first``
+        # hold ``count - first`` each, row ``i >= first`` holds ``count - i``.
+        full = min(rows, first)
+        tail = rows - full
+        return full * (count - first) + tail * count - tail * (full + rows - 1) // 2
+
+    def argmin(self) -> int:
+        """Global first-minimum: lowest row, then lowest column."""
+        row = int(np.argmin(self._row_min))
+        col = row + int(np.argmin(self.rel[row, row:]))
+        return int(self._offsets[row]) + col - row
+
+    def _cell(self, index: int) -> tuple[int, int]:
+        row = int(np.searchsorted(self._offsets, index, side="right")) - 1
+        return row, index - int(self._offsets[row]) + row
+
+    def endpoints(self, index: int) -> tuple[int, int]:
+        """Grid-index ``(lo, hi)`` of candidate ``index``."""
+        row, col = self._cell(index)
+        return int(self._starts[row]), int(self._stops[col])
+
+    def value(self, index: int) -> np.float64:
+        """Candidate ``index``'s current ``rel``."""
+        return self.rel[self._cell(index)]
+
+
 class _GreedyEngine:
     """Vectorised greedy rounds over cached, dirty-span-refreshed terms.
 
     State per candidate: ``rel_J`` (score minus the shared ``total``
-    term), valid as of the last round that touched it.  State per grid
-    point: the left/right remainder terms, valid as of the last round
-    whose dirty span covered the point.  State per segment: grid-index
-    endpoints, assignedness, and the cached piece cost.  A round is three
-    phases — :meth:`rescore`, :meth:`argmin`, :meth:`commit` — which
-    :func:`lockstep_learn` times separately.
+    term), valid as of the last round that touched it, held by a store
+    chosen from the candidate set's form — :class:`_TriangleStore` for
+    a whole triangle, :class:`_PairStore` for a pair list.  State per
+    grid point: the left/right remainder terms, valid as of the last
+    round whose dirty span covered the point.  State per segment:
+    grid-index endpoints, assignedness, and the cached piece cost.  A
+    round is three phases — :meth:`rescore`, :meth:`argmin`,
+    :meth:`commit` — which :func:`lockstep_learn` times separately.
 
     ``full_span=True`` treats the whole grid as dirty every round: every
     term is re-tabulated and every candidate rescored through the same
@@ -209,8 +488,11 @@ class _GreedyEngine:
             compiled.pair_prefix_cols, dtype=np.float64
         )
         self._pairs_per_set = float(compiled.pairs_per_set)
-        self._self_cost = np.asarray(compiled.self_costs, dtype=np.float64)
         self._full_span = bool(full_span)
+        store = _TriangleStore if candidates.is_triangle else _PairStore
+        self._store = store(
+            candidates, np.asarray(compiled.self_costs, dtype=np.float64)
+        )
 
         last = self._grid.size - 1
         self._seg_lo: list[int] = [0]
@@ -224,16 +506,6 @@ class _GreedyEngine:
         self._dirty_hi = last
         self._left_term = np.empty(self._grid.size, dtype=np.float64)
         self._right_term = np.empty(self._grid.size, dtype=np.float64)
-
-        # ``rel`` lives padded to a whole number of argmin blocks (the
-        # pad stays +inf forever) so block repair is one reshaped
-        # ``min(axis=1)`` instead of a Python loop per touched block.
-        self._block = _ARGMIN_BLOCK
-        num_blocks = max(1, -(-candidates.size // self._block))
-        rel_padded = np.full(num_blocks * self._block, np.inf)
-        self._rel = rel_padded[: candidates.size]
-        self._rel_blocks = rel_padded.reshape(num_blocks, self._block)
-        self._block_min = np.full(num_blocks, np.inf)
 
     # -------------------------------------------------------------- #
     # estimate queries (grid-index space, vectorised)
@@ -276,10 +548,10 @@ class _GreedyEngine:
         remainder only on ``cand_hi``, and the removed-cost term on the
         ``(ia, ib)`` pair.  The remainder terms are re-tabulated only at
         the dirty grid points — every other point's containing segment is
-        unchanged — while ``ia``/``ib`` are looked up afresh at the dirty
-        candidates' endpoints, because segment *indices* shift globally
-        when the segment list grows.  Returns how many candidates were
-        rescored.
+        unchanged — while the store looks ``ia``/``ib`` up afresh at the
+        dirty candidates' endpoints, because segment *indices* shift
+        globally when the segment list grows.  Returns how many
+        candidates were rescored.
         """
         if self._full_span:
             lo, hi = 0, self._grid.size - 1
@@ -311,44 +583,24 @@ class _GreedyEngine:
         rcost = self._piece_cost(points, seg_hi[ib], seg_assigned[ib])
         self._right_term[span] = np.where(grid[seg_hi[ib]] > at, rcost, 0.0)
 
-        dirty = self._cands.intersecting(lo, hi)
-        # When dirty candidates outnumber grid points, index per-point
-        # segment tables instead of searching once per candidate endpoint
-        # (the same integers either way).
-        per_point = dirty.size > grid.size
-        if per_point:
-            ia_at = np.searchsorted(seg_starts, grid, side="right") - 1
-            ib_at = np.searchsorted(seg_starts, grid - 1, side="right") - 1
-        for start in range(0, dirty.size, _GATHER_CHUNK):
-            part = dirty[start : start + _GATHER_CHUNK]
-            cand_lo = self._cands.lo[part]
-            cand_hi = self._cands.hi[part]
-            if per_point:
-                ia, ib = ia_at[cand_lo], ib_at[cand_hi]
-            else:
-                ia = np.searchsorted(seg_starts, grid[cand_lo], side="right") - 1
-                ib = np.searchsorted(seg_starts, grid[cand_hi] - 1, side="right") - 1
-            self._rel[part] = _score_gather(
-                self._self_cost[part],
-                removed[ia, ib],
-                self._left_term[cand_lo],
-                self._right_term[cand_hi],
-            )
-        if dirty.size:
-            self._repair_blocks(dirty)
-        return int(dirty.size)
+        return self._store.rescore(
+            lo, hi, seg_starts, removed, self._left_term, self._right_term
+        )
+
+    def argmin(self) -> int:
+        """The lowest-index candidate of minimal ``rel``."""
+        return self._store.argmin()
 
     def commit(self, best: int, rescored: int) -> RoundReport:
         """Commit candidate ``best`` and report the round's diff."""
         # ``total`` is shared by every candidate this round; summed fresh
         # from the cached per-segment costs.
         total = float(np.sum(np.asarray(self._seg_cost, dtype=np.float64)))
-        cost = float(total + self._rel[best])
-        lo = int(self._cands.lo[best])
-        hi = int(self._cands.hi[best])
+        cost = float(total + self._store.value(best))
+        lo, hi = self._store.endpoints(best)
         chosen = Interval(int(self._grid[lo]), int(self._grid[hi]))
         chosen_y = float(self._y(np.asarray([lo]), np.asarray([hi]))[0])
-        neighbours = self._apply(best)
+        neighbours = self._apply(lo, hi)
         return RoundReport(
             candidate_index=best,
             cost=cost,
@@ -359,35 +611,14 @@ class _GreedyEngine:
             rescored=rescored,
         )
 
-    def _repair_blocks(self, indices: np.ndarray) -> None:
-        """Recompute block minima for the blocks ``indices`` touch.
-
-        ``indices`` ascends (``np.nonzero`` order), so consecutive
-        deduplication finds each touched block once, and the padded
-        reshaped view turns the repair into one fancy-indexed
-        ``min(axis=1)`` — no Python loop over blocks.
-        """
-        blocks = indices // self._block
-        touched = blocks[np.flatnonzero(np.diff(blocks, prepend=-1))]
-        self._block_min[touched] = self._rel_blocks[touched].min(axis=1)
-
-    def argmin(self) -> int:
-        """Global first-minimum via the block minima (ties break low)."""
-        block = int(np.argmin(self._block_min))
-        begin = block * self._block
-        within = self._rel[begin : begin + self._block]
-        return begin + int(np.argmin(within))
-
-    def _apply(self, candidate_index: int) -> list[tuple[Interval, float]]:
-        """Commit a candidate: truncate neighbours, insert the new piece.
+    def _apply(self, lo: int, hi: int) -> list[tuple[Interval, float]]:
+        """Commit grid span ``[lo, hi]``: truncate neighbours, insert it.
 
         Returns the re-added *assigned* remainders (left-to-right) with
         their re-estimated values, and records the dirty grid-index span
         — the full original extent of every segment this commit touched —
         for the next round's rescoring.
         """
-        lo = int(self._cands.lo[candidate_index])
-        hi = int(self._cands.hi[candidate_index])
         # Affected segments: seg_hi > lo and seg_lo < hi (both sorted).
         first = bisect_right(self._seg_hi, lo)
         last = bisect_left(self._seg_lo, hi) - 1
@@ -525,7 +756,10 @@ class CompiledGreedySketches:
         engine's hot gather).
     self_costs:
         Per-candidate ``z_J - y_J^2/|J|`` — including the median across
-        the ``r`` sets — which never changes across greedy rounds.
+        the ``r`` sets — which never changes across greedy rounds.  For
+        a triangle candidate set, a dense row-major ``(K, K)`` matrix
+        over the ``starts`` x ``stops`` axes with ``+inf`` below the
+        diagonal; for a pair list, a flat vector in candidate order.
     pairs_per_set:
         ``C(m, 2)``, the collision-count normaliser.
     """
@@ -581,6 +815,9 @@ def compile_greedy_sketches(
     pass (:func:`repro.samples.collision.batched_pair_prefixes`), and the
     per-candidate self-costs — the median-of-``r`` part of every score —
     are hoisted here because they are invariant across greedy rounds.
+    An uncapped search is a triangle and compiles them as a dense matrix
+    straight from the axes; a ``max_candidates`` cap that binds leaves a
+    pair list, compiled as a flat vector.
 
     ``prefixes`` selects the prefix builder: ``"sorted"`` (the batched
     one-sort pass above) or ``"dense"`` — counting-based full-grid
@@ -608,9 +845,6 @@ def compile_greedy_sketches(
         )
     started = perf_counter()
     if method == "fast":
-        # The lazy capped build never materialises the uncapped pair
-        # arrays, yet consumes ``rng`` and picks candidates exactly like
-        # building everything then subsampling (see ``_triu_pairs``).
         candidates = sample_endpoint_candidates(
             samples.weight_samples, n, max_candidates=max_candidates, rng=rng
         )
@@ -663,7 +897,10 @@ def compile_greedy_sketches(
     weight_prefix = weight_set.count_prefix_on_grid(candidates.grid)
     set_size = samples.collision_sets[0].shape[0] if samples.collision_sets else 0
     pairs_per_set = float(pairs_count(set_size))
-    self_costs = _candidate_self_costs(
+    self_cost_pass = (
+        _triangle_self_costs if candidates.is_triangle else _pair_self_costs
+    )
+    self_costs = self_cost_pass(
         candidates,
         weight_prefix.astype(np.float64),
         float(weight_set.size),
@@ -680,6 +917,28 @@ def compile_greedy_sketches(
         self_costs,
         pairs_per_set,
     )
+
+
+def _pair_list_sketches(compiled: CompiledGreedySketches) -> CompiledGreedySketches:
+    """``compiled`` with its triangle re-expressed as a pair list.
+
+    Builds the explicit ``lo``/``hi`` arrays and the flat self-cost
+    vector (through the pair-list pass, not by reading the matrix), so
+    the engine runs the same candidates on its pair-list store: the seam
+    the tests and the bench pair use to hold the two stores to each
+    other.
+    """
+    candidates = CandidateSet(
+        compiled.candidates.grid, compiled.candidates.lo, compiled.candidates.hi
+    )
+    self_costs = _pair_self_costs(
+        candidates,
+        np.asarray(compiled.weight_prefix).astype(np.float64),
+        float(compiled.weight_set.size),
+        compiled.pair_prefix_cols,
+        compiled.pairs_per_set,
+    )
+    return replace(compiled, candidates=candidates, self_costs=self_costs)
 
 
 def _package_result(

@@ -99,6 +99,9 @@ class GreedyParams:
         for name in ("weight_sample_size", "collision_sets", "collision_set_size", "rounds"):
             if getattr(self, name) < 1:
                 raise InvalidParameterError(f"{name} must be >= 1")
+        # A set of one sample has C(1, 2) = 0 pairs: every z would be 0/0.
+        if self.collision_set_size < 2:
+            raise InvalidParameterError("collision_set_size must be >= 2")
 
     @property
     def total_samples(self) -> int:

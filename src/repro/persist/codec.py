@@ -127,11 +127,17 @@ def bundle_state(bundle) -> tuple[dict, dict]:
                 "collision_sets": int(num_sets),
                 "collision_set_size": int(set_size),
                 "pairs_per_set": float(compiled.pairs_per_set),
+                "triangle": compiled.candidates.is_triangle,
             }
         )
-        slabs[f"learn/{j}/grid"] = compiled.candidates.grid
-        slabs[f"learn/{j}/lo"] = compiled.candidates.lo
-        slabs[f"learn/{j}/hi"] = compiled.candidates.hi
+        candidates = compiled.candidates
+        slabs[f"learn/{j}/grid"] = candidates.grid
+        if candidates.is_triangle:
+            slabs[f"learn/{j}/starts"] = candidates.starts
+            slabs[f"learn/{j}/stops"] = candidates.stops
+        else:
+            slabs[f"learn/{j}/lo"] = candidates.lo
+            slabs[f"learn/{j}/hi"] = candidates.hi
         slabs[f"learn/{j}/weight_sorted"] = compiled.weight_set.sorted_values
         slabs[f"learn/{j}/weight_prefix"] = compiled.weight_prefix
         slabs[f"learn/{j}/pair_prefix_cols"] = compiled.pair_prefix_cols
@@ -184,11 +190,21 @@ def restore_bundle(bundle, meta: dict, slab) -> None:
         for i in range(int(meta["tester_pools"]))
     ]
     for j, entry in enumerate(meta["learn"]):
-        candidates = CandidateSet(
-            slab(f"learn/{j}/grid"),
-            slab(f"learn/{j}/lo"),
-            slab(f"learn/{j}/hi"),
-        )
+        # Snapshots written before the triangle form carry no flag and a
+        # pair list with flat self-costs; the engine's pair-list store
+        # answers them byte-identically.
+        if entry.get("triangle", False):
+            candidates = CandidateSet.triangle(
+                slab(f"learn/{j}/grid"),
+                slab(f"learn/{j}/starts"),
+                slab(f"learn/{j}/stops"),
+            )
+        else:
+            candidates = CandidateSet(
+                slab(f"learn/{j}/grid"),
+                slab(f"learn/{j}/lo"),
+                slab(f"learn/{j}/hi"),
+            )
         compiled = CompiledGreedySketches(
             candidates=candidates,
             weight_set=_sample_set_over(

@@ -76,6 +76,44 @@ class TestSampleEndpoints:
         with pytest.raises(InvalidParameterError):
             sample_endpoint_candidates(np.array([10]), 10)
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_nonpositive_cap_rejected_before_drawing(self, cap):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidParameterError, match="max_candidates"):
+            sample_endpoint_candidates(np.arange(10), 20, max_candidates=cap, rng=rng)
+        assert rng.bit_generator.state == state
+
+    def test_uncapped_set_is_a_triangle(self):
+        """Row-major ``(i, j >= i)`` over the axes T' and T' + 1: the
+        on-demand pair list is the historical ``triu_indices`` order."""
+        cands = sample_endpoint_candidates(np.array([3, 3, 7]), 10)
+        assert cands.is_triangle
+        t_prime = np.array([2, 3, 4, 6, 7, 8])
+        i, j = np.triu_indices(t_prime.size)
+        assert np.array_equal(cands.grid[cands.lo], t_prime[i])
+        assert np.array_equal(cands.grid[cands.hi], t_prime[j] + 1)
+        assert cands.size == i.size
+
+    @given(
+        count=st.integers(min_value=1, max_value=40),
+        cap=st.integers(min_value=1, max_value=900),
+        seed=st.integers(min_value=0, max_value=1_000),
+    )
+    def test_capped_triangle_matches_subsampled_pair_list(self, count, cap, seed):
+        """Capping a triangle inverts the kept flat positions
+        arithmetically: same candidates, same generator use, as
+        subsampling the materialised pair list."""
+        grid = np.arange(count + 1, dtype=np.int64)
+        triangle = CandidateSet.triangle(grid, grid[:-1], grid[1:])
+        pairs = CandidateSet(grid, triangle.lo, triangle.hi)
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        capped, reference = triangle.subsample(cap, a), pairs.subsample(cap, b)
+        assert np.array_equal(capped.lo, reference.lo)
+        assert np.array_equal(capped.hi, reference.hi)
+        assert a.bit_generator.state == b.bit_generator.state
+        assert capped.is_triangle == (cap >= triangle.size)
+
     @given(
         st.lists(st.integers(min_value=0, max_value=29), min_size=1, max_size=20)
     )
@@ -130,3 +168,12 @@ class TestCandidateSet:
         grid = np.array([0, 5, 10])
         with pytest.raises(InvalidParameterError):
             CandidateSet(grid, np.array([1]), np.array([1]))
+
+    @pytest.mark.parametrize(
+        "starts, stops",
+        [([0, 1], [1]), ([1, 0], [2, 3]), ([0, 1], [1, 1]), ([1], [1])],
+    )
+    def test_malformed_triangle_axes_raise(self, starts, stops):
+        grid = np.array([0, 5, 10, 15])
+        with pytest.raises(InvalidParameterError):
+            CandidateSet.triangle(grid, np.array(starts), np.array(stops))

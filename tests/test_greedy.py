@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import HistogramSession
 from repro.baselines.voptimal import voptimal_cost
 from repro.core.greedy import learn_histogram
 from repro.core.params import GreedyParams
@@ -146,6 +147,22 @@ class TestParameters:
     def test_invalid_method_raises(self):
         with pytest.raises(InvalidParameterError):
             learn_histogram(families.uniform(16), 16, 2, 0.5, method="magic")
+
+    def test_collision_set_size_one_rejected(self):
+        """A one-sample collision set has no pairs (every z would be 0/0,
+        every round's cost NaN), so the params refuse it up front."""
+        session = HistogramSession(families.uniform(64), 64, rng=3)
+        with pytest.raises(InvalidParameterError, match="collision_set_size"):
+            session.learn(2, 0.5, params=GreedyParams(200, 3, 1, 2))
+
+    @pytest.mark.parametrize("method", ["fast", "exhaustive"])
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_nonpositive_max_candidates_rejected(self, method, cap):
+        session = HistogramSession(
+            families.zipf(64, 1.0), 64, rng=3, method=method
+        )
+        with pytest.raises(InvalidParameterError, match="max_candidates"):
+            session.learn(2, 0.5, params=GreedyParams(200, 3, 200, 2), max_candidates=cap)
 
     def test_max_candidates_cap(self):
         dist = families.uniform(64)

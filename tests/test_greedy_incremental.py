@@ -27,6 +27,7 @@ import repro.core.greedy as greedy
 from repro.api import HistogramFleet, HistogramSession
 from repro.core.greedy import (
     _GreedyEngine,
+    _pair_list_sketches,
     _reference_learn,
     compile_greedy_sketches,
     draw_greedy_samples,
@@ -150,8 +151,13 @@ class TestSessionEquivalence:
             session.learn(3, 0.3, engine="full")
 
 
-def _engines(n, seed, method, max_candidates=None):
-    """The production engine and its full-span reference over one draw."""
+def _engines(n, seed, method, max_candidates=None, pair_list=False):
+    """The production engine and its full-span reference over one draw.
+
+    Uncapped draws compile to the dense triangle store unless
+    ``pair_list`` re-expresses them as a pair list; capped draws are
+    pair lists either way.
+    """
     dist = families.random_tiling_histogram(n, 3, rng=seed % 7 + 1, min_piece=2)
     params = GreedyParams(
         weight_sample_size=400, collision_sets=3, collision_set_size=300, rounds=8
@@ -160,6 +166,8 @@ def _engines(n, seed, method, max_candidates=None):
     compiled = compile_greedy_sketches(
         samples, n, method=method, max_candidates=max_candidates, rng=seed
     )
+    if pair_list and compiled.candidates.is_triangle:
+        compiled = _pair_list_sketches(compiled)
     engines = (_GreedyEngine(compiled), _GreedyEngine(compiled, full_span=True))
     return engines, params.rounds
 
@@ -189,7 +197,8 @@ class TestCachedTotalsProperty:
     This is the dirty-span invariant stated in README.md ("Incremental
     scoring"): a clean grid point's cached remainder terms, and a clean
     candidate's cached ``rel``, must be bitwise equal to what a full
-    re-tabulation and a full rescore would produce, round after round.
+    re-tabulation and a full rescore would produce, round after round —
+    on the dense triangle store and on the pair-list store alike.
     """
 
     @settings(max_examples=20, deadline=None)
@@ -197,21 +206,29 @@ class TestCachedTotalsProperty:
         seed=st.integers(min_value=0, max_value=10_000),
         method=st.sampled_from(["fast", "exhaustive"]),
         capped=st.booleans(),
+        pair_list=st.booleans(),
     )
-    def test_cached_rel_matches_full_rescore(self, seed, method, capped):
+    def test_cached_rel_matches_full_rescore(self, seed, method, capped, pair_list):
         n = 32 + seed % 3 * 16
         (engine, reference), rounds = _engines(
-            n, seed, method, max_candidates=150 if capped else None
+            n, seed, method, max_candidates=150 if capped else None,
+            pair_list=pair_list,
         )
+        assert engine._cands.is_triangle == (not capped and not pair_list)
         for _ in range(rounds):
+            # Only candidates overlapping the dirty span are rescored, and
+            # the dense store counts upper-triangle cells, never the +inf
+            # cells below the diagonal its rectangles sweep too.
+            dirty = engine._cands.intersecting(engine._dirty_lo, engine._dirty_hi)
             rescored = engine.rescore()
             full = reference.rescore()
+            assert rescored == dirty.size
             # No candidate starts at the last grid point or ends at the
             # first, so those two entries are never read (nor kept fresh).
             left, right = _fresh_terms(engine)
             assert np.array_equal(engine._left_term[:-1], left[:-1])
             assert np.array_equal(engine._right_term[1:], right[1:])
-            assert np.array_equal(engine._rel, reference._rel)
+            assert np.array_equal(engine._store.rel, reference._store.rel)
             # The production engine never rescans more than the reference.
             assert rescored <= full == engine._cands.size
             a = engine.commit(engine.argmin(), rescored)

@@ -516,6 +516,25 @@ class TestSessionRoundTrip:
         assert live_tester.memo_hits == rest_tester.memo_hits
         assert live_tester.memo_misses == rest_tester.memo_misses
 
+    def test_capped_learn_snapshot_keeps_its_pair_list(self, tmp_path):
+        """A binding ``max_candidates`` cap compiles a pair list, which
+        snapshots as ``lo``/``hi`` plus flat self-costs and restores onto
+        the same store, answering later learns identically."""
+        values = np.random.default_rng(2).integers(0, N, size=4_000)
+        live = HistogramSession(values, N, rng=7, max_candidates=40)
+        live.learn(3, 0.3, params=LEARN_PARAMS)
+        path = tmp_path / "bundle.snap"
+        live.snapshot(path)
+        restored = HistogramSession(values, N, rng=12345, max_candidates=40)
+        restored.restore(path)
+        (compiled,) = restored._bundle._compiled_cache.values()
+        assert not compiled.candidates.is_triangle
+        assert compiled.candidates.size == 40
+        a = live.learn(4, 0.25, params=LEARN_PARAMS)
+        b = restored.learn(4, 0.25, params=LEARN_PARAMS)
+        assert a.histogram == b.histogram
+        assert a.rounds == b.rounds
+
     def test_bundle_config_mismatch(self, tmp_path):
         pmf = np.full(N, 1.0 / N)
         live = HistogramSession(pmf, N, rng=7)
@@ -576,6 +595,38 @@ class TestMaintainerRoundTrip:
         write_snapshot(path, kind="maintainer", meta=meta, slabs=slabs)
         restored = _fresh_maintainer(seed=3)
         restored.restore(path)
+        assert _freeze_probe(live) == _freeze_probe(restored)
+
+    def test_pair_list_snapshot_restores_byte_identically(self, tmp_path):
+        """Snapshots from before the triangle form hold each compiled
+        learn as a ``lo``/``hi`` pair list with flat self-costs and no
+        ``triangle`` flag; they restore onto the pair-list store and
+        answer exactly as the live, triangle-form maintainer."""
+        from repro.core.candidates import CandidateSet
+        from repro.persist import codec
+
+        live = _built_maintainer(seed=3)
+        meta, slabs = codec.maintainer_state(live)
+        for f, member in enumerate(meta["fleet"]["members"]):
+            for j, entry in enumerate(member["learn"]):
+                assert entry.pop("triangle") is True
+                prefix = f"fleet/member/{f}/learn/{j}/"
+                triangle = CandidateSet.triangle(
+                    slabs[prefix + "grid"],
+                    slabs.pop(prefix + "starts"),
+                    slabs.pop(prefix + "stops"),
+                )
+                matrix = slabs[prefix + "self_costs"]
+                slabs[prefix + "lo"] = triangle.lo
+                slabs[prefix + "hi"] = triangle.hi
+                slabs[prefix + "self_costs"] = matrix[np.triu_indices(len(matrix))]
+        path = tmp_path / "m.snap"
+        write_snapshot(path, kind="maintainer", meta=meta, slabs=slabs)
+        restored = _fresh_maintainer(seed=3)
+        restored.restore(path)
+        for f in range(restored.fleet_size):
+            for compiled in restored.fleet.session(f)._bundle._compiled_cache.values():
+                assert not compiled.candidates.is_triangle
         assert _freeze_probe(live) == _freeze_probe(restored)
 
     def test_pool_growth_never_writes_the_mapping(self, tmp_path):
