@@ -15,12 +15,15 @@ shares the loading and output helpers.
 The emitted JSON layouts are byte-compatible with the records the CI
 bench-smoke job diffs against (``BENCH_tester.json``,
 ``BENCH_fleet.json``, ``BENCH_shard.json``, ``BENCH_greedy.json``).
+Every summary also carries ``cpu_count``, the core count of the machine
+that ran it; baseline diffs read only ``benchmarks``, so they ignore it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 from dataclasses import dataclass
 
@@ -41,9 +44,14 @@ def load_stats(pytest_benchmark_json: str) -> dict[str, dict[str, float]]:
 
 
 def write_summary(summary: dict, out_path: str) -> None:
-    """Write one summary JSON the way every record script always has."""
+    """Write one summary JSON, stamped with this machine's core count."""
     with open(out_path, "w") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
+        json.dump(
+            {**summary, "cpu_count": os.cpu_count()},
+            handle,
+            indent=2,
+            sort_keys=True,
+        )
         handle.write("\n")
 
 

@@ -52,7 +52,6 @@ from repro.serving import (
     WorkloadGenerator,
     replay,
 )
-from repro.utils.faults import FaultPlan
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
@@ -143,17 +142,12 @@ def _replay(
     workload: str = "storm",
     cache_capacity: int = 0,
     clients: int | None = None,
-    workers: int = 1,
-    faults=None,
-    max_respawns=None,
 ):
     """One full replay through a fresh service at the given window.
 
-    Returns ``(report, health, stats)`` — the replay report plus the
-    service's closing health snapshot (executor respawn/degradation
-    history when the service owns a pool, for the chaos kernel's
-    extra_info) and its counters (cache hits/misses for the requery
-    pair).  The storm kernels pin ``cache_capacity=0`` so they keep
+    Returns ``(report, stats)`` — the replay report plus the service's
+    closing counters (cache hits/misses for the requery pair).  The
+    storm kernels pin ``cache_capacity=0`` so they keep
     measuring coalescing alone; the requery pair varies only the cache.
     """
     config = _WORKLOADS[workload]
@@ -170,9 +164,6 @@ def _replay(
                 max_queue=4_096,
                 cache_capacity=cache_capacity,
             ),
-            workers=workers,
-            faults=faults,
-            max_respawns=max_respawns,
             rng=config.seed,
         )
         async with service:
@@ -181,7 +172,7 @@ def _replay(
                 _trace(workload),
                 clients=CLIENTS if clients is None else clients,
             )
-            return report, service.health(), dict(service.stats)
+            return report, dict(service.stats)
 
     return asyncio.run(run())
 
@@ -194,7 +185,7 @@ def _record(benchmark, report) -> None:
 
 def test_serve_storm_64(benchmark):
     """The skewed storm workload, coalesced (the headline kernel)."""
-    report, _, _ = benchmark.pedantic(
+    report, _ = benchmark.pedantic(
         lambda: _replay(MAX_BATCH), rounds=3, iterations=1, warmup_rounds=1
     )
     _record(benchmark, report)
@@ -203,7 +194,7 @@ def test_serve_storm_64(benchmark):
 
 def test_serve_storm_64_serial(benchmark):
     """The same workload request-at-a-time (``max_batch=1``)."""
-    report, _, _ = benchmark.pedantic(
+    report, _ = benchmark.pedantic(
         lambda: _replay(1), rounds=3, iterations=1, warmup_rounds=1
     )
     _record(benchmark, report)
@@ -218,7 +209,7 @@ def test_serve_requery_64(benchmark):
     repeat probes answered at admission instead of queued through an
     admission window.
     """
-    report, _, stats = benchmark.pedantic(
+    report, stats = benchmark.pedantic(
         lambda: _replay(
             MAX_BATCH,
             workload="requery",
@@ -246,7 +237,7 @@ def test_serve_requery_64_serial(benchmark):
     the twin disables the *cache* (``cache_capacity=0``), not
     coalescing — both kernels run the full admission window.
     """
-    report, _, stats = benchmark.pedantic(
+    report, stats = benchmark.pedantic(
         lambda: _replay(
             MAX_BATCH,
             workload="requery",
@@ -260,40 +251,3 @@ def test_serve_requery_64_serial(benchmark):
     _record(benchmark, report)
     assert report.ok == report.requests
     assert stats["cache_hits"] == 0
-
-
-def test_serve_storm_64_chaos(benchmark):
-    """The coalesced storm under worker kills: zero failed requests.
-
-    The service owns a two-worker pool and a seeded :class:`FaultPlan`
-    SIGKILLs workers on a fixed task cadence — each kill breaks a pool
-    mid-batch, the executor respawns it and re-issues the batch, and
-    every response must still come back ``ok`` (the recovery rungs are
-    byte-identity-pinned by the conformance suite; this kernel prices
-    them and proves the storm absorbs real worker deaths end to end).
-    No ``_serial`` pair: the datapoint is availability + recovery cost,
-    not a speedup.
-    """
-
-    def run():
-        # Plans are stateful counters — each round gets a fresh one so
-        # the kill cadence replays identically every round.
-        return _replay(
-            MAX_BATCH,
-            workers=2,
-            faults=FaultPlan(seed=0, kill_at=[0], kill_every=40, kill_limit=3),
-            max_respawns=8,
-        )
-
-    report, health, _ = benchmark.pedantic(
-        run, rounds=3, iterations=1, warmup_rounds=1
-    )
-    _record(benchmark, report)
-    executor = health["executor"]
-    benchmark.extra_info["worker_crashes"] = executor["worker_crashes"]
-    benchmark.extra_info["respawns"] = executor["respawns"]
-    benchmark.extra_info["retried_tasks"] = executor["retried_tasks"]
-    benchmark.extra_info["degraded"] = executor["degraded"]
-    assert report.ok == report.requests  # kills never surface to clients
-    if not SMOKE:  # the smoke trace is too short to guarantee a strike
-        assert executor["worker_crashes"] >= 1

@@ -42,9 +42,7 @@ SUITE = (
     "flips only the response cache — its _serial twin is cache-off, not "
     "request-at-a-time; speedup = serial_s / coalesced_s over per-kernel "
     "minimum round times; p50/p99 latency and throughput come from each "
-    "kernel's closed-loop replay report; the unpaired _chaos kernel "
-    "replays the storm under seeded worker kills and records the "
-    "executor's recovery counters instead of a speedup)"
+    "kernel's closed-loop replay report)"
 )
 
 PAIR_SUFFIX = "_serial"
@@ -76,9 +74,8 @@ def summarise(
             "coalesced_s": round(primary["min_s"], 5),
             "coalesced_mean_s": round(primary["mean_s"], 5),
         }
-        # Copy every extra_info key a kernel recorded — latency and
-        # throughput for the pairs, executor health counters (respawns,
-        # worker_crashes, ...) for the chaos kernel.
+        # Copy every extra_info key a kernel recorded (latency,
+        # throughput, cache hits).
         for key in sorted(primary["extra"]):
             entry[f"coalesced_{key}"] = primary["extra"][key]
         pair = kernels.get(name + PAIR_SUFFIX)

@@ -1,4 +1,4 @@
-"""Summarise shard-engine benchmark runs into ``BENCH_shard.json``.
+"""Summarise the T12 learn benchmark runs into ``BENCH_shard.json``.
 
 ``bench_t12_shard.py`` benchmarks every workload twice in one run —
 ``<kernel>`` and its ``<kernel>_loop`` baseline twin — so a single
@@ -16,14 +16,12 @@
 
 Speedups use each kernel's *minimum* round time (the pairs run
 interleaved on shared CI machines; the mean is also recorded).  The
-acceptance bars for this suite: the 64-stream serving sweep at
-``workers=4`` records >= 2x over the looped-session baseline, and the
-out-of-core learn pair — the production engine against its full-span
-reference over the same session draws — records >= 2x (CI
-additionally holds it to a 1.5x floor at smoke size via
-``benchmarks/perf_guard.py``).  The 64-member fleet ``learn_many``
-pair isolates fleet batching (same engine, no executor on either
-side) and is recorded without a bar.  The reduction itself is the
+acceptance bar for this suite: the out-of-core learn pair — the
+production engine against its full-span reference over the same
+session draws — records >= 2x (CI additionally holds it to a 1.5x
+floor at smoke size via ``benchmarks/perf_guard.py``).  The 64-member
+fleet ``learn_many`` pair isolates fleet batching (same engine on
+both sides) and is recorded without a bar.  The reduction itself is the
 shared paired recorder (``benchmarks/_recorder.py``).
 """
 
@@ -41,9 +39,9 @@ SPEC = PairedBenchSpec(
     stat="min_s",
     extra="mean",
     suite="bench_t12_shard kernel pairs, each twin measured in the same "
-    "run: the serving sweep through a workers=4 fleet vs looped serial "
-    "sessions, the out-of-core learn on the production engine vs its "
-    "full-span reference, the fleet learn batched vs looped sessions; "
+    "run, all in-process: the out-of-core learn on the production engine "
+    "vs its full-span reference, the fleet learn batched vs looped "
+    "sessions; "
     "speedup = loop_s / shard_s over per-kernel minimum round times, cold "
     "compile included",
 )

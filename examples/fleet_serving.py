@@ -15,9 +15,7 @@ sort-free and stacked, and the testers' binary searches run in lockstep
 across tenants.  Results are byte-identical to looping a
 :class:`repro.api.HistogramSession` per stream (``tests/test_fleet.py``
 holds that contract), just several times faster — ``BENCH_fleet.json``
-tracks the measured speedup.  A :class:`repro.api.ParallelExecutor`
-rides along: member compiles fan across a 4-worker pool over
-shared-memory slabs (``BENCH_shard.json``), still byte-identical.
+tracks the measured speedup.
 
 Set ``REPRO_EXAMPLES_SMOKE=1`` to run with tiny parameters (the CI
 examples-smoke job does; numbers are then illustrative only).
@@ -27,7 +25,7 @@ import os
 
 import numpy as np
 
-from repro.api import ArraySource, HistogramFleet, ParallelExecutor
+from repro.api import ArraySource, HistogramFleet
 from repro.core.params import GreedyParams, TesterParams
 from repro.distributions import families
 from repro.utils.timing import Timer
@@ -57,7 +55,6 @@ def synthetic_streams() -> list[ArraySource]:
 
 
 def main() -> None:
-    executor = ParallelExecutor(workers=4)  # one pool for the serving plane
     fleet = HistogramFleet(
         synthetic_streams(),
         N,
@@ -70,7 +67,6 @@ def main() -> None:
             rounds=1,  # re-derived per (k, epsilon)
         ),
         max_candidates=20_000,
-        executor=executor,
     )
 
     with Timer() as t_test:
@@ -104,7 +100,6 @@ def main() -> None:
         "pathological ones (indices 5, 21, 37, 53 are spiky; the zipf "
         "tenants need many more buckets than the smooth majority)."
     )
-    executor.close()
 
 
 if __name__ == "__main__":

@@ -14,10 +14,6 @@ Public surface (see README.md for a tour):
 * fleets:    :class:`HistogramFleet` — batched learn/test over many
   distributions sharing a domain (vectorised compilation and lockstep
   tester searches, byte-identical to a loop of sessions);
-* sharding:  :class:`ShardPlan` / :class:`ParallelExecutor` — the
-  parallel shard engine behind ``executor=`` on sessions, fleets, and
-  maintainers (mergeable per-shard sketches, process pool over
-  shared-memory slabs, byte-identical results);
 * learning:  :func:`learn_histogram` (Algorithm 1 / Theorem 2);
 * testing:   :func:`test_k_histogram_l2`, :func:`test_k_histogram_l1`
   (Theorems 3/4), :func:`test_uniformity` (the k=1 special case);
@@ -38,9 +34,7 @@ from repro.api import (
     CountingSource,
     HistogramFleet,
     HistogramSession,
-    ParallelExecutor,
     SampleSource,
-    ShardPlan,
     SketchBundle,
     as_sample_source,
 )
@@ -102,12 +96,10 @@ __all__ = [
     "InvalidIntervalError",
     "InvalidParameterError",
     "LearnResult",
-    "ParallelExecutor",
     "PriorityHistogram",
     "ReproError",
     "SampleSource",
     "SelectionResult",
-    "ShardPlan",
     "SketchBundle",
     "TestResult",
     "TesterParams",

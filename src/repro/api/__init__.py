@@ -10,12 +10,7 @@ This package is the recommended front door to the library:
 * :class:`SampleSource` — the formal protocol every algorithm consumes a
   distribution through, with :func:`as_sample_source`,
   :class:`ArraySource`, and :class:`CountingSource` adapters;
-* :class:`SketchBundle` — the shared pools and caches behind a session;
-* :class:`ShardPlan` / :class:`ParallelExecutor` — the parallel shard
-  engine: sessions and fleets accept one via ``executor=`` and fan
-  their sketch compiles (and big flatness-miss batches) across a
-  process pool over shared-memory slabs, byte-identically to the
-  single-buffer engine.
+* :class:`SketchBundle` — the shared pools and caches behind a session.
 
 The classic module-level functions (:func:`repro.learn_histogram` and
 friends) remain as deprecated one-shot compositions of the same
@@ -24,7 +19,6 @@ machinery.
 
 from repro.api.fleet import HistogramFleet
 from repro.api.session import HistogramSession
-from repro.api.shard import ParallelExecutor, ShardPlan
 from repro.api.sketches import SketchBundle
 from repro.api.source import (
     ArraySource,
@@ -38,9 +32,7 @@ __all__ = [
     "CountingSource",
     "HistogramFleet",
     "HistogramSession",
-    "ParallelExecutor",
     "SampleSource",
-    "ShardPlan",
     "SketchBundle",
     "as_sample_source",
 ]

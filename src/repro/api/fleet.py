@@ -21,10 +21,10 @@ compilation, and a Python-level binary search per probe — ``F`` times.
   (:func:`repro.core.tester.fleet_flat_partition`), batching fresh
   flatness statistics across members while each member keeps its own
   verdict memo;
-* **lockstep learning** — ``learn`` / ``learn_many`` drive every
-  member's Algorithm-1 greedy rounds together
-  (:func:`repro.core.greedy.lockstep_learn`): one rescore/argmin/commit
-  pass per round over all still-active members.
+* **batched learning** — ``learn`` / ``learn_many`` compile every
+  member's grid straight from its pools (sort-free when the domain
+  allows) and hand all members' runs to one
+  :func:`repro.core.greedy.lockstep_learn` call.
 
 The binding contract mirrors the session and engine PRs before it: every
 fleet operation is **byte-identical** — verdicts, learned histograms,
@@ -35,13 +35,11 @@ with the same seeds.  ``BENCH_fleet.json`` tracks the measured speedup.
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from repro.api.session import HistogramSession
-from repro.api.shard import _compile_member_rows
 from repro.core.flatness import FleetTesterSketches
 from repro.core.greedy import LockstepRun, compile_greedy_sketches, lockstep_learn
 from repro.core.params import GreedyParams, TesterParams
@@ -75,15 +73,6 @@ class HistogramFleet:
     max_candidates:
         As in :class:`~repro.api.HistogramSession`, applied to every
         member.
-    executor:
-        Optional :class:`~repro.api.ParallelExecutor`, shared by every
-        member session.  With a parallel executor the fleet's tester
-        stacks live in shared-memory slabs: member compiles fan across
-        the pool (each worker writes its member's ``(n + 1, r)`` layout
-        in place) and large batches of flatness misses resolve across
-        workers.  Purely an evaluation strategy — byte-identical
-        results for any ``(shards, workers)``; the caller owns (and
-        closes) the executor.
 
     Operations return one result per member, in member order.  Passing
     ``tester_engine="full"`` (or ``engine="full"`` per tester call) runs
@@ -105,7 +94,6 @@ class HistogramFleet:
         learn_budget: GreedyParams | None = None,
         test_budget: TesterParams | None = None,
         max_candidates: int | None = None,
-        executor: "object | None" = None,
     ) -> None:
         sources = list(sources)
         if not sources:
@@ -124,7 +112,6 @@ class HistogramFleet:
         self._method = method
         self._tester_engine = tester_engine
         self._max_candidates = max_candidates
-        self._executor = executor
         self._sessions = [
             HistogramSession(
                 source,
@@ -136,7 +123,6 @@ class HistogramFleet:
                 learn_budget=learn_budget,
                 test_budget=test_budget,
                 max_candidates=max_candidates,
-                executor=executor,
             )
             for source, member_rng in zip(sources, rngs)
         ]
@@ -245,18 +231,17 @@ class HistogramFleet:
         Pools are grown for all listed members first (one planned pass),
         then members missing a compiled grid for this configuration are
         compiled through the sort-free dense builder and planted into
-        their sessions' caches, and the members' greedy rounds run
-        *together* — one rescore/argmin/commit pass per round across the
-        active members (:func:`repro.core.greedy.lockstep_learn`).
-        Results are the sessions' results, byte for byte.  ``members``
-        restricts the op to a subset of the fleet (results come back in
-        the listed order) — the entry point serving batches and partial
-        maintainer rebuilds coalesce into.
+        their sessions' caches, and one
+        :func:`repro.core.greedy.lockstep_learn` call runs every
+        member's greedy rounds.  Results are the sessions' results, byte
+        for byte.  ``members`` restricts the op to a subset of the fleet
+        (results come back in the listed order) — the entry point
+        serving batches and partial maintainer rebuilds coalesce into.
         """
         runs = self._learn_runs(
             self._members(members), [(k, epsilon)], method, params, max_candidates
         )
-        return lockstep_learn(runs, executor=self._executor)
+        return lockstep_learn(runs)
 
     def _learn_runs(
         self,
@@ -331,7 +316,6 @@ class HistogramFleet:
                     max_candidates=max_candidates,
                     rng=session._rng,
                     prefixes=prefixes,
-                    executor=self._executor,
                 )
                 bundle.adopt_compiled_sketches(
                     resolved, method=method, max_candidates=max_candidates,
@@ -365,16 +349,15 @@ class HistogramFleet:
         to the grid's elementwise-largest budget before any point runs,
         so the whole batch issues at most one draw event per member.
         The entire ``F x P`` batch — every member at every grid point —
-        then runs its greedy rounds as one lockstep (runs whose round
-        budgets differ drop out as they converge).  Returns
-        ``results[member][point]``.
+        then goes to one :func:`repro.core.greedy.lockstep_learn` call.
+        Returns ``results[member][point]``.
         """
         points = list(grid)
         self.prefetch_learn(points, params=params)
         runs = self._learn_runs(
             self._members(None), points, method, params, max_candidates
         )
-        results = lockstep_learn(runs, executor=self._executor)
+        results = lockstep_learn(runs)
         return [
             [results[p * self.size + f] for p in range(len(points))]
             for f in range(self.size)
@@ -407,64 +390,16 @@ class HistogramFleet:
         ``session.invalidate()`` behind the fleet's back) recompiles
         that one slab from the member's pool and replants it.  Only the
         listed members are drawn for and compiled.
-
-        With a parallel executor the stacks are shared-memory slabs and
-        the stale members' compiles fan across the pool: pool draws
-        still happen here (in member order, so the fleet stays
-        replayable), the raw sets are staged into one reusable scratch
-        slab, and each worker writes its member's ``(n + 1, r)`` gather
-        layout straight into the stacks — bit-identical to the inline
-        :meth:`~repro.core.flatness.FleetTesterSketches.compile_member`
-        path.
         """
         key = (resolved.num_sets, resolved.set_size)
-        executor = self._executor
         fleet_sketches = self._tester_fleet_cache.get(key)
         if fleet_sketches is None:
-            stacks = None
-            slabs = None
-            if executor is not None and executor.parallel:
-                shape = (self.size, self._n + 1, resolved.num_sets)
-                count_stack, count_slab = executor.shared_zeros(shape)
-                pair_stack, pair_slab = executor.shared_zeros(shape)
-                stacks = (count_stack, pair_stack)
-                if count_slab is None or pair_slab is None:
-                    # An allocation fell back to a plain array (full
-                    # /dev/shm, or an injected chaos fault): workers
-                    # can't attach, so compiles go serial.  A slab that
-                    # *did* allocate is about to be released — swap its
-                    # still-zeroed view for a plain array first, or the
-                    # stack would dangle over an unmapped segment.
-                    if count_slab is not None:
-                        count_stack = np.zeros_like(count_stack)
-                    if pair_slab is not None:
-                        pair_stack = np.zeros_like(pair_stack)
-                    stacks = (count_stack, pair_stack)
-                    executor.release(count_slab, pair_slab)
-                    slabs = None
-                else:
-                    slabs = (count_slab, pair_slab)
             fleet_sketches = FleetTesterSketches(
-                self._n,
-                resolved.num_sets,
-                resolved.set_size,
-                self.size,
-                stacks=stacks,
-                slabs=slabs,
-                executor=executor,
+                self._n, resolved.num_sets, resolved.set_size, self.size
             )
-            if slabs is not None:
-                # The executor outlives this fleet (one pool, many
-                # fleets); hand the stack segments back when the
-                # sketches are collected so /dev/shm tracks live fleets.
-                weakref.finalize(
-                    fleet_sketches, executor.release, count_slab, pair_slab
-                )
             self._tester_fleet_cache[key] = fleet_sketches
-        pending: list[tuple[int, list]] = []
         for index in members:
-            session = self._sessions[index]
-            bundle = session._bundle
+            bundle = self._sessions[index]._bundle
             member = fleet_sketches.member_or_none(index)
             cached = bundle._tester_compiled_cache.get(key)
             if member is not None and cached is member:
@@ -475,55 +410,10 @@ class HistogramFleet:
                 # and its memo — and mirror the layout into the slab.
                 fleet_sketches.adopt_member(index, cached)
                 continue
-            pending.append((index, bundle.tester_sets(resolved)))
-        if not pending:
-            return fleet_sketches
-        staged = sets_slab = None
-        if (
-            executor is not None
-            and executor.parallel
-            and fleet_sketches.slabs is not None
-            and len(pending) > 1
-        ):
-            num_sets, set_size = resolved.num_sets, resolved.set_size
-            staged, sets_slab = executor.scratch(
-                "fleet-compile-input", (len(pending), num_sets, set_size)
+            member = fleet_sketches.compile_member(
+                index, bundle.tester_sets(resolved)
             )
-        if sets_slab is not None:
-            for row, (_, sets) in enumerate(pending):
-                for column, values in enumerate(sets):
-                    staged[row, column] = values
-            dense = self._n + 1 <= 4 * num_sets * set_size
-            count_slab, pair_slab = fleet_sketches.slabs
-            for index, _ in pending:
-                fleet_sketches._detach_member(index)
-            executor.map(
-                _compile_member_rows,
-                [
-                    (
-                        sets_slab,
-                        row,
-                        index,
-                        self._n,
-                        dense,
-                        executor.plan.num_shards,
-                        count_slab,
-                        pair_slab,
-                    )
-                    for row, (index, _) in enumerate(pending)
-                ],
-            )
-            for index, _ in pending:
-                member = fleet_sketches.adopt_compiled_rows(index)
-                self._sessions[index]._bundle.adopt_compiled_tester(
-                    resolved, member
-                )
-        else:
-            for index, sets in pending:
-                member = fleet_sketches.compile_member(index, sets)
-                self._sessions[index]._bundle.adopt_compiled_tester(
-                    resolved, member
-                )
+            bundle.adopt_compiled_tester(resolved, member)
         return fleet_sketches
 
     def _run_test(

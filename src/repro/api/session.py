@@ -84,14 +84,6 @@ class HistogramSession:
         Optional fixed :class:`TesterParams` for every test/min-k call.
     max_candidates:
         Default candidate cap forwarded to the learner.
-    executor:
-        Optional :class:`repro.api.ParallelExecutor`: sketch compiles
-        run through the shard-mergeable builders, with per-shard work
-        fanned across the executor's process pool when it is parallel.
-        Purely an evaluation strategy — results are byte-identical to
-        the single-buffer engine for any ``(shards, workers)`` choice.
-        The executor is owned by the caller (one can serve many
-        sessions and fleets); close it when done.
     """
 
     def __init__(
@@ -106,7 +98,6 @@ class HistogramSession:
         learn_budget: GreedyParams | None = None,
         test_budget: TesterParams | None = None,
         max_candidates: int | None = None,
-        executor: "object | None" = None,
     ) -> None:
         if int(n) != n or n < 1:
             raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
@@ -120,10 +111,7 @@ class HistogramSession:
         self._learn_budget = learn_budget
         self._test_budget = test_budget
         self._max_candidates = max_candidates
-        self._executor = executor
-        self._bundle = SketchBundle(
-            self._source, self._n, self._rng, executor=executor
-        )
+        self._bundle = SketchBundle(self._source, self._n, self._rng)
 
     # -------------------------------------------------------------- #
     # introspection
@@ -191,12 +179,12 @@ class HistogramSession:
     def _learn_params(
         self, k: int, epsilon: float, params: GreedyParams | None
     ) -> GreedyParams:
+        # Validates k and epsilon, explicit params or not.
+        rounds = greedy_rounds(k, epsilon)
         if params is not None:
             return params
         if self._learn_budget is not None:
-            return replace(
-                self._learn_budget, rounds=greedy_rounds(k, epsilon)
-            )
+            return replace(self._learn_budget, rounds=rounds)
         return GreedyParams.from_paper(self._n, k, epsilon, scale=self._scale)
 
     def _test_params(
@@ -270,11 +258,10 @@ class HistogramSession:
 
         The whole grid is planned before anything is drawn
         (:meth:`prefetch_learn`), so the batch issues at most one draw
-        event for the learn family regardless of grid size, and the
-        points run their greedy rounds *together* (one
-        rescore/argmin/commit pass per round across the batch,
-        :func:`repro.core.greedy.lockstep_learn`) — results stay
-        byte-identical to calling :meth:`learn` per point.
+        event for the learn family regardless of grid size; one
+        :func:`repro.core.greedy.lockstep_learn` call then runs every
+        point's greedy rounds, byte-identical to calling :meth:`learn`
+        per point.
         """
         points = list(grid)
         self.prefetch_learn(points, params=params)
@@ -290,7 +277,7 @@ class HistogramSession:
             runs.append(
                 LockstepRun(compiled=compiled, params=resolved, method=method, n=self._n)
             )
-        return lockstep_learn(runs, executor=self._executor)
+        return lockstep_learn(runs)
 
     # -------------------------------------------------------------- #
     # testing

@@ -33,11 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.flatness import (
-    CompiledTesterSketches,
-    compile_tester_sketches,
-    compile_tester_sketches_from_sets,
-)
+from repro.core.flatness import CompiledTesterSketches, compile_tester_sketches
 from repro.core.greedy import (
     CompiledGreedySketches,
     GreedySamples,
@@ -113,24 +109,12 @@ class SketchBundle:
         Domain size.
     rng:
         The generator every pool draw consumes (owned by the session).
-    executor:
-        Optional :class:`repro.api.ParallelExecutor`; compiles then run
-        through the shard-mergeable builders (per-shard work fanned
-        across the pool when the executor is parallel).  Never changes
-        a compiled byte — only how it is produced.
     """
 
-    def __init__(
-        self,
-        source: object,
-        n: int,
-        rng: np.random.Generator,
-        executor: "object | None" = None,
-    ) -> None:
+    def __init__(self, source: object, n: int, rng: np.random.Generator) -> None:
         self._source = source
         self._n = int(n)
         self._rng = rng
-        self._executor = executor
         self._weight_pool = _GrowablePool()
         self._collision_pool: list[_GrowablePool] = []
         self._tester_pool: list[_GrowablePool] = []
@@ -259,7 +243,6 @@ class SketchBundle:
                 method=method,
                 max_candidates=max_candidates,
                 rng=self._rng,
-                executor=self._executor,
             )
             self._compiled_cache[key] = compiled
             self.generation += 1
@@ -315,17 +298,8 @@ class SketchBundle:
         compiled = self._tester_compiled_cache.get(key)
         if compiled is not None:
             return self._multi_cache.get(key), compiled
-        multi = self._multi_cache.get(key)
-        if multi is None and self._executor is not None:
-            # Shard-mergeable compile straight from the pooled sets: no
-            # per-set sketches, per-shard work fanned by the executor.
-            # Bit-equal to compiling through the MultiSketch below.
-            compiled = compile_tester_sketches_from_sets(
-                self.tester_sets(params), self._n, executor=self._executor
-            )
-        else:
-            multi = self.multi_sketch(params)
-            compiled = compile_tester_sketches(multi)
+        multi = self.multi_sketch(params)
+        compiled = compile_tester_sketches(multi)
         self._tester_compiled_cache[key] = compiled
         self.generation += 1
         return multi, compiled

@@ -387,9 +387,7 @@ def _resolve_stats(
 
     Returns ``(light, z, threshold)`` rows for one batch of probes.
     Every expression is row-wise (each output row depends only on its
-    own probe), so any chunking of the batch — including the executor's
-    member-axis split — reproduces the same bits; the expressions
-    themselves mirror :func:`l2_flatness_verdict` /
+    own probe); the expressions mirror :func:`l2_flatness_verdict` /
     :func:`l1_flatness_verdict` operand for operand, which is what makes
     the batched results bit-identical to the scalar kernels.
     """
@@ -424,30 +422,6 @@ def _resolve_stats(
         else:
             threshold[heavy] = (1.0 / lengths[heavy]) * (1.0 + epsilon**2 / 4.0)
     return light, z, threshold
-
-
-def _resolve_stats_task(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Executor task: one member-axis chunk of a flatness-miss batch.
-
-    ``args``: ``(count_slab, pair_slab, members, starts, stops, metric,
-    epsilon, scale, set_size)`` — the slabs are
-    :class:`~repro.utils.shm.SharedSlab` handles to the fleet's stacks,
-    so only probe coordinates travel to the pool and three small stat
-    rows travel back.
-    """
-    (count_slab, pair_slab, members, starts, stops, metric, epsilon, scale,
-     set_size) = args
-    return _resolve_stats(
-        count_slab.attach(),
-        pair_slab.attach(),
-        members,
-        starts,
-        stops,
-        metric,
-        epsilon,
-        scale,
-        set_size,
-    )
 
 
 class FleetFlatnessOracle:
@@ -520,13 +494,6 @@ class FleetFlatnessOracle:
         light checks and (for non-light rows only, matching the scalar
         kernels' lazy median) the median-of-r statistics, then memoises
         each verdict on its member with a miss tick.
-
-        When the fleet's stacks live in shared memory and its executor
-        is parallel, a large enough batch is split on the member axis
-        and the statistics computed across workers — every expression
-        is row-wise, so the chunked results are bit-identical to the
-        inline pass (memoisation and accounting always happen here, in
-        the parent).
         """
         members = np.asarray(members, dtype=np.int64)
         starts = np.asarray(starts, dtype=np.int64)
@@ -536,56 +503,18 @@ class FleetFlatnessOracle:
                 "flatness test needs non-empty intervals in every probe"
             )
         epsilon, scale, metric = self._epsilon, self._scale, self._metric
-        set_size = self._fleet.set_size
-        executor = self._fleet.executor
-        slabs = self._fleet.slabs
-        if (
-            executor is not None
-            and executor.parallel
-            and slabs is not None
-            and members.shape[0] >= executor.resolve_min_batch
-        ):
-            chunks = [
-                chunk
-                for chunk in np.array_split(
-                    np.arange(members.shape[0]), executor.workers
-                )
-                if chunk.size
-            ]
-            count_slab, pair_slab = slabs
-            parts = executor.map(
-                _resolve_stats_task,
-                [
-                    (
-                        count_slab,
-                        pair_slab,
-                        members[chunk],
-                        starts[chunk],
-                        stops[chunk],
-                        metric,
-                        epsilon,
-                        scale,
-                        set_size,
-                    )
-                    for chunk in chunks
-                ],
-            )
-            light = np.concatenate([part[0] for part in parts])
-            z = np.concatenate([part[1] for part in parts])
-            threshold = np.concatenate([part[2] for part in parts])
-        else:
-            count_stack, pair_stack = self._fleet.stacks
-            light, z, threshold = _resolve_stats(
-                count_stack,
-                pair_stack,
-                members,
-                starts,
-                stops,
-                metric,
-                epsilon,
-                scale,
-                set_size,
-            )
+        count_stack, pair_stack = self._fleet.stacks
+        light, z, threshold = _resolve_stats(
+            count_stack,
+            pair_stack,
+            members,
+            starts,
+            stops,
+            metric,
+            epsilon,
+            scale,
+            self._fleet.set_size,
+        )
         results: list[FlatnessResult] = []
         fleet_members = self._fleet._members
         z_list = z.tolist()
@@ -634,39 +563,14 @@ class FleetTesterSketches:
         num_sets: int,
         set_size: int,
         fleet_size: int,
-        *,
-        stacks: "tuple[np.ndarray, np.ndarray] | None" = None,
-        slabs: "tuple | None" = None,
-        executor: "object | None" = None,
     ) -> None:
         if n < 1 or num_sets < 1 or set_size < 1 or fleet_size < 1:
             raise InvalidParameterError(
                 "FleetTesterSketches needs n, num_sets, set_size, fleet_size >= 1"
             )
         shape = (fleet_size, n + 1, num_sets)
-        if stacks is None:
-            self._count_stack = np.zeros(shape, dtype=np.int64)
-            self._pair_stack = np.zeros(shape, dtype=np.int64)
-        else:
-            # Preallocated (typically shared-memory) stacks: zeroed
-            # int64 slabs of exactly the fleet shape, provided by the
-            # executor so worker processes can write member slabs and
-            # read probe batches in place.
-            count_stack, pair_stack = stacks
-            if (
-                count_stack.shape != shape
-                or pair_stack.shape != shape
-                or count_stack.dtype != np.int64
-                or pair_stack.dtype != np.int64
-            ):
-                raise InvalidParameterError(
-                    "preallocated stacks must be two int64 arrays of shape "
-                    f"{shape}"
-                )
-            self._count_stack = count_stack
-            self._pair_stack = pair_stack
-        self._slabs = slabs
-        self._executor = executor
+        self._count_stack = np.zeros(shape, dtype=np.int64)
+        self._pair_stack = np.zeros(shape, dtype=np.int64)
         self._set_size = int(set_size)
         self._members: list[CompiledTesterSketches | None] = [None] * fleet_size
 
@@ -694,16 +598,6 @@ class FleetTesterSketches:
     def stacks(self) -> tuple[np.ndarray, np.ndarray]:
         """The ``(F, n + 1, r)`` count/pair prefix stacks."""
         return self._count_stack, self._pair_stack
-
-    @property
-    def slabs(self) -> "tuple | None":
-        """Shared-memory handles of the stacks (``None`` when in-heap)."""
-        return self._slabs
-
-    @property
-    def executor(self) -> "object | None":
-        """The :class:`~repro.api.ParallelExecutor` serving this fleet."""
-        return self._executor
 
     def member(self, index: int) -> CompiledTesterSketches:
         """Member ``index``'s compiled sketches (must be compiled)."""
@@ -773,22 +667,6 @@ class FleetTesterSketches:
         self._members[index] = member
         return member
 
-    def adopt_compiled_rows(self, index: int) -> CompiledTesterSketches:
-        """Wrap slab contents a worker already wrote as member ``index``.
-
-        The parallel compile path (:meth:`repro.api.HistogramFleet` with
-        an executor) detaches the outgoing member, fans the per-member
-        row builds across workers — each writes its ``(n + 1, r)``
-        layout straight into the shared stacks — and then adopts each
-        slab here.  The member object (and its fresh, empty verdict
-        memo) is exactly what :meth:`compile_member` would have built.
-        """
-        member = CompiledTesterSketches(
-            self._count_stack[index], self._pair_stack[index], self._set_size
-        )
-        self._members[index] = member
-        return member
-
     def adopt_member(self, index: int, sketches: CompiledTesterSketches) -> None:
         """Adopt an externally compiled member into the stacks.
 
@@ -835,44 +713,6 @@ class FleetTesterSketches:
             f"FleetTesterSketches(F={self.fleet_size} ({compiled} compiled), "
             f"n={self.n}, r={self.num_sets}, m={self._set_size})"
         )
-
-
-def compile_tester_sketches_from_sets(
-    sample_sets: "list[np.ndarray]",
-    n: int,
-    *,
-    executor: "object | None" = None,
-) -> CompiledTesterSketches:
-    """Compile the tester's gather layout straight from raw sample sets.
-
-    The shard-mergeable sibling of :func:`compile_tester_sketches`: no
-    per-set :class:`~repro.samples.estimators.MultiSketch` is built —
-    each set splits into the executor's shards, the per-shard summaries
-    compile independently (fanned across the pool when the executor is
-    parallel), and only the ``(n + 1, r)`` gather slab is materialised
-    whole.  Bit-equal to compiling through the sketch for any
-    ``(shards, workers)``, so sessions swap freely between the two.
-    """
-    if not sample_sets:
-        raise InvalidParameterError(
-            "compile_tester_sketches_from_sets needs at least one sample set"
-        )
-    from repro.samples.sharded import sharded_interval_prefixes
-
-    num_shards = 1
-    mapper = None
-    if executor is not None:
-        num_shards = executor.plan.num_shards
-        mapper = executor.map
-    grid = np.arange(n + 1, dtype=np.int64)
-    count_rows, pair_rows = sharded_interval_prefixes(
-        sample_sets, n, grid, num_shards=num_shards, mapper=mapper
-    )
-    return CompiledTesterSketches(
-        np.ascontiguousarray(count_rows.T),
-        np.ascontiguousarray(pair_rows.T),
-        sample_sets[0].shape[0],
-    )
 
 
 def compile_tester_sketches(multi: MultiSketch) -> CompiledTesterSketches:

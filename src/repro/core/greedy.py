@@ -59,8 +59,8 @@ The module is split into layers so samples can be reused across calls
   round-invariant per-candidate self-costs (a dense matrix for a
   triangle, a flat vector for a pair list);
 * :func:`lockstep_learn` — the greedy rounds of any number of runs over
-  compiled sketches, advanced together round by round: the one learn
-  driver every session, fleet and maintainer goes through;
+  compiled sketches, each run stepped alone: the one learn driver every
+  session, fleet and maintainer goes through;
 * :func:`learn_from_samples` — the pure algorithm over one draw.
 
 :func:`learn_histogram` is the classic one-shot composition.
@@ -70,7 +70,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from time import perf_counter
 
 import numpy as np
 
@@ -468,7 +467,7 @@ class _GreedyEngine:
     round whose dirty span covered the point.  State per segment:
     grid-index endpoints, assignedness, and the cached piece cost.  A
     round is three phases — :meth:`rescore`, :meth:`argmin`,
-    :meth:`commit` — which :func:`lockstep_learn` times separately.
+    :meth:`commit` — which :meth:`run_round` chains.
 
     ``full_span=True`` treats the whole grid as dirty every round: every
     term is re-tabulated and every candidate rescored through the same
@@ -802,7 +801,6 @@ def compile_greedy_sketches(
     max_candidates: int | None = None,
     rng: int | None | np.random.Generator = None,
     prefixes: str = "sorted",
-    executor: "object | None" = None,
 ) -> CompiledGreedySketches:
     """Build the candidate set and compile every sketch onto its grid.
 
@@ -827,15 +825,6 @@ def compile_greedy_sketches(
     builders produce bit-identical compiled sketches; ``"dense"`` is the
     fleet compiler's choice when the domain is within a constant of the
     sample sizes.
-
-    ``executor`` (a :class:`repro.api.ParallelExecutor`) switches the
-    prefix build to the shard-mergeable path
-    (:func:`repro.samples.sharded.sharded_interval_prefixes`): every
-    collision set splits into the executor's shards, per-shard summaries
-    compile independently — across the pool when the executor is
-    parallel — and only the ``(G, r)`` gather slab is materialised
-    whole.  Bit-identical to both monolithic builders for any
-    ``(shards, workers)``, so callers mix freely.
     """
     if method not in _METHODS:
         raise InvalidParameterError(f"method must be one of {_METHODS}, got {method!r}")
@@ -843,7 +832,6 @@ def compile_greedy_sketches(
         raise InvalidParameterError(
             f"prefixes must be 'sorted' or 'dense', got {prefixes!r}"
         )
-    started = perf_counter()
     if method == "fast":
         candidates = sample_endpoint_candidates(
             samples.weight_samples, n, max_candidates=max_candidates, rng=rng
@@ -856,25 +844,7 @@ def compile_greedy_sketches(
     from repro.samples.collision import batched_pair_prefixes, dense_interval_prefixes
     from repro.samples.sample_set import SampleSet
 
-    if executor is not None:
-        from repro.samples.sharded import ShardedSketch, sharded_interval_prefixes
-
-        num_shards = executor.plan.num_shards
-        sharded_weight = ShardedSketch.from_array(
-            np.asarray(samples.weight_samples, dtype=np.int64), n, num_shards
-        )
-        weight_set = SampleSet.from_sorted(sharded_weight.merge(), n)
-        pair_rows = sharded_interval_prefixes(
-            samples.collision_sets,
-            n,
-            candidates.grid,
-            num_shards=num_shards,
-            mapper=executor.map,
-            dense=(prefixes == "dense") or None,
-            counts=False,
-        )[1]
-        pair_prefix_cols = np.ascontiguousarray(pair_rows.T, dtype=np.float64)
-    elif prefixes == "dense":
+    if prefixes == "dense":
         weight_values = np.asarray(samples.weight_samples, dtype=np.int64)
         if weight_values.size and (
             weight_values.min() < 0 or weight_values.max() >= n
@@ -907,8 +877,6 @@ def compile_greedy_sketches(
         pair_prefix_cols,
         pairs_per_set,
     )
-    if executor is not None and hasattr(executor, "record_timing"):
-        executor.record_timing("compile", perf_counter() - started)
     return CompiledGreedySketches(
         candidates,
         weight_set,
@@ -980,9 +948,8 @@ class LockstepRun:
     """One learn for :func:`lockstep_learn` to drive.
 
     ``compiled`` must come from :func:`compile_greedy_sketches` over the
-    samples the learn is for; ``params.rounds`` is the run's round budget
-    (runs with smaller budgets finish and drop out of the lockstep
-    earlier).
+    samples the learn is for; ``params.rounds`` is the run's round
+    budget.
     """
 
     compiled: CompiledGreedySketches
@@ -991,58 +958,27 @@ class LockstepRun:
     n: int
 
 
-def lockstep_learn(
-    runs: "list[LockstepRun]", *, executor: "object | None" = None
-) -> list[LearnResult]:
-    """Drive ``runs`` through their greedy rounds in lockstep.
+def lockstep_learn(runs: "list[LockstepRun]") -> list[LearnResult]:
+    """Drive each of ``runs`` through its greedy rounds.
 
     The one learn driver: every session, fleet and maintainer learn ends
-    here.  Per round, one rescore pass over every run still inside its
-    round budget, then one argmin pass, then one commit pass.  Each run
-    owns its engine, so every result is byte-identical to driving that
-    run alone — and to the full-span reference the tests compare against.
-
-    ``executor`` never changes a result: when it keeps timing buckets
-    (:meth:`repro.api.ParallelExecutor.record_timing`), the per-phase
-    wall-clock is billed to it.
+    here.  Each run owns its engine and steps alone through its round
+    budget, so every result is byte-identical to the full-span reference
+    the tests compare against.
     """
-    engines = [_GreedyEngine(run.compiled) for run in runs]
-    reports: list[list[RoundReport]] = [[] for _ in runs]
-    timings = {"rescore": 0.0, "argmin": 0.0, "commit": 0.0}
-    for round_index in range(max((run.params.rounds for run in runs), default=0)):
-        active = [i for i, run in enumerate(runs) if round_index < run.params.rounds]
-        started = perf_counter()
-        rescored = [engines[i].rescore() for i in active]
-        timings["rescore"] += perf_counter() - started
-        started = perf_counter()
-        best = [engines[i].argmin() for i in active]
-        timings["argmin"] += perf_counter() - started
-        started = perf_counter()
-        for i, index, count in zip(active, best, rescored):
-            reports[i].append(engines[i].commit(index, count))
-        timings["commit"] += perf_counter() - started
-    if executor is not None and hasattr(executor, "record_timing"):
-        for phase, seconds in timings.items():
-            executor.record_timing(phase, seconds)
-    return [
-        _package_result(engine, run_reports, run.n, run.params, run.method)
-        for engine, run_reports, run in zip(engines, reports, runs)
-    ]
+    return _reference_learn(runs, full_span=False)
 
 
 def _reference_learn(
-    runs: "list[LockstepRun]",
-    *,
-    executor: "object | None" = None,
-    full_span: bool = True,
+    runs: "list[LockstepRun]", *, full_span: bool = True
 ) -> list[LearnResult]:
     """Drive each run alone through :meth:`_GreedyEngine.run_round`.
 
     The private reference the tests (and the out-of-core bench pair)
     hold :func:`lockstep_learn` to: with ``full_span`` every round
     re-tabulates every grid point and rescores every candidate.  It
-    shares :func:`lockstep_learn`'s signature so it can stand in at a
-    facade's driver seam; ``executor`` is ignored.
+    accepts :func:`lockstep_learn`'s arguments so it can stand in at a
+    facade's driver seam.
     """
     results = []
     for run in runs:
@@ -1065,7 +1001,6 @@ def learn_from_samples(
     max_candidates: int | None = None,
     rng: int | None | np.random.Generator = None,
     compiled: CompiledGreedySketches | None = None,
-    executor: "object | None" = None,
 ) -> LearnResult:
     """Run the greedy rounds on already-drawn samples (no source access).
 
@@ -1074,9 +1009,7 @@ def learn_from_samples(
     the same :class:`LearnResult` the one-shot entry point would.  Pass
     ``compiled`` (from :func:`compile_greedy_sketches` over the same
     samples) to skip the grid/prefix compilation.  The rounds run as a
-    one-run :func:`lockstep_learn`; ``executor`` (a
-    :class:`repro.api.ParallelExecutor`) is forwarded to the compile step
-    and the timing buckets — results never depend on it.
+    one-run :func:`lockstep_learn`.
     """
     if method not in _METHODS:
         raise InvalidParameterError(f"method must be one of {_METHODS}, got {method!r}")
@@ -1095,10 +1028,9 @@ def learn_from_samples(
             method=method,
             max_candidates=max_candidates,
             rng=rng,
-            executor=executor,
         )
     run = LockstepRun(compiled=compiled, params=params, method=method, n=n)
-    return lockstep_learn([run], executor=executor)[0]
+    return lockstep_learn([run])[0]
 
 
 def learn_histogram(

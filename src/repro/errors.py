@@ -85,18 +85,6 @@ class DeadlineExceededError(ReproError):
     fresh budget."""
 
 
-class SlabUnavailableError(ReproError):
-    """A shared-memory slab's segment is gone (or no longer large enough).
-
-    Raised by :meth:`repro.utils.shm.SharedSlab.attach` when the named
-    segment was unlinked and not re-created — the owning executor
-    closed, or the handle outlived the parent that registered it — or
-    when the name was recycled for a segment too small to back the
-    slab's ``shape * itemsize``.  Structured (instead of the raw
-    ``FileNotFoundError`` the OS reports) so the serving taxonomy can
-    classify the failure rather than reporting ``internal``."""
-
-
 class SnapshotError(ReproError):
     """A snapshot file cannot be restored (and a cold rebuild should run).
 

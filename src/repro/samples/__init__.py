@@ -7,8 +7,7 @@
   ``O(log m)`` (the ``z_I`` estimates);
 * :class:`ShardedSketch` — the shard-mergeable form of both: per-shard
   sorted buffers whose merged hit/pair prefix rows are bit-equal to the
-  monolithic sort (and dense counting) paths, enabling parallel and
-  out-of-core compilation;
+  monolithic sort (and dense counting) paths;
 * :mod:`repro.samples.estimators` — the estimator formulas themselves:
   the absolute second-moment estimator of Lemma 1, the conditional
   ``||p_I||_2^2`` estimator of Eq. 2, and their median-of-r combinations.

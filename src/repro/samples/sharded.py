@@ -1,4 +1,4 @@
-"""Mergeable sharded sketches: the sample layer's out-of-core form.
+"""Mergeable sharded sketches: one sample set held as sorted shards.
 
 Every sketch in this library reduces to *prefix statistics over a sorted
 sample multiset* — hit counts ``|S_I|`` and pair counts ``coll(S_I)``
@@ -23,11 +23,10 @@ are **bit-equal** to both the monolithic sort path
 one-sort :func:`~repro.samples.collision.batched_interval_prefixes`) and
 the counting path
 (:func:`~repro.samples.collision.dense_interval_prefixes`) for any shard
-count — the property the conformance matrix pins.  Sharding therefore
-never changes a verdict, histogram, query log, or memo count; it only
-changes how much of the data must be resident and sorted at once, which
-is what lets compilation parallelise per shard
-(:class:`repro.api.ParallelExecutor`) and datasets exceed one buffer.
+count.  Sharding therefore never changes a prefix row; it only changes
+how much of the data must be sorted at once.  The session, fleet and
+service compiles do not use this module: they sort each sample set in
+one piece, which holds one copy fewer than merging shards.
 """
 
 from __future__ import annotations
@@ -75,14 +74,13 @@ def compile_shard_part(
 
     Returns ``(count_at_grid, values, counts)``: the shard's hit-count
     prefix at each grid point plus its run-length (value, occurrence)
-    summary.  This is the per-shard unit of work a
-    :class:`~repro.api.ParallelExecutor` fans out — each task sorts only
-    its chunk, and only these small summaries travel back.
+    summary.  This is the per-shard unit of work
+    :func:`sharded_interval_prefixes` maps over — each task sorts only
+    its chunk and returns only this small summary.
 
     ``grid=None`` skips the hit-count side entirely (``count_at_grid``
-    is then ``None``): pair-only consumers — the greedy learner's
-    collision compile — neither ship the grid to the task nor pay for
-    prefix rows they would discard.
+    is then ``None``): pair-only consumers neither ship the grid to the
+    task nor pay for prefix rows they would discard.
     """
     chunk = np.asarray(chunk, dtype=np.int64)
     if chunk.size and (chunk.min() < 0 or chunk.max() >= n):
@@ -161,13 +159,13 @@ def combine_dense_parts(
 
 
 def _sparse_shard_task(args: tuple) -> tuple:
-    """Executor task: sort one chunk, summarise it (sparse regime)."""
+    """Mapper task: sort one chunk, summarise it (sparse regime)."""
     chunk, n, grid = args
     return compile_shard_part(chunk, n, grid)
 
 
 def _dense_shard_task(args: tuple) -> np.ndarray:
-    """Executor task: bincount one chunk (dense regime)."""
+    """Mapper task: bincount one chunk (dense regime)."""
     chunk, n = args
     return compile_shard_part_dense(chunk, n)
 
@@ -189,10 +187,9 @@ def sharded_interval_prefixes(
     ``grid = arange(n + 1)``, of
     :func:`~repro.samples.collision.dense_interval_prefixes`): every set
     is split into ``num_shards`` contiguous chunks, each chunk is
-    summarised independently — the unit of work ``mapper`` (an
-    order-preserving ``map(fn, tasks) -> list``, e.g.
-    :meth:`repro.api.ParallelExecutor.map`) can fan across processes —
-    and the per-set rows are combined by exact integer arithmetic.  Only
+    summarised independently by ``mapper`` (an order-preserving
+    ``map(fn, tasks) -> list``; a plain loop when ``None``) — and the
+    per-set rows are combined by exact integer arithmetic.  Only
     the ``(r, G)`` output rows are ever materialised whole.
 
     ``dense`` selects the per-shard summary: bincount parts (the fleet
@@ -203,8 +200,7 @@ def sharded_interval_prefixes(
 
     ``counts=False`` returns ``(None, pair_rows)`` and, on the sparse
     path, neither ships the grid to the shard tasks nor computes the
-    hit rows at all — the shape pair-only consumers (the greedy
-    collision compile) want.
+    hit rows at all — the shape pair-only consumers want.
     """
     sets = [np.asarray(s, dtype=np.int64) for s in sample_sets]
     grid = np.asarray(grid, dtype=np.int64)

@@ -6,9 +6,8 @@ bounded admission queue applies backpressure, and a coalescer folds
 same-operation requests into :class:`~repro.streaming.FleetMaintainer`
 batch ops — without changing a single byte of any answer relative to
 request-at-a-time serving.  Requests can carry ``deadline_ms`` latency
-budgets (aged-out work is skipped with a ``deadline_exceeded`` code),
-and the executor underneath self-heals through worker crashes — see
-``README.md`` ("Serving", "Robustness") for the tour and
+budgets (aged-out work is skipped with a ``deadline_exceeded`` code) —
+see ``README.md`` ("Serving", "Robustness") for the tour and
 ``examples/async_serving.py`` for a runnable walkthrough.
 """
 

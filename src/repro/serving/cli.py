@@ -22,7 +22,6 @@ from repro.serving.workload import (
     WorkloadGenerator,
     replay,
 )
-from repro.utils.faults import FaultPlan
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -46,34 +45,10 @@ def _parser() -> argparse.ArgumentParser:
         "--clients", type=int, default=16, help="concurrent replay clients"
     )
     parser.add_argument(
-        "--workers", type=int, default=1, help="executor workers (1 = in-process)"
-    )
-    parser.add_argument(
         "--deadline-ms",
         type=float,
         default=None,
         help="latency budget stamped on every post-warmup request",
-    )
-    parser.add_argument(
-        "--chaos-kill-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help="chaos mode: SIGKILL the worker running every N-th pool task "
-        "(requires --workers > 1)",
-    )
-    parser.add_argument(
-        "--chaos-kill-limit",
-        type=int,
-        default=None,
-        metavar="M",
-        help="cap the number of injected worker kills",
-    )
-    parser.add_argument(
-        "--max-respawns",
-        type=int,
-        default=None,
-        help="pool respawns before the executor degrades to inline execution",
     )
     parser.add_argument(
         "--no-baseline",
@@ -147,15 +122,6 @@ def _report(label: str, report: ReplayReport, health: dict) -> None:
         f"  cache: {stats['cache_hits']} hits / {lookups} lookups "
         f"(hit rate {hit_rate:.1%})"
     )
-    executor = health["executor"]
-    if executor is not None:
-        print(
-            f"  executor: crashes {executor['worker_crashes']}, "
-            f"respawns {executor['respawns']}, "
-            f"retried tasks {executor['retried_tasks']}, "
-            f"degraded {executor['degraded']}, "
-            f"slab fallbacks {executor['slab_fallbacks']}"
-        )
 
 
 async def _run(args: argparse.Namespace) -> None:
@@ -181,16 +147,6 @@ async def _run(args: argparse.Namespace) -> None:
         # off the first run's drain checkpoint and skew the comparison.
         modes.append(("one-at-a-time", 1, 0.0))
     for label, max_batch, linger_us in modes:
-        faults = None
-        if args.chaos_kill_every is not None:
-            # One plan per run: chaos schedules never leak across the
-            # baseline comparison.
-            faults = FaultPlan(
-                seed=args.seed,
-                kill_every=args.chaos_kill_every,
-                kill_limit=args.chaos_kill_limit,
-            )
-            label = f"{label}+chaos"
         cache_capacity = 0 if args.no_cache else args.cache_capacity
         service = HistogramService(
             generator.stream_names,
@@ -203,9 +159,6 @@ async def _run(args: argparse.Namespace) -> None:
                 cache_capacity=cache_capacity,
             ),
             references={config.reference: reference},
-            workers=args.workers,
-            max_respawns=args.max_respawns,
-            faults=faults,
             rng=args.seed,
             snapshot_dir=args.snapshot_dir,
             checkpoint_every=args.checkpoint_every,
@@ -229,8 +182,29 @@ async def _run(args: argparse.Namespace) -> None:
             )
 
 
+def _check(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Reject flag mistakes up front, before any workload is generated."""
+    for flag in ("streams", "max_batch", "clients"):
+        value = getattr(args, flag)
+        if value < 1:
+            parser.error(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
+    if args.cache_capacity < 0:
+        parser.error(f"--cache-capacity must be >= 0, got {args.cache_capacity}")
+    if args.checkpoint_every is not None and args.checkpoint_every < 1:
+        parser.error(
+            f"--checkpoint-every must be >= 1, got {args.checkpoint_every}"
+        )
+    if args.snapshot_dir is None:
+        if args.checkpoint_every is not None:
+            parser.error("--checkpoint-every requires --snapshot-dir")
+        if args.checkpoint_mode == "delta":
+            parser.error("--checkpoint-mode delta requires --snapshot-dir")
+
+
 def main(argv: "list[str] | None" = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    _check(parser, args)
     asyncio.run(_run(args))
     return 0
 

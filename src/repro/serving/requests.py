@@ -43,7 +43,6 @@ from repro.errors import (
     OverloadedError,
     ReproError,
     ServiceClosedError,
-    SlabUnavailableError,
     SnapshotError,
     UnknownStreamError,
 )
@@ -256,7 +255,6 @@ _TAXONOMY: tuple[tuple[type, str], ...] = (
     (InjectedFaultError, "injected_fault"),
     (InsufficientSamplesError, "insufficient_samples"),
     (InvalidParameterError, "invalid_parameter"),
-    (SlabUnavailableError, "slab_unavailable"),
     (SnapshotError, "snapshot_error"),
     (ReproError, "internal"),
 )

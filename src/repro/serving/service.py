@@ -28,11 +28,11 @@ one named stream.  This module is the layer between the two:
   reads of that stream until it resolves, preserving per-stream
   ordering.
 * **backpressure-safe shutdown** — :meth:`close` stops admission
-  (later submits raise :class:`~repro.errors.ServiceClosedError`),
-  drains the backlog, and closes the executor the service owns.
+  (later submits raise :class:`~repro.errors.ServiceClosedError`) and
+  drains the backlog.
 
 The binding contract mirrors every engine PR before it: for any
-``(max_batch, max_linger_us, workers)`` choice, the canonical response
+``(max_batch, max_linger_us)`` choice, the canonical response
 trace (:func:`repro.serving.requests.canonical`) is **byte-identical**
 to request-at-a-time serving (``max_batch=1``) of the same admission
 order — verdicts, histograms, and flatness query logs included.  The
@@ -49,7 +49,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api.shard import ParallelExecutor
 from repro.core.params import GreedyParams, TesterParams
 from repro.errors import (
     DeadlineExceededError,
@@ -70,7 +69,6 @@ from repro.serving.requests import (
     error_response,
 )
 from repro.streaming.fleet import FleetMaintainer
-from repro.utils.faults import FaultPlan
 
 _STOP = object()
 
@@ -156,21 +154,6 @@ class HistogramService:
         Named reference distributions identity requests resolve against
         (``Request.identity(stream, "baseline", ...)``); more can be
         registered later via :meth:`register_reference`.
-    workers:
-        ``> 1`` builds a :class:`~repro.api.ParallelExecutor` the
-        service *owns* — member compiles fan across its fork pool, and
-        :meth:`close` shuts it down.  Mutually exclusive with
-        ``executor``.
-    executor:
-        A caller-owned executor to share instead; the service will not
-        close it.
-    max_respawns / faults:
-        Fault-tolerance knobs for the executor the service owns
-        (``workers > 1``): how many pool respawns before it degrades to
-        inline execution, and an optional test-only
-        :class:`~repro.utils.faults.FaultPlan` chaos seam.  Both require
-        the service to own its executor — a caller-owned executor
-        carries its own settings.
     reservoir_capacity / refresh_every / params / tester_engine / rng:
         Forwarded to the maintainer.
     snapshot_dir:
@@ -218,10 +201,6 @@ class HistogramService:
         *,
         config: ServiceConfig | None = None,
         references: "Mapping[str, object] | None" = None,
-        workers: int = 1,
-        executor: "ParallelExecutor | None" = None,
-        max_respawns: int | None = None,
-        faults: "FaultPlan | None" = None,
         reservoir_capacity: int = 4096,
         refresh_every: int | None = None,
         params: GreedyParams | None = None,
@@ -237,23 +216,10 @@ class HistogramService:
             raise InvalidParameterError("HistogramService needs at least one stream")
         if len(set(streams)) != len(streams):
             raise InvalidParameterError("stream names must be unique")
-        if workers != 1 and executor is not None:
-            raise InvalidParameterError("pass workers or executor, not both")
         self._names = streams
         self._index = {name: member for member, name in enumerate(streams)}
         self._config = config if config is not None else ServiceConfig()
         self._references = dict(references) if references else {}
-        self._owns_executor = executor is None and workers > 1
-        if not self._owns_executor and (max_respawns is not None or faults is not None):
-            raise InvalidParameterError(
-                "max_respawns/faults configure the executor the service owns; "
-                "they require workers > 1 and no caller-owned executor"
-            )
-        if self._owns_executor:
-            executor_kwargs = {} if max_respawns is None else {"max_respawns": max_respawns}
-            self._executor = ParallelExecutor(workers, faults=faults, **executor_kwargs)
-        else:
-            self._executor = executor
         self._maintainer = FleetMaintainer(
             len(streams),
             n,
@@ -264,7 +230,6 @@ class HistogramService:
             params=params,
             tester_engine=tester_engine,
             rng=rng,
-            executor=self._executor,
         )
         self._tester_params = tester_params
         self._n = int(n)
@@ -383,33 +348,18 @@ class HistogramService:
 
     @property
     def stats(self) -> dict:
-        """Serving counters plus per-phase learn timing buckets.
+        """The serving counters.
 
-        ``timings`` mirrors the executor's cumulative
-        compile/rescore/argmin/commit wall-clock
-        (:meth:`~repro.api.ParallelExecutor.record_timing`); a purely
-        serial service reports zeroed buckets.
+        Per-layer timings are not kept here; ``perfbench/run.py --trace
+        1`` breaks a replay's wall time down by layer.
         """
-        stats: dict = dict(self._stats)
-        if self._executor is not None:
-            stats["timings"] = dict(self._executor.health()["timings"])
-        else:
-            stats["timings"] = {
-                "compile": 0.0,
-                "rescore": 0.0,
-                "argmin": 0.0,
-                "commit": 0.0,
-            }
-        return stats
+        return dict(self._stats)
 
     def health(self) -> dict:
-        """One structured snapshot of service and executor health.
+        """One structured snapshot of service health.
 
         ``stats`` are the serving counters (including ``deadline_hits``
-        and ``rejected``); ``executor`` is the owned or shared
-        executor's :meth:`~repro.api.ParallelExecutor.health` — respawn
-        and degradation history — or ``None`` for a purely serial
-        service.
+        and ``rejected``).
         """
         return {
             "streams": len(self._names),
@@ -417,9 +367,6 @@ class HistogramService:
             "warm_started": self._warm_started,
             "generations": self._maintainer.generations,
             "stats": self.stats,
-            "executor": (
-                self._executor.health() if self._executor is not None else None
-            ),
         }
 
     def register_reference(self, name: str, reference: object) -> None:
@@ -603,10 +550,7 @@ class HistogramService:
         ``drain=True`` (the default) serves every already-admitted
         request before returning; ``drain=False`` cancels the collector
         and fails pending requests with
-        :class:`~repro.errors.ServiceClosedError`.  Either way the
-        service's own executor (``workers > 1`` at construction) is
-        closed — its fork-pool workers and shared-memory slabs do not
-        outlive the service.  Idempotent.
+        :class:`~repro.errors.ServiceClosedError`.  Idempotent.
         """
         self._accepting = False
         if self._collector is not None:
@@ -631,8 +575,6 @@ class HistogramService:
                         )
             self._collector = None
             self._queue = None
-        if self._owns_executor and self._executor is not None:
-            self._executor.close()
 
     async def __aenter__(self) -> "HistogramService":
         return await self.start()

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.fleet import HistogramFleet
+from repro.core.flatness import validate_flatness_epsilon
 from repro.core.identity import IdentityResult, test_identity_l2_on_sketch
 from repro.core.params import GreedyParams, TesterParams
 from repro.core.results import LearnResult, TestResult, UniformityResult
@@ -56,13 +57,6 @@ class FleetMaintainer:
         Base seed; one independent child generator is spawned per
         stream (reservoir and session draws share it, mirroring the
         single-stream maintainer).
-    executor:
-        Optional :class:`repro.api.ParallelExecutor` forwarded to the
-        fleet.  Reservoirs feed the shard slabs directly: a refresh
-        touches only the dirty members' slabs (the quiet streams'
-        compiled state never recompiles), and those dirty recompiles
-        fan across the executor's workers.  Byte-identical results; the
-        caller owns the executor.
     """
 
     def __init__(
@@ -77,7 +71,6 @@ class FleetMaintainer:
         params: GreedyParams | None = None,
         tester_engine: str = "compiled",
         rng: "int | None | np.random.Generator" = None,
-        executor: "object | None" = None,
     ) -> None:
         if fleet_size < 1:
             raise InvalidParameterError(
@@ -85,6 +78,7 @@ class FleetMaintainer:
             )
         if n < 1 or k < 1:
             raise InvalidParameterError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+        validate_flatness_epsilon(epsilon)
         self._n = int(n)
         self._k = int(k)
         self._epsilon = float(epsilon)
@@ -112,7 +106,6 @@ class FleetMaintainer:
             rngs=rngs,
             method="fast",
             tester_engine=tester_engine,
-            executor=executor,
         )
         self._items_seen = [0] * fleet_size
         self._since_rebuild = [0] * fleet_size

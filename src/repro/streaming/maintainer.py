@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.session import HistogramSession
+from repro.core.flatness import validate_flatness_epsilon
 from repro.core.params import GreedyParams, TesterParams
 from repro.core.results import TestResult
 from repro.core.selection import SelectionResult
@@ -57,11 +58,6 @@ class StreamingHistogramMaintainer:
     tester_engine:
         Flatness engine forwarded to the session for :meth:`test` /
         :meth:`min_k` (``"compiled"`` or ``"full"``).
-    executor:
-        Optional :class:`repro.api.ParallelExecutor` forwarded to the
-        session: the reservoir's pooled draws feed the shard-mergeable
-        compile builders directly, so rebuild compiles fan per shard.
-        Results stay byte-identical; the caller owns the executor.
     """
 
     def __init__(
@@ -76,15 +72,14 @@ class StreamingHistogramMaintainer:
         forget_after_rebuild: bool = False,
         tester_engine: str = "compiled",
         rng: "int | None | np.random.Generator" = None,
-        executor: "object | None" = None,
     ) -> None:
         if n < 1 or k < 1:
             raise InvalidParameterError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+        validate_flatness_epsilon(epsilon)
         self._n = int(n)
         self._k = int(k)
         self._epsilon = float(epsilon)
         self._tester_engine = tester_engine
-        self._executor = executor
         self._rng = as_rng(rng)
         self._reservoir = ReservoirSampler(reservoir_capacity, self._rng)
         self._refresh_every = (
@@ -119,7 +114,6 @@ class StreamingHistogramMaintainer:
             rng=self._rng,
             method="fast",
             tester_engine=self._tester_engine,
-            executor=self._executor,
         )
 
     def _sync_session(self) -> HistogramSession:

@@ -1,5 +1,5 @@
 """Small shared utilities: RNG handling, prefix sums, tables, timing,
-shared-memory slabs, and deterministic fault injection."""
+and deterministic fault injection."""
 
 from repro.utils.faults import FaultPlan, FaultySource
 from repro.utils.prefix import (

@@ -1,43 +1,28 @@
-"""Deterministic chaos injection for the fault-tolerance layer.
+"""Deterministic fault injection for the failure-path tests.
 
-A :class:`FaultPlan` is a seeded schedule of faults — worker kills,
-task delays, slab-allocation failures, source failures — consumed
-through narrow test-only seams:
+A :class:`FaultPlan` is a replayable schedule of faults consumed through
+narrow test-only seams:
 
-* :class:`~repro.api.ParallelExecutor` (``faults=``) asks the plan for a
-  *directive* per scheduled task (:meth:`FaultPlan.task_directives`) and
-  for allocation verdicts (:meth:`FaultPlan.take_alloc`).  A ``kill``
-  directive SIGKILLs the pool worker that picks the task up (simulating
-  a crashed fork mid-batch); a ``delay`` directive sleeps before the
-  task body (simulating a stalled worker).  Directives carry the
-  parent's PID so a task that ends up executing *inline* — the serial
-  or degraded path — never kills the process under test: the healthy
-  computation simply runs, which is exactly what the byte-identity
-  contract needs from the degradation ladder.
-* :class:`~repro.serving.HistogramService` (``faults=``) threads the
-  plan into the executor it owns.
+* :meth:`FaultPlan.task_directives` hands a seam one directive per
+  scheduled slot; a ``kill`` directive tells it to crash there (the
+  checkpoint-crash test raises mid-``fsync`` on one).
 * :meth:`FaultPlan.wrap_source` wraps a
   :class:`~repro.api.SampleSource` so its N-th draw raises
   :class:`~repro.errors.InjectedFaultError` — the "source dies
   mid-draw" scenario for session/fleet/service error-path tests.
 
 Determinism is the point: the schedule is a pure function of the plan's
-configuration plus the order in which the seams consume it, so a chaos
-run is replayable and the conformance suite can pin fault-path outputs
-byte-identical to fault-free runs.  Counters never reset and never
-depend on wall time; two plans built from equal arguments issue equal
-schedules.
+configuration plus the order in which the seams consume it, so a fault
+run is replayable.  Counters never reset and never depend on wall time;
+two plans built from equal arguments issue equal schedules.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import InjectedFaultError, InvalidParameterError
 
-#: Directive kinds a :class:`FaultPlan` issues per scheduled task.
+#: The directive kind a :class:`FaultPlan` issues for a scheduled kill.
 KILL = "kill"
-DELAY = "delay"
 
 
 def _index_set(indices, label: str) -> frozenset:
@@ -48,146 +33,58 @@ def _index_set(indices, label: str) -> frozenset:
 
 
 class FaultPlan:
-    """A seeded, replayable schedule of injected faults.
+    """A replayable schedule of injected faults.
 
     Parameters
     ----------
-    seed:
-        Seeds the ``kill_chance`` coin flips (unused otherwise); equal
-        seeds + equal knobs give byte-equal schedules.
     kill_at:
-        Task indices (counted across every task the executor schedules,
-        retries included) at which the worker running the task SIGKILLs
-        itself.
-    kill_every:
-        Additionally kill at every ``kill_every``-th task (indices
-        ``kill_every - 1``, ``2 * kill_every - 1``, ...).
-    kill_chance:
-        Per-task kill probability, drawn from the seeded generator.
-    kill_limit:
-        Upper bound on issued kill directives (``None`` = unbounded).
-    delay_at / delay_s:
-        Task indices whose workers sleep ``delay_s`` seconds before
-        running (the stalled-worker fault).
-    fail_alloc_at:
-        Allocation indices (one per ``shared_zeros``/``scratch`` slab
-        request) at which the allocation reports failure, forcing the
-        plain-array fallback path.
+        Slot indices (counted across every slot the seams consume
+        through :meth:`task_directives`) that get a ``kill`` directive.
     fail_draw_at:
         Draw indices at which a :meth:`wrap_source`-wrapped source
         raises :class:`~repro.errors.InjectedFaultError`.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        *,
-        kill_at=(),
-        kill_every: "int | None" = None,
-        kill_chance: float = 0.0,
-        kill_limit: "int | None" = None,
-        delay_at=(),
-        delay_s: float = 0.0,
-        fail_alloc_at=(),
-        fail_draw_at=(),
-    ) -> None:
-        if kill_every is not None and kill_every < 1:
-            raise InvalidParameterError(
-                f"kill_every must be >= 1, got {kill_every!r}"
-            )
-        if not 0.0 <= kill_chance <= 1.0:
-            raise InvalidParameterError(
-                f"kill_chance must be in [0, 1], got {kill_chance!r}"
-            )
-        if kill_limit is not None and kill_limit < 0:
-            raise InvalidParameterError(
-                f"kill_limit must be >= 0, got {kill_limit!r}"
-            )
-        if delay_s < 0:
-            raise InvalidParameterError(f"delay_s must be >= 0, got {delay_s!r}")
+    def __init__(self, *, kill_at=(), fail_draw_at=()) -> None:
         self._kill_at = _index_set(kill_at, "kill_at")
-        self._kill_every = kill_every
-        self._kill_chance = float(kill_chance)
-        self._kill_limit = kill_limit
-        self._delay_at = _index_set(delay_at, "delay_at")
-        self._delay_s = float(delay_s)
-        self._fail_alloc_at = _index_set(fail_alloc_at, "fail_alloc_at")
         self._fail_draw_at = _index_set(fail_draw_at, "fail_draw_at")
-        self._rng = np.random.default_rng(seed)
         self._tasks = 0
-        self._allocs = 0
-        self._injected = {"kills": 0, "delays": 0, "alloc_failures": 0}
-
-    # -------------------------------------------------------------- #
-    # executor seams
-    # -------------------------------------------------------------- #
+        self._injected = {"kills": 0}
 
     def task_directives(self, count: int) -> "list[tuple | None]":
-        """Directives for the next ``count`` scheduled tasks.
+        """Directives for the next ``count`` scheduled slots.
 
-        Consumes ``count`` slots of the task counter — the executor
-        calls this once per ``map`` *attempt*, so a retried batch sees
-        fresh schedule positions and a one-shot kill does not re-fire
-        forever (the respawn-then-succeed path is reachable).
+        Consumes ``count`` slots of the task counter, so a retried
+        operation sees fresh schedule positions and a one-shot kill does
+        not re-fire forever.
         """
         directives: "list[tuple | None]" = []
         for _ in range(max(int(count), 0)):
             index = self._tasks
             self._tasks += 1
-            kill = index in self._kill_at or (
-                self._kill_every is not None
-                and index % self._kill_every == self._kill_every - 1
-            )
-            if not kill and self._kill_chance > 0.0:
-                kill = self._rng.random() < self._kill_chance
-            if kill and (
-                self._kill_limit is None
-                or self._injected["kills"] < self._kill_limit
-            ):
+            if index in self._kill_at:
                 self._injected["kills"] += 1
                 directives.append((KILL,))
-            elif index in self._delay_at:
-                self._injected["delays"] += 1
-                directives.append((DELAY, self._delay_s))
             else:
                 directives.append(None)
         return directives
-
-    def take_alloc(self) -> bool:
-        """Whether the next slab allocation should report failure."""
-        index = self._allocs
-        self._allocs += 1
-        if index in self._fail_alloc_at:
-            self._injected["alloc_failures"] += 1
-            return True
-        return False
-
-    # -------------------------------------------------------------- #
-    # source seam
-    # -------------------------------------------------------------- #
 
     def wrap_source(self, source) -> "FaultySource":
         """``source`` wrapped to raise on the plan's ``fail_draw_at`` draws."""
         return FaultySource(source, fail_at=self._fail_draw_at)
 
-    # -------------------------------------------------------------- #
-    # introspection
-    # -------------------------------------------------------------- #
-
     @property
     def injected(self) -> dict:
-        """Counts of faults issued so far (kills/delays/alloc_failures)."""
+        """Counts of faults issued so far."""
         return dict(self._injected)
 
     @property
     def tasks_scheduled(self) -> int:
-        """How many task slots the executor has consumed."""
+        """How many task slots the seams have consumed."""
         return self._tasks
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"FaultPlan(tasks={self._tasks}, injected={self._injected})"
-        )
+        return f"FaultPlan(tasks={self._tasks}, injected={self._injected})"
 
 
 class FaultySource:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -23,40 +21,4 @@ def small_pmf() -> np.ndarray:
 def pytest_configure(config: pytest.Config) -> None:
     config.addinivalue_line(
         "markers", "slow: long-running statistical tests (always run; marker is informational)"
-    )
-    config.addinivalue_line(
-        "markers",
-        "shm_guard: assert the test leaves no orphaned /dev/shm segments "
-        "(opt-in: executor/chaos tests that allocate shared memory)",
-    )
-
-
-def _shm_segments() -> "set[str]":
-    """The stdlib-created shared-memory names currently in /dev/shm."""
-    try:
-        names = os.listdir("/dev/shm")
-    except FileNotFoundError:  # pragma: no cover - non-Linux hosts
-        return set()
-    return {name for name in names if name.startswith("psm_")}
-
-
-@pytest.fixture(autouse=True)
-def shm_guard(request: pytest.FixtureRequest):
-    """Fail any ``shm_guard``-marked test that orphans a shm segment.
-
-    Autouse but opt-in by marker: the leak check compares ``/dev/shm``
-    before and after the test body, so it must only run for tests that
-    own every segment they see (parallel-executor and chaos tests); a
-    blanket check would race other workers' legitimate segments.
-    """
-    if request.node.get_closest_marker("shm_guard") is None:
-        yield
-        return
-    before = _shm_segments()
-    yield
-    leaked = _shm_segments() - before
-    assert not leaked, (
-        f"test orphaned {len(leaked)} shared-memory segment(s): "
-        f"{sorted(leaked)} — every ParallelExecutor must be closed "
-        "(or collected) before the test returns"
     )

@@ -5,8 +5,7 @@ One fixed operation script (learn + l2/l1 tester grid + min-k) runs at
 pinned seeds through every combination of
 
 * learn route            — ``lockstep`` (the one production driver, as
-  every facade calls it), ``incremental`` (each run stepped alone on
-  the same engine) or ``full`` (the engine's private full-span
+  every facade calls it) or ``full`` (the engine's private full-span
   reference), swapped in at the facades' driver seam,
 * tester (flatness) engine — ``compiled`` / ``full``,
 * sample source          — :class:`ArraySource` / :class:`CountingSource`,
@@ -18,20 +17,11 @@ learned histogram buffers, tester verdicts *with query logs*, and min-k
 selections.  This is the one test that catches an engine drifting from
 the others anywhere in the stack — a new engine or source adapter joins
 the matrix, not a bespoke suite.
-
-A second matrix covers the parallel shard engine: shards (1/2/7) ×
-workers (1/4) × tester engine × learn route, on both drivers, must
-reproduce the serial single-buffer outcomes bit for bit — *including*
-every compiled
-sketch's flatness-memo accounting, since the executor fans compiles and
-miss batches across processes but must never change what gets memoised
-where.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import os
 
@@ -45,13 +35,10 @@ from repro.api import (
     CountingSource,
     HistogramFleet,
     HistogramSession,
-    ParallelExecutor,
-    ShardPlan,
 )
 from repro.core.greedy import _reference_learn
 from repro.core.params import GreedyParams, TesterParams
 from repro.distributions import families
-from repro.utils.faults import FaultPlan
 
 N = 96
 FLEET_SIZE = 3
@@ -64,14 +51,9 @@ TEST_GRID = [(2, 0.3), (4, 0.25)]
 
 # Each learn route's driver; ``None`` keeps the production one.
 LEARN_ROUTES = {
-    "incremental": functools.partial(_reference_learn, full_span=False),
     "full": _reference_learn,
     "lockstep": None,
 }
-# The learn-route axis of the shard/chaos matrices: the executor only
-# touches compiles, which every route shares, so the full-span route
-# adds nothing there.
-SHARD_LEARN_ROUTES = ("incremental", "lockstep")
 TESTER_ENGINES = ("compiled", "full")
 SOURCE_KINDS = ("array", "counting")
 DRIVERS = ("session", "fleet")
@@ -112,11 +94,11 @@ def _freeze_learn(result):
 def _freeze_memo(sessions) -> tuple:
     """Per-member flatness-memo accounting of every compiled budget.
 
-    Part of the byte-identity contract *within* one tester engine: the
-    shard/worker axes fan compiles and miss batches across processes but
-    must leave every member's memo — hits, misses, and distinct entries
-    — exactly as the serial engine does.  (Cells on the ``full`` engine
-    compile nothing, freezing to empty tuples on both sides.)
+    Part of the byte-identity contract *within* one tester engine: a
+    restored fleet, the response cache and the checkpoint mode must
+    leave every member's memo — hits, misses, and distinct entries —
+    exactly as the live, uncached engine does.  (Cells on the ``full``
+    engine compile nothing, freezing to empty tuples on both sides.)
     """
     return tuple(
         tuple(
@@ -135,13 +117,9 @@ def run_scenario(
     source_kind: str,
     driver: str,
     seed: int,
-    executor: ParallelExecutor | None = None,
 ):
-    """One pinned workload; returns ``(outcome, memo accounting)``.
-
-    ``outcome`` is comparable across every matrix axis; the memo
-    accounting only across cells sharing a tester engine (the ``full``
-    engine legitimately memoises nothing).
+    """One pinned workload; returns its outcome, comparable across every
+    matrix axis.
     """
     sources = _make_sources(source_kind)
     seeds = [seed + f for f in range(FLEET_SIZE)]
@@ -149,7 +127,6 @@ def run_scenario(
         tester_engine=tester_engine,
         learn_budget=LEARN_PARAMS,
         test_budget=TEST_PARAMS,
-        executor=executor,
     )
     with learn_route(route):
         if driver == "fleet":
@@ -158,7 +135,6 @@ def run_scenario(
             tested_l2 = fleet.test_many(TEST_GRID, norm="l2")
             tested_l1 = fleet.test_l1(3, 0.3)
             selected = fleet.min_k(0.3, max_k=6, norm="l2")
-            sessions = fleet._sessions
         else:
             sessions = [
                 HistogramSession(source, N, rng=member_seed, **kwargs)
@@ -168,13 +144,12 @@ def run_scenario(
             tested_l2 = [s.test_many(TEST_GRID, norm="l2") for s in sessions]
             tested_l1 = [session.test_l1(3, 0.3) for session in sessions]
             selected = [s.min_k(0.3, max_k=6, norm="l2") for s in sessions]
-    outcome = (
+    return (
         tuple(_freeze_learn(result) for result in learned),
         tuple(tuple(member) for member in tested_l2),
         tuple(tested_l1),
         tuple(selected),
     )
-    return outcome, _freeze_memo(sessions)
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +157,7 @@ def reference_outcomes():
     """The matrix's reference cell (the full-span learn route),
     computed once per pinned seed."""
     return {
-        seed: run_scenario("full", "compiled", "array", "session", seed)[0]
+        seed: run_scenario("full", "compiled", "array", "session", seed)
         for seed in SEEDS
     }
 
@@ -199,143 +174,8 @@ def test_matrix_cell_matches_reference(
     """Pairwise identity via a shared reference cell (equality is
     transitive, so all C(|matrix|, 2) pairs agree iff each cell agrees
     with the reference)."""
-    outcome, _ = run_scenario(route, tester_engine, source_kind, driver, seed)
+    outcome = run_scenario(route, tester_engine, source_kind, driver, seed)
     assert outcome == reference_outcomes[seed]
-
-
-# ------------------------------------------------------------------ #
-# shards × workers × tester engine (the parallel shard engine)
-# ------------------------------------------------------------------ #
-
-SHARDS = (1, 2, 7)
-WORKERS = (1, 4)
-SHARD_MATRIX = list(
-    itertools.product(SHARDS, WORKERS, TESTER_ENGINES, SHARD_LEARN_ROUTES)
-)
-
-
-@pytest.fixture(scope="module")
-def shard_references():
-    """Serial (no-executor) reference per tester engine, both drivers.
-
-    Memo accounting is only comparable within one tester engine, so the
-    shard matrix carries one full ``(outcome, memo)`` reference per
-    engine; outcomes additionally agree across engines through the main
-    matrix's reference cell.
-    """
-    return {
-        (tester_engine, driver): run_scenario(
-            "full", tester_engine, "array", driver, SEEDS[0]
-        )
-        for tester_engine in TESTER_ENGINES
-        for driver in DRIVERS
-    }
-
-
-@pytest.mark.parametrize(
-    "shards,workers,tester_engine,route",
-    SHARD_MATRIX,
-    ids=[f"shards{s}-workers{w}-{te}-{r}" for s, w, te, r in SHARD_MATRIX],
-)
-def test_shard_matrix_cell_matches_reference(
-    shards, workers, tester_engine, route, shard_references
-):
-    """Sharded + parallel execution is byte-identical to the serial
-    single-buffer engine on both drivers — verdicts, histograms, query
-    logs, and per-member memo accounting.  ``resolve_min_batch=1``
-    forces even this tiny fleet's flatness misses through the worker
-    fan-out path when the executor is parallel."""
-    with ParallelExecutor(
-        workers,
-        plan=ShardPlan(shards),
-        resolve_min_batch=1,
-    ) as executor:
-        for driver in DRIVERS:
-            outcome, memo = run_scenario(
-                route,
-                tester_engine,
-                "array",
-                driver,
-                SEEDS[0],
-                executor=executor,
-            )
-            assert (outcome, memo) == shard_references[(tester_engine, driver)]
-
-
-# ------------------------------------------------------------------ #
-# chaos cells: injected faults must not change a byte
-# ------------------------------------------------------------------ #
-
-# (label, plan factory, max_respawns, must_degrade).  Plans are
-# stateful — each cell builds a fresh one.
-CHAOS_CELLS = [
-    (
-        "kill-once",
-        lambda: FaultPlan(kill_at=[0], kill_limit=1),
-        4,
-        False,
-    ),
-    (
-        "kill-until-degraded",
-        lambda: FaultPlan(kill_every=1),
-        1,
-        True,
-    ),
-    (
-        "delay-and-alloc-failures",
-        lambda: FaultPlan(delay_at=[0, 3], delay_s=0.005, fail_alloc_at=[0, 2]),
-        2,
-        False,
-    ),
-]
-
-
-@pytest.mark.shm_guard
-@pytest.mark.parametrize("route", SHARD_LEARN_ROUTES)
-@pytest.mark.parametrize(
-    "label,make_plan,max_respawns,must_degrade",
-    CHAOS_CELLS,
-    ids=[cell[0] for cell in CHAOS_CELLS],
-)
-def test_chaos_cell_matches_reference(
-    label, make_plan, max_respawns, must_degrade, route, shard_references
-):
-    """Every rung of the fault-recovery ladder is byte-identical.
-
-    Workers SIGKILLed mid-batch (respawned, or driven all the way to
-    inline degradation), stalled workers, and failed slab allocations
-    must reproduce the serial reference cell exactly — verdicts,
-    histograms, query logs, and memo accounting.  Kills land in the
-    learners' sharded compiles as well as the testers' fan-outs."""
-    plan = make_plan()
-    with ParallelExecutor(
-        4,
-        plan=ShardPlan(2),
-        resolve_min_batch=1,
-        max_respawns=max_respawns,
-        faults=plan,
-    ) as executor:
-        for driver in DRIVERS:
-            outcome, memo = run_scenario(
-                route,
-                "compiled",
-                "array",
-                driver,
-                SEEDS[0],
-                executor=executor,
-            )
-            assert (outcome, memo) == shard_references[("compiled", driver)], (
-                label,
-                driver,
-            )
-        health = executor.health()
-        assert executor.degraded == must_degrade, label
-        injected = plan.injected
-        assert sum(injected.values()) > 0, label  # chaos really fired
-        if injected["kills"]:
-            assert health["worker_crashes"] >= 1
-        if injected["alloc_failures"]:
-            assert health["slab_fallbacks"] >= 1
 
 
 def test_counting_sources_observe_identical_draws():
@@ -354,9 +194,8 @@ def test_counting_sources_observe_identical_draws():
 # ------------------------------------------------------------------ #
 
 
-@pytest.mark.shm_guard
-@pytest.mark.parametrize("workers,shards", [(0, 0), (4, 2)], ids=["serial", "sharded"])
-def test_snapshot_cell_matches_live_fleet(tmp_path, workers, shards):
+@pytest.mark.parametrize("case", ["serial"])
+def test_snapshot_cell_matches_live_fleet(tmp_path, case):
     """A fleet restored mid-workload finishes it byte-identically.
 
     Phase A (learn + one tester call) runs on a live fleet, which is
@@ -364,13 +203,12 @@ def test_snapshot_cell_matches_live_fleet(tmp_path, workers, shards):
     *larger*-budget tester call that forces the restored read-only pools
     to grow and spends restored rng draws — runs on both the live fleet
     and a freshly built fleet restored from the file.  Outcomes and
-    per-member memo accounting must match exactly, on the serial and the
-    sharded/parallel executor alike.
+    per-member memo accounting must match exactly.
     """
     seeds = [SEEDS[0] + f for f in range(FLEET_SIZE)]
     grown = TesterParams(num_sets=5, set_size=2_500)
 
-    def build(executor):
+    def build():
         return HistogramFleet(
             _make_sources("array"),
             N,
@@ -378,7 +216,6 @@ def test_snapshot_cell_matches_live_fleet(tmp_path, workers, shards):
             tester_engine="compiled",
             learn_budget=LEARN_PARAMS,
             test_budget=TEST_PARAMS,
-            executor=executor,
         )
 
     def phase_b(fleet):
@@ -391,26 +228,15 @@ def test_snapshot_cell_matches_live_fleet(tmp_path, workers, shards):
         )
         return outcome, _freeze_memo(fleet._sessions)
 
-    executor = None
-    if workers:
-        executor = ParallelExecutor(
-            workers,
-            plan=ShardPlan(shards),
-            resolve_min_batch=1,
-        )
-    try:
-        live = build(executor)
-        live.learn(3, 0.3)
-        live.test_l2(2, 0.3)
-        path = tmp_path / "fleet.snap"
-        live.snapshot(path)
+    live = build()
+    live.learn(3, 0.3)
+    live.test_l2(2, 0.3)
+    path = tmp_path / "fleet.snap"
+    live.snapshot(path)
 
-        restored = build(executor)
-        restored.restore(path)
-        assert phase_b(live) == phase_b(restored)
-    finally:
-        if executor is not None:
-            executor.close()
+    restored = build()
+    restored.restore(path)
+    assert phase_b(live) == phase_b(restored)
 
 
 # ------------------------------------------------------------------ #
@@ -509,7 +335,6 @@ def test_response_cache_cell_matches_reference():
     assert cached_memo == reference_memo
 
 
-@pytest.mark.shm_guard
 @pytest.mark.parametrize("mode", ["full", "delta"])
 def test_checkpoint_mode_cell_matches_live_service(tmp_path, mode):
     """A service restored from either checkpoint mode finishes the

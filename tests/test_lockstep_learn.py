@@ -1,15 +1,15 @@
-"""The lockstep learn driver: byte-identity against per-run references.
+"""The learn driver: byte-identity against per-run references.
 
 :func:`repro.core.greedy.lockstep_learn` is the one learn driver:
 sessions, fleets and maintainers hand it any batch of runs (a session's
 ``learn_many`` grid, a fleet's members, the full fleet x grid product)
-and it advances them round by round together on the one greedy engine.
+and it steps each run through its rounds on the one greedy engine.
 Its contract — byte-identical histograms, per-round traces, priority
 logs and draw accounting — is pinned here against two references
 swapped in at the facades' driver seam: every run stepped alone on the
 same incremental engine, and the engine's private full-span mode.  The
-hypothesis cases mix round budgets (so early-finishing runs drop out of
-the lockstep mid-batch) and cover both candidate methods.
+hypothesis cases mix round budgets within one batch and cover both
+candidate methods.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from repro.api import (
     ArraySource,
     HistogramFleet,
     HistogramSession,
-    ParallelExecutor,
-    ShardPlan,
 )
 from repro.core.greedy import _reference_learn
 from repro.core.params import GreedyParams, greedy_rounds
@@ -79,9 +77,9 @@ def _member_values(n, fleet_size, seed):
 
 
 def test_grid_round_budgets_really_differ():
-    """Guard the premise of the drop-out coverage: the pinned grid mixes
-    round budgets, so lockstep batches over it exercise the active-mask
-    early-convergence path (not just equal-length runs)."""
+    """Guard the premise of the mixed-budget coverage: the pinned grid
+    mixes round budgets, so batches over it hold runs of different
+    lengths (not just equal-length runs)."""
     budgets = {greedy_rounds(k, epsilon) for k, epsilon in MIXED_GRID}
     assert len(budgets) > 1
 
@@ -119,8 +117,8 @@ def test_session_lockstep_matches_incremental(seed, method):
     method=METHODS,
 )
 def test_fleet_learn_many_matches_looped_sessions(seed, fleet_size, method):
-    """Fleet lockstep over the full ``F x P`` batch — members with
-    differing round budgets dropping out mid-lockstep — equals looping
+    """One fleet batch over the full ``F x P`` product — members with
+    differing round budgets side by side — equals looping
     sessions through the full-span reference point by point: histograms,
     round traces, priority histograms, and draw accounting."""
     n = 96
@@ -178,28 +176,3 @@ def test_fleet_learn_matches_looped_sessions_single_point():
     assert [_freeze(r) for r in fleet_results] == [
         _freeze(r) for r in session_results
     ]
-
-
-def test_learns_bill_phase_timings_to_the_executor():
-    """A learn through an executor fills its compile/rescore/argmin/commit
-    timing buckets — the ones ``health()`` and the service's ``stats()``
-    surface — and the executor moves no byte of the results."""
-    n = 96
-    member_values = _member_values(n, 2, 9)
-
-    def run(executor):
-        fleet = HistogramFleet(
-            [ArraySource(values, n) for values in member_values],
-            n,
-            rngs=[1, 2],
-            learn_budget=LEARN_PARAMS,
-            executor=executor,
-        )
-        return [[_freeze(r) for r in member] for member in fleet.learn_many(MIXED_GRID)]
-
-    serial = run(None)
-    with ParallelExecutor(2, plan=ShardPlan(2)) as executor:
-        assert run(executor) == serial
-        timings = executor.health()["timings"]
-    for phase in ("compile", "rescore", "argmin", "commit"):
-        assert timings[phase] > 0.0, phase

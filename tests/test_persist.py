@@ -547,7 +547,6 @@ class TestSessionRoundTrip:
         assert excinfo.value.reason == "config-mismatch"
 
 
-@pytest.mark.shm_guard
 class TestMaintainerRoundTrip:
     def test_restored_maintainer_is_byte_identical(self, tmp_path):
         live = _built_maintainer(seed=3)
@@ -708,7 +707,6 @@ async def _serve(service: HistogramService, requests) -> list:
     return responses
 
 
-@pytest.mark.shm_guard
 class TestServiceWarmStart:
     def test_restarted_service_answers_byte_identically(self, tmp_path):
         async def scenario():
@@ -837,7 +835,6 @@ class TestServiceWarmStart:
         asyncio.run(scenario())
 
 
-@pytest.mark.shm_guard
 class TestServiceDeltaCheckpoints:
     def test_delta_chain_restores_byte_identically(self, tmp_path):
         async def scenario():

@@ -1,14 +1,13 @@
 """The serving layer: coalescing conformance, backpressure, lifecycle.
 
 The binding contract (README.md, "Serving"): for ANY admission-window
-shape — ``max_batch``, ``max_linger_us``, ``workers`` — the canonical
+shape — ``max_batch`` and ``max_linger_us`` — the canonical
 response trace of a replayed workload is byte-identical to
 request-at-a-time serving (``max_batch=1``) of the same admission
 order.  The lockstep conformance tests pin that, error paths included;
 the rest of the file covers the service's own machinery: admission
 backpressure (``OverloadedError`` + retry-after), graceful drain,
-abandon-on-close, the request/response taxonomy, and the executor the
-service owns.
+abandon-on-close, the request/response taxonomy, and the CLI.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from repro.serving import (
     error_code,
     replay,
 )
-from repro.utils.faults import FaultPlan
 
 N, K, EPSILON = 256, 4, 0.35
 REFERENCE = np.full(N, 1.0 / N)
@@ -74,9 +72,6 @@ def build_service(
     *,
     max_batch,
     linger_us,
-    workers=1,
-    faults=None,
-    max_respawns=None,
     cache_capacity=None,
 ):
     config_kwargs = dict(
@@ -91,9 +86,6 @@ def build_service(
         EPSILON,
         config=ServiceConfig(**config_kwargs),
         references={"baseline": REFERENCE},
-        workers=workers,
-        faults=faults,
-        max_respawns=max_respawns,
         reservoir_capacity=N,
         rng=7,
     )
@@ -104,12 +96,8 @@ def replay_canonical(
     *,
     max_batch,
     linger_us,
-    workers=1,
     clients=24,
-    faults=None,
-    max_respawns=None,
     cache_capacity=None,
-    health_sink=None,
 ):
     """Replay ``config``'s trace; return the canonical response trace."""
     generator = WorkloadGenerator(config)
@@ -120,15 +108,10 @@ def replay_canonical(
             generator.stream_names,
             max_batch=max_batch,
             linger_us=linger_us,
-            workers=workers,
-            faults=faults,
-            max_respawns=max_respawns,
             cache_capacity=cache_capacity,
         )
         async with service:
             report = await replay(service, trace, clients=clients, collect=True)
-            if health_sink is not None:
-                health_sink.append(service.health())
         return report
 
     report = asyncio.run(run())
@@ -158,12 +141,6 @@ class TestCoalescingConformance:
         errors = [entry for entry in reference if entry[1][0] == ("ok", False)]
         assert errors  # the workload does exercise the error path
         trace = replay_canonical(config, max_batch=16, linger_us=400.0)
-        assert trace == reference
-
-    def test_parallel_executor_matches_serial(self):
-        config = mixed_workload(requests=40, seed=5)
-        reference = replay_canonical(config, max_batch=1, linger_us=0.0)
-        trace = replay_canonical(config, max_batch=16, linger_us=400.0, workers=2)
         assert trace == reference
 
     def test_coalescing_actually_batches(self):
@@ -297,56 +274,6 @@ class TestResponseCache:
         assert after[1] == before[1]  # the quiet member did not
 
 
-@pytest.mark.shm_guard
-class TestChaosConformance:
-    """Worker kills mid-replay must not change a byte of any answer.
-
-    The acceptance criterion of the fault-tolerance PR: a service whose
-    pool workers are killed by a pinned
-    :class:`~repro.utils.faults.FaultPlan` — healed by respawns, or
-    driven all the way down the ladder to inline degradation — returns
-    responses byte-identical to a fault-free ``workers=1`` run of the
-    same admission order.
-    """
-
-    def test_worker_kills_heal_byte_identically(self):
-        config = mixed_workload(requests=40, seed=5)
-        reference = replay_canonical(config, max_batch=1, linger_us=0.0)
-        health_sink: list = []
-        trace = replay_canonical(
-            config,
-            max_batch=16,
-            linger_us=400.0,
-            workers=2,
-            faults=FaultPlan(kill_at=[0], kill_every=40, kill_limit=3),
-            max_respawns=8,
-            health_sink=health_sink,
-        )
-        assert trace == reference
-        executor = health_sink[0]["executor"]
-        assert executor["worker_crashes"] >= 1  # chaos really fired
-        assert executor["respawns"] >= 1
-        assert not executor["degraded"]
-
-    def test_degraded_service_matches_serial(self):
-        config = mixed_workload(requests=40, seed=5)
-        reference = replay_canonical(config, max_batch=1, linger_us=0.0)
-        health_sink: list = []
-        trace = replay_canonical(
-            config,
-            max_batch=16,
-            linger_us=400.0,
-            workers=2,
-            faults=FaultPlan(kill_every=1),  # every attempt dies
-            max_respawns=1,
-            health_sink=health_sink,
-        )
-        assert trace == reference
-        executor = health_sink[0]["executor"]
-        assert executor["degraded"] and not executor["parallel"]
-        assert [e["kind"] for e in executor["events"]][-1] == "degraded"
-
-
 class TestDeadlines:
     def test_spent_budget_rejected_at_admission(self):
         async def run():
@@ -452,11 +379,9 @@ class TestDeadlines:
 
 
 class TestHealthSurface:
-    def test_health_reports_service_and_executor(self):
+    def test_health_reports_service_state(self):
         async def run():
-            service = build_service(
-                ["a", "b"], max_batch=4, linger_us=0.0, workers=2
-            )
+            service = build_service(["a", "b"], max_batch=4, linger_us=0.0)
             async with service:
                 await service.submit(Request.ingest("a", np.arange(16) % N))
                 return service.health()
@@ -464,23 +389,7 @@ class TestHealthSurface:
         health = asyncio.run(run())
         assert health["streams"] == 2 and health["accepting"]
         assert health["stats"]["served"] == 1
-        executor = health["executor"]
-        assert executor["workers"] == 2 and not executor["degraded"]
-        assert executor["worker_crashes"] == 0
-
-    def test_serial_service_has_no_executor_health(self):
-        async def run():
-            service = build_service(["a"], max_batch=1, linger_us=0.0)
-            async with service:
-                return service.health()
-
-        assert asyncio.run(run())["executor"] is None
-
-    def test_fault_knobs_require_an_owned_executor(self):
-        with pytest.raises(InvalidParameterError):
-            build_service(["a"], max_batch=1, linger_us=0.0, faults=FaultPlan())
-        with pytest.raises(InvalidParameterError):
-            build_service(["a"], max_batch=1, linger_us=0.0, max_respawns=3)
+        assert not health["warm_started"]
 
 
 class TestAdmission:
@@ -686,21 +595,18 @@ class TestLifecycle:
         results = asyncio.run(run())
         assert all(isinstance(r, ServiceClosedError) for r in results)
 
-    def test_close_is_idempotent_and_closes_owned_executor(self):
+    def test_close_is_idempotent(self):
         async def run():
-            service = build_service(
-                ["a", "b"], max_batch=4, linger_us=0.0, workers=2
-            )
+            service = build_service(["a", "b"], max_batch=4, linger_us=0.0)
             async with service:
                 await service.submit(Request.ingest("a", list(range(16))))
                 response = await service.submit(Request.test("a"))
-            executor = service._executor
             await service.close()  # second close: no-op
-            return response, executor
+            return response, service
 
-        response, executor = asyncio.run(run())
+        response, service = asyncio.run(run())
         assert response.ok
-        assert executor._closed
+        assert service.stats["served"] == 2
 
     def test_double_start_rejected(self):
         async def run():
@@ -775,8 +681,11 @@ class TestRequestShapes:
             HistogramService([], N, K)
         with pytest.raises(InvalidParameterError):
             HistogramService(["a", "a"], N, K)
-        with pytest.raises(InvalidParameterError):
-            HistogramService(["a"], N, K, workers=2, executor=object())
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, 2.0, -1.0, float("nan")])
+    def test_service_rejects_epsilon_outside_unit_interval(self, epsilon):
+        with pytest.raises(InvalidParameterError, match=r"epsilon must be in \(0, 1\)"):
+            HistogramService(["a"], N, K, epsilon)
 
     def test_canonical_rejects_unknown_objects(self):
         with pytest.raises(TypeError):
@@ -863,6 +772,44 @@ class TestReplayBackpressure:
 
 
 class TestCli:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--checkpoint-every", "2"], "--checkpoint-every requires --snapshot-dir"),
+            (["--checkpoint-mode", "delta"], "--checkpoint-mode delta requires"),
+            (["--max-batch", "0"], "--max-batch must be >= 1"),
+            (["--clients", "0"], "--clients must be >= 1"),
+            (["--streams", "0"], "--streams must be >= 1"),
+            (["--cache-capacity", "-1"], "--cache-capacity must be >= 0"),
+            (["--checkpoint-every", "0"], "--checkpoint-every must be >= 1"),
+        ],
+        ids=[
+            "checkpoint-every-no-dir",
+            "delta-no-dir",
+            "max-batch-0",
+            "clients-0",
+            "streams-0",
+            "cache-capacity-negative",
+            "checkpoint-every-0",
+        ],
+    )
+    def test_flag_mistakes_exit_before_any_work(
+        self, capsys, monkeypatch, flags, message
+    ):
+        import repro.serving.cli as cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the workload was generated")
+
+        monkeypatch.setattr(cli, "WorkloadGenerator", no_work)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(flags)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+
     def test_repro_serve_runs_both_modes(self, capsys):
         from repro.serving.cli import main
 
@@ -892,25 +839,6 @@ class TestCli:
         )
         out = capsys.readouterr().out
         assert "[coalesced]" in out and "[one-at-a-time]" not in out
-
-    @pytest.mark.shm_guard
-    def test_repro_serve_chaos_mode_prints_executor_health(self, capsys):
-        from repro.serving.cli import main
-
-        assert (
-            main(
-                [
-                    "--streams", "2", "--requests", "10", "--n", "128",
-                    "--k", "4", "--clients", "4", "--no-baseline",
-                    "--workers", "2", "--chaos-kill-every", "40",
-                    "--chaos-kill-limit", "1", "--max-respawns", "4",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "[coalesced+chaos]" in out
-        assert "executor:" in out and "respawns" in out
 
     def test_repro_serve_snapshot_dir_warm_starts_second_run(
         self, capsys, tmp_path

@@ -16,6 +16,7 @@ import pytest
 from repro.api import (
     ArraySource,
     CountingSource,
+    HistogramFleet,
     HistogramSession,
     SampleSource,
     as_sample_source,
@@ -263,6 +264,57 @@ class TestSessionBehaviour:
         session = HistogramSession(values, N, rng=1, scale=0.05)
         result = session.learn(4, 0.3)
         assert result.histogram.n == N
+
+
+_BAD_LEARN_POINTS = [(0, 0.3), (-2, 0.3), (2, 0.0), (2, float("nan"))]
+
+
+class TestLearnValidation:
+    """A learn rejects an invalid (k, epsilon) even with explicit params."""
+
+    @pytest.mark.parametrize(
+        "k, epsilon", _BAD_LEARN_POINTS, ids=["k0", "k-2", "eps0", "eps-nan"]
+    )
+    @pytest.mark.parametrize("surface", ["session", "fleet", "maintainer", "service"])
+    def test_bad_point_rejected_before_any_draw(self, surface, k, epsilon):
+        message = "k must be a positive integer" if k < 1 else r"epsilon must be in \(0, 1\)"
+        if surface == "session":
+            session = HistogramSession(DIST, N, rng=1)
+            with pytest.raises(InvalidParameterError, match=message):
+                session.learn(k, epsilon, params=LEARN_PARAMS)
+            with pytest.raises(InvalidParameterError, match=message):
+                session.learn_many([(2, 0.3), (k, epsilon)], params=LEARN_PARAMS)
+            assert session.samples_drawn == 0
+        elif surface == "fleet":
+            fleet = HistogramFleet([DIST, DIST], N, rngs=[1, 2])
+            with pytest.raises(InvalidParameterError, match=message):
+                fleet.learn(k, epsilon, params=LEARN_PARAMS)
+            with pytest.raises(InvalidParameterError, match=message):
+                fleet.learn_many([(k, epsilon)], params=LEARN_PARAMS)
+            assert fleet.samples_drawn == [0, 0]
+        elif surface == "maintainer":
+            from repro.streaming import FleetMaintainer
+
+            maintainer = FleetMaintainer(2, N, 2, 0.3, reservoir_capacity=256, rng=3)
+            maintainer.update_many(0, DIST.sample(512, rng=4))
+            with pytest.raises(InvalidParameterError, match=message):
+                maintainer.learn(k, epsilon, members=[0])
+        else:
+            import asyncio
+
+            from repro.serving import HistogramService, Request
+
+            async def run():
+                service = HistogramService(
+                    ["a"], N, 2, 0.3, reservoir_capacity=256, rng=3
+                )
+                async with service:
+                    await service.submit(Request.ingest("a", DIST.sample(512, rng=4)))
+                    return await service.submit(Request.learn("a", k, epsilon))
+
+            response = asyncio.run(run())
+            assert not response.ok
+            assert response.error_code == "invalid_parameter"
 
 
 class TestGrowablePool:

@@ -229,6 +229,27 @@ class TestMaintainer:
             StreamingHistogramMaintainer(64, 2, refresh_every=0)
 
 
+_BAD_EPSILONS = [0.0, 1.0, 2.0, -1.0, float("nan")]
+
+
+class TestConstructionEpsilon:
+    """Both maintainers reject an operating epsilon outside (0, 1) up
+    front, with the testers' message, instead of failing every later
+    default-epsilon probe."""
+
+    @pytest.mark.parametrize("epsilon", _BAD_EPSILONS)
+    def test_single_stream_maintainer(self, epsilon):
+        with pytest.raises(InvalidParameterError, match=r"epsilon must be in \(0, 1\)"):
+            StreamingHistogramMaintainer(64, 2, epsilon)
+
+    @pytest.mark.parametrize("epsilon", _BAD_EPSILONS)
+    def test_fleet_maintainer(self, epsilon):
+        from repro.streaming import FleetMaintainer
+
+        with pytest.raises(InvalidParameterError, match=r"epsilon must be in \(0, 1\)"):
+            FleetMaintainer(2, 64, 2, epsilon)
+
+
 class TestEmptyStreamProbes:
     """Probing any maintainer before its first observation is a clear
     :class:`EmptyStreamError` (a ReproError), never a stale-pool crash."""
