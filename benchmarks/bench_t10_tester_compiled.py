@@ -1,17 +1,18 @@
-"""T10 — the compiled tester engine vs the per-query path.
+"""T10 — the compiled tester vs the per-query reference.
 
 Each workload is benchmarked twice over one prebuilt
-:class:`~repro.samples.estimators.MultiSketch` — ``engine="compiled"``
-(including its compile step, so every round pays the cold cost) and
-``engine="full"`` — and the pairs feed ``BENCH_tester.json`` via
-``benchmarks/record_tester_bench.py``.  Two workloads:
+:class:`~repro.samples.estimators.MultiSketch` — the compiled tester
+(including its compile step, so every round pays the cold cost) and the
+private per-query reference ``_reference_test`` — and the pairs feed
+``BENCH_tester.json`` via ``benchmarks/record_tester_bench.py``.  Two
+workloads:
 
 * a 4-point l2 ``test_many``-style grid (the session batch shape;
   acceptance bar: the compiled pair must show >= 3x);
 * one large l1 test on a sawtooth — Algorithm 2's worst case, committing
   ``k`` short pieces at ~14 binary-search probes each.
 
-Results are asserted byte-identical across engines on every round.
+Results are asserted byte-identical to the reference on every round.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from repro.core.flatness import compile_tester_sketches
 from repro.core.params import TesterParams
+from repro.core.tester import _reference_test
 
 # Alias the paper-named ``test*`` functions so pytest does not collect them.
 from repro.core.tester import test_l1_on_sketch as l1_on_sketch
@@ -65,9 +67,7 @@ def _grid_compiled():
     multi = _grid_multi()
     compiled = compile_tester_sketches(multi)  # cold compile every round
     return [
-        l2_on_sketch(
-            multi, GRID_N, k, eps, GRID_PARAMS, engine="compiled", compiled=compiled
-        )
+        l2_on_sketch(multi, GRID_N, k, eps, GRID_PARAMS, compiled=compiled)
         for k, eps in GRID
     ]
 
@@ -75,25 +75,22 @@ def _grid_compiled():
 def _grid_full():
     multi = _grid_multi()
     return [
-        l2_on_sketch(multi, GRID_N, k, eps, GRID_PARAMS, engine="full")
-        for k, eps in GRID
+        _reference_test(multi, GRID_N, k, eps, "l2", GRID_PARAMS) for k, eps in GRID
     ]
 
 
 def _large_compiled():
-    return l1_on_sketch(
-        _large_multi(), LARGE_N, LARGE_K, LARGE_EPS, LARGE_PARAMS, engine="compiled"
-    )
+    return l1_on_sketch(_large_multi(), LARGE_N, LARGE_K, LARGE_EPS, LARGE_PARAMS)
 
 
 def _large_full():
-    return l1_on_sketch(
-        _large_multi(), LARGE_N, LARGE_K, LARGE_EPS, LARGE_PARAMS, engine="full"
+    return _reference_test(
+        _large_multi(), LARGE_N, LARGE_K, LARGE_EPS, "l1", LARGE_PARAMS
     )
 
 
 def test_tester_grid_kernel(benchmark):
-    """4-point l2 grid on the compiled engine (cold compile included)."""
+    """4-point l2 grid on the compiled tester (cold compile included)."""
     results = benchmark.pedantic(_grid_compiled, rounds=5, iterations=1, warmup_rounds=1)
     assert results == _grid_full()  # byte-identical verdicts and logs
 
@@ -105,7 +102,7 @@ def test_tester_grid_kernel_full(benchmark):
 
 
 def test_tester_l1_large_kernel(benchmark):
-    """One large l1 sawtooth test on the compiled engine."""
+    """One large l1 sawtooth test on the compiled tester."""
     result = benchmark.pedantic(_large_compiled, rounds=2, iterations=1, warmup_rounds=1)
     assert result == _large_full()
 

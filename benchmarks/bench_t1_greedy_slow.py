@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from conftest import emit
 
-from repro.core.greedy import learn_histogram
+from repro.api import HistogramSession
 from repro.distributions import families
 from repro.experiments.learning import run_t1
 
@@ -17,10 +17,11 @@ def test_t1_table(benchmark, quick_config):
 
 
 def test_exhaustive_greedy_kernel(benchmark):
-    """Micro: one exhaustive learn on n=128 (the n^2-candidate regime)."""
+    """Micro: one exhaustive learn on n=128 (the n^2-candidate regime),
+    a fresh session per call."""
     dist = families.random_tiling_histogram(128, 4, 11, min_piece=4)
     benchmark(
-        lambda: learn_histogram(
-            dist, 128, 4, 0.25, method="exhaustive", scale=0.02, rng=1
-        )
+        lambda: HistogramSession(
+            dist, 128, rng=1, scale=0.02, method="exhaustive"
+        ).learn(4, 0.25)
     )

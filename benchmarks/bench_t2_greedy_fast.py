@@ -1,8 +1,8 @@
 """T2 — fast greedy (Theorem 2) vs exhaustive.
 
 The kernel benchmarks track the one greedy engine (README.md,
-"Incremental scoring"), each learn a one-run lockstep through
-``learn_histogram``: ``test_fast_greedy_kernel_large`` is the headline
+"Incremental scoring"), each learn a one-run lockstep through a fresh
+session's ``learn``: ``test_fast_greedy_kernel_large`` is the headline
 grid point — millions of candidates over many rounds, where dirty-span
 rescoring pays — and feeds ``BENCH_greedy.json`` (see
 ``benchmarks/record_greedy_bench.py``).
@@ -20,8 +20,8 @@ import numpy as np
 from conftest import emit
 
 import repro.core.greedy as greedy
+from repro.api import HistogramSession
 from repro.core.candidates import CandidateSet, sample_endpoint_candidates
-from repro.core.greedy import learn_histogram
 from repro.core.params import GreedyParams
 from repro.distributions import families
 from repro.experiments.learning import run_t2
@@ -46,14 +46,13 @@ def test_fast_greedy_kernel(benchmark):
     """Micro: one fast learn on n=512 (sample-endpoint candidates)."""
     dist = families.zipf(512, 1.0)
     benchmark(
-        lambda: learn_histogram(dist, 512, 4, 0.25, method="fast", scale=0.02, rng=1)
+        lambda: HistogramSession(dist, 512, rng=1, scale=0.02, method="fast").learn(4, 0.25)
     )
 
 
 def _learn_large(dist):
-    return learn_histogram(
-        dist, LARGE_N, 8, 0.2, method="fast", params=LARGE_PARAMS, rng=1
-    )
+    session = HistogramSession(dist, LARGE_N, rng=1, method="fast")
+    return session.learn(8, 0.2, params=LARGE_PARAMS)
 
 
 def _pair_list_candidates(*args, **kwargs):
@@ -84,9 +83,9 @@ def test_exhaustive_greedy_kernel(benchmark):
     """Macro: one exhaustive learn (Algorithm 1) on n=512, C(n+1, 2) candidates."""
     dist = families.zipf(512, 1.0)
     result = benchmark.pedantic(
-        lambda: learn_histogram(
-            dist, 512, 4, 0.25, method="exhaustive", scale=0.02, rng=1
-        ),
+        lambda: HistogramSession(
+            dist, 512, rng=1, scale=0.02, method="exhaustive"
+        ).learn(4, 0.25),
         rounds=1,
         iterations=1,
     )

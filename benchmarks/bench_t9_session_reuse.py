@@ -3,7 +3,7 @@
 The facade claim (README.md "The front door"): answering a ``(k, eps)``
 grid through one :class:`repro.api.HistogramSession` amortises sampling,
 sketch building, and candidate-grid compilation, and must be at least 2x
-faster than the same grid through independent one-shot calls at the same
+faster than the same grid through a fresh session per call at the same
 per-point budget.
 """
 
@@ -14,9 +14,7 @@ from dataclasses import replace
 from conftest import emit
 
 from repro.api import CountingSource, HistogramSession
-from repro.core.greedy import learn_histogram
 from repro.core.params import GreedyParams, TesterParams, greedy_rounds
-from repro.core.tester import test_k_histogram_l2 as khist_test_l2
 from repro.distributions import families
 from repro.experiments.harness import ExperimentResult
 from repro.utils.timing import Timer
@@ -36,14 +34,8 @@ MAX_CANDIDATES = 8_000
 
 def _per_call_learn():
     return [
-        learn_histogram(
-            DIST,
-            N,
-            k,
-            eps,
-            params=replace(LEARN_BUDGET, rounds=greedy_rounds(k, eps)),
-            max_candidates=MAX_CANDIDATES,
-            rng=1,
+        HistogramSession(DIST, N, rng=1, max_candidates=MAX_CANDIDATES).learn(
+            k, eps, params=replace(LEARN_BUDGET, rounds=greedy_rounds(k, eps))
         )
         for k, eps in GRID
     ]
@@ -58,7 +50,8 @@ def _session_learn():
 
 def _per_call_test():
     return [
-        khist_test_l2(DIST, N, k, eps, params=TEST_BUDGET, rng=1) for k, eps in GRID
+        HistogramSession(DIST, N, rng=1).test_l2(k, eps, params=TEST_BUDGET)
+        for k, eps in GRID
     ]
 
 
@@ -68,7 +61,7 @@ def _session_test():
 
 
 def test_t9_learn_grid_speedup():
-    """learn_many over a 4-point grid: >= 2x vs four one-shot calls."""
+    """learn_many over a 4-point grid: >= 2x vs four fresh sessions."""
     with Timer() as t_per_call:
         per_call = _per_call_learn()
     with Timer() as t_sess:
@@ -106,7 +99,7 @@ def test_t9_learn_grid_speedup():
 
 
 def test_t9_test_grid_speedup():
-    """test_many over a 4-point grid: >= 2x vs four one-shot calls."""
+    """test_many over a 4-point grid: >= 2x vs four fresh sessions."""
     with Timer() as t_per_call:
         _per_call_test()
     with Timer() as t_sess:

@@ -1,9 +1,10 @@
 """Summarise tester benchmark runs into ``BENCH_tester.json``.
 
 ``bench_t10_tester_compiled.py`` benchmarks every workload twice —
-``<kernel>`` on the compiled engine and ``<kernel>_full`` on the
-per-query path — inside one run, so a single ``pytest-benchmark``
-json carries its own before/after pairing.  Two modes:
+``<kernel>`` on the compiled tester and ``<kernel>_full`` on the
+per-query reference ``_reference_test`` — inside one run, so a single
+``pytest-benchmark`` json carries its own before/after pairing.  Two
+modes:
 
 * seed / refresh the checked-in record::
 
@@ -39,8 +40,8 @@ SPEC = PairedBenchSpec(
     stat="mean_s",
     extra="stddev",
     suite="bench_t10_tester_compiled kernel pairs (each workload runs "
-    "on engine='compiled' and engine='full' in the same session; "
-    "speedup = full_s / compiled_s, cold compile included)",
+    "on the compiled tester and on the per-query reference _reference_test "
+    "in the same session; speedup = full_s / compiled_s, cold compile included)",
 )
 
 

@@ -14,9 +14,11 @@ Public surface (see README.md for a tour):
 * fleets:    :class:`HistogramFleet` — batched learn/test over many
   distributions sharing a domain (vectorised compilation and lockstep
   tester searches, byte-identical to a loop of sessions);
-* learning:  :func:`learn_histogram` (Algorithm 1 / Theorem 2);
-* testing:   :func:`test_k_histogram_l2`, :func:`test_k_histogram_l1`
-  (Theorems 3/4), :func:`test_uniformity` (the k=1 special case);
+* learning:  :meth:`HistogramSession.learn` (Algorithm 1 / Theorem 2);
+* testing:   :meth:`HistogramSession.test_l2`,
+  :meth:`HistogramSession.test_l1` (Theorems 3/4) and
+  :meth:`HistogramSession.min_k`; :func:`test_uniformity` (the k=1
+  special case);
 * representations: :class:`Interval`, :class:`TilingHistogram`,
   :class:`PriorityHistogram`;
 * distributions: :class:`DiscreteDistribution`,
@@ -52,10 +54,6 @@ from repro.core import (
     TesterParams,
     TestResult,
     UniformityResult,
-    estimate_min_k,
-    learn_histogram,
-    test_k_histogram_l1,
-    test_k_histogram_l2,
     test_uniformity,
 )
 from repro.distributions import (
@@ -112,14 +110,10 @@ __all__ = [
     "distance_to_k_histogram",
     "equidepth_from_samples",
     "equiwidth_from_samples",
-    "estimate_min_k",
     "is_k_histogram",
     "l1_distance",
     "l2_distance",
-    "learn_histogram",
     "nearest_k_histogram",
-    "test_k_histogram_l1",
-    "test_k_histogram_l2",
     "test_uniformity",
     "voptimal_from_samples",
     "voptimal_histogram",

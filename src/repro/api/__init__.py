@@ -12,9 +12,9 @@ This package is the recommended front door to the library:
   :class:`ArraySource`, and :class:`CountingSource` adapters;
 * :class:`SketchBundle` — the shared pools and caches behind a session.
 
-The classic module-level functions (:func:`repro.learn_histogram` and
-friends) remain as deprecated one-shot compositions of the same
-machinery.
+A fresh session's first operation draws exactly what the paper's
+draw-then-run composition of the :mod:`repro.core` halves would at the
+same seed; there is no separate one-shot entry point.
 """
 
 from repro.api.fleet import HistogramFleet

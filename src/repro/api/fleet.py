@@ -26,7 +26,7 @@ compilation, and a Python-level binary search per probe — ``F`` times.
   allows) and hand all members' runs to one
   :func:`repro.core.greedy.lockstep_learn` call.
 
-The binding contract mirrors the session and engine PRs before it: every
+The binding contract: every
 fleet operation is **byte-identical** — verdicts, learned histograms,
 query logs, and per-member memo accounting — to looping
 ``HistogramSession(sources[f], n, rng=rngs[f], ...)`` over the members
@@ -45,7 +45,7 @@ from repro.core.greedy import LockstepRun, compile_greedy_sketches, lockstep_lea
 from repro.core.params import GreedyParams, TesterParams
 from repro.core.results import LearnResult, TestResult
 from repro.core.selection import SelectionResult, select_min_k_on_fleet
-from repro.core.tester import fleet_test_on_sketches, validate_tester_engine
+from repro.core.tester import fleet_test_on_sketches
 from repro.errors import InvalidParameterError
 from repro.utils.rng import spawn_rngs
 
@@ -69,16 +69,11 @@ class HistogramFleet:
         independent child generator per member is spawned
         (:func:`repro.utils.rng.spawn_rngs`).  Mutually exclusive with
         ``rngs``.
-    scale / method / tester_engine / learn_budget / test_budget /
-    max_candidates:
+    scale / method / learn_budget / test_budget / max_candidates:
         As in :class:`~repro.api.HistogramSession`, applied to every
         member.
 
-    Operations return one result per member, in member order.  Passing
-    ``tester_engine="full"`` (or ``engine="full"`` per tester call) runs
-    the members' testers through their sessions' reference path — the
-    fleet's own batched path is the ``"compiled"`` engine, and the
-    equivalence suite holds the two bit-for-bit equal.
+    Operations return one result per member, in member order.
     """
 
     def __init__(
@@ -90,7 +85,6 @@ class HistogramFleet:
         rng: "int | None | np.random.Generator" = None,
         scale: float = 1.0,
         method: str = "fast",
-        tester_engine: str = "compiled",
         learn_budget: GreedyParams | None = None,
         test_budget: TesterParams | None = None,
         max_candidates: int | None = None,
@@ -110,7 +104,6 @@ class HistogramFleet:
                 )
         self._n = int(n)
         self._method = method
-        self._tester_engine = tester_engine
         self._max_candidates = max_candidates
         self._sessions = [
             HistogramSession(
@@ -119,7 +112,6 @@ class HistogramFleet:
                 rng=member_rng,
                 scale=scale,
                 method=method,
-                tester_engine=tester_engine,
                 learn_budget=learn_budget,
                 test_budget=test_budget,
                 max_candidates=max_candidates,
@@ -146,7 +138,7 @@ class HistogramFleet:
 
     def session(self, member: int) -> HistogramSession:
         """Member ``member``'s underlying session (shared pools and all)."""
-        return self._sessions[member]
+        return self._sessions[self._member(member)]
 
     @property
     def samples_drawn(self) -> list[int]:
@@ -161,7 +153,7 @@ class HistogramFleet:
     def generation(self, member: int) -> int:
         """Member ``member``'s mutation epoch (see
         :attr:`HistogramSession.generation`)."""
-        return self._sessions[member].generation
+        return self._sessions[self._member(member)].generation
 
     @property
     def generations(self) -> list[int]:
@@ -176,7 +168,7 @@ class HistogramFleet:
         compiled state (and verdict memos) survives untouched.  The next
         operation re-draws and recompiles just the stale member.
         """
-        members = range(self.size) if member is None else (member,)
+        members = range(self.size) if member is None else (self._member(member),)
         for index in members:
             self._sessions[index].invalidate()
             for fleet_sketches in self._tester_fleet_cache.values():
@@ -202,7 +194,7 @@ class HistogramFleet:
         """Adopt a whole-fleet snapshot in place (zero-copy per member).
 
         The snapshot must come from a fleet of the same shape and
-        configuration (``n``, member count, engines); anything else —
+        configuration (``n``, member count, method, candidate cap); anything else —
         including a missing or corrupt file — raises
         :class:`~repro.errors.SnapshotError` and leaves the fleet able
         to rebuild cold.
@@ -367,17 +359,20 @@ class HistogramFleet:
     # testing
     # -------------------------------------------------------------- #
 
+    def _member(self, member: int) -> int:
+        """Validate one member index (negative indices are refused)."""
+        member = int(member)
+        if not 0 <= member < self.size:
+            raise InvalidParameterError(
+                f"member must be in [0, {self.size}), got {member}"
+            )
+        return member
+
     def _members(self, members: "Sequence[int] | None") -> list[int]:
         """Normalise and validate a member-subset argument."""
         if members is None:
             return list(range(self.size))
-        members = [int(member) for member in members]
-        for member in members:
-            if not 0 <= member < self.size:
-                raise InvalidParameterError(
-                    f"member must be in [0, {self.size}), got {member}"
-                )
-        return members
+        return [self._member(member) for member in members]
 
     def _fleet_tester(
         self, resolved: TesterParams, members: "list[int]"
@@ -422,21 +417,10 @@ class HistogramFleet:
         k: int,
         epsilon: float,
         params: TesterParams | None,
-        engine: str | None,
         members: "Sequence[int] | None" = None,
     ) -> list[TestResult]:
-        engine = self._tester_engine if engine is None else engine
-        validate_tester_engine(engine)
         members = self._members(members)
         resolved = self._sessions[0]._test_params(norm, k, epsilon, params)
-        if engine == "full":
-            runner = (
-                HistogramSession.test_l2 if norm == "l2" else HistogramSession.test_l1
-            )
-            return [
-                runner(self._sessions[member], k, epsilon, params=resolved, engine="full")
-                for member in members
-            ]
         fleet_sketches = self._fleet_tester(resolved, members)
         return fleet_test_on_sketches(
             fleet_sketches, self._n, k, epsilon, norm, resolved, members=members
@@ -448,7 +432,6 @@ class HistogramFleet:
         epsilon: float,
         *,
         params: TesterParams | None = None,
-        engine: str | None = None,
         members: "Sequence[int] | None" = None,
     ) -> list[TestResult]:
         """Theorem 3's tester per member (one lockstep search).
@@ -456,7 +439,7 @@ class HistogramFleet:
         ``members`` restricts the op to a subset of the fleet (results
         come back in the listed order); the default covers everyone.
         """
-        return self._run_test("l2", k, epsilon, params, engine, members)
+        return self._run_test("l2", k, epsilon, params, members)
 
     def test_l1(
         self,
@@ -464,11 +447,10 @@ class HistogramFleet:
         epsilon: float,
         *,
         params: TesterParams | None = None,
-        engine: str | None = None,
         members: "Sequence[int] | None" = None,
     ) -> list[TestResult]:
         """Theorem 4's tester per member (one lockstep search)."""
-        return self._run_test("l1", k, epsilon, params, engine, members)
+        return self._run_test("l1", k, epsilon, params, members)
 
     def test_many(
         self,
@@ -476,7 +458,6 @@ class HistogramFleet:
         *,
         norm: str = "l2",
         params: TesterParams | None = None,
-        engine: str | None = None,
         members: "Sequence[int] | None" = None,
     ) -> list[list[TestResult]]:
         """The tester at every grid point; one verdict list per member.
@@ -502,7 +483,7 @@ class HistogramFleet:
             for member in members:
                 self._sessions[member]._bundle.ensure_tester_pool(cover)
         per_point = [
-            self._run_test(norm, k, epsilon, params, engine, members)
+            self._run_test(norm, k, epsilon, params, members)
             for k, epsilon in points
         ]
         return [
@@ -521,13 +502,12 @@ class HistogramFleet:
         max_k: int | None = None,
         norm: str = "l1",
         params: TesterParams | None = None,
-        engine: str | None = None,
         members: "Sequence[int] | None" = None,
     ) -> list[SelectionResult]:
         """Smallest accepted ``k`` per member (one lockstep sweep).
 
-        Shares each member's test-family pool — and, on the compiled
-        engine, its verdict memo — with :meth:`test_l1` /
+        Shares each member's test-family pool and verdict memo with
+        :meth:`test_l1` /
         :meth:`test_l2`, exactly like :meth:`HistogramSession.min_k`.
         ``members`` restricts the sweep to a subset of the fleet.
         """
@@ -537,16 +517,7 @@ class HistogramFleet:
             raise InvalidParameterError(f"max_k must be in [1, n], got {max_k}")
         if norm not in ("l1", "l2"):
             raise InvalidParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
-        engine = self._tester_engine if engine is None else engine
-        validate_tester_engine(engine)
         members = self._members(members)
-        if engine == "full":
-            return [
-                self._sessions[member].min_k(
-                    epsilon, max_k=max_k, norm=norm, params=params, engine="full"
-                )
-                for member in members
-            ]
         resolved = self._sessions[0]._test_params(norm, max_k, epsilon, params)
         fleet_sketches = self._fleet_tester(resolved, members)
         return select_min_k_on_fleet(

@@ -1,10 +1,10 @@
 """`HistogramSession`: draw once, sketch once, answer many questions.
 
-The paper's headline is sub-linear *sample* complexity, and the one-shot
-entry points honour it per call — but a workload that asks several
-questions of the same distribution (a ``(k, epsilon)`` grid, model
-selection, learn-then-test pipelines) re-draws and re-sketches for every
-call.  :class:`HistogramSession` amortises that: constructed from any
+The paper's headline is sub-linear *sample* complexity per call — but a
+workload that asks several questions of the same distribution (a
+``(k, epsilon)`` grid, model selection, learn-then-test pipelines) would
+re-draw and re-sketch for every call.  :class:`HistogramSession`
+amortises that: constructed from any
 :class:`~repro.api.SampleSource`, it maintains one growable sample pool
 per sketch family (see :class:`~repro.api.SketchBundle`) and answers
 
@@ -15,20 +15,20 @@ per sketch family (see :class:`~repro.api.SketchBundle`) and answers
 
 with cross-call caching of raw draws, built sketches, and compiled
 candidate grids.  Sharing samples across calls is sound for the same
-reason :func:`repro.core.selection.estimate_min_k` may share them across
-candidate ``k``: the analyses union-bound over all ``n^2`` intervals, so
+reason :meth:`min_k` may share them across candidate ``k``: the
+analyses union-bound over all ``n^2`` intervals, so
 every estimate is simultaneously valid.  (The price is that answers are
 *correlated* — repeated calls do not give independent 2/3-confidence
 amplification; open a fresh session per independent trial for that.)
 
-A fresh session's *first* sampling operation is seed-for-seed identical
-to the corresponding legacy function — it performs the same draws in the
-same order as :func:`~repro.core.greedy.learn_histogram`,
-:func:`~repro.core.tester.test_k_histogram_l2` /
-:func:`~repro.core.tester.test_k_histogram_l1`, or
-:func:`~repro.core.selection.estimate_min_k`.  Later operations share
-the generator, so once any draw has happened the other family's fill
-(correctly) no longer reproduces a legacy call at the same seed.
+A fresh session's *first* sampling operation draws exactly what the
+paper's draw-then-run composition would at the same seed — one weight
+sample then ``r`` collision sets for a learn
+(:func:`~repro.core.greedy.draw_greedy_samples`), ``r`` consecutive
+sets for a tester or min-k call — so its result is seed-for-seed the
+pure halves' result on that draw.  Later operations share the generator,
+so once any draw has happened the other family's fill (correctly) draws
+different samples than a fresh session would.
 """
 
 from __future__ import annotations
@@ -44,11 +44,7 @@ from repro.core.greedy import LockstepRun, lockstep_learn
 from repro.core.params import GreedyParams, TesterParams, greedy_rounds
 from repro.core.results import LearnResult, TestResult
 from repro.core.selection import SelectionResult, select_min_k_on_sketch
-from repro.core.tester import (
-    test_l1_on_sketch,
-    test_l2_on_sketch,
-    validate_tester_engine,
-)
+from repro.core.tester import test_l1_on_sketch, test_l2_on_sketch
 from repro.errors import InvalidParameterError
 from repro.utils.rng import as_rng
 
@@ -67,15 +63,10 @@ class HistogramSession:
         Seed or generator; owns every draw the session makes.
     scale:
         Default multiplier on the paper's sample sizes when no explicit
-        budget or params are given (as in the legacy functions).
+        budget or params are given.
     method:
         Default learner candidate strategy, ``"fast"`` or
         ``"exhaustive"``.
-    tester_engine:
-        Default tester flatness engine, ``"compiled"`` (precompiled
-        prefix gathers plus a memoised oracle, shared across every
-        tester/min-k call on one budget) or ``"full"`` (per-query
-        searches; the byte-identical reference path).
     learn_budget:
         Optional fixed :class:`GreedyParams` for every learn call; only
         the round count is re-derived per ``(k, epsilon)``.  A fixed
@@ -94,20 +85,17 @@ class HistogramSession:
         rng: int | None | np.random.Generator = None,
         scale: float = 1.0,
         method: str = "fast",
-        tester_engine: str = "compiled",
         learn_budget: GreedyParams | None = None,
         test_budget: TesterParams | None = None,
         max_candidates: int | None = None,
     ) -> None:
         if int(n) != n or n < 1:
             raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
-        validate_tester_engine(tester_engine)
         self._source: SampleSource = as_sample_source(source, n)
         self._n = int(n)
         self._rng = as_rng(rng)
         self._scale = float(scale)
         self._method = method
-        self._tester_engine = tester_engine
         self._learn_budget = learn_budget
         self._test_budget = test_budget
         self._max_candidates = max_candidates
@@ -213,9 +201,12 @@ class HistogramSession:
     ) -> LearnResult:
         """Learn a near-optimal k-histogram from the shared pool.
 
-        Semantics of :func:`repro.core.greedy.learn_histogram`; samples
-        and compiled sketches are reused across calls whenever the
-        resolved sizes allow it.  A one-point :meth:`learn_many`.
+        The guarantee is relative to the best tiling k-histogram
+        ``H*``: ``||p - H||_2^2 <= ||p - H*||_2^2 + 5 eps`` for
+        ``method="exhaustive"`` (Theorem 1), ``+ 8 eps`` for
+        ``method="fast"`` (Theorem 2), at ``scale = 1``.  Samples and
+        compiled sketches are reused across calls whenever the resolved
+        sizes allow it.  A one-point :meth:`learn_many`.
         """
         return self.learn_many(
             [(k, epsilon)], method=method, params=params, max_candidates=max_candidates
@@ -283,35 +274,25 @@ class HistogramSession:
     # testing
     # -------------------------------------------------------------- #
 
-    def _tester_inputs(self, resolved: TesterParams, engine: str | None):
-        """Resolve the engine plus (multi, compiled) for one tester call."""
-        engine = self._tester_engine if engine is None else engine
-        validate_tester_engine(engine)
-        if engine == "compiled":
-            multi, compiled = self._bundle.compiled_tester(resolved)
-        else:
-            multi, compiled = self._bundle.multi_sketch(resolved), None
-        return engine, multi, compiled
-
     def test_l2(
         self,
         k: int,
         epsilon: float,
         *,
         params: TesterParams | None = None,
-        engine: str | None = None,
     ) -> TestResult:
         """Theorem 3 tester (l2 norm) over the shared test-family pool.
 
-        With ``engine="compiled"`` (the session default) the call runs on
-        the cached :class:`~repro.core.flatness.CompiledTesterSketches`,
+        Runs on the cached :class:`~repro.core.flatness.CompiledTesterSketches`,
         sharing its flatness-verdict memo with every other tester or
-        min-k call on the same budget.
+        min-k call on the same budget.  At ``scale = 1``, members are
+        accepted and distributions eps-far in l2 are rejected, each with
+        probability at least 2/3.
         """
         resolved = self._test_params("l2", k, epsilon, params)
-        engine, multi, compiled = self._tester_inputs(resolved, engine)
+        multi, compiled = self._bundle.compiled_tester(resolved)
         return test_l2_on_sketch(
-            multi, self._n, k, epsilon, resolved, engine=engine, compiled=compiled
+            multi, self._n, k, epsilon, resolved, compiled=compiled
         )
 
     def test_l1(
@@ -320,13 +301,12 @@ class HistogramSession:
         epsilon: float,
         *,
         params: TesterParams | None = None,
-        engine: str | None = None,
     ) -> TestResult:
         """Theorem 4 tester (l1 norm) over the shared test-family pool."""
         resolved = self._test_params("l1", k, epsilon, params)
-        engine, multi, compiled = self._tester_inputs(resolved, engine)
+        multi, compiled = self._bundle.compiled_tester(resolved)
         return test_l1_on_sketch(
-            multi, self._n, k, epsilon, resolved, engine=engine, compiled=compiled
+            multi, self._n, k, epsilon, resolved, compiled=compiled
         )
 
     def test_many(
@@ -335,7 +315,6 @@ class HistogramSession:
         *,
         norm: str = "l2",
         params: TesterParams | None = None,
-        engine: str | None = None,
     ) -> list[TestResult]:
         """Run the tester at every ``(k, epsilon)`` point of a grid.
 
@@ -357,7 +336,7 @@ class HistogramSession:
                 )
             )
         runner = self.test_l2 if norm == "l2" else self.test_l1
-        return [runner(k, epsilon, params=params, engine=engine) for k, epsilon in points]
+        return [runner(k, epsilon, params=params) for k, epsilon in points]
 
     # -------------------------------------------------------------- #
     # model selection
@@ -370,15 +349,14 @@ class HistogramSession:
         max_k: int | None = None,
         norm: str = "l1",
         params: TesterParams | None = None,
-        engine: str | None = None,
     ) -> SelectionResult:
-        """Smallest accepted ``k`` (semantics of :func:`estimate_min_k`).
+        """Smallest ``k`` the tester accepts, up to ``max_k`` (default ``n``).
 
-        Shares the test-family pool with :meth:`test_l1` /
-        :meth:`test_l2`: after any tester call with a compatible budget,
-        model selection is sample-free — and on the compiled engine it
-        additionally inherits the flatness-verdict memo, so intervals
-        those calls already certified are not re-estimated.
+        See :func:`repro.core.selection.select_min_k_on_sketch`.  Shares
+        the test-family pool with :meth:`test_l1` / :meth:`test_l2`:
+        after any tester call with a compatible budget, model selection
+        is sample-free, and it inherits the flatness-verdict memo, so
+        intervals those calls already certified are not re-estimated.
         """
         if max_k is None:
             max_k = self._n
@@ -387,7 +365,7 @@ class HistogramSession:
         if norm not in ("l1", "l2"):
             raise InvalidParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
         resolved = self._test_params(norm, max_k, epsilon, params)
-        engine, multi, compiled = self._tester_inputs(resolved, engine)
+        multi, compiled = self._bundle.compiled_tester(resolved)
         return select_min_k_on_sketch(
             multi,
             self._n,
@@ -395,7 +373,6 @@ class HistogramSession:
             max_k=max_k,
             norm=norm,
             params=resolved,
-            engine=engine,
             compiled=compiled,
         )
 

@@ -19,14 +19,14 @@ Each pool is a capacity-doubling buffer with a length cursor
 (:class:`_GrowablePool`), so repeated budget bumps append in amortised
 O(1) per element; every consumer receives read-only views, never copies.
 
-Draw order is chosen to match the one-shot entry points exactly — a
-learn-family fill from empty performs the same ``sample()`` calls in the
-same order as :func:`repro.core.greedy.draw_greedy_samples`, and a
-test-family fill from empty matches
-:func:`repro.core.tester.draw_tester_sets` — which is what makes a fresh
-session's first sampling operation seed-for-seed identical to the
-corresponding legacy function (subsequent fills share the generator, so
-they are equivalent draws but not byte-replays of a legacy call).
+Draw order is fixed — a learn-family fill from empty performs the same
+``sample()`` calls in the same order as
+:func:`repro.core.greedy.draw_greedy_samples`, and a test-family fill
+from empty draws ``num_sets`` consecutive sets of ``set_size`` — which is
+what makes a fresh session's first sampling operation seed-for-seed the
+paper's draw-then-run composition (subsequent fills share the
+generator, so they are equivalent draws but not byte-replays of a fresh
+session's).
 """
 
 from __future__ import annotations
@@ -291,8 +291,7 @@ class SketchBundle:
         fleet compiler via :meth:`adopt_compiled_tester`), the raw
         :class:`MultiSketch` is not built just to be returned — the first
         element is then whatever the multi cache holds, possibly
-        ``None``.  The compiled engine never needs it; the ``"full"``
-        engine asks :meth:`multi_sketch` directly.
+        ``None``: the compiled tester never needs it.
         """
         key = (params.num_sets, params.set_size)
         compiled = self._tester_compiled_cache.get(key)

@@ -1,13 +1,18 @@
-"""The paper's algorithms.
+"""The paper's algorithms, split into draw and pure-on-sketch halves.
 
-* :func:`learn_histogram` — the greedy priority-histogram learner
+* :func:`draw_greedy_samples` / :func:`compile_greedy_sketches` /
+  :func:`learn_from_samples` — the greedy priority-histogram learner
   (Algorithm 1 / Theorem 1 with ``method="exhaustive"``, the improved
   Theorem 2 variant with ``method="fast"``);
-* :func:`test_k_histogram_l2` / :func:`test_k_histogram_l1` — the tiling
-  k-histogram testers of Section 4 (Theorems 3 and 4);
+* :func:`test_l2_on_sketch` / :func:`test_l1_on_sketch` — the tiling
+  k-histogram testers of Section 4 (Theorems 3 and 4), and
+  :func:`select_min_k_on_sketch`, the min-k search built on them;
 * :mod:`repro.core.lower_bound` — the Theorem 5 hard instances;
 * :func:`test_uniformity` — the [GR00] collision uniformity tester
   (the ``k = 1`` special case the paper builds on).
+
+:class:`repro.api.HistogramSession` composes the halves behind one draw
+per sketch family; it is the front door.
 """
 
 from repro.core.candidates import (
@@ -29,7 +34,6 @@ from repro.core.greedy import (
     compile_greedy_sketches,
     draw_greedy_samples,
     learn_from_samples,
-    learn_histogram,
 )
 from repro.core.identity import (
     IdentityResult,
@@ -45,16 +49,12 @@ from repro.core.params import GreedyParams, TesterParams, greedy_rounds, xi
 from repro.core.results import FlatnessQuery, LearnResult, TestResult, UniformityResult
 from repro.core.selection import (
     SelectionResult,
-    estimate_min_k,
     select_min_k_on_fleet,
     select_min_k_on_sketch,
 )
 from repro.core.tester import (
-    draw_tester_sets,
     fleet_flat_partition,
     fleet_test_on_sketches,
-    test_k_histogram_l1,
-    test_k_histogram_l2,
     test_l1_on_sketch,
     test_l2_on_sketch,
 )
@@ -79,14 +79,11 @@ __all__ = [
     "compile_greedy_sketches",
     "compile_tester_sketches",
     "draw_greedy_samples",
-    "draw_tester_sets",
-    "estimate_min_k",
     "flatness_oracle",
     "fleet_flat_partition",
     "fleet_test_on_sketches",
     "greedy_rounds",
     "learn_from_samples",
-    "learn_histogram",
     "no_instance",
     "sample_endpoint_candidates",
     "select_min_k_on_fleet",
@@ -95,8 +92,6 @@ __all__ = [
     "test_flatness_l2",
     "test_identity_l2",
     "test_identity_l2_on_sketch",
-    "test_k_histogram_l1",
-    "test_k_histogram_l2",
     "test_l1_on_sketch",
     "test_l2_on_sketch",
     "test_uniformity",

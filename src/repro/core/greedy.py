@@ -63,7 +63,8 @@ The module is split into layers so samples can be reused across calls
   session, fleet and maintainer goes through;
 * :func:`learn_from_samples` — the pure algorithm over one draw.
 
-:func:`learn_histogram` is the classic one-shot composition.
+:class:`repro.api.HistogramSession` composes the layers behind one draw
+per sketch family.
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ from repro.errors import InvalidParameterError
 from repro.histograms.intervals import Interval
 from repro.histograms.priority import PriorityHistogram
 from repro.histograms.tiling import TilingHistogram
-from repro.utils.deprecation import warn_one_shot_shim
 from repro.utils.prefix import pairs_count
 from repro.utils.rng import as_rng
 
@@ -782,7 +782,7 @@ def draw_greedy_samples(
     ``params.weight_sample_size``, then ``params.collision_sets`` sets of
     ``params.collision_set_size``, all from the same generator — so any
     caller that reproduces this order is seed-for-seed compatible with
-    :func:`learn_histogram`.
+    a fresh :class:`repro.api.HistogramSession`'s first ``learn``.
     """
     generator = as_rng(rng)
     weight_samples = np.asarray(source.sample(params.weight_sample_size, generator))
@@ -1004,9 +1004,10 @@ def learn_from_samples(
 ) -> LearnResult:
     """Run the greedy rounds on already-drawn samples (no source access).
 
-    This is the pure algorithmic half of :func:`learn_histogram`: given
-    ``samples`` whose sizes match ``params`` it deterministically produces
-    the same :class:`LearnResult` the one-shot entry point would.  Pass
+    The pure algorithmic half of a learn: given ``samples`` whose sizes
+    match ``params`` (e.g. from :func:`draw_greedy_samples`) it
+    deterministically produces the same :class:`LearnResult` a fresh
+    :class:`repro.api.HistogramSession` would on that draw.  Pass
     ``compiled`` (from :func:`compile_greedy_sketches` over the same
     samples) to skip the grid/prefix compilation.  The rounds run as a
     one-run :func:`lockstep_learn`.
@@ -1032,79 +1033,3 @@ def learn_from_samples(
     run = LockstepRun(compiled=compiled, params=params, method=method, n=n)
     return lockstep_learn([run])[0]
 
-
-def learn_histogram(
-    source: object,
-    n: int,
-    k: int,
-    epsilon: float,
-    *,
-    method: str = "fast",
-    scale: float = 1.0,
-    params: GreedyParams | None = None,
-    max_candidates: int | None = None,
-    rng: int | None | np.random.Generator = None,
-) -> LearnResult:
-    """Learn a near-optimal histogram from samples (Theorems 1 / 2).
-
-    .. deprecated:: 1.0
-        One-shot composition of :func:`draw_greedy_samples` and
-        :func:`learn_from_samples`, kept as the PR-1 seed-compat shim —
-        a fresh :class:`repro.api.HistogramSession`'s first ``learn`` is
-        seed-for-seed identical and reuses its draw for every later
-        operation.  Calling this emits a :class:`DeprecationWarning`.
-
-    Parameters
-    ----------
-    source:
-        Anything satisfying :class:`repro.api.SampleSource` — typically a
-        :class:`repro.distributions.DiscreteDistribution` (including
-        :class:`~repro.distributions.EmpiricalDistribution` over a data
-        column).
-    n:
-        Domain size.
-    k:
-        Histogram budget: the guarantee is relative to the best tiling
-        k-histogram ``H*``.
-    epsilon:
-        Additive accuracy: ``||p - H||_2^2 <= ||p - H*||_2^2 + 5 eps``
-        for ``method="exhaustive"`` (Theorem 1), ``+ 8 eps`` for
-        ``method="fast"`` (Theorem 2), at ``scale = 1``.
-    method:
-        ``"exhaustive"`` scores all ``C(n, 2)`` intervals per round
-        (Algorithm 1); ``"fast"`` scores only intervals with endpoints in
-        the sample-derived set ``T'`` (Theorem 2).
-    scale:
-        Multiplier on the paper's sample sizes (see
-        :mod:`repro.core.params`).
-    params:
-        Explicit sample sizes, overriding the paper formulas.
-    max_candidates:
-        Optional cap on the candidate count (uniform subsample; a
-        documented deviation for very large inputs).
-    rng:
-        Seed or generator.
-
-    Returns
-    -------
-    LearnResult
-        The learned tiling histogram plus the paper's priority
-        representation and a per-round trace.
-    """
-    warn_one_shot_shim("learn_histogram", "repro.api.HistogramSession.learn")
-    if method not in _METHODS:
-        raise InvalidParameterError(f"method must be one of {_METHODS}, got {method!r}")
-    if params is None:
-        params = GreedyParams.from_paper(n, k, epsilon, scale=scale)
-    generator = as_rng(rng)
-    samples = draw_greedy_samples(source, params, generator)
-    return learn_from_samples(
-        samples,
-        n,
-        k,
-        epsilon,
-        params=params,
-        method=method,
-        max_candidates=max_candidates,
-        rng=generator,
-    )

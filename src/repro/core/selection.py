@@ -10,21 +10,24 @@ takes a union bound over all ``n^2`` intervals, so reuse is sound.
 This module is an extension beyond the paper (README.md, "Design notes"):
 the paper's machinery composes into it directly.
 :func:`select_min_k_on_sketch` is the pure half operating on an
-already-built sketch; :func:`estimate_min_k` is the classic draw-and-run
-composition, and :meth:`repro.api.HistogramSession.min_k` the
-sketch-reusing one.
+already-built sketch, and :meth:`repro.api.HistogramSession.min_k` the
+draw-once, sketch-reusing front door; :func:`_reference_min_k` runs the
+same sweep on the per-query oracle as the tests' private reference.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.flatness import CompiledTesterSketches, FleetTesterSketches
+from repro.core.flatness import (
+    CompiledTesterSketches,
+    FlatnessOracle,
+    FleetTesterSketches,
+    flatness_oracle,
+)
 from repro.core.params import TesterParams
 from repro.core.tester import (
-    draw_tester_sets,
     flat_partition,
     fleet_flat_partition,
     l1_effective_scale,
@@ -33,12 +36,11 @@ from repro.core.tester import (
 from repro.errors import InvalidParameterError
 from repro.histograms.intervals import Interval
 from repro.samples.estimators import MultiSketch
-from repro.utils.deprecation import warn_one_shot_shim
 
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Output of :func:`estimate_min_k`.
+    """Output of a min-k search (:meth:`repro.api.HistogramSession.min_k`).
 
     Attributes
     ----------
@@ -60,73 +62,6 @@ class SelectionResult:
     samples_used: int
 
 
-def estimate_min_k(
-    source: object,
-    n: int,
-    epsilon: float,
-    *,
-    max_k: int | None = None,
-    norm: str = "l1",
-    params: TesterParams | None = None,
-    scale: float = 1.0,
-    engine: str = "compiled",
-    rng: "int | None | np.random.Generator" = None,
-) -> SelectionResult:
-    """Smallest ``k`` for which the tiling k-histogram tester accepts.
-
-    .. deprecated:: 1.0
-        The PR-1 seed-compat one-shot shim; a fresh
-        :class:`repro.api.HistogramSession`'s first ``min_k`` is
-        seed-for-seed identical and reuses its draw.  Calling this
-        emits a :class:`DeprecationWarning`.
-
-    Parameters
-    ----------
-    source:
-        Sampling access to the distribution.
-    n:
-        Domain size.
-    epsilon:
-        Testing accuracy (the answer is sound up to the testers'
-        epsilon-gap: a distribution epsilon-close to a k-histogram may be
-        accepted at that ``k``).
-    max_k:
-        Largest candidate to try (default ``n``).
-    norm:
-        ``"l1"`` or ``"l2"`` — which tester to use.
-    params / scale / engine / rng:
-        As in the testers (``engine`` selects the compiled or per-query
-        flatness path; the answer is engine-independent).
-
-    Notes
-    -----
-    Runs the partition search once with ``max_pieces = max_k`` and reads
-    the answer off the discovered partition: the search is greedy from
-    the left, so the number of flat intervals needed to cover ``[0, n)``
-    is exactly the smallest ``k`` the tester would accept with these
-    samples.
-    """
-    warn_one_shot_shim("estimate_min_k", "repro.api.HistogramSession.min_k")
-    if max_k is None:
-        max_k = n
-    if not 1 <= max_k <= n:
-        raise InvalidParameterError(f"max_k must be in [1, n], got {max_k}")
-    if norm not in ("l1", "l2"):
-        raise InvalidParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
-
-    if params is None:
-        if norm == "l2":
-            params = TesterParams.l2_from_paper(n, epsilon, scale=scale)
-        else:
-            params = TesterParams.l1_from_paper(n, max_k, epsilon, scale=scale)
-
-    sample_sets = draw_tester_sets(source, params, rng)
-    multi = MultiSketch.from_sample_sets(sample_sets, n)
-    return select_min_k_on_sketch(
-        multi, n, epsilon, max_k=max_k, norm=norm, params=params, engine=engine
-    )
-
-
 def select_min_k_on_sketch(
     multi: MultiSketch | None,
     n: int,
@@ -135,31 +70,83 @@ def select_min_k_on_sketch(
     max_k: int,
     norm: str = "l1",
     params: TesterParams,
-    engine: str = "compiled",
     compiled: CompiledTesterSketches | None = None,
 ) -> SelectionResult:
-    """The min-k search on an already-built sketch (no source access).
+    """Smallest ``k`` for which the tiling k-histogram tester accepts.
 
-    Pure in ``multi``; :func:`estimate_min_k` and
-    :meth:`repro.api.HistogramSession.min_k` both delegate here.  Pass
-    ``compiled`` (the session cache path) to reuse an existing
-    :class:`~repro.core.flatness.CompiledTesterSketches` — its verdict
-    memo then carries over from earlier tester calls, which matters here
-    because the left-greedy sweep re-probes exactly the intervals those
-    calls already certified.
+    The min-k search on an already-built sketch (no source access),
+    pure in ``multi``; :meth:`repro.api.HistogramSession.min_k`
+    delegates here.  Pass ``compiled`` (the session cache path) to reuse
+    an existing :class:`~repro.core.flatness.CompiledTesterSketches` —
+    its verdict memo then carries over from earlier tester calls, which
+    matters here because the left-greedy sweep re-probes exactly the
+    intervals those calls already certified.
+
+    The search runs once with ``max_pieces = max_k`` and reads the
+    answer off the discovered partition: it is greedy from the left, so
+    the number of flat intervals needed to cover ``[0, n)`` is exactly
+    the smallest ``k`` the tester would accept with these samples.  The
+    answer is sound up to the testers' epsilon-gap (a distribution
+    epsilon-close to a k-histogram may be accepted at that ``k``).
     """
+    return _run_sweep(
+        n,
+        epsilon,
+        max_k,
+        norm,
+        params,
+        lambda scale: resolve_flatness_oracle(
+            multi, norm, epsilon, scale=scale, compiled=compiled
+        ),
+    )
+
+
+def _reference_min_k(
+    multi: MultiSketch,
+    n: int,
+    epsilon: float,
+    *,
+    max_k: int,
+    norm: str = "l1",
+    params: TesterParams,
+) -> SelectionResult:
+    """The min-k sweep on the per-query oracle: the tests' private reference.
+
+    Same search as :func:`select_min_k_on_sketch`, but every probe
+    re-runs the per-set searches over the raw sketch, with no compiled
+    layout and no memo (see :func:`repro.core.tester._reference_test`).
+    """
+    return _run_sweep(
+        n,
+        epsilon,
+        max_k,
+        norm,
+        params,
+        lambda scale: flatness_oracle(multi, norm, epsilon, scale=scale),
+    )
+
+
+def _sweep_scale(
+    n: int, epsilon: float, max_k: int, norm: str, params: TesterParams
+) -> float:
+    """Validate a sweep's ``max_k`` and ``norm``; its flatness scale."""
     if not 1 <= max_k <= n:
         raise InvalidParameterError(f"max_k must be in [1, n], got {max_k}")
     if norm not in ("l1", "l2"):
         raise InvalidParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
+    return 1.0 if norm == "l2" else l1_effective_scale(n, max_k, epsilon, params)
 
-    effective_scale = (
-        1.0 if norm == "l2" else l1_effective_scale(n, max_k, epsilon, params)
-    )
-    oracle = resolve_flatness_oracle(
-        multi, norm, epsilon, scale=effective_scale, engine=engine, compiled=compiled
-    )
-    partition, _ = flat_partition(n, max_k, oracle)
+
+def _run_sweep(
+    n: int,
+    epsilon: float,
+    max_k: int,
+    norm: str,
+    params: TesterParams,
+    oracle_at: Callable[[float], FlatnessOracle],
+) -> SelectionResult:
+    scale = _sweep_scale(n, epsilon, max_k, norm, params)
+    partition, _ = flat_partition(n, max_k, oracle_at(scale))
     return _selection_from_partition(n, max_k, partition, params)
 
 
@@ -200,16 +187,10 @@ def select_min_k_on_fleet(
     byte-identical to the single-sketch search on that member's compiled
     sketches, memo accounting included.
     """
-    if not 1 <= max_k <= n:
-        raise InvalidParameterError(f"max_k must be in [1, n], got {max_k}")
-    if norm not in ("l1", "l2"):
-        raise InvalidParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
+    scale = _sweep_scale(n, epsilon, max_k, norm, params)
     if members is None:
         members = list(range(fleet.fleet_size))
-    effective_scale = (
-        1.0 if norm == "l2" else l1_effective_scale(n, max_k, epsilon, params)
-    )
-    oracle = fleet.oracle(norm, epsilon, scale=effective_scale)
+    oracle = fleet.oracle(norm, epsilon, scale=scale)
     outcomes = fleet_flat_partition(n, max_k, oracle, members)
     return [
         _selection_from_partition(n, max_k, partition, params)

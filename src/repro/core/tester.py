@@ -11,20 +11,17 @@ accepts when ``previous = n`` (1-based), but the binary search leaves
 implemented here — is ``previous >= n`` in 0-based half-open coordinates.
 
 Like the learner, the module splits "draw samples" from "run the
-algorithm": :func:`draw_tester_sets` touches the source,
-:func:`test_l2_on_sketch` / :func:`test_l1_on_sketch` run Algorithm 2 on
-an already-built :class:`~repro.samples.estimators.MultiSketch`, and the
-classic :func:`test_k_histogram_l2` / :func:`test_k_histogram_l1` compose
-the two (see :class:`repro.api.HistogramSession` for the sketch-reusing
-path).
+algorithm": :func:`test_l2_on_sketch` / :func:`test_l1_on_sketch` run
+Algorithm 2 on an already-built
+:class:`~repro.samples.estimators.MultiSketch` (or its compiled layout),
+and :class:`repro.api.HistogramSession` owns the draws.
 
-Each flatness oracle comes in two engines (README.md, "Compiled tester
-engine"): ``engine="compiled"`` (the default) answers queries from a
+Flatness queries are answered from a
 :class:`~repro.core.flatness.CompiledTesterSketches` — precompiled
-prefix gathers plus a verdict memo — and ``engine="full"`` re-runs the
-per-set searches on every probe.  The two are byte-identical on verdicts
-*and query logs* (the equivalence contract the test suite asserts);
-``BENCH_tester.json`` tracks the measured speedup.
+prefix gathers plus a verdict memo (README.md, "Compiled tester
+engine").  The per-query oracle over the raw sketch survives only as
+the private :func:`_reference_test`, which the test suite holds the
+compiled path to, byte for byte, on verdicts *and query logs*.
 """
 
 from __future__ import annotations
@@ -48,10 +45,6 @@ from repro.core.results import FlatnessQuery, TestResult
 from repro.errors import InvalidParameterError
 from repro.histograms.intervals import Interval
 from repro.samples.estimators import MultiSketch
-from repro.utils.deprecation import warn_one_shot_shim
-from repro.utils.rng import as_rng
-
-_TESTER_CHOICES = ("compiled", "full")
 
 
 def flat_partition(
@@ -294,64 +287,26 @@ def fleet_test_on_sketches(
     ]
 
 
-def draw_tester_sets(
-    source: object,
-    params: TesterParams,
-    rng: "int | None | np.random.Generator" = None,
-) -> list[np.ndarray]:
-    """Draw Algorithm 2's ``r`` sample sets (the only sampling step).
-
-    Draw order is part of the public contract: ``params.num_sets``
-    consecutive draws of ``params.set_size`` from one generator, so any
-    caller reproducing the order is seed-for-seed compatible with the
-    one-shot testers.
-    """
-    generator = as_rng(rng)
-    return [
-        np.asarray(source.sample(params.set_size, generator))
-        for _ in range(params.num_sets)
-    ]
-
-
-def validate_tester_engine(engine: str) -> None:
-    """Reject unknown tester engines."""
-    if engine not in _TESTER_CHOICES:
-        raise InvalidParameterError(
-            f"engine must be one of {_TESTER_CHOICES}, got {engine!r}"
-        )
-
-
 def resolve_flatness_oracle(
     multi: MultiSketch | None,
     metric: str,
     epsilon: float,
     *,
     scale: float = 1.0,
-    engine: str = "compiled",
     compiled: CompiledTesterSketches | None = None,
 ) -> FlatnessOracle:
-    """The flatness oracle for one tester invocation, validated once.
+    """The compiled flatness oracle for one tester invocation.
 
-    ``engine="compiled"`` uses ``compiled`` when given (the session cache
-    path) or compiles ``multi`` on the spot; ``engine="full"`` answers
-    every probe from the raw sketch (``compiled`` is ignored).  ``multi``
-    may be ``None`` when ``compiled`` is supplied with the compiled
-    engine — the fleet facade compiles its gather stacks without ever
-    building per-member :class:`MultiSketch` objects.
+    Uses ``compiled`` when given (the session cache path) or compiles
+    ``multi`` on the spot.  ``multi`` may be ``None`` when ``compiled``
+    is supplied — the fleet facade compiles its gather stacks without
+    ever building per-member :class:`MultiSketch` objects.
     """
-    validate_tester_engine(engine)
-    if engine == "full":
-        if multi is None:
-            raise InvalidParameterError(
-                "engine='full' needs the raw MultiSketch; only the compiled "
-                "engine can run from precompiled sketches alone"
-            )
-        return flatness_oracle(multi, metric, epsilon, scale=scale)
     if compiled is None:
         if multi is None:
             raise InvalidParameterError(
-                "engine='compiled' needs either a MultiSketch to compile or "
-                "an already-compiled CompiledTesterSketches"
+                "need either a MultiSketch to compile or an already-compiled "
+                "CompiledTesterSketches"
             )
         compiled = compile_tester_sketches(multi)
     return compiled.oracle(metric, epsilon, scale=scale)
@@ -386,16 +341,18 @@ def _result_from_partition(
     )
 
 
-def _run_on_sketch(
-    multi: MultiSketch,
+def _run_search(
     n: int,
     k: int,
     epsilon: float,
     norm: str,
     params: TesterParams,
-    oracle_factory: Callable[[MultiSketch], FlatnessOracle],
+    oracle_at: Callable[[float], FlatnessOracle],
 ) -> TestResult:
-    partition, queries = flat_partition(n, k, oracle_factory(multi))
+    """Validate ``k``, search with ``oracle_at(scale)``, read the verdict."""
+    _validate_k(n, k)
+    scale = 1.0 if norm == "l2" else l1_effective_scale(n, k, epsilon, params)
+    partition, queries = flat_partition(n, k, oracle_at(scale))
     return _result_from_partition(n, k, epsilon, norm, params, partition, queries)
 
 
@@ -411,7 +368,6 @@ def test_l2_on_sketch(
     epsilon: float,
     params: TesterParams,
     *,
-    engine: str = "compiled",
     compiled: CompiledTesterSketches | None = None,
 ) -> TestResult:
     """Theorem 3's tester on an already-built sketch (no source access).
@@ -419,21 +375,18 @@ def test_l2_on_sketch(
     Pure in ``multi``: running it any number of times — or interleaved
     with other ``(k, epsilon)`` queries over the same sketch — returns
     identical results, which is what lets sessions share one draw.
-    ``engine``/``compiled`` select the flatness engine (see module
-    docstring); the verdict and query log are engine-independent.
-    ``multi`` may be ``None`` on the compiled engine when ``compiled``
-    is supplied (the fleet path never builds per-member sketches).
+    Pass ``compiled`` to reuse a compiled layout and its verdict memo;
+    ``multi`` may then be ``None`` (the fleet path never builds
+    per-member sketches).
     """
-    _validate_k(n, k)
-    return _run_on_sketch(
-        multi,
+    return _run_search(
         n,
         k,
         epsilon,
         "l2",
         params,
-        lambda m: resolve_flatness_oracle(
-            m, "l2", epsilon, engine=engine, compiled=compiled
+        lambda scale: resolve_flatness_oracle(
+            multi, "l2", epsilon, scale=scale, compiled=compiled
         ),
     )
 
@@ -457,103 +410,49 @@ def test_l1_on_sketch(
     epsilon: float,
     params: TesterParams,
     *,
-    engine: str = "compiled",
     compiled: CompiledTesterSketches | None = None,
 ) -> TestResult:
     """Theorem 4's tester on an already-built sketch (no source access).
 
-    As with :func:`test_l2_on_sketch`, ``multi`` may be ``None`` on the
-    compiled engine when ``compiled`` is supplied.
+    As with :func:`test_l2_on_sketch`, ``multi`` may be ``None`` when
+    ``compiled`` is supplied.
     """
-    _validate_k(n, k)
-    effective_scale = l1_effective_scale(n, k, epsilon, params)
-    return _run_on_sketch(
-        multi,
+    return _run_search(
         n,
         k,
         epsilon,
         "l1",
         params,
-        lambda m: resolve_flatness_oracle(
-            m,
-            "l1",
-            epsilon,
-            scale=effective_scale,
-            engine=engine,
-            compiled=compiled,
+        lambda scale: resolve_flatness_oracle(
+            multi, "l1", epsilon, scale=scale, compiled=compiled
         ),
     )
 
 
-def test_k_histogram_l2(
-    source: object,
+def _reference_test(
+    multi: MultiSketch,
     n: int,
     k: int,
     epsilon: float,
-    *,
-    scale: float = 1.0,
-    params: TesterParams | None = None,
-    engine: str = "compiled",
-    rng: "int | None | np.random.Generator" = None,
+    norm: str,
+    params: TesterParams,
 ) -> TestResult:
-    """Theorem 3 tester: is ``p`` a tiling k-histogram, or eps-far in l2?
+    """Algorithm 2 on the per-query oracle: the tests' private reference.
 
-    .. deprecated:: 1.0
-        The PR-1 seed-compat one-shot shim; a fresh
-        :class:`repro.api.HistogramSession`'s first ``test_l2`` is
-        seed-for-seed identical and reuses its draw.  Calling this
-        emits a :class:`DeprecationWarning`.
-
-    Draws ``r = 16 ln(6 n^2)`` sets of ``m = 64 ln(n) / eps^4`` samples
-    (times ``scale``) and runs Algorithm 2 with ``testFlatness-l2``.
-
-    Guarantees (at ``scale = 1``): members are accepted and distributions
-    eps-far in l2 are rejected, each with probability at least 2/3.
+    Every probe re-runs the per-set searches over the raw sketch
+    (:func:`~repro.core.flatness.flatness_oracle`), with no compiled
+    layout and no memo.  The suite holds :func:`test_l2_on_sketch`,
+    :func:`test_l1_on_sketch` and the fleet's lockstep search to it,
+    byte for byte, on verdicts and query logs.
     """
-    warn_one_shot_shim(
-        "test_k_histogram_l2", "repro.api.HistogramSession.test_l2"
+    return _run_search(
+        n,
+        k,
+        epsilon,
+        norm,
+        params,
+        lambda scale: flatness_oracle(multi, norm, epsilon, scale=scale),
     )
-    _validate_k(n, k)
-    if params is None:
-        params = TesterParams.l2_from_paper(n, epsilon, scale=scale)
-    sample_sets = draw_tester_sets(source, params, rng)
-    multi = MultiSketch.from_sample_sets(sample_sets, n)
-    return test_l2_on_sketch(multi, n, k, epsilon, params, engine=engine)
-
-
-def test_k_histogram_l1(
-    source: object,
-    n: int,
-    k: int,
-    epsilon: float,
-    *,
-    scale: float = 1.0,
-    params: TesterParams | None = None,
-    engine: str = "compiled",
-    rng: "int | None | np.random.Generator" = None,
-) -> TestResult:
-    """Theorem 4 tester: is ``p`` a tiling k-histogram, or eps-far in l1?
-
-    .. deprecated:: 1.0
-        The PR-1 seed-compat one-shot shim; a fresh
-        :class:`repro.api.HistogramSession`'s first ``test_l1`` is
-        seed-for-seed identical and reuses its draw.  Calling this
-        emits a :class:`DeprecationWarning`.
-
-    Draws ``r = 16 ln(6 n^2)`` sets of ``m = 2^13 sqrt(kn) / eps^5``
-    samples (times ``scale``) and runs Algorithm 2 with
-    ``testFlatness-l1``; the light-interval threshold scales with ``m``
-    (see :func:`l1_effective_scale`).
-    """
-    warn_one_shot_shim(
-        "test_k_histogram_l1", "repro.api.HistogramSession.test_l1"
-    )
-    _validate_k(n, k)
-    if params is None:
-        params = TesterParams.l1_from_paper(n, k, epsilon, scale=scale)
-    sample_sets = draw_tester_sets(source, params, rng)
-    multi = MultiSketch.from_sample_sets(sample_sets, n)
-    return test_l1_on_sketch(multi, n, k, epsilon, params, engine=engine)
 
 
 def count_rejections(result: TestResult) -> int:

@@ -5,7 +5,7 @@ Each instance's batch of independent trials runs as one
 its own generator, compiled in one pass and probed in lockstep.  A
 fleet run is byte-identical to looping fresh sessions over the same
 seeds (the fleet contract), and a fresh session's first tester call is
-seed-for-seed identical to the one-shot entry point, so the tables are
+seed-for-seed the paper's draw-then-run composition, so the tables are
 unchanged while the trial batches ride the production path.
 """
 

@@ -29,7 +29,7 @@ Second, each fleet member's reservoir, session, and bundle share one
 bundle restore rewinds all three at once.
 
 A configuration fingerprint mismatch (the restoring instance was built
-with different ``n``/sizes/engines than the snapshotted one) raises
+with different ``n``/sizes/method than the snapshotted one) raises
 :class:`~repro.errors.SnapshotError` with ``reason="config-mismatch"``
 *before* any state is touched at that layer, so callers fall back to a
 cold rebuild.
@@ -286,7 +286,6 @@ def fleet_state(fleet) -> tuple[dict, dict]:
         "n": int(fleet._n),
         "size": int(fleet.size),
         "method": fleet._method,
-        "tester_engine": fleet._tester_engine,
         "max_candidates": fleet._max_candidates,
         "members": members,
     }
@@ -298,7 +297,6 @@ def _fleet_fingerprint(fleet) -> dict:
         "n": int(fleet._n),
         "size": int(fleet.size),
         "method": fleet._method,
-        "tester_engine": fleet._tester_engine,
         "max_candidates": fleet._max_candidates,
     }
 

@@ -154,7 +154,7 @@ class HistogramService:
         Named reference distributions identity requests resolve against
         (``Request.identity(stream, "baseline", ...)``); more can be
         registered later via :meth:`register_reference`.
-    reservoir_capacity / refresh_every / params / tester_engine / rng:
+    reservoir_capacity / refresh_every / params / rng:
         Forwarded to the maintainer.
     snapshot_dir:
         Directory for warm-start checkpoints (created if missing).  At
@@ -205,7 +205,6 @@ class HistogramService:
         refresh_every: int | None = None,
         params: GreedyParams | None = None,
         tester_params: TesterParams | None = None,
-        tester_engine: str = "compiled",
         rng: "int | None | np.random.Generator" = None,
         snapshot_dir: "str | os.PathLike | None" = None,
         checkpoint_every: int | None = None,
@@ -228,7 +227,6 @@ class HistogramService:
             reservoir_capacity=reservoir_capacity,
             refresh_every=refresh_every,
             params=params,
-            tester_engine=tester_engine,
             rng=rng,
         )
         self._tester_params = tester_params

@@ -2,22 +2,19 @@
 
 The paper's greedy algorithm "is inspired by [the] streaming algorithm
 in [TGIK02]" (dynamic multidimensional histograms).  This package closes
-the loop: :class:`StreamingHistogramMaintainer` keeps a near-v-optimal
-k-histogram over a stream of values by combining
+the loop: :class:`FleetMaintainer` keeps a near-v-optimal k-histogram
+over each of one or many streams sharing a domain by combining
 
-* an exact uniform reservoir (Vitter's Algorithm R) over the stream, and
+* an exact uniform reservoir (Vitter's Algorithm R) per stream, and
 * periodic rebuilds with the paper's fast greedy learner driven by the
-  reservoir.
+  reservoirs, batched through :class:`repro.api.HistogramFleet` with
+  lazy per-member invalidation.
 
-:class:`FleetMaintainer` scales the same loop to many parallel streams
-over one shared domain, batching rebuilds and tester probes through
-:class:`repro.api.HistogramFleet` with lazy per-member invalidation.
-
-Substrate/extension status is documented in README.md ("Design notes").
+One stream is ``FleetMaintainer(1, n, k, ...)``.  Substrate/extension
+status is documented in README.md ("Design notes").
 """
 
 from repro.streaming.fleet import FleetMaintainer
-from repro.streaming.maintainer import StreamingHistogramMaintainer
 from repro.streaming.reservoir import ReservoirSampler
 
-__all__ = ["FleetMaintainer", "ReservoirSampler", "StreamingHistogramMaintainer"]
+__all__ = ["FleetMaintainer", "ReservoirSampler"]

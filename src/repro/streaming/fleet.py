@@ -1,12 +1,16 @@
-"""Maintain k-histogram summaries over a fleet of parallel streams.
+"""Maintain k-histogram summaries over one or many parallel streams.
 
-The single-stream :class:`~repro.streaming.StreamingHistogramMaintainer`
-pairs one reservoir with one facade session; a serving deployment
-watches many streams over one shared domain.  :class:`FleetMaintainer`
-keeps one reservoir per stream and drives them all through a
-:class:`~repro.api.HistogramFleet`, so rebuilds, tester probes, and
-min-k sweeps run fleet-batched (one compile pass, lockstep searches)
-instead of stream-by-stream.
+Each stream pairs an exact uniform reservoir (Vitter's Algorithm R) with
+periodic rebuilds by the paper's fast greedy learner.  Between rebuilds
+a summary is stale by at most ``refresh_every`` items, which bounds its
+extra error by the mass of the unseen suffix; the reservoir keeps
+rebuild quality independent of the stream length.
+
+:class:`FleetMaintainer` keeps one reservoir per stream and drives them
+all through a :class:`~repro.api.HistogramFleet`, so rebuilds, tester
+probes, and min-k sweeps run fleet-batched (one compile pass, lockstep
+searches) instead of stream-by-stream.  A single stream is
+``FleetMaintainer(1, n, k, ...)``.
 
 Invalidation is lazy and per member: absorbing items into one stream's
 reservoir marks only that member stale, and the next fleet operation
@@ -40,8 +44,8 @@ class FleetMaintainer:
     fleet_size:
         Number of streams ``F``.
     n / k / epsilon:
-        As in :class:`~repro.streaming.StreamingHistogramMaintainer`,
-        shared by every stream.
+        Domain size, histogram budget, and learner accuracy (Theorem 2
+        semantics at ``scale=1``), shared by every stream.
     refresh_every:
         Rebuild a member's histogram after this many new items on that
         member (default ``4 * reservoir_capacity``).
@@ -49,14 +53,11 @@ class FleetMaintainer:
         Per-stream reservoir size (default 4096).
     params:
         Explicit learner sizes; defaults to a budget matched to the
-        reservoir, as in the single-stream maintainer.
-    tester_engine:
-        Forwarded to the fleet (the flatness engine of :meth:`test` and
-        :meth:`min_k`).
+        reservoir (it cannot support more independent information than
+        it holds).
     rng:
         Base seed; one independent child generator is spawned per
-        stream (reservoir and session draws share it, mirroring the
-        single-stream maintainer).
+        stream (its reservoir and session draws share it).
     """
 
     def __init__(
@@ -69,7 +70,6 @@ class FleetMaintainer:
         refresh_every: int | None = None,
         reservoir_capacity: int = 4096,
         params: GreedyParams | None = None,
-        tester_engine: str = "compiled",
         rng: "int | None | np.random.Generator" = None,
     ) -> None:
         if fleet_size < 1:
@@ -105,7 +105,6 @@ class FleetMaintainer:
             self._n,
             rngs=rngs,
             method="fast",
-            tester_engine=tester_engine,
         )
         self._items_seen = [0] * fleet_size
         self._since_rebuild = [0] * fleet_size
@@ -242,12 +241,13 @@ class FleetMaintainer:
     def update(self, member: int, value: int) -> None:
         """Observe one item on stream ``member``.
 
-        ``value`` must be a Python or NumPy integer: like a float batch
-        in :meth:`update_many`, a float is refused before the reservoir
-        sees it rather than silently truncated.
+        ``value`` must be a Python or NumPy integer: like a float or
+        bool batch in :meth:`update_many`, a float is refused before the
+        reservoir sees it rather than silently truncated, and a bool
+        rather than taken as domain point 0 or 1.
         """
         self._check_member(member)
-        if not isinstance(value, (int, np.integer)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
             raise InvalidParameterError(
                 f"stream {member}: value must be an integer, got {value!r} "
                 f"(values are domain points in [0, {self._n}))"
@@ -356,8 +356,9 @@ class FleetMaintainer:
     def _tester_params(self, params: TesterParams | None) -> TesterParams:
         if params is not None:
             return params
-        # As in the single-stream maintainer: the reservoir cannot
-        # support more independent information than it holds.
+        # Like the learner default: the reservoir cannot support more
+        # independent information than it holds, so budget per set is
+        # tied to its capacity (sets are drawn with replacement).
         return TesterParams(
             num_sets=5, set_size=max(self._reservoirs[0].capacity, 16)
         )
@@ -369,7 +370,6 @@ class FleetMaintainer:
         *,
         norm: str = "l2",
         params: TesterParams | None = None,
-        engine: str | None = None,
         members: "list[int] | None" = None,
     ) -> list[TestResult]:
         """Test every stream for tiling k-histogram structure, batched.
@@ -389,7 +389,7 @@ class FleetMaintainer:
         self._sync()
         resolved = self._tester_params(params)
         runner = self._fleet.test_l2 if norm == "l2" else self._fleet.test_l1
-        return runner(k, epsilon, params=resolved, engine=engine, members=members)
+        return runner(k, epsilon, params=resolved, members=members)
 
     def min_k(
         self,
@@ -398,13 +398,12 @@ class FleetMaintainer:
         max_k: int | None = None,
         norm: str = "l1",
         params: TesterParams | None = None,
-        engine: str | None = None,
         members: "list[int] | None" = None,
     ) -> list[SelectionResult]:
         """Smallest credible bucket count per stream, batched.
 
-        Shares each member's session budget (and verdict memo) with
-        :meth:`test`, like the single-stream maintainer's probes.
+        Useful for adapting ``k`` as a stream drifts; shares each
+        member's session budget (and verdict memo) with :meth:`test`.
         ``members`` restricts the sweep, as in :meth:`test`.
         """
         members = self._probe_members(members)
@@ -415,7 +414,6 @@ class FleetMaintainer:
             max_k=max_k,
             norm=norm,
             params=self._tester_params(params),
-            engine=engine,
             members=members,
         )
 

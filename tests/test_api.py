@@ -31,7 +31,7 @@ class TestPublicSurface:
         from repro.distributions import families
 
         dist = families.random_tiling_histogram(64, 3, rng=1)
-        result = repro.learn_histogram(dist, 64, 3, 0.3, scale=0.1, rng=2)
+        result = repro.HistogramSession(dist, 64, rng=2, scale=0.1).learn(3, 0.3)
         assert isinstance(result.histogram, repro.TilingHistogram)
         assert repro.l2_distance(dist, result.histogram) < 0.3 + 0.1
 
@@ -40,8 +40,8 @@ class TestPublicSurface:
         from repro.distributions import families
 
         dist = families.uniform(64)
-        verdict = repro.test_k_histogram_l1(
-            dist, 64, 1, 0.3, params=TesterParams(num_sets=5, set_size=5_000), rng=1
+        verdict = repro.HistogramSession(dist, 64, rng=1).test_l1(
+            1, 0.3, params=TesterParams(num_sets=5, set_size=5_000)
         )
         assert verdict.accepted
 

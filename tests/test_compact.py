@@ -98,12 +98,12 @@ class TestCompact:
 
     def test_learned_histogram_compaction(self):
         """End to end: compact a greedy output to exactly k pieces."""
-        from repro.core.greedy import learn_histogram
+        from repro.api import HistogramSession
         from repro.distributions import families
         from repro.distributions.distances import l2_distance_squared
 
         dist = families.random_tiling_histogram(128, 4, 7, min_piece=8)
-        learned = learn_histogram(dist, 128, 4, 0.25, scale=0.05, rng=1)
+        learned = HistogramSession(dist, 128, rng=1, scale=0.05).learn(4, 0.25)
         squeezed = compact(learned.filled_histogram, 4)
         assert squeezed.num_pieces <= 4
         # Compaction stays within the additive guarantee regime.

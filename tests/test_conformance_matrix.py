@@ -7,7 +7,9 @@ pinned seeds through every combination of
 * learn route            — ``lockstep`` (the one production driver, as
   every facade calls it) or ``full`` (the engine's private full-span
   reference), swapped in at the facades' driver seam,
-* tester (flatness) engine — ``compiled`` / ``full``,
+* tester (flatness) engine — ``compiled`` (the production path) or
+  ``full`` (the private per-query reference, ``_reference_test`` /
+  ``_reference_min_k`` over each member's pooled sketch),
 * sample source          — :class:`ArraySource` / :class:`CountingSource`,
 * driver                 — a :class:`HistogramSession` loop /
   one :class:`HistogramFleet`,
@@ -38,6 +40,8 @@ from repro.api import (
 )
 from repro.core.greedy import _reference_learn
 from repro.core.params import GreedyParams, TesterParams
+from repro.core.selection import _reference_min_k
+from repro.core.tester import _reference_test
 from repro.distributions import families
 
 N = 96
@@ -94,11 +98,10 @@ def _freeze_learn(result):
 def _freeze_memo(sessions) -> tuple:
     """Per-member flatness-memo accounting of every compiled budget.
 
-    Part of the byte-identity contract *within* one tester engine: a
+    Part of the byte-identity contract on the compiled tester: a
     restored fleet, the response cache and the checkpoint mode must
     leave every member's memo — hits, misses, and distinct entries —
-    exactly as the live, uncached engine does.  (Cells on the ``full``
-    engine compile nothing, freezing to empty tuples on both sides.)
+    exactly as the live, uncached path does.
     """
     return tuple(
         tuple(
@@ -123,24 +126,34 @@ def run_scenario(
     """
     sources = _make_sources(source_kind)
     seeds = [seed + f for f in range(FLEET_SIZE)]
-    kwargs = dict(
-        tester_engine=tester_engine,
-        learn_budget=LEARN_PARAMS,
-        test_budget=TEST_PARAMS,
-    )
+    kwargs = dict(learn_budget=LEARN_PARAMS, test_budget=TEST_PARAMS)
     with learn_route(route):
         if driver == "fleet":
             fleet = HistogramFleet(sources, N, rngs=seeds, **kwargs)
             learned = fleet.learn(3, 0.3)
-            tested_l2 = fleet.test_many(TEST_GRID, norm="l2")
-            tested_l1 = fleet.test_l1(3, 0.3)
-            selected = fleet.min_k(0.3, max_k=6, norm="l2")
+            sessions = [fleet.session(f) for f in range(FLEET_SIZE)]
         else:
             sessions = [
                 HistogramSession(source, N, rng=member_seed, **kwargs)
                 for source, member_seed in zip(sources, seeds)
             ]
             learned = [session.learn(3, 0.3) for session in sessions]
+        if tester_engine == "full":
+            multis = [s._bundle.multi_sketch(TEST_PARAMS) for s in sessions]
+            tested_l2 = [
+                [_reference_test(m, N, k, e, "l2", TEST_PARAMS) for k, e in TEST_GRID]
+                for m in multis
+            ]
+            tested_l1 = [_reference_test(m, N, 3, 0.3, "l1", TEST_PARAMS) for m in multis]
+            selected = [
+                _reference_min_k(m, N, 0.3, max_k=6, norm="l2", params=TEST_PARAMS)
+                for m in multis
+            ]
+        elif driver == "fleet":
+            tested_l2 = fleet.test_many(TEST_GRID, norm="l2")
+            tested_l1 = fleet.test_l1(3, 0.3)
+            selected = fleet.min_k(0.3, max_k=6, norm="l2")
+        else:
             tested_l2 = [s.test_many(TEST_GRID, norm="l2") for s in sessions]
             tested_l1 = [session.test_l1(3, 0.3) for session in sessions]
             selected = [s.min_k(0.3, max_k=6, norm="l2") for s in sessions]
@@ -213,7 +226,6 @@ def test_snapshot_cell_matches_live_fleet(tmp_path, case):
             _make_sources("array"),
             N,
             rngs=list(seeds),
-            tester_engine="compiled",
             learn_budget=LEARN_PARAMS,
             test_budget=TEST_PARAMS,
         )

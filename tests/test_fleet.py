@@ -21,6 +21,8 @@ from repro.api import ArraySource, CountingSource, HistogramFleet, HistogramSess
 from repro.core.flatness import FleetTesterSketches, compile_tester_sketches
 from repro.core.greedy import GreedySamples, compile_greedy_sketches
 from repro.core.params import GreedyParams, TesterParams
+from repro.core.selection import _reference_min_k
+from repro.core.tester import _reference_test
 from repro.distributions import families
 from repro.errors import InvalidParameterError
 from repro.samples.collision import (
@@ -110,11 +112,23 @@ class TestFleetEquivalence:
         assert all(events["test"] == 1 for events in fleet.draw_events)
 
     def test_full_engine_passthrough(self):
-        fleet, sessions = make_fleet_and_sessions(test_budget=TEST_PARAMS)
-        assert fleet.test_l2(3, 0.3, engine="full") == fleet.test_l2(3, 0.3)
-        assert fleet.min_k(0.3, max_k=5, norm="l2", engine="full") == fleet.min_k(
-            0.3, max_k=5, norm="l2"
-        )
+        """The lockstep path equals the per-query reference over each
+        member's pooled sketch."""
+        fleet, _ = make_fleet_and_sessions(test_budget=TEST_PARAMS)
+        tested = fleet.test_l2(3, 0.3)
+        selected = fleet.min_k(0.3, max_k=5, norm="l2")
+        multis = [
+            fleet.session(f)._bundle.multi_sketch(TEST_PARAMS) for f in range(fleet.size)
+        ]
+        assert tested == [
+            _reference_test(multi, fleet.n, 3, 0.3, "l2", TEST_PARAMS) for multi in multis
+        ]
+        assert selected == [
+            _reference_min_k(
+                multi, fleet.n, 0.3, max_k=5, norm="l2", params=TEST_PARAMS
+            )
+            for multi in multis
+        ]
 
     def test_interleaved_learn_test_matches_sessions(self):
         """Draw interleaving across families follows the op order."""
@@ -339,8 +353,6 @@ class TestFleetValidation:
             HistogramFleet([dist], 16, rngs=[1, 2])
         with pytest.raises(InvalidParameterError):
             HistogramFleet([dist], 16, rngs=[1], rng=2)
-        with pytest.raises(InvalidParameterError):
-            HistogramFleet([dist], 16, tester_engine="magic")
 
     def test_bad_ops(self):
         fleet = HistogramFleet([families.uniform(16)], 16, rngs=[1])
@@ -350,8 +362,6 @@ class TestFleetValidation:
             fleet.min_k(0.3, max_k=0)
         with pytest.raises(InvalidParameterError):
             fleet.min_k(0.3, norm="tv")
-        with pytest.raises(InvalidParameterError):
-            fleet.test_l2(2, 0.3, engine="magic")
 
     def test_spawned_rngs_are_independent(self):
         dist = families.uniform(32)
@@ -391,6 +401,18 @@ class TestMemberSubsets:
         fleet, _ = make_fleet_and_sessions(test_budget=TEST_PARAMS)
         with pytest.raises(InvalidParameterError):
             fleet.test_l2(3, 0.3, members=[99])
+
+    def test_member_accessors_reject_out_of_range(self):
+        """invalidate / generation / session validate their index the way
+        members= does: -1 must not alias the last member."""
+        fleet, _ = make_fleet_and_sessions(fleet_size=3, test_budget=TEST_PARAMS)
+        fleet.test_l2(3, 0.3)
+        generations = fleet.generations
+        for bad in (-1, 3):
+            for accessor in (fleet.invalidate, fleet.generation, fleet.session):
+                with pytest.raises(InvalidParameterError, match=r"\[0, 3\)"):
+                    accessor(bad)
+        assert fleet.generations == generations  # no member was dropped
 
 
 class TestRecompileDetachesOldMember:

@@ -6,7 +6,7 @@ terms cached across rounds and refreshes them — and rescores candidates
 mode re-tabulates every grid point and rescores every candidate every
 round through the same code path.  The contract is *byte*-identity:
 same chosen intervals, same estimated costs, same traces — not just
-statistical agreement.  These tests pin that contract on one-shot
+statistical agreement.  These tests pin that contract on fresh-session
 learns, on session grids, and (the property at the heart of the design)
 on the engine's cached state itself after every single round.
 """
@@ -32,12 +32,11 @@ from repro.core.greedy import (
     compile_greedy_sketches,
     draw_greedy_samples,
     learn_from_samples,
-    learn_histogram,
 )
 from repro.core.params import GreedyParams
 from repro.distributions import families
 from repro.serving import HistogramService
-from repro.streaming import FleetMaintainer, StreamingHistogramMaintainer
+from repro.streaming import FleetMaintainer
 
 GRID = [(2, 0.3), (4, 0.25), (6, 0.2)]
 PARAMS = GreedyParams(
@@ -66,7 +65,7 @@ def _full_span():
 
 
 class TestLearnEquivalence:
-    """One-shot learns: production engine == full-span reference."""
+    """Fresh-session learns: production engine == full-span reference."""
 
     @pytest.mark.parametrize("method", ["fast", "exhaustive"])
     @pytest.mark.parametrize("seed", [1, 17, 92])
@@ -74,9 +73,8 @@ class TestLearnEquivalence:
         dist = families.zipf(128, 1.0)
 
         def learn():
-            return learn_histogram(
-                dist, 128, 4, 0.25, method=method, scale=0.05, rng=seed
-            )
+            session = HistogramSession(dist, 128, rng=seed, scale=0.05, method=method)
+            return session.learn(4, 0.25)
 
         production = learn()
         with _full_span():
@@ -87,31 +85,29 @@ class TestLearnEquivalence:
         dist = families.random_tiling_histogram(96, 5, rng=3, min_piece=4)
 
         def learn():
-            return learn_histogram(
-                dist, 96, 5, 0.3, method=method, params=PARAMS, rng=11
-            )
+            session = HistogramSession(dist, 96, rng=11, method=method)
+            return session.learn(5, 0.3, params=PARAMS)
 
         production = learn()
         with _full_span():
             assert_results_identical(production, learn())
 
     def test_invalid_engine_rejected(self):
-        """There is one learner engine: no entry point takes ``engine=``,
-        and a stray one is a TypeError rather than a silent choice."""
+        """There is one learner engine and one tester path: no entry
+        point takes ``engine=`` or ``tester_engine=``, and a stray one is
+        a TypeError rather than a silent choice."""
         for entry in (
             learn_from_samples,
-            learn_histogram,
             HistogramSession,
             HistogramFleet,
             FleetMaintainer,
-            StreamingHistogramMaintainer,
             HistogramService,
         ):
-            assert "engine" not in inspect.signature(entry).parameters, entry
+            parameters = inspect.signature(entry).parameters
+            assert "engine" not in parameters, entry
+            assert "tester_engine" not in parameters, entry
         with pytest.raises(TypeError):
-            learn_histogram(
-                families.uniform(16), 16, 2, 0.5, engine="full", params=PARAMS, rng=1
-            )
+            HistogramSession(families.uniform(16), 16, tester_engine="full")
 
 
 class TestSessionEquivalence:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.greedy import learn_histogram
+from repro.api import HistogramSession
 from repro.core.params import GreedyParams
 from repro.distributions.base import DiscreteDistribution
 
@@ -42,7 +42,7 @@ def small_distributions(draw):
 @given(small_distributions(), st.integers(min_value=0, max_value=10))
 def test_output_always_tiles_domain(dist, seed):
     """Boundaries 0..n, strictly increasing, values finite and >= 0."""
-    result = learn_histogram(dist, dist.n, 2, 0.3, params=TINY, rng=seed)
+    result = HistogramSession(dist, dist.n, rng=seed).learn(2, 0.3, params=TINY)
     hist = result.histogram
     assert hist.boundaries[0] == 0 and hist.boundaries[-1] == dist.n
     assert np.all(np.diff(hist.boundaries) > 0)
@@ -55,7 +55,7 @@ def test_output_always_tiles_domain(dist, seed):
 def test_filled_histogram_invariants(dist, seed):
     """Filled variant: same partition, pointwise >= the gapped one,
     total mass close to 1 (it is an empirical-weight refit)."""
-    result = learn_histogram(dist, dist.n, 2, 0.3, params=TINY, rng=seed)
+    result = HistogramSession(dist, dist.n, rng=seed).learn(2, 0.3, params=TINY)
     gapped = result.histogram
     filled = result.filled_histogram
     assert np.array_equal(filled.boundaries, gapped.boundaries)
@@ -68,7 +68,7 @@ def test_filled_histogram_invariants(dist, seed):
 def test_priority_log_always_consistent(dist, seed):
     """The reconstructed priority histogram flattens to the engine state
     for arbitrary inputs, not just the curated fixtures."""
-    result = learn_histogram(dist, dist.n, 2, 0.3, params=TINY, rng=seed)
+    result = HistogramSession(dist, dist.n, rng=seed).learn(2, 0.3, params=TINY)
     assert np.allclose(
         result.priority_histogram.to_pmf(), result.histogram.to_pmf(), atol=1e-12
     )
@@ -79,7 +79,8 @@ def test_priority_log_always_consistent(dist, seed):
 def test_methods_share_structural_invariants(dist):
     """Exhaustive and fast methods obey the same output contract."""
     for method in ("fast", "exhaustive"):
-        result = learn_histogram(dist, dist.n, 2, 0.3, params=TINY, rng=5, method=method)
+        session = HistogramSession(dist, dist.n, rng=5, method=method)
+        result = session.learn(2, 0.3, params=TINY)
         assert result.histogram.n == dist.n
         assert len(result.rounds) == TINY.rounds
         costs = [r.estimated_cost for r in result.rounds]
@@ -97,7 +98,7 @@ def test_deterministic_point_mass(position_mod):
     pmf[position] = 0.9 + 0.1 / (n - 1) - 0.1 / (n - 1)
     pmf = pmf / pmf.sum()
     dist = DiscreteDistribution(pmf)
-    result = learn_histogram(dist, n, 2, 0.3, params=TINY, rng=1)
+    result = HistogramSession(dist, n, rng=1).learn(2, 0.3, params=TINY)
     others = np.delete(np.arange(n), position)
     assert result.histogram.value_at(position) > float(
         np.max(result.histogram.value_at(others))

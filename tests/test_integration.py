@@ -7,7 +7,6 @@ import pytest
 
 import repro
 from repro.core.params import TesterParams
-from repro.core.selection import estimate_min_k
 from repro.datasets import sensor_readings_column
 from repro.distributions import families
 from repro.distributions.distances import l2_distance_squared
@@ -21,7 +20,7 @@ class TestLearnCompactQueryPipeline:
     def test_pipeline(self, rng):
         n, k = 256, 4
         dist = families.random_tiling_histogram(n, k, 3, min_piece=16)
-        learned = repro.learn_histogram(dist, n, k, 0.25, scale=0.05, rng=1)
+        learned = repro.HistogramSession(dist, n, rng=1, scale=0.05).learn(k, 0.25)
         squeezed = compact(learned.filled_histogram, k)
         assert squeezed.num_pieces <= k
 
@@ -35,27 +34,29 @@ class TestLearnCompactQueryPipeline:
         regime on histogram inputs."""
         n, k = 256, 4
         dist = families.random_tiling_histogram(n, k, 5, min_piece=16)
-        learned = repro.learn_histogram(dist, n, k, 0.25, scale=0.05, rng=2)
+        learned = repro.HistogramSession(dist, n, rng=2, scale=0.05).learn(k, 0.25)
         before = l2_distance_squared(dist, learned.filled_histogram)
         after = l2_distance_squared(dist, compact(learned.filled_histogram, k))
         assert after <= before + 8 * 0.25
 
 
 class TestSelectThenLearnPipeline:
-    """estimate_min_k -> learn at that k (the model-selection example)."""
+    """min_k -> learn at that k (the model-selection example)."""
 
     def test_pipeline(self):
         values, n = sensor_readings_column(100_000, rng=3)
         column = repro.EmpiricalDistribution(values, n)
         params = TesterParams(num_sets=15, set_size=30_000)
-        selection = estimate_min_k(column, n, 0.25, max_k=10, params=params, rng=4)
+        selection = repro.HistogramSession(column, n, rng=4).min_k(
+            0.25, max_k=10, params=params
+        )
         assert selection.k is not None
         # 4 true bands; sampling noise may split a band near the flatness
         # threshold, so allow modest overshoot.
         assert selection.k <= 8
 
-        learned = repro.learn_histogram(
-            column, n, selection.k, 0.25, scale=0.05, rng=5
+        learned = repro.HistogramSession(column, n, rng=5, scale=0.05).learn(
+            selection.k, 0.25
         )
         assert repro.l1_distance(column, learned.filled_histogram) < 0.5
 
@@ -67,7 +68,7 @@ class TestTestThenTrustPipeline:
         n, k = 256, 4
         dist = families.random_tiling_histogram(n, k, 7, min_piece=16)
         params = TesterParams(num_sets=11, set_size=20_000)
-        verdict = repro.test_k_histogram_l1(dist, n, k, 0.25, params=params, rng=6)
+        verdict = repro.HistogramSession(dist, n, rng=6).test_l1(k, 0.25, params=params)
         assert verdict.accepted
         # The tester's own partition is already a usable summary skeleton.
         assert verdict.partition[-1].stop == n
@@ -83,7 +84,7 @@ class TestTestThenTrustPipeline:
         n, k = 256, 4
         saw = families.sawtooth(n)
         params = TesterParams(num_sets=11, set_size=20_000)
-        verdict = repro.test_k_histogram_l1(saw, n, k, 0.25, params=params, rng=7)
+        verdict = repro.HistogramSession(saw, n, rng=7).test_l1(k, 0.25, params=params)
         assert not verdict.accepted
         assert repro.distance_to_k_histogram(saw, k, norm="l1") > 0.25
 
@@ -92,16 +93,16 @@ class TestStreamToQueriesPipeline:
     """stream -> maintainer -> selectivity answers."""
 
     def test_pipeline(self, rng):
-        from repro.streaming import StreamingHistogramMaintainer
+        from repro.streaming import FleetMaintainer
 
         n = 256
         dist = families.two_level(n, heavy_start=64, heavy_length=32)
-        maintainer = StreamingHistogramMaintainer(
-            n, 4, refresh_every=2_000, reservoir_capacity=2_000, rng=8
+        maintainer = FleetMaintainer(
+            1, n, 4, refresh_every=2_000, reservoir_capacity=2_000, rng=8
         )
-        maintainer.update_many(dist.sample(6_000, rng))
+        maintainer.update_many(0, dist.sample(6_000, rng))
         report = evaluate_estimator(
-            SelectivityEstimator(maintainer.histogram),
+            SelectivityEstimator(maintainer.histogram(0)),
             dist,
             mixed_workload(n, 100, rng),
         )
@@ -118,8 +119,8 @@ class TestLearnerMatchesTesterSemantics:
         n, k = 128, 3
         dist = families.random_tiling_histogram(n, k, seed, min_piece=8)
         params = TesterParams(num_sets=11, set_size=20_000)
-        verdict = repro.test_k_histogram_l1(dist, n, k, 0.3, params=params, rng=seed)
-        learned = repro.learn_histogram(dist, n, k, 0.3, scale=0.05, rng=seed)
+        verdict = repro.HistogramSession(dist, n, rng=seed).test_l1(k, 0.3, params=params)
+        learned = repro.HistogramSession(dist, n, rng=seed, scale=0.05).learn(k, 0.3)
         err = l2_distance_squared(dist, learned.histogram)
         assert verdict.accepted
         assert err < 0.05

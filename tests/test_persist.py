@@ -581,15 +581,18 @@ class TestMaintainerRoundTrip:
         assert _freeze_probe(live) == _freeze_probe(restored)
 
     def test_legacy_engine_key_in_fleet_meta_still_restores(self, tmp_path):
-        """Snapshots from before the learner engine knob went carry
-        ``"engine": "lockstep"`` in their fleet meta; the key is no
-        longer fingerprinted, so they keep restoring."""
+        """Snapshots from before the engine knobs went carry
+        ``"engine": "lockstep"`` and ``"tester_engine": "compiled"`` in
+        their fleet meta; neither key is fingerprinted any more, so they
+        keep restoring."""
         from repro.persist import codec
 
         live = _built_maintainer(seed=3)
         meta, slabs = codec.maintainer_state(live)
         assert "engine" not in meta["fleet"]
+        assert "tester_engine" not in meta["fleet"]
         meta["fleet"]["engine"] = "lockstep"
+        meta["fleet"]["tester_engine"] = "compiled"
         path = tmp_path / "m.snap"
         write_snapshot(path, kind="maintainer", meta=meta, slabs=slabs)
         restored = _fresh_maintainer(seed=3)

@@ -1,11 +1,12 @@
-"""Tests for repro.core.selection (min-k estimation)."""
+"""Tests for repro.core.selection (min-k estimation), through a fresh
+session per call."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api import HistogramSession
 from repro.core.params import TesterParams
-from repro.core.selection import estimate_min_k
 from repro.distributions import families
 from repro.errors import InvalidParameterError
 
@@ -14,8 +15,8 @@ PARAMS = TesterParams(num_sets=11, set_size=20_000)
 
 class TestEstimateMinK:
     def test_uniform_needs_one(self):
-        result = estimate_min_k(
-            families.uniform(256), 256, 0.25, params=PARAMS, rng=1
+        result = HistogramSession(families.uniform(256), 256, rng=1).min_k(
+            0.25, params=PARAMS
         )
         assert result.k == 1
         assert len(result.partition) == 1
@@ -23,38 +24,40 @@ class TestEstimateMinK:
     def test_recovers_k_of_well_separated_histogram(self):
         dist = families.random_tiling_histogram(256, 4, 5, min_piece=32)
         true_k = dist.min_histogram_pieces()
-        result = estimate_min_k(dist, 256, 0.2, params=PARAMS, rng=2)
+        result = HistogramSession(dist, 256, rng=2).min_k(0.2, params=PARAMS)
         assert result.k is not None
         assert result.k <= true_k  # never more pieces than the truth
 
     def test_lower_bound_yes_instance(self):
         from repro.core.lower_bound import yes_instance
 
-        result = estimate_min_k(yes_instance(256, 4), 256, 0.2, params=PARAMS, rng=3)
+        result = HistogramSession(yes_instance(256, 4), 256, rng=3).min_k(
+            0.2, params=PARAMS
+        )
         assert result.k is not None and result.k <= 4
 
     def test_sawtooth_needs_many(self):
-        result = estimate_min_k(
-            families.sawtooth(64), 64, 0.25, max_k=8, params=PARAMS, rng=4
+        result = HistogramSession(families.sawtooth(64), 64, rng=4).min_k(
+            0.25, max_k=8, params=PARAMS
         )
         assert result.k is None
 
     def test_partition_covers_domain_when_found(self):
         dist = families.two_level(256, heavy_start=64, heavy_length=64)
-        result = estimate_min_k(dist, 256, 0.25, params=PARAMS, rng=5)
+        result = HistogramSession(dist, 256, rng=5).min_k(0.25, params=PARAMS)
         assert result.k is not None
         assert result.partition[-1].stop == 256
         assert result.partition[0].start == 0
 
     def test_tried_flags_consistent(self):
         dist = families.two_level(256, heavy_start=64, heavy_length=64)
-        result = estimate_min_k(dist, 256, 0.25, max_k=6, params=PARAMS, rng=6)
+        result = HistogramSession(dist, 256, rng=6).min_k(0.25, max_k=6, params=PARAMS)
         for k, accepted in result.tried:
             assert accepted == (result.k is not None and k >= result.k)
 
     def test_l2_mode(self):
-        result = estimate_min_k(
-            families.spikes(256, 8), 256, 0.25, max_k=30, norm="l2", scale=0.05, rng=7
+        result = HistogramSession(families.spikes(256, 8), 256, rng=7, scale=0.05).min_k(
+            0.25, max_k=30, norm="l2"
         )
         # spikes(256, 8) is a 17-piece histogram (8 singleton spikes + gaps
         # with zero background): the tester needs more than 8 pieces.
@@ -63,12 +66,12 @@ class TestEstimateMinK:
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
-            estimate_min_k(families.uniform(16), 16, 0.25, max_k=0)
+            HistogramSession(families.uniform(16), 16).min_k(0.25, max_k=0)
         with pytest.raises(InvalidParameterError):
-            estimate_min_k(families.uniform(16), 16, 0.25, norm="tv")
+            HistogramSession(families.uniform(16), 16).min_k(0.25, norm="tv")
 
     def test_samples_shared_across_candidates(self):
-        result = estimate_min_k(
-            families.uniform(64), 64, 0.25, max_k=16, params=PARAMS, rng=8
+        result = HistogramSession(families.uniform(64), 64, rng=8).min_k(
+            0.25, max_k=16, params=PARAMS
         )
         assert result.samples_used == PARAMS.total_samples

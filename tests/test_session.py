@@ -2,8 +2,9 @@
 
 The two contracts that make the facade safe to adopt:
 
-* a fresh session is seed-for-seed byte-identical to the legacy one-shot
-  entry points (same draws, same order, same results);
+* a fresh session is seed-for-seed byte-identical to the paper's
+  draw-then-run composition of the core halves (same draws, same order,
+  same results);
 * batched operations share one sample draw per sketch family (asserted
   through a counting source).
 """
@@ -21,15 +22,16 @@ from repro.api import (
     SampleSource,
     as_sample_source,
 )
-from repro.core.greedy import learn_histogram
+from repro.core.greedy import draw_greedy_samples, learn_from_samples
 from repro.core.params import GreedyParams, TesterParams
-from repro.core.selection import estimate_min_k
+from repro.core.selection import select_min_k_on_sketch
 
 # Alias the paper-named ``test*`` functions so pytest does not collect them.
-from repro.core.tester import test_k_histogram_l1 as khist_test_l1
-from repro.core.tester import test_k_histogram_l2 as khist_test_l2
+from repro.core.tester import test_l1_on_sketch as l1_on_sketch
+from repro.core.tester import test_l2_on_sketch as l2_on_sketch
 from repro.distributions import families
 from repro.errors import InvalidParameterError
+from repro.samples.estimators import MultiSketch
 from repro.streaming.reservoir import ReservoirSampler
 
 N = 128
@@ -94,47 +96,64 @@ class TestSampleSource:
         assert counting.samples_drawn == 15
 
 
+def legacy_learn(k, epsilon, params, *, rng, method="fast", max_candidates=None):
+    """The paper's one-shot learn: one draw, then the pure algorithm."""
+    generator = np.random.default_rng(rng)
+    samples = draw_greedy_samples(DIST, params, generator)
+    return learn_from_samples(
+        samples, N, k, epsilon, params=params, method=method,
+        max_candidates=max_candidates, rng=generator,
+    )
+
+
+def legacy_tester_sketch(rng):
+    """The paper's tester draw: ``r`` consecutive sets, one generator."""
+    sets = DIST.sample_sets(TEST_PARAMS.num_sets, TEST_PARAMS.set_size, rng=rng)
+    return MultiSketch.from_sample_sets(sets, N)
+
+
 class TestSeedEquivalence:
-    """One-shot sessions are byte-identical to the legacy entry points."""
+    """A fresh session's first call is byte-identical to the paper's
+    draw-then-run composition of the core halves at the same seed."""
 
     @pytest.mark.parametrize("method", ["fast", "exhaustive"])
     def test_learn_matches_legacy(self, method):
-        legacy = learn_histogram(
-            DIST, N, 4, 0.3, method=method, scale=0.05, rng=17
-        )
+        params = GreedyParams.from_paper(N, 4, 0.3, scale=0.05)
+        legacy = legacy_learn(4, 0.3, params, method=method, rng=17)
         fresh = HistogramSession(DIST, N, rng=17, scale=0.05, method=method)
         assert_learn_results_equal(legacy, fresh.learn(4, 0.3))
 
     def test_learn_matches_legacy_with_params_and_cap(self):
-        legacy = learn_histogram(
-            DIST, N, 3, 0.4, params=LEARN_PARAMS, max_candidates=200, rng=3
-        )
+        legacy = legacy_learn(3, 0.4, LEARN_PARAMS, max_candidates=200, rng=3)
         fresh = HistogramSession(DIST, N, rng=3, max_candidates=200)
         assert_learn_results_equal(legacy, fresh.learn(3, 0.4, params=LEARN_PARAMS))
 
     def test_test_l2_matches_legacy(self):
-        legacy = khist_test_l2(DIST, N, 4, 0.3, params=TEST_PARAMS, rng=5)
+        legacy = l2_on_sketch(legacy_tester_sketch(5), N, 4, 0.3, TEST_PARAMS)
         fresh = HistogramSession(DIST, N, rng=5)
         assert legacy == fresh.test_l2(4, 0.3, params=TEST_PARAMS)
 
     def test_test_l1_matches_legacy(self):
-        legacy = khist_test_l1(DIST, N, 4, 0.3, params=TEST_PARAMS, rng=5)
+        legacy = l1_on_sketch(legacy_tester_sketch(5), N, 4, 0.3, TEST_PARAMS)
         fresh = HistogramSession(DIST, N, rng=5)
         assert legacy == fresh.test_l1(4, 0.3, params=TEST_PARAMS)
 
     def test_min_k_matches_legacy(self):
-        legacy = estimate_min_k(DIST, N, 0.25, max_k=10, params=TEST_PARAMS, rng=9)
+        legacy = select_min_k_on_sketch(
+            legacy_tester_sketch(9), N, 0.25, max_k=10, params=TEST_PARAMS
+        )
         fresh = HistogramSession(DIST, N, rng=9)
         assert legacy == fresh.min_k(0.25, max_k=10, params=TEST_PARAMS)
 
     def test_legacy_shims_stay_deterministic(self):
-        """Same seed, same call — twice — gives identical results."""
-        a = learn_histogram(DIST, N, 4, 0.3, scale=0.05, rng=11)
-        b = learn_histogram(DIST, N, 4, 0.3, scale=0.05, rng=11)
+        """Same seed, same call, fresh sessions — twice — gives identical
+        results."""
+        a = HistogramSession(DIST, N, rng=11, scale=0.05).learn(4, 0.3)
+        b = HistogramSession(DIST, N, rng=11, scale=0.05).learn(4, 0.3)
         assert_learn_results_equal(a, b)
-        assert khist_test_l2(
-            DIST, N, 4, 0.3, params=TEST_PARAMS, rng=11
-        ) == khist_test_l2(DIST, N, 4, 0.3, params=TEST_PARAMS, rng=11)
+        assert HistogramSession(DIST, N, rng=11).test_l2(
+            4, 0.3, params=TEST_PARAMS
+        ) == HistogramSession(DIST, N, rng=11).test_l2(4, 0.3, params=TEST_PARAMS)
 
 
 class TestSampleReuse:

@@ -1,4 +1,7 @@
-"""Tests for repro.streaming (reservoir + maintainer)."""
+"""Tests for repro.streaming (reservoir + maintainer).
+
+``TestMaintainer`` drives the one-stream case, ``FleetMaintainer(1, ...)``.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from repro.distributions import families
 from repro.distributions.distances import l1_distance
 from repro.errors import InvalidParameterError
-from repro.streaming.maintainer import StreamingHistogramMaintainer
+from repro.streaming import FleetMaintainer
 from repro.streaming.reservoir import ReservoirSampler
 
 # Batches of up to 64 items, flat or 2-D, including empty ones.
@@ -118,129 +121,114 @@ class TestReservoir:
 class TestMaintainer:
     def test_summarises_stationary_stream(self, rng):
         dist = families.random_tiling_histogram(128, 4, 3, min_piece=8)
-        maintainer = StreamingHistogramMaintainer(
-            128, 4, refresh_every=2_000, reservoir_capacity=2_000, rng=5
+        maintainer = FleetMaintainer(
+            1, 128, 4, refresh_every=2_000, reservoir_capacity=2_000, rng=5
         )
-        maintainer.update_many(dist.sample(10_000, rng))
-        summary = maintainer.histogram
+        maintainer.update_many(0, dist.sample(10_000, rng))
+        summary = maintainer.histogram(0)
         assert l1_distance(dist, summary) < 0.25
 
     def test_adapts_to_drift(self, rng):
         """After a distribution shift, rebuilds track the new regime."""
         before = families.two_level(128, heavy_start=0, heavy_length=16)
         after = families.two_level(128, heavy_start=96, heavy_length=16)
-        maintainer = StreamingHistogramMaintainer(
-            128, 4, refresh_every=1_000, reservoir_capacity=1_000, rng=6
+        maintainer = FleetMaintainer(
+            1, 128, 4, refresh_every=1_000, reservoir_capacity=1_000, rng=6
         )
-        maintainer.update_many(before.sample(3_000, rng))
-        _ = maintainer.histogram
+        maintainer.update_many(0, before.sample(3_000, rng))
+        _ = maintainer.histogram(0)
         # Flood with the new regime: the reservoir turns over.
-        maintainer.update_many(after.sample(30_000, rng))
-        summary = maintainer.histogram
-        assert summary.range_mass(__import__("repro").Interval(96, 112)) > 0.5
-
-    def test_windowed_mode_adapts_faster(self, rng):
-        """forget_after_rebuild bounds staleness by one refresh window."""
-        before = families.two_level(128, heavy_start=0, heavy_length=16)
-        after = families.two_level(128, heavy_start=96, heavy_length=16)
-        windowed = StreamingHistogramMaintainer(
-            128, 4, refresh_every=1_000, reservoir_capacity=1_000,
-            forget_after_rebuild=True, rng=6,
-        )
-        windowed.update_many(before.sample(3_000, rng))
-        _ = windowed.histogram
-        windowed.update_many(after.sample(2_000, rng))
-        summary = windowed.histogram
+        maintainer.update_many(0, after.sample(30_000, rng))
+        summary = maintainer.histogram(0)
         assert summary.range_mass(__import__("repro").Interval(96, 112)) > 0.5
 
     def test_lazy_rebuild_counting(self, rng):
         dist = families.uniform(64)
-        maintainer = StreamingHistogramMaintainer(
-            64, 2, refresh_every=500, reservoir_capacity=500, rng=7
+        maintainer = FleetMaintainer(
+            1, 64, 2, refresh_every=500, reservoir_capacity=500, rng=7
         )
-        maintainer.update_many(dist.sample(500, rng))
+        maintainer.update_many(0, dist.sample(500, rng))
         assert maintainer.rebuilds == 0  # lazy: nothing rebuilt yet
-        _ = maintainer.histogram
+        _ = maintainer.histogram(0)
         assert maintainer.rebuilds == 1
-        _ = maintainer.histogram
+        _ = maintainer.histogram(0)
         assert maintainer.rebuilds == 1  # cached between refreshes
-        maintainer.update_many(dist.sample(500, rng))
-        _ = maintainer.histogram
+        maintainer.update_many(0, dist.sample(500, rng))
+        _ = maintainer.histogram(0)
         assert maintainer.rebuilds == 2
 
     def test_empty_stream_raises(self):
-        maintainer = StreamingHistogramMaintainer(64, 2, rng=8)
+        maintainer = FleetMaintainer(1, 64, 2, rng=8)
         with pytest.raises(InvalidParameterError):
-            _ = maintainer.histogram
+            _ = maintainer.histogram(0)
 
     def test_out_of_domain_update_raises(self):
-        maintainer = StreamingHistogramMaintainer(64, 2, rng=9)
+        maintainer = FleetMaintainer(1, 64, 2, rng=9)
         with pytest.raises(InvalidParameterError):
-            maintainer.update(64)
+            maintainer.update(0, 64)
         with pytest.raises(InvalidParameterError):
-            maintainer.update_many(np.array([-1]))
+            maintainer.update_many(0, np.array([-1]))
 
     def test_items_seen(self, rng):
-        maintainer = StreamingHistogramMaintainer(64, 2, rng=10)
-        maintainer.update(5)
-        maintainer.update_many(np.array([1, 2, 3]))
-        assert maintainer.items_seen == 4
+        maintainer = FleetMaintainer(1, 64, 2, rng=10)
+        maintainer.update(0, 5)
+        maintainer.update_many(0, np.array([1, 2, 3]))
+        assert maintainer.items_seen == [4]
 
     def test_update_many_rejects_non_integer_intake(self):
         """Floats must not truncate into the reservoir, and a NaN must not
         crash the batch halfway: both are refused with nothing absorbed."""
-        maintainer = StreamingHistogramMaintainer(64, 2, rng=11)
-        maintainer.update_many(np.array([1, 2, 3]))
-        before = maintainer._reservoir.contents()
+        maintainer = FleetMaintainer(1, 64, 2, rng=11)
+        maintainer.update_many(0, np.array([1, 2, 3]))
+        before = maintainer._reservoirs[0].contents()
         for bad in (np.array([1.5, 2.7]), np.array([4.0, np.nan, 5.0])):
             with pytest.raises(InvalidParameterError, match="dtype must be integer"):
-                maintainer.update_many(bad)
-        assert maintainer.items_seen == 3
-        assert np.array_equal(maintainer._reservoir.contents(), before)
-        maintainer.update_many(np.array([]))  # empty input of any dtype is fine
-        assert maintainer.items_seen == 3
+                maintainer.update_many(0, bad)
+        assert maintainer.items_seen == [3]
+        assert np.array_equal(maintainer._reservoirs[0].contents(), before)
+        maintainer.update_many(0, np.array([]))  # empty input of any dtype is fine
+        assert maintainer.items_seen == [3]
 
     def test_scalar_update_rejects_non_integer_values(self):
-        """A float must not truncate into the reservoir (5.5 -> 5): the
-        scalar path refuses it, as update_many refuses float batches."""
-        maintainer = StreamingHistogramMaintainer(64, 2, rng=13)
-        maintainer.update(np.int64(3))  # NumPy integers are fine
-        for bad in (5.5, np.float64(5.5), 4.0):
+        """A float must not truncate into the reservoir (5.5 -> 5), nor a
+        bool become domain point 0 or 1: the scalar path refuses both, as
+        update_many refuses float and bool batches."""
+        maintainer = FleetMaintainer(1, 64, 2, rng=13)
+        maintainer.update(0, np.int64(3))  # NumPy integers are fine
+        for bad in (5.5, np.float64(5.5), 4.0, True, False):
             with pytest.raises(InvalidParameterError, match="must be an integer"):
-                maintainer.update(bad)
-        assert maintainer.items_seen == 1
-        assert maintainer._reservoir.contents().tolist() == [3]
+                maintainer.update(0, bad)
+        assert maintainer.items_seen == [1]
+        assert maintainer._reservoirs[0].contents().tolist() == [3]
 
     def test_update_many_empty_batch_is_a_noop(self, rng):
-        maintainer = StreamingHistogramMaintainer(
-            64, 2, reservoir_capacity=200, rng=12
-        )
-        maintainer.update_many(rng.integers(0, 64, size=400))
+        maintainer = FleetMaintainer(1, 64, 2, reservoir_capacity=200, rng=12)
+        maintainer.update_many(0, rng.integers(0, 64, size=400))
         first = maintainer.test()
-        drawn = maintainer._session.samples_drawn
-        maintainer.update_many(np.array([], dtype=np.int64))
+        drawn = maintainer.fleet.samples_drawn
+        maintainer.update_many(0, np.array([], dtype=np.int64))
         assert maintainer.test() == first
-        assert maintainer._session.samples_drawn == drawn  # no redraw
+        assert maintainer.fleet.samples_drawn == drawn  # no redraw
 
     def test_invalid_construction(self):
         with pytest.raises(InvalidParameterError):
-            StreamingHistogramMaintainer(0, 2)
+            FleetMaintainer(1, 0, 2)
         with pytest.raises(InvalidParameterError):
-            StreamingHistogramMaintainer(64, 2, refresh_every=0)
+            FleetMaintainer(1, 64, 2, refresh_every=0)
 
 
 _BAD_EPSILONS = [0.0, 1.0, 2.0, -1.0, float("nan")]
 
 
 class TestConstructionEpsilon:
-    """Both maintainers reject an operating epsilon outside (0, 1) up
-    front, with the testers' message, instead of failing every later
-    default-epsilon probe."""
+    """One- and many-stream maintainers reject an operating epsilon
+    outside (0, 1) up front, with the testers' message, instead of
+    failing every later default-epsilon probe."""
 
     @pytest.mark.parametrize("epsilon", _BAD_EPSILONS)
     def test_single_stream_maintainer(self, epsilon):
         with pytest.raises(InvalidParameterError, match=r"epsilon must be in \(0, 1\)"):
-            StreamingHistogramMaintainer(64, 2, epsilon)
+            FleetMaintainer(1, 64, 2, epsilon)
 
     @pytest.mark.parametrize("epsilon", _BAD_EPSILONS)
     def test_fleet_maintainer(self, epsilon):
@@ -257,28 +245,12 @@ class TestEmptyStreamProbes:
     def test_single_stream_probes_raise_empty_stream_error(self):
         from repro.errors import EmptyStreamError, ReproError
 
-        maintainer = StreamingHistogramMaintainer(64, 2, rng=1)
-        for probe in (maintainer.test, maintainer.min_k, lambda: maintainer.histogram):
+        maintainer = FleetMaintainer(1, 64, 2, rng=1)
+        for probe in (maintainer.test, maintainer.min_k, lambda: maintainer.histogram(0)):
             with pytest.raises(EmptyStreamError):
                 probe()
             with pytest.raises(ReproError):  # the catch-all contract
                 probe()
-
-    def test_probe_after_forgetting_rebuild_raises_cleanly(self, rng):
-        """forget_after_rebuild empties the reservoir; the next probe must
-        fail with the same clear error, not a crash from stale pools."""
-        from repro.errors import EmptyStreamError
-
-        maintainer = StreamingHistogramMaintainer(
-            64, 2, rng=2, forget_after_rebuild=True,
-            refresh_every=16, reservoir_capacity=16,
-        )
-        maintainer.update_many(rng.integers(0, 64, size=32))
-        _ = maintainer.histogram  # rebuild resets the reservoir
-        with pytest.raises(EmptyStreamError):
-            maintainer.test()
-        with pytest.raises(EmptyStreamError):
-            maintainer.min_k()
 
     def test_empty_stream_error_is_backward_compatible(self):
         """Existing callers catching InvalidParameterError keep working."""
@@ -369,13 +341,14 @@ class TestFleetMaintainer:
             maintainer.test(norm="tv")
 
     def test_scalar_update_rejects_non_integer_values(self):
-        """A float must not truncate into the reservoir (3.7 -> 3): the
-        scalar path refuses it, as update_many refuses float batches."""
+        """A float must not truncate into the reservoir (3.7 -> 3), nor a
+        bool become domain point 0 or 1: the scalar path refuses both, as
+        update_many refuses float and bool batches."""
         from repro.streaming import FleetMaintainer
 
         maintainer = FleetMaintainer(2, 64, 2, rng=1)
         maintainer.update(0, np.int64(3))  # NumPy integers are fine
-        for bad in (3.7, np.float64(5.5), 4.0):
+        for bad in (3.7, np.float64(5.5), 4.0, True, False):
             with pytest.raises(InvalidParameterError, match="must be an integer"):
                 maintainer.update(0, bad)
         assert maintainer.items_seen == [1, 0]

@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import HistogramSession
 from repro.core.flatness import FlatnessResult
 from repro.core.params import TesterParams
-# Alias the paper-named ``test*`` functions so pytest does not collect them.
 from repro.core.tester import count_rejections, flat_partition
-from repro.core.tester import test_k_histogram_l1 as khist_test_l1
-from repro.core.tester import test_k_histogram_l2 as khist_test_l2
 from repro.distributions import families
 from repro.errors import InvalidParameterError
 
@@ -75,34 +73,34 @@ class TestFlatPartitionLogic:
 class TestTesterL2:
     def test_accepts_k_histogram(self):
         dist = families.random_tiling_histogram(256, 4, rng=3, min_piece=8)
-        result = khist_test_l2(dist, 256, 4, 0.25, rng=31, **L2_ARGS)
+        result = HistogramSession(dist, 256, rng=31, **L2_ARGS).test_l2(4, 0.25)
         assert result.accepted
 
     def test_accepts_uniform_for_k1(self):
-        result = khist_test_l2(families.uniform(256), 256, 1, 0.25, rng=32, **L2_ARGS)
+        result = HistogramSession(families.uniform(256), 256, rng=32, **L2_ARGS).test_l2(1, 0.25)
         assert result.accepted
 
     def test_rejects_l2_far_spikes(self):
         spiky = families.spikes(256, 8)
-        result = khist_test_l2(spiky, 256, 4, 0.25, rng=33, **L2_ARGS)
+        result = HistogramSession(spiky, 256, rng=33, **L2_ARGS).test_l2(4, 0.25)
         assert not result.accepted
         assert count_rejections(result) > 0
 
     def test_accepts_with_larger_k(self):
         """spikes(n, 8) is a 17-histogram; k=17 must accept."""
         spiky = families.spikes(256, 8)
-        result = khist_test_l2(spiky, 256, 20, 0.25, rng=34, **L2_ARGS)
+        result = HistogramSession(spiky, 256, rng=34, **L2_ARGS).test_l2(20, 0.25)
         assert result.accepted
 
     def test_partition_covers_on_accept(self):
         dist = families.random_tiling_histogram(256, 3, rng=6, min_piece=16)
-        result = khist_test_l2(dist, 256, 3, 0.25, rng=35, **L2_ARGS)
+        result = HistogramSession(dist, 256, rng=35, **L2_ARGS).test_l2(3, 0.25)
         assert result.accepted
         assert result.partition[-1].stop == 256
 
     def test_result_metadata(self):
         dist = families.uniform(128)
-        result = khist_test_l2(dist, 128, 2, 0.25, rng=36, **L2_ARGS)
+        result = HistogramSession(dist, 128, rng=36, **L2_ARGS).test_l2(2, 0.25)
         assert result.norm == "l2"
         assert result.k == 2
         assert result.epsilon == 0.25
@@ -111,19 +109,19 @@ class TestTesterL2:
 
     def test_invalid_k_raises(self):
         with pytest.raises(InvalidParameterError):
-            khist_test_l2(families.uniform(16), 16, 0, 0.25)
+            HistogramSession(families.uniform(16), 16).test_l2(0, 0.25)
 
 
 class TestTesterL1:
     def test_accepts_k_histogram(self):
         dist = families.random_tiling_histogram(256, 4, rng=3, min_piece=8)
-        result = khist_test_l1(dist, 256, 4, 0.25, params=L1_PARAMS, rng=41)
+        result = HistogramSession(dist, 256, rng=41).test_l1(4, 0.25, params=L1_PARAMS)
         assert result.accepted
 
     def test_rejects_sawtooth(self):
         """The sawtooth is ~0.4-far in l1 from 4-histograms."""
-        result = khist_test_l1(
-            families.sawtooth(256), 256, 4, 0.25, params=L1_PARAMS, rng=42
+        result = HistogramSession(families.sawtooth(256), 256, rng=42).test_l1(
+            4, 0.25, params=L1_PARAMS
         )
         assert not result.accepted
 
@@ -131,28 +129,26 @@ class TestTesterL1:
         from repro.core.lower_bound import no_instance
 
         dist = no_instance(256, 4, rng=7)
-        result = khist_test_l1(dist, 256, 4, 0.2, params=L1_PARAMS, rng=43)
+        result = HistogramSession(dist, 256, rng=43).test_l1(4, 0.2, params=L1_PARAMS)
         assert not result.accepted
 
     def test_accepts_lower_bound_yes_instance(self):
         from repro.core.lower_bound import yes_instance
 
         dist = yes_instance(256, 4)
-        result = khist_test_l1(dist, 256, 4, 0.2, params=L1_PARAMS, rng=44)
+        result = HistogramSession(dist, 256, rng=44).test_l1(4, 0.2, params=L1_PARAMS)
         assert result.accepted
 
     def test_sawtooth_accepted_with_huge_k(self):
         """Every distribution is a tiling n-histogram."""
-        result = khist_test_l1(
-            families.sawtooth(64), 64, 64, 0.25,
-            params=TesterParams(num_sets=11, set_size=20_000), rng=45
+        result = HistogramSession(families.sawtooth(64), 64, rng=45).test_l1(
+            64, 0.25, params=TesterParams(num_sets=11, set_size=20_000)
         )
         assert result.accepted
 
     def test_norm_recorded(self):
-        result = khist_test_l1(
-            families.uniform(64), 64, 1, 0.25,
-            params=TesterParams(num_sets=5, set_size=5_000), rng=46
+        result = HistogramSession(families.uniform(64), 64, rng=46).test_l1(
+            1, 0.25, params=TesterParams(num_sets=5, set_size=5_000)
         )
         assert result.norm == "l1"
 
@@ -163,7 +159,7 @@ class TestStatisticalGuarantee:
     def test_l2_acceptance_rate_on_members(self):
         dist = families.random_tiling_histogram(128, 3, rng=2, min_piece=8)
         accepts = sum(
-            khist_test_l2(dist, 128, 3, 0.3, scale=0.05, rng=100 + i).accepted
+            HistogramSession(dist, 128, rng=100 + i, scale=0.05).test_l2(3, 0.3).accepted
             for i in range(10)
         )
         assert accepts >= 7
@@ -171,7 +167,7 @@ class TestStatisticalGuarantee:
     def test_l2_rejection_rate_on_far(self):
         spiky = families.spikes(128, 6)
         rejects = sum(
-            not khist_test_l2(spiky, 128, 3, 0.3, scale=0.05, rng=200 + i).accepted
+            not HistogramSession(spiky, 128, rng=200 + i, scale=0.05).test_l2(3, 0.3).accepted
             for i in range(10)
         )
         assert rejects >= 7
@@ -180,7 +176,7 @@ class TestStatisticalGuarantee:
         dist = families.random_tiling_histogram(128, 3, rng=2, min_piece=8)
         params = TesterParams(num_sets=11, set_size=20_000)
         accepts = sum(
-            khist_test_l1(dist, 128, 3, 0.3, params=params, rng=300 + i).accepted
+            HistogramSession(dist, 128, rng=300 + i).test_l1(3, 0.3, params=params).accepted
             for i in range(10)
         )
         assert accepts >= 7
@@ -189,7 +185,7 @@ class TestStatisticalGuarantee:
         saw = families.sawtooth(128)
         params = TesterParams(num_sets=11, set_size=20_000)
         rejects = sum(
-            not khist_test_l1(saw, 128, 3, 0.3, params=params, rng=400 + i).accepted
+            not HistogramSession(saw, 128, rng=400 + i).test_l1(3, 0.3, params=params).accepted
             for i in range(10)
         )
         assert rejects >= 7

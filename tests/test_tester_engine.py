@@ -1,16 +1,20 @@
-"""Equivalence of the compiled tester engine against the per-query path.
+"""Equivalence of the compiled tester against the per-query reference.
 
-The compiled engine (``engine="compiled"``) answers Algorithm 2's
-flatness queries from precomputed ``(n + 1, r)`` prefix gathers with a
-verdict memo; ``engine="full"`` re-runs the per-set searches on every
-probe.  The contract is *byte*-identity on verdicts **and query logs**
-(``TestResult`` equality compares both), pinned here on one-shot
-testers, session grids, min-k sweeps, and a hypothesis lockstep over
-random ``(n, k, eps)`` grids — plus the cache-lifetime rules
-(memo-hit accounting, invalidation) the session relies on.
+The compiled tester answers Algorithm 2's flatness queries from
+precomputed ``(n + 1, r)`` prefix gathers with a verdict memo; the
+private references (``_reference_test``, ``_reference_min_k``) re-run
+the per-set searches on every probe over the same pooled
+:class:`~repro.samples.estimators.MultiSketch`.  The contract is
+*byte*-identity on verdicts **and query logs** (``TestResult`` equality
+compares both), pinned here on fresh sessions, session grids, min-k
+sweeps, a one-stream maintainer, and a hypothesis lockstep over random
+``(n, k, eps)`` grids — plus the cache-lifetime rules (memo-hit
+accounting, invalidation) the session relies on.
 """
 
 from __future__ import annotations
+
+import inspect
 
 import numpy as np
 import pytest
@@ -28,13 +32,12 @@ from repro.core.flatness import (
 from repro.core.flatness import test_flatness_l1 as flatness_l1
 from repro.core.flatness import test_flatness_l2 as flatness_l2
 from repro.core.params import TesterParams
-from repro.core.selection import estimate_min_k
-from repro.core.tester import test_k_histogram_l1 as khist_test_l1
-from repro.core.tester import test_k_histogram_l2 as khist_test_l2
+from repro.core.selection import _reference_min_k
+from repro.core.tester import _reference_test
 from repro.distributions import families
 from repro.errors import InvalidParameterError
 from repro.samples.estimators import MultiSketch
-from repro.streaming.maintainer import StreamingHistogramMaintainer
+from repro.streaming import FleetMaintainer
 
 PARAMS = TesterParams(num_sets=9, set_size=8_000)
 
@@ -53,31 +56,41 @@ def make_multi(dist, n, rng):
     )
 
 
+def reference(session, norm, k, epsilon, params=PARAMS):
+    """The per-query reference over the session's pooled sketch."""
+    multi = session._bundle.multi_sketch(params)
+    return _reference_test(multi, session.n, k, epsilon, norm, params)
+
+
+def reference_min_k(session, epsilon, max_k, norm="l1", params=PARAMS):
+    multi = session._bundle.multi_sketch(params)
+    return _reference_min_k(
+        multi, session.n, epsilon, max_k=max_k, norm=norm, params=params
+    )
+
+
 class TestEngineEquivalence:
-    """compiled == full, bit for bit, verdicts and query logs."""
+    """compiled == reference, bit for bit, verdicts and query logs."""
 
     @pytest.mark.parametrize("name,dist,n", CASES, ids=[c[0] for c in CASES])
     @pytest.mark.parametrize("seed", [1, 23])
     def test_one_shot_l2(self, name, dist, n, seed):
-        compiled = khist_test_l2(dist, n, 4, 0.25, params=PARAMS, rng=seed)
-        full = khist_test_l2(
-            dist, n, 4, 0.25, params=PARAMS, engine="full", rng=seed
-        )
-        assert compiled == full  # partition, queries, verdict — everything
+        session = HistogramSession(dist, n, rng=seed)
+        compiled = session.test_l2(4, 0.25, params=PARAMS)
+        # partition, queries, verdict — everything
+        assert compiled == reference(session, "l2", 4, 0.25)
 
     @pytest.mark.parametrize("name,dist,n", CASES, ids=[c[0] for c in CASES])
     def test_one_shot_l1(self, name, dist, n):
-        compiled = khist_test_l1(dist, n, 4, 0.25, params=PARAMS, rng=7)
-        full = khist_test_l1(dist, n, 4, 0.25, params=PARAMS, engine="full", rng=7)
-        assert compiled == full
+        session = HistogramSession(dist, n, rng=7)
+        compiled = session.test_l1(4, 0.25, params=PARAMS)
+        assert compiled == reference(session, "l1", 4, 0.25)
 
     def test_min_k_equivalence(self):
         dist = families.two_level(256, heavy_start=64, heavy_length=64)
-        compiled = estimate_min_k(dist, 256, 0.25, max_k=10, params=PARAMS, rng=5)
-        full = estimate_min_k(
-            dist, 256, 0.25, max_k=10, params=PARAMS, engine="full", rng=5
-        )
-        assert compiled == full
+        session = HistogramSession(dist, 256, rng=5)
+        compiled = session.min_k(0.25, max_k=10, params=PARAMS)
+        assert compiled == reference_min_k(session, 0.25, max_k=10)
 
     def test_compiled_queries_match_per_query_oracle(self):
         """Every (start, stop) agrees with the legacy one-shot flatness tests."""
@@ -95,42 +108,41 @@ class TestEngineEquivalence:
                 multi, start, stop, 0.3, scale=0.01
             )
 
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            khist_test_l2(families.uniform(16), 16, 2, 0.3, engine="magic", rng=1)
-        with pytest.raises(InvalidParameterError):
-            HistogramSession(families.uniform(16), 16, tester_engine="magic")
-
 
 class TestSessionEquivalence:
-    """A (k, eps) grid through HistogramSession: engines agree per point."""
+    """A (k, eps) grid through HistogramSession: each point equals the
+    reference."""
 
     GRID = [(2, 0.3), (3, 0.3), (4, 0.25), (6, 0.25)]
 
     @pytest.mark.parametrize("norm", ["l1", "l2"])
     def test_test_many_grid(self, norm):
         dist = families.random_tiling_histogram(128, 4, rng=9, min_piece=4)
-        compiled = HistogramSession(dist, 128, rng=3, test_budget=PARAMS)
-        full = HistogramSession(
-            dist, 128, rng=3, test_budget=PARAMS, tester_engine="full"
-        )
-        assert compiled.test_many(self.GRID, norm=norm) == full.test_many(
-            self.GRID, norm=norm
-        )
+        session = HistogramSession(dist, 128, rng=3, test_budget=PARAMS)
+        assert session.test_many(self.GRID, norm=norm) == [
+            reference(session, norm, k, epsilon) for k, epsilon in self.GRID
+        ]
 
     def test_engine_override_per_call(self):
+        """The per-call engine override is gone; a compiled call after
+        others on the same budget still equals the reference."""
+        for method in (
+            HistogramSession.test_l2,
+            HistogramSession.test_l1,
+            HistogramSession.test_many,
+            HistogramSession.min_k,
+        ):
+            assert "engine" not in inspect.signature(method).parameters, method
         dist = families.sawtooth(128)
         session = HistogramSession(dist, 128, rng=2, test_budget=PARAMS)
-        assert session.test_l2(3, 0.3) == session.test_l2(3, 0.3, engine="full")
-        assert session.min_k(0.3, max_k=6) == session.min_k(
-            0.3, max_k=6, engine="full"
-        )
+        assert session.test_l2(3, 0.3) == reference(session, "l2", 3, 0.3)
+        assert session.min_k(0.3, max_k=6) == reference_min_k(session, 0.3, max_k=6)
 
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_lockstep_random_grids(seed):
-    """Hypothesis lockstep: random (n, k, eps) grids, both engines.
+    """Hypothesis lockstep: random (n, k, eps) grids, compiled vs reference.
 
     Verdicts and query logs must be identical point for point, and the
     shared compiled object's memo accounting must tally exactly: every
@@ -147,12 +159,9 @@ def test_lockstep_random_grids(seed):
     ]
     params = TesterParams(num_sets=5, set_size=2_000)
     compiled_session = HistogramSession(dist, n, rng=seed, test_budget=params)
-    full_session = HistogramSession(
-        dist, n, rng=seed, test_budget=params, tester_engine="full"
-    )
     norm = "l2" if seed % 2 else "l1"
     a = compiled_session.test_many(grid, norm=norm)
-    b = full_session.test_many(grid, norm=norm)
+    b = [reference(compiled_session, norm, k, e, params) for k, e in grid]
     assert a == b
     # Memo accounting on the session's shared compiled object.
     sketches = compiled_session._bundle._tester_compiled_cache[
@@ -269,46 +278,49 @@ class TestCacheLifetime:
 
 
 class TestMaintainerPassthrough:
-    """The streaming maintainer forwards both engines and can test."""
+    """A one-stream maintainer tests its reservoir on the compiled path."""
 
-    def _fed(self, **kwargs):
+    def _fed(self):
         dist = families.random_tiling_histogram(64, 3, rng=4, min_piece=8)
-        maintainer = StreamingHistogramMaintainer(
-            64, 3, refresh_every=1_000, reservoir_capacity=1_000, rng=8, **kwargs
+        maintainer = FleetMaintainer(
+            1, 64, 3, refresh_every=1_000, reservoir_capacity=1_000, rng=8
         )
-        maintainer.update_many(dist.sample(4_000, np.random.default_rng(9)))
+        maintainer.update_many(0, dist.sample(4_000, np.random.default_rng(9)))
         return maintainer
 
     def test_test_defaults_to_own_shape(self):
         maintainer = self._fed()
-        result = maintainer.test()
+        [result] = maintainer.test()
         assert result.k == 3
         assert result.epsilon == 0.25
         assert result.norm == "l2"
 
     def test_engines_agree_over_the_reservoir(self):
-        compiled = self._fed()
-        full = self._fed(tester_engine="full")
-        assert compiled.test(4, 0.3) == full.test(4, 0.3)
-        assert compiled.min_k(0.3, max_k=8) == full.min_k(0.3, max_k=8)
+        maintainer = self._fed()
+        params = maintainer._tester_params(None)
+        session = maintainer.fleet.session(0)
+        assert maintainer.test(4, 0.3) == [reference(session, "l2", 4, 0.3, params)]
+        assert maintainer.min_k(0.3, max_k=8) == [
+            reference_min_k(session, 0.3, max_k=8, params=params)
+        ]
 
     def test_probes_share_session_budget(self):
         maintainer = self._fed()
         maintainer.test()
-        drawn = maintainer._session.samples_drawn
+        drawn = maintainer.fleet.samples_drawn
         maintainer.min_k(max_k=8)  # same budget: no new draws
-        assert maintainer._session.samples_drawn == drawn
+        assert maintainer.fleet.samples_drawn == drawn
 
     def test_update_invalidates_before_next_probe(self):
         maintainer = self._fed()
         maintainer.test()
-        events = maintainer._session.draw_events["test"]
-        maintainer.update(5)
+        events = maintainer.fleet.draw_events[0]["test"]
+        maintainer.update(0, 5)
         maintainer.test()
-        assert maintainer._session.draw_events["test"] == events + 1
+        assert maintainer.fleet.draw_events[0]["test"] == events + 1
 
     def test_empty_reservoir_raises(self):
-        maintainer = StreamingHistogramMaintainer(64, 2, rng=1)
+        maintainer = FleetMaintainer(1, 64, 2, rng=1)
         with pytest.raises(InvalidParameterError):
             maintainer.test()
         with pytest.raises(InvalidParameterError):
