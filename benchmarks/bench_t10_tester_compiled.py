@@ -1,11 +1,12 @@
 """T10 — the compiled tester vs the per-query reference.
 
-Each workload is benchmarked twice over one prebuilt
-:class:`~repro.samples.estimators.MultiSketch` — the compiled tester
-(including its compile step, so every round pays the cold cost) and the
-private per-query reference ``_reference_test`` — and the pairs feed
-``BENCH_tester.json`` via ``benchmarks/record_tester_bench.py``.  Two
-workloads:
+Each workload is benchmarked twice over one cached draw of raw sample
+sets.  The compiled tester compiles those sets every round
+(``compile_tester_sketches(sets, n)``, a fresh session's cold path), so
+every round pays the cold cost.  The private per-query reference
+``_reference_test`` searches a :class:`~repro.samples.estimators.MultiSketch`
+prebuilt once over the same sets.  The pairs feed ``BENCH_tester.json``
+via ``benchmarks/record_tester_bench.py``.  Two workloads:
 
 * a 4-point l2 ``test_many``-style grid (the session batch shape;
   acceptance bar: the compiled pair must show >= 3x);
@@ -42,34 +43,38 @@ LARGE_EPS = 0.25
 
 
 @lru_cache(maxsize=None)
-def _grid_multi() -> MultiSketch:
+def _grid_sets() -> tuple:
     dist = families.zipf(GRID_N, 1.0)
-    return MultiSketch.from_sample_sets(
+    return tuple(
         dist.sample_sets(
             GRID_PARAMS.num_sets, GRID_PARAMS.set_size, np.random.default_rng(1)
-        ),
-        GRID_N,
+        )
     )
 
 
 @lru_cache(maxsize=None)
-def _large_multi() -> MultiSketch:
+def _large_sets() -> tuple:
     dist = families.sawtooth(LARGE_N)
-    return MultiSketch.from_sample_sets(
+    return tuple(
         dist.sample_sets(
             LARGE_PARAMS.num_sets, LARGE_PARAMS.set_size, np.random.default_rng(2)
-        ),
-        LARGE_N,
+        )
     )
 
 
+@lru_cache(maxsize=None)
+def _grid_multi() -> MultiSketch:
+    return MultiSketch.from_sample_sets(_grid_sets(), GRID_N)
+
+
+@lru_cache(maxsize=None)
+def _large_multi() -> MultiSketch:
+    return MultiSketch.from_sample_sets(_large_sets(), LARGE_N)
+
+
 def _grid_compiled():
-    multi = _grid_multi()
-    compiled = compile_tester_sketches(multi)  # cold compile every round
-    return [
-        l2_on_sketch(multi, GRID_N, k, eps, GRID_PARAMS, compiled=compiled)
-        for k, eps in GRID
-    ]
+    compiled = compile_tester_sketches(_grid_sets(), GRID_N)  # cold every round
+    return [l2_on_sketch(compiled, GRID_N, k, eps, GRID_PARAMS) for k, eps in GRID]
 
 
 def _grid_full():
@@ -80,7 +85,8 @@ def _grid_full():
 
 
 def _large_compiled():
-    return l1_on_sketch(_large_multi(), LARGE_N, LARGE_K, LARGE_EPS, LARGE_PARAMS)
+    compiled = compile_tester_sketches(_large_sets(), LARGE_N)  # cold every round
+    return l1_on_sketch(compiled, LARGE_N, LARGE_K, LARGE_EPS, LARGE_PARAMS)
 
 
 def _large_full():

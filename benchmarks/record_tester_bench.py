@@ -40,8 +40,10 @@ SPEC = PairedBenchSpec(
     stat="mean_s",
     extra="stddev",
     suite="bench_t10_tester_compiled kernel pairs (each workload runs "
-    "on the compiled tester and on the per-query reference _reference_test "
-    "in the same session; speedup = full_s / compiled_s, cold compile included)",
+    "on the compiled tester, compiled from the raw sample sets every round, "
+    "and on the per-query reference _reference_test over a prebuilt "
+    "MultiSketch, in the same session; speedup = full_s / compiled_s, "
+    "cold compile included)",
 )
 
 

@@ -10,12 +10,12 @@ stream is an observed data column; the plane asks the same questions of
 every stream — "is this tenant still well-modelled by a small
 histogram?", "how many buckets does it really need?" — and relearns a
 compact summary per tenant.  :class:`repro.api.HistogramFleet` answers
-all of it fleet-batched: pools draw in one planned pass, compilation is
-sort-free and stacked, and the testers' binary searches run in lockstep
-across tenants.  Results are byte-identical to looping a
-:class:`repro.api.HistogramSession` per stream (``tests/test_fleet.py``
-holds that contract), just several times faster — ``BENCH_fleet.json``
-tracks the measured speedup.
+all of it fleet-batched: pools draw in one planned pass, each tenant's
+tester layout is stacked into one fleet slab, and the testers' binary
+searches run in lockstep across tenants.  Results are byte-identical to
+looping a :class:`repro.api.HistogramSession` per stream
+(``tests/test_fleet.py`` holds that contract), and the tester sweep is
+faster — ``BENCH_fleet.json`` tracks the measured speedup.
 
 Set ``REPRO_EXAMPLES_SMOKE=1`` to run with tiny parameters (the CI
 examples-smoke job does; numbers are then illustrative only).

@@ -5,7 +5,7 @@ This package is the recommended front door to the library:
 * :class:`HistogramSession` — draw a sample budget once, compile sketches
   once, answer many learn/test/min-k operations over it;
 * :class:`HistogramFleet` — the same facade over many distributions
-  sharing a domain: pooled draws, stacked sort-free compilation, and
+  sharing a domain: pooled draws, stacked compilation, and
   lockstep tester searches, byte-identical to a loop of sessions;
 * :class:`SampleSource` — the formal protocol every algorithm consumes a
   distribution through, with :func:`as_sample_source`,

@@ -3,28 +3,27 @@
 The session facade (:class:`~repro.api.HistogramSession`) amortises work
 *within* one distribution; a serving deployment watches a fleet of
 streams over one shared domain and asks the same questions of each.
-Looping sessions answers that correctly but pays the per-member
-compilation stack — per-set sketch builds, per-member prefix
-compilation, and a Python-level binary search per probe — ``F`` times.
-:class:`HistogramFleet` batches all three:
+Looping sessions answers that correctly but pays a Python-level binary
+search per probe, per member, ``F`` times.  :class:`HistogramFleet`
+batches across members:
 
 * **pooled draws** — every operation grows all members' sample pools in
   one planned pass (each member's draws stay in its own generator's
   session order, which is what keeps the fleet replayable);
-* **stacked compilation** — per-member hit/pair prefix arrays are built
-  sort-free (:func:`repro.samples.collision.dense_interval_prefixes`)
-  and stacked on a leading fleet axis
-  (:class:`~repro.core.flatness.FleetTesterSketches`), with no
-  per-member :class:`~repro.samples.estimators.MultiSketch` ever built;
+* **stacked compilation** — each member's hit/pair prefix arrays come
+  from the same function a session compiles with
+  (:func:`repro.samples.collision.interval_prefixes`) and are stacked
+  on a leading fleet axis
+  (:class:`~repro.core.flatness.FleetTesterSketches`);
 * **lockstep probing** — ``test_l2`` / ``test_l1`` / ``test_many`` /
   ``min_k`` run every member's Algorithm 2 search in lockstep
   (:func:`repro.core.tester.fleet_flat_partition`), batching fresh
   flatness statistics across members while each member keeps its own
   verdict memo;
-* **batched learning** — ``learn`` / ``learn_many`` compile every
-  member's grid straight from its pools (sort-free when the domain
-  allows) and hand all members' runs to one
-  :func:`repro.core.greedy.lockstep_learn` call.
+* **one learn call** — ``learn`` / ``learn_many`` compile each member's
+  grid in its own session's cache
+  (:meth:`repro.api.SketchBundle.compiled_sketches`) and hand all
+  members' runs to one :func:`repro.core.greedy.lockstep_learn` call.
 
 The binding contract: every
 fleet operation is **byte-identical** — verdicts, learned histograms,
@@ -41,8 +40,9 @@ import numpy as np
 
 from repro.api.session import HistogramSession
 from repro.core.flatness import FleetTesterSketches
-from repro.core.greedy import LockstepRun, compile_greedy_sketches, lockstep_learn
-from repro.core.params import GreedyParams, TesterParams
+# perfbench/ledger.py wraps compile_greedy_sketches under this module's name.
+from repro.core.greedy import LockstepRun, compile_greedy_sketches, lockstep_learn  # noqa: F401
+from repro.core.params import GreedyParams, TesterParams, validate_k
 from repro.core.results import LearnResult, TestResult
 from repro.core.selection import SelectionResult, select_min_k_on_fleet
 from repro.core.tester import fleet_test_on_sketches
@@ -220,10 +220,8 @@ class HistogramFleet:
     ) -> list[LearnResult]:
         """Learn a near-optimal k-histogram per member, batched.
 
-        Pools are grown for all listed members first (one planned pass),
-        then members missing a compiled grid for this configuration are
-        compiled through the sort-free dense builder and planted into
-        their sessions' caches, and one
+        Each listed member's pools are grown and its grid compiled in
+        its session's cache, member by member, then one
         :func:`repro.core.greedy.lockstep_learn` call runs every
         member's greedy rounds.  Results are the sessions' results, byte
         for byte.  ``members`` restricts the op to a subset of the fleet
@@ -245,8 +243,11 @@ class HistogramFleet:
     ) -> "list[LockstepRun]":
         """One run per (point, member), point-major and member-minor.
 
-        Compiles happen in the same order, which is what keeps rng
-        consumption equal to looped sessions draw for draw.
+        Each member compiles in its own session's cache
+        (:meth:`HistogramSession._learn_run`), member by member — pool
+        draws and any candidate-cap rng consumption in the order looped
+        sessions would use, which keeps the fleet equal to them draw for
+        draw.
         """
         method = self._method if method is None else method
         if max_candidates is None:
@@ -254,67 +255,11 @@ class HistogramFleet:
         runs = []
         for k, epsilon in points:
             resolved = self._sessions[0]._learn_params(k, epsilon, params)
-            for compiled in self._ensure_learn_compiled(
-                members, resolved, method, max_candidates
-            ):
-                runs.append(
-                    LockstepRun(
-                        compiled=compiled, params=resolved, method=method, n=self._n
-                    )
-                )
+            runs.extend(
+                self._sessions[member]._learn_run(resolved, method, max_candidates)
+                for member in members
+            )
         return runs
-
-    def _ensure_learn_compiled(
-        self,
-        members: "list[int]",
-        resolved: GreedyParams,
-        method: str,
-        max_candidates: int | None,
-    ) -> "list":
-        """Grow pools and plant compiled grids for ``members``, in order.
-
-        Pool draws and any candidate-cap rng consumption happen member
-        by member in the listed order — exactly the order looped
-        sessions would use — which is what keeps fleet learns
-        seed-for-seed equal to looped sessions.
-        Returns each member's compiled sketches, positionally.
-        """
-        key = (
-            method,
-            max_candidates,
-            resolved.weight_sample_size,
-            resolved.collision_sets,
-            resolved.collision_set_size,
-        )
-        # Same guard as the tester compiler: counting-based prefixes pay
-        # O(r n); on very large sparse domains fall back to the one-sort
-        # builder (bit-identical either way).
-        prefixes = (
-            "dense"
-            if self._n + 1
-            <= 4 * resolved.collision_sets * resolved.collision_set_size
-            else "sorted"
-        )
-        compiled_members = []
-        for member in members:
-            session = self._sessions[member]
-            bundle = session._bundle
-            samples = bundle.learn_samples(resolved)
-            if key not in bundle._compiled_cache:
-                compiled = compile_greedy_sketches(
-                    samples,
-                    self._n,
-                    method=method,
-                    max_candidates=max_candidates,
-                    rng=session._rng,
-                    prefixes=prefixes,
-                )
-                bundle.adopt_compiled_sketches(
-                    resolved, method=method, max_candidates=max_candidates,
-                    compiled=compiled,
-                )
-            compiled_members.append(bundle._compiled_cache[key])
-        return compiled_members
 
     def prefetch_learn(
         self,
@@ -420,6 +365,7 @@ class HistogramFleet:
         members: "Sequence[int] | None" = None,
     ) -> list[TestResult]:
         members = self._members(members)
+        k = validate_k(k, self._n)
         resolved = self._sessions[0]._test_params(norm, k, epsilon, params)
         fleet_sketches = self._fleet_tester(resolved, members)
         return fleet_test_on_sketches(
@@ -471,7 +417,7 @@ class HistogramFleet:
         if norm not in ("l1", "l2"):
             raise InvalidParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
         members = self._members(members)
-        points = list(grid)
+        points = [(validate_k(k, self._n), epsilon) for k, epsilon in grid]
         if points:
             resolved = [
                 self._sessions[0]._test_params(norm, k, e, params) for k, e in points
@@ -504,17 +450,16 @@ class HistogramFleet:
         params: TesterParams | None = None,
         members: "Sequence[int] | None" = None,
     ) -> list[SelectionResult]:
-        """Smallest accepted ``k`` per member (one lockstep sweep).
+        """Smallest piece count per member (one lockstep sweep).
 
-        Shares each member's test-family pool and verdict memo with
-        :meth:`test_l1` /
-        :meth:`test_l2`, exactly like :meth:`HistogramSession.min_k`.
-        ``members`` restricts the sweep to a subset of the fleet.
+        The same answer as :meth:`HistogramSession.min_k`: for l2 the
+        smallest ``k`` :meth:`test_l2` accepts, for l1 possibly more
+        than the smallest ``k`` :meth:`test_l1` accepts.  Shares each
+        member's test-family pool and verdict memo with :meth:`test_l1`
+        / :meth:`test_l2`.  ``members`` restricts the sweep to a subset
+        of the fleet.
         """
-        if max_k is None:
-            max_k = self._n
-        if not 1 <= max_k <= self._n:
-            raise InvalidParameterError(f"max_k must be in [1, n], got {max_k}")
+        max_k = self._n if max_k is None else validate_k(max_k, self._n, name="max_k")
         if norm not in ("l1", "l2"):
             raise InvalidParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
         members = self._members(members)

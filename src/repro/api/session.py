@@ -41,7 +41,7 @@ import numpy as np
 from repro.api.sketches import SketchBundle
 from repro.api.source import SampleSource, as_sample_source
 from repro.core.greedy import LockstepRun, lockstep_learn
-from repro.core.params import GreedyParams, TesterParams, greedy_rounds
+from repro.core.params import GreedyParams, TesterParams, greedy_rounds, validate_k
 from repro.core.results import LearnResult, TestResult
 from repro.core.selection import SelectionResult, select_min_k_on_sketch
 from repro.core.tester import test_l1_on_sketch, test_l2_on_sketch
@@ -259,16 +259,25 @@ class HistogramSession:
         method = self._method if method is None else method
         if max_candidates is None:
             max_candidates = self._max_candidates
-        runs = []
-        for k, epsilon in points:
-            resolved = self._learn_params(k, epsilon, params)
-            _, compiled = self._bundle.compiled_sketches(
-                resolved, method=method, max_candidates=max_candidates
-            )
-            runs.append(
-                LockstepRun(compiled=compiled, params=resolved, method=method, n=self._n)
-            )
+        runs = [
+            self._learn_run(self._learn_params(k, epsilon, params), method, max_candidates)
+            for k, epsilon in points
+        ]
         return lockstep_learn(runs)
+
+    def _learn_run(
+        self, resolved: GreedyParams, method: str, max_candidates: int | None
+    ) -> LockstepRun:
+        """One learn, compiled (or fetched) in this session's cache.
+
+        The fleet builds its members' runs through here too, so a fleet
+        learn compiles exactly what looped sessions would, in the same
+        order.
+        """
+        _, compiled = self._bundle.compiled_sketches(
+            resolved, method=method, max_candidates=max_candidates
+        )
+        return LockstepRun(compiled=compiled, params=resolved, method=method, n=self._n)
 
     # -------------------------------------------------------------- #
     # testing
@@ -289,11 +298,10 @@ class HistogramSession:
         accepted and distributions eps-far in l2 are rejected, each with
         probability at least 2/3.
         """
+        k = validate_k(k, self._n)
         resolved = self._test_params("l2", k, epsilon, params)
-        multi, compiled = self._bundle.compiled_tester(resolved)
-        return test_l2_on_sketch(
-            multi, self._n, k, epsilon, resolved, compiled=compiled
-        )
+        compiled = self._bundle.compiled_tester(resolved)
+        return test_l2_on_sketch(compiled, self._n, k, epsilon, resolved)
 
     def test_l1(
         self,
@@ -303,11 +311,10 @@ class HistogramSession:
         params: TesterParams | None = None,
     ) -> TestResult:
         """Theorem 4 tester (l1 norm) over the shared test-family pool."""
+        k = validate_k(k, self._n)
         resolved = self._test_params("l1", k, epsilon, params)
-        multi, compiled = self._bundle.compiled_tester(resolved)
-        return test_l1_on_sketch(
-            multi, self._n, k, epsilon, resolved, compiled=compiled
-        )
+        compiled = self._bundle.compiled_tester(resolved)
+        return test_l1_on_sketch(compiled, self._n, k, epsilon, resolved)
 
     def test_many(
         self,
@@ -326,7 +333,7 @@ class HistogramSession:
         """
         if norm not in ("l1", "l2"):
             raise InvalidParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
-        points = list(grid)
+        points = [(validate_k(k, self._n), epsilon) for k, epsilon in grid]
         if points:
             resolved = [self._test_params(norm, k, e, params) for k, e in points]
             self._bundle.ensure_tester_pool(
@@ -350,30 +357,26 @@ class HistogramSession:
         norm: str = "l1",
         params: TesterParams | None = None,
     ) -> SelectionResult:
-        """Smallest ``k`` the tester accepts, up to ``max_k`` (default ``n``).
+        """Smallest piece count the flat partition needs, up to ``max_k``.
 
-        See :func:`repro.core.selection.select_min_k_on_sketch`.  Shares
+        ``max_k`` defaults to ``n``.  For ``norm="l2"`` the answer is the
+        smallest ``k`` :meth:`test_l2` accepts on the same samples.  For
+        ``norm="l1"`` it may be larger than the smallest ``k``
+        :meth:`test_l1` accepts: the sweep tests light intervals at
+        ``max_k``'s scale, not at each ``k``'s.  See
+        :func:`repro.core.selection.select_min_k_on_sketch`.  Shares
         the test-family pool with :meth:`test_l1` / :meth:`test_l2`:
         after any tester call with a compatible budget, model selection
         is sample-free, and it inherits the flatness-verdict memo, so
         intervals those calls already certified are not re-estimated.
         """
-        if max_k is None:
-            max_k = self._n
-        if not 1 <= max_k <= self._n:
-            raise InvalidParameterError(f"max_k must be in [1, n], got {max_k}")
+        max_k = self._n if max_k is None else validate_k(max_k, self._n, name="max_k")
         if norm not in ("l1", "l2"):
             raise InvalidParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
         resolved = self._test_params(norm, max_k, epsilon, params)
-        multi, compiled = self._bundle.compiled_tester(resolved)
+        compiled = self._bundle.compiled_tester(resolved)
         return select_min_k_on_sketch(
-            multi,
-            self._n,
-            epsilon,
-            max_k=max_k,
-            norm=norm,
-            params=resolved,
-            compiled=compiled,
+            compiled, self._n, epsilon, max_k=max_k, norm=norm, params=resolved
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -4,9 +4,8 @@ The paper's algorithms consume two *sketch families*:
 
 * the **learn family** — one weight sample plus ``r`` collision sets,
   compiled into prefix arrays over a candidate grid (Algorithm 1);
-* the **test family** — ``r`` plain sample sets combined into a
-  :class:`~repro.samples.estimators.MultiSketch` and compiled into a
-  :class:`~repro.core.flatness.CompiledTesterSketches` gather layout
+* the **test family** — ``r`` plain sample sets compiled straight into
+  a :class:`~repro.core.flatness.CompiledTesterSketches` gather layout
   (Algorithm 2 and the min-k search).
 
 :class:`SketchBundle` owns one growable pool of raw samples per family
@@ -251,9 +250,10 @@ class SketchBundle:
     def tester_sets(self, params: TesterParams) -> "list[np.ndarray]":
         """The raw test-family draw of exactly ``params``' sizes (pool views).
 
-        Grows the pool if needed; the views are what both
-        :meth:`multi_sketch` and the fleet compiler consume, so the two
-        paths are guaranteed to sketch the same samples.
+        Grows the pool if needed.  Every consumer of the test family
+        reads these views — :meth:`compiled_tester`, the fleet's member
+        compile and :meth:`multi_sketch` — so all of them see the same
+        samples.
         """
         self.ensure_tester_pool(params)
         return [
@@ -264,9 +264,10 @@ class SketchBundle:
     def multi_sketch(self, params: TesterParams) -> MultiSketch:
         """The test-family :class:`MultiSketch` for ``params``' sizes.
 
-        Memoised per ``(num_sets, set_size)``: every tester or min-k call
-        sharing one budget reuses both the raw draw and the built
-        sketches.
+        Per-set sorted sketches over :meth:`tester_sets`, memoised per
+        ``(num_sets, set_size)``.  The tester never builds one; the
+        uniformity and identity probes read its first set, and the
+        tests' per-query references search it.
         """
         key = (params.num_sets, params.set_size)
         multi = self._multi_cache.get(key)
@@ -275,33 +276,24 @@ class SketchBundle:
             self._multi_cache[key] = multi
         return multi
 
-    def compiled_tester(
-        self, params: TesterParams
-    ) -> tuple[MultiSketch | None, CompiledTesterSketches]:
-        """The test-family compiled gather layout (plus the sketch, if built).
+    def compiled_tester(self, params: TesterParams) -> CompiledTesterSketches:
+        """The test-family compiled gather layout for ``params``' sizes.
 
-        Memoised per ``(num_sets, set_size)`` alongside
-        :meth:`multi_sketch`: a grid of tester or min-k calls sharing one
-        budget compiles once, and — because the compiled object carries
-        the flatness-verdict memo — later calls start with every verdict
-        the earlier ones already established.  Dropped by
-        :meth:`invalidate` together with the pools.
-
-        When the compiled object is already cached (or was planted by a
-        fleet compiler via :meth:`adopt_compiled_tester`), the raw
-        :class:`MultiSketch` is not built just to be returned — the first
-        element is then whatever the multi cache holds, possibly
-        ``None``: the compiled tester never needs it.
+        Compiled straight from :meth:`tester_sets` and memoised per
+        ``(num_sets, set_size)``: a grid of tester or min-k calls sharing
+        one budget compiles once, and — because the compiled object
+        carries the flatness-verdict memo — later calls start with every
+        verdict the earlier ones already established.  A fleet may plant
+        its own member compile here (:meth:`adopt_compiled_tester`).
+        Dropped by :meth:`invalidate` together with the pools.
         """
         key = (params.num_sets, params.set_size)
         compiled = self._tester_compiled_cache.get(key)
-        if compiled is not None:
-            return self._multi_cache.get(key), compiled
-        multi = self.multi_sketch(params)
-        compiled = compile_tester_sketches(multi)
-        self._tester_compiled_cache[key] = compiled
-        self.generation += 1
-        return multi, compiled
+        if compiled is None:
+            compiled = compile_tester_sketches(self.tester_sets(params), self._n)
+            self._tester_compiled_cache[key] = compiled
+            self.generation += 1
+        return compiled
 
     # -------------------------------------------------------------- #
     # persistence
@@ -340,7 +332,7 @@ class SketchBundle:
         codec.restore_bundle(self, snap.meta, snap.slab)
 
     # -------------------------------------------------------------- #
-    # fleet plants (precompiled structures adopted into the caches)
+    # fleet plant (a member's tester compile adopted into the cache)
     # -------------------------------------------------------------- #
 
     def adopt_compiled_tester(
@@ -348,9 +340,10 @@ class SketchBundle:
     ) -> None:
         """Adopt a precompiled tester layout for ``params``' budget.
 
-        The fleet compiler builds per-member gather layouts from the
-        pooled samples without per-member sketches; planting them here
-        makes every subsequent session call on this budget — tester,
+        The fleet compiles each member's layout into its stacked slab
+        (:meth:`~repro.core.flatness.FleetTesterSketches.compile_member`);
+        planting it here makes every subsequent session call on this
+        budget — tester,
         min-k, or a direct :meth:`compiled_tester` — reuse the planted
         object and its verdict memo, exactly as if the session had
         compiled it itself.  The caller vouches that ``compiled`` was
@@ -366,30 +359,4 @@ class SketchBundle:
                 "or the params' (num_sets, set_size)"
             )
         self._tester_compiled_cache[(params.num_sets, params.set_size)] = compiled
-        self.generation += 1
-
-    def adopt_compiled_sketches(
-        self,
-        params: GreedyParams,
-        *,
-        method: str,
-        max_candidates: int | None,
-        compiled: CompiledGreedySketches,
-    ) -> None:
-        """Adopt precompiled greedy sketches for one learn configuration.
-
-        Mirrors :meth:`adopt_compiled_tester` for the learn family: the
-        key is the one :meth:`compiled_sketches` would use, so a later
-        ``learn`` call with the same configuration skips compilation
-        entirely.  The caller vouches that ``compiled`` was built over
-        :meth:`learn_samples` of the same ``params``.
-        """
-        key = (
-            method,
-            max_candidates,
-            params.weight_sample_size,
-            params.collision_sets,
-            params.collision_set_size,
-        )
-        self._compiled_cache[key] = compiled
         self.generation += 1

@@ -4,8 +4,9 @@
   :func:`learn_from_samples` — the greedy priority-histogram learner
   (Algorithm 1 / Theorem 1 with ``method="exhaustive"``, the improved
   Theorem 2 variant with ``method="fast"``);
-* :func:`test_l2_on_sketch` / :func:`test_l1_on_sketch` — the tiling
-  k-histogram testers of Section 4 (Theorems 3 and 4), and
+* :func:`compile_tester_sketches` / :func:`test_l2_on_sketch` /
+  :func:`test_l1_on_sketch` — the tiling k-histogram testers of
+  Section 4 (Theorems 3 and 4) on sample sets compiled once, and
   :func:`select_min_k_on_sketch`, the min-k search built on them;
 * :mod:`repro.core.lower_bound` — the Theorem 5 hard instances;
 * :func:`test_uniformity` — the [GR00] collision uniformity tester

@@ -28,8 +28,10 @@ The module is layered so Algorithm 2 can run on a *compiled* engine
   (:func:`repro.core.tester._reference_test`,
   :func:`repro.core.selection._reference_min_k`) search with;
 * **compiled engine** — :func:`compile_tester_sketches` builds a
-  :class:`CompiledTesterSketches`: per-set hit/pair prefixes over the
-  full endpoint grid ``[0, n]`` in a C-contiguous ``(n + 1, r)`` gather
+  :class:`CompiledTesterSketches` straight from the raw sample sets
+  (through :func:`repro.samples.collision.interval_prefixes`): per-set
+  hit/pair prefixes over the full endpoint grid ``[0, n]`` in a
+  C-contiguous ``(n + 1, r)`` gather
   layout, so one flatness query is two row gathers, an in-place
   length-``r`` ratio, and a median — no sorting, searching, or
   allocation — with verdicts memoised by
@@ -51,7 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.params import flatness_l1_min_hits
-from repro.errors import InvalidParameterError
+from repro.errors import InsufficientSamplesError, InvalidParameterError
+from repro.samples.collision import interval_prefixes
 from repro.samples.estimators import MultiSketch, _ratio
 
 REASON_LIGHT = "light-weight"
@@ -250,12 +253,12 @@ def flatness_oracle(
 
 
 class CompiledTesterSketches:
-    """A :class:`MultiSketch` compiled for O(r) flatness queries.
+    """``r`` sample sets compiled for O(r) flatness queries.
 
     Mirrors :class:`repro.core.greedy.CompiledGreedySketches`: the
-    expensive per-draw work — one batched sort over all ``r`` sets and
-    prefix evaluation on the full endpoint grid ``[0, n]`` — happens once
-    at compile time (:func:`compile_tester_sketches`), after which any
+    expensive per-draw work — prefix evaluation on the full endpoint
+    grid ``[0, n]`` — happens once at compile time
+    (:func:`compile_tester_sketches`), after which any
     interval's per-set hit and pair counts are two gathers of contiguous
     length-``r`` rows (the ``(n + 1, r)`` C-contiguous layout below).
 
@@ -634,33 +637,20 @@ class FleetTesterSketches:
     ) -> CompiledTesterSketches:
         """(Re)compile one member's slab from its raw sample sets.
 
-        Uses the sort-free dense prefix builder
-        (:func:`repro.samples.collision.dense_interval_prefixes`) when
-        the domain is within a constant of the member's total sample
-        count — the fleet-serving regime — and falls back to the
-        one-sort batched pass for very large sparse domains.  Both
-        produce identical integers, so the choice never shows in any
-        verdict.  The returned member wraps a zero-copy view of the slab
-        and starts with a fresh (empty) verdict memo.
+        The prefixes come from
+        :func:`repro.samples.collision.interval_prefixes`, the same
+        function a session's :func:`compile_tester_sketches` uses.  The
+        returned member wraps a zero-copy view of the slab and starts
+        with a fresh (empty) verdict memo.
         """
-        from repro.samples.collision import (
-            batched_interval_prefixes,
-            dense_interval_prefixes,
-        )
-
         self._detach_member(index)
-        n = self.n
         if len(sample_sets) != self.num_sets or any(
             s.shape[0] != self._set_size for s in sample_sets
         ):
             raise InvalidParameterError(
                 "sample sets do not match the fleet's (num_sets, set_size) layout"
             )
-        if n + 1 <= 4 * self.num_sets * self._set_size:
-            count_rows, pair_rows = dense_interval_prefixes(sample_sets, n)
-        else:
-            grid = np.arange(n + 1, dtype=np.int64)
-            count_rows, pair_rows = batched_interval_prefixes(sample_sets, n, grid)
+        count_rows, pair_rows = interval_prefixes(sample_sets, self.n)
         self._count_stack[index] = count_rows.T
         self._pair_stack[index] = pair_rows.T
         member = CompiledTesterSketches(
@@ -717,30 +707,18 @@ class FleetTesterSketches:
         )
 
 
-def compile_tester_sketches(multi: MultiSketch) -> CompiledTesterSketches:
-    """Compile a :class:`MultiSketch` into the tester's gather layout.
+def compile_tester_sketches(
+    sample_sets: "list[np.ndarray] | tuple[np.ndarray, ...]", n: int
+) -> CompiledTesterSketches:
+    """Compile ``r`` raw sample sets into the tester's gather layout.
 
-    Pure in the sketch contents, so the result is reusable by any number
+    Pure in the sample contents, so the result is reusable by any number
     of ``(k, epsilon)`` tester or min-k calls over the same draw (which
-    is how :class:`repro.api.SketchBundle` caches it).
-
-    Each per-set sketch already holds its sorted distinct values and
-    prefix sums (built once at :class:`MultiSketch` construction), so
-    compilation is ``r`` batched ``searchsorted`` evaluations of the full
-    endpoint grid — no re-sort of the raw samples.  (Measured against
-    re-running the one-sort batched pass of
-    :func:`repro.samples.collision.batched_interval_prefixes` over the
-    raw sets, reusing the per-set sorts is 5-8x cheaper; the batched pass
-    remains the right tool where no per-set sketches exist, i.e. the
-    greedy compile path.)
+    is how :class:`repro.api.SketchBundle` caches it).  The prefixes
+    come from :func:`repro.samples.collision.interval_prefixes`, the
+    function every compile shares; no per-set sketch is built.
     """
-    n = multi.n
-    grid = np.arange(n + 1, dtype=np.int64)
-    per_set = [sketch.prefixes_on_grid(grid) for sketch in multi.sketches]
-    count_rows = np.stack([c for c, _ in per_set])
-    pair_rows = np.stack([p for _, p in per_set])
-    return CompiledTesterSketches(
-        np.ascontiguousarray(count_rows.T),
-        np.ascontiguousarray(pair_rows.T),
-        multi.set_size,
-    )
+    if not sample_sets:
+        raise InsufficientSamplesError("the tester needs at least one sample set")
+    count_rows, pair_rows = interval_prefixes(sample_sets, n)
+    return CompiledTesterSketches(count_rows.T, pair_rows.T, len(sample_sets[0]))

@@ -85,6 +85,8 @@ from repro.errors import InvalidParameterError
 from repro.histograms.intervals import Interval
 from repro.histograms.priority import PriorityHistogram
 from repro.histograms.tiling import TilingHistogram
+from repro.samples.collision import interval_prefixes
+from repro.samples.sample_set import SampleSet
 from repro.utils.prefix import pairs_count
 from repro.utils.rng import as_rng
 
@@ -800,7 +802,6 @@ def compile_greedy_sketches(
     method: str = "fast",
     max_candidates: int | None = None,
     rng: int | None | np.random.Generator = None,
-    prefixes: str = "sorted",
 ) -> CompiledGreedySketches:
     """Build the candidate set and compile every sketch onto its grid.
 
@@ -809,29 +810,17 @@ def compile_greedy_sketches(
     so it is reusable by any number of ``(k, epsilon)`` learn calls over
     the same draw.
 
-    All ``r`` collision sets are compiled in one vectorised sort/unique
-    pass (:func:`repro.samples.collision.batched_pair_prefixes`), and the
+    The weight sample is sorted once; all ``r`` collision sets get their
+    pair-count prefixes from the one shared prefix function
+    (:func:`repro.samples.collision.interval_prefixes`).  The
     per-candidate self-costs — the median-of-``r`` part of every score —
     are hoisted here because they are invariant across greedy rounds.
     An uncapped search is a triangle and compiles them as a dense matrix
     straight from the axes; a ``max_candidates`` cap that binds leaves a
     pair list, compiled as a flat vector.
-
-    ``prefixes`` selects the prefix builder: ``"sorted"`` (the batched
-    one-sort pass above) or ``"dense"`` — counting-based full-grid
-    prefixes (:func:`repro.samples.collision.dense_interval_prefixes`)
-    gathered at the candidate grid, plus a counting sort of the weight
-    sample.  All arithmetic is exact integer math either way, so the two
-    builders produce bit-identical compiled sketches; ``"dense"`` is the
-    fleet compiler's choice when the domain is within a constant of the
-    sample sizes.
     """
     if method not in _METHODS:
         raise InvalidParameterError(f"method must be one of {_METHODS}, got {method!r}")
-    if prefixes not in ("sorted", "dense"):
-        raise InvalidParameterError(
-            f"prefixes must be 'sorted' or 'dense', got {prefixes!r}"
-        )
     if method == "fast":
         candidates = sample_endpoint_candidates(
             samples.weight_samples, n, max_candidates=max_candidates, rng=rng
@@ -841,29 +830,9 @@ def compile_greedy_sketches(
         if max_candidates is not None:
             candidates = candidates.subsample(max_candidates, as_rng(rng))
 
-    from repro.samples.collision import batched_pair_prefixes, dense_interval_prefixes
-    from repro.samples.sample_set import SampleSet
-
-    if prefixes == "dense":
-        weight_values = np.asarray(samples.weight_samples, dtype=np.int64)
-        if weight_values.size and (
-            weight_values.min() < 0 or weight_values.max() >= n
-        ):
-            raise InvalidParameterError("samples contain values outside [0, n)")
-        weight_counts = np.bincount(weight_values, minlength=n)
-        weight_set = SampleSet.from_sorted(
-            np.repeat(np.arange(n, dtype=np.int64), weight_counts), n
-        )
-        pair_rows = dense_interval_prefixes(samples.collision_sets, n)[1]
-        pair_prefix_cols = np.ascontiguousarray(
-            pair_rows[:, candidates.grid].T, dtype=np.float64
-        )
-    else:
-        weight_set = SampleSet(samples.weight_samples, n)
-        pair_prefix_cols = np.ascontiguousarray(
-            batched_pair_prefixes(samples.collision_sets, n, candidates.grid).T,
-            dtype=np.float64,
-        )
+    weight_set = SampleSet(samples.weight_samples, n)
+    pair_rows = interval_prefixes(samples.collision_sets, n, candidates.grid)[1]
+    pair_prefix_cols = np.ascontiguousarray(pair_rows.T, dtype=np.float64)
     weight_prefix = weight_set.count_prefix_on_grid(candidates.grid)
     set_size = samples.collision_sets[0].shape[0] if samples.collision_sets else 0
     pairs_per_set = float(pairs_count(set_size))

@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import InvalidParameterError
 
 
@@ -35,9 +37,23 @@ def _validate_common(n: int, epsilon: float) -> None:
         raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon}")
 
 
-def _validate_k(k: int) -> None:
-    if int(k) != k or k < 1:
-        raise InvalidParameterError(f"k must be a positive integer, got {k!r}")
+def validate_k(k: int, n: int | None = None, *, name: str = "k") -> int:
+    """The one check on a piece count ``k`` (or ``max_k``); returns an ``int``.
+
+    The count must equal an integer (``int(k) == k``) and be at least 1,
+    and at most ``n`` when ``n`` is given.  Bools are refused, though
+    they compare equal to 0 and 1.  Callers pass the returned ``int``
+    on, so ``2.0`` becomes ``2``.
+    """
+    try:
+        integral = not isinstance(k, (bool, np.bool_)) and int(k) == k
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or k < 1:
+        raise InvalidParameterError(f"{name} must be a positive integer, got {k!r}")
+    if n is not None and k > n:
+        raise InvalidParameterError(f"{name} must be in [1, n], got {name}={k}, n={n}")
+    return int(k)
 
 
 def _validate_scale(scale: float) -> None:
@@ -49,7 +65,7 @@ def _validate_scale(scale: float) -> None:
 
 def xi(k: int, epsilon: float) -> float:
     """``xi = eps / (k ln(1/eps))`` — Algorithm 1's interval accuracy."""
-    _validate_k(k)
+    validate_k(k)
     if not 0.0 < epsilon < 1.0:
         raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon}")
     return epsilon / (k * math.log(1.0 / epsilon))
@@ -57,7 +73,7 @@ def xi(k: int, epsilon: float) -> float:
 
 def greedy_rounds(k: int, epsilon: float) -> int:
     """``q = ceil(k ln(1/eps))`` — greedy iterations (Theorem 1 proof)."""
-    _validate_k(k)
+    validate_k(k)
     if not 0.0 < epsilon < 1.0:
         raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon}")
     return max(1, math.ceil(k * math.log(1.0 / epsilon)))
@@ -115,7 +131,7 @@ class GreedyParams:
         """Algorithm 1's sizes: ``ell = ln(12 n^2)/(2 xi^2)``,
         ``r = ln(6 n^2)``, ``m = 24 / xi^2``, ``q = k ln(1/eps)``."""
         _validate_common(n, epsilon)
-        _validate_k(k)
+        validate_k(k)
         _validate_scale(scale)
         accuracy = xi(k, epsilon)
         ell = math.ceil(scale * math.log(12 * n * n) / (2 * accuracy**2))
@@ -176,7 +192,7 @@ class TesterParams:
     ) -> "TesterParams":
         """Theorem 4: ``r = 16 ln(6 n^2)``, ``m = 2^13 sqrt(kn) / eps^5``."""
         _validate_common(n, epsilon)
-        _validate_k(k)
+        validate_k(k)
         _validate_scale(scale)
         sets = _odd_at_least(16 * math.log(6 * n * n), 3)
         set_size = math.ceil(scale * (2**13) * math.sqrt(k * n) / epsilon**5)

@@ -9,10 +9,21 @@ takes a union bound over all ``n^2`` intervals, so reuse is sound.
 
 This module is an extension beyond the paper (README.md, "Design notes"):
 the paper's machinery composes into it directly.
-:func:`select_min_k_on_sketch` is the pure half operating on an
-already-built sketch, and :meth:`repro.api.HistogramSession.min_k` the
+:func:`select_min_k_on_sketch` is the pure half operating on compiled
+sketches, and :meth:`repro.api.HistogramSession.min_k` the
 draw-once, sketch-reusing front door; :func:`_reference_min_k` runs the
 same sweep on the per-query oracle as the tests' private reference.
+
+What the sweep returns depends on the norm.  One partition search runs
+at ``max_pieces = max_k``, and the answer is the number of flat pieces
+it needed.  For l2 that is exactly the smallest ``k`` whose own tester
+call accepts on the same samples, because the l2 flatness test does not
+depend on ``k``.  For l1 it is not: the sweep probes every interval at
+the light-interval scale of ``max_k``
+(:func:`repro.core.tester.l1_effective_scale`), while ``test_l1(k)``
+uses the scale of its own ``k``.  That threshold is higher whenever the
+scale is below 1, so ``test_l1`` may accept a smaller ``k`` than the l1
+sweep reports.
 """
 
 from __future__ import annotations
@@ -26,12 +37,11 @@ from repro.core.flatness import (
     FleetTesterSketches,
     flatness_oracle,
 )
-from repro.core.params import TesterParams
+from repro.core.params import TesterParams, validate_k
 from repro.core.tester import (
     flat_partition,
     fleet_flat_partition,
     l1_effective_scale,
-    resolve_flatness_oracle,
 )
 from repro.errors import InvalidParameterError
 from repro.histograms.intervals import Interval
@@ -63,31 +73,32 @@ class SelectionResult:
 
 
 def select_min_k_on_sketch(
-    multi: MultiSketch | None,
+    compiled: CompiledTesterSketches,
     n: int,
     epsilon: float,
     *,
     max_k: int,
     norm: str = "l1",
     params: TesterParams,
-    compiled: CompiledTesterSketches | None = None,
 ) -> SelectionResult:
-    """Smallest ``k`` for which the tiling k-histogram tester accepts.
+    """Smallest piece count the left-greedy flat partition needs, up to ``max_k``.
 
-    The min-k search on an already-built sketch (no source access),
-    pure in ``multi``; :meth:`repro.api.HistogramSession.min_k`
-    delegates here.  Pass ``compiled`` (the session cache path) to reuse
-    an existing :class:`~repro.core.flatness.CompiledTesterSketches` —
-    its verdict memo then carries over from earlier tester calls, which
-    matters here because the left-greedy sweep re-probes exactly the
-    intervals those calls already certified.
+    The min-k search on compiled sketches (no source access), pure in
+    their contents; :meth:`repro.api.HistogramSession.min_k` delegates
+    here.  The search reads and extends ``compiled``'s verdict memo,
+    which matters because the left-greedy sweep re-probes exactly the
+    intervals earlier tester calls already certified.
 
     The search runs once with ``max_pieces = max_k`` and reads the
-    answer off the discovered partition: it is greedy from the left, so
-    the number of flat intervals needed to cover ``[0, n)`` is exactly
-    the smallest ``k`` the tester would accept with these samples.  The
-    answer is sound up to the testers' epsilon-gap (a distribution
-    epsilon-close to a k-histogram may be accepted at that ``k``).
+    answer off the discovered partition: the number of flat intervals
+    it needed to cover ``[0, n)``.  For ``norm="l2"`` that is exactly
+    the smallest ``k`` the tester accepts with these samples.  For
+    ``norm="l1"`` every interval is probed at ``max_k``'s light-interval
+    scale, which can differ from the scale ``test_l1(k)`` uses, so the
+    answer can exceed the smallest ``k`` that ``test_l1`` accepts (see
+    the module docstring).  Either way the answer is sound up to the
+    testers' epsilon-gap (a distribution epsilon-close to a k-histogram
+    may be accepted at that ``k``).
     """
     return _run_sweep(
         n,
@@ -95,9 +106,7 @@ def select_min_k_on_sketch(
         max_k,
         norm,
         params,
-        lambda scale: resolve_flatness_oracle(
-            multi, norm, epsilon, scale=scale, compiled=compiled
-        ),
+        lambda scale: compiled.oracle(norm, epsilon, scale=scale),
     )
 
 
@@ -128,13 +137,13 @@ def _reference_min_k(
 
 def _sweep_scale(
     n: int, epsilon: float, max_k: int, norm: str, params: TesterParams
-) -> float:
-    """Validate a sweep's ``max_k`` and ``norm``; its flatness scale."""
-    if not 1 <= max_k <= n:
-        raise InvalidParameterError(f"max_k must be in [1, n], got {max_k}")
+) -> tuple[int, float]:
+    """Validate a sweep's ``max_k`` and ``norm``; ``max_k`` and its scale."""
+    max_k = validate_k(max_k, n, name="max_k")
     if norm not in ("l1", "l2"):
         raise InvalidParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
-    return 1.0 if norm == "l2" else l1_effective_scale(n, max_k, epsilon, params)
+    scale = 1.0 if norm == "l2" else l1_effective_scale(n, max_k, epsilon, params)
+    return max_k, scale
 
 
 def _run_sweep(
@@ -145,7 +154,7 @@ def _run_sweep(
     params: TesterParams,
     oracle_at: Callable[[float], FlatnessOracle],
 ) -> SelectionResult:
-    scale = _sweep_scale(n, epsilon, max_k, norm, params)
+    max_k, scale = _sweep_scale(n, epsilon, max_k, norm, params)
     partition, _ = flat_partition(n, max_k, oracle_at(scale))
     return _selection_from_partition(n, max_k, partition, params)
 
@@ -180,14 +189,15 @@ def select_min_k_on_fleet(
 ) -> list[SelectionResult]:
     """The min-k search across a compiled fleet, lockstep-batched.
 
-    The fleet-axis counterpart of :func:`select_min_k_on_sketch`: one
+    The fleet-axis counterpart of :func:`select_min_k_on_sketch`, with
+    the same per-norm semantics: one
     validated oracle, one lockstep left-greedy sweep
     (:func:`repro.core.tester.fleet_flat_partition`), one
     :class:`SelectionResult` per member in member order — each
     byte-identical to the single-sketch search on that member's compiled
     sketches, memo accounting included.
     """
-    scale = _sweep_scale(n, epsilon, max_k, norm, params)
+    max_k, scale = _sweep_scale(n, epsilon, max_k, norm, params)
     if members is None:
         members = list(range(fleet.fleet_size))
     oracle = fleet.oracle(norm, epsilon, scale=scale)

@@ -12,15 +12,13 @@ implemented here — is ``previous >= n`` in 0-based half-open coordinates.
 
 Like the learner, the module splits "draw samples" from "run the
 algorithm": :func:`test_l2_on_sketch` / :func:`test_l1_on_sketch` run
-Algorithm 2 on an already-built
-:class:`~repro.samples.estimators.MultiSketch` (or its compiled layout),
-and :class:`repro.api.HistogramSession` owns the draws.
-
-Flatness queries are answered from a
-:class:`~repro.core.flatness.CompiledTesterSketches` — precompiled
-prefix gathers plus a verdict memo (README.md, "Compiled tester
-engine").  The per-query oracle over the raw sketch survives only as
-the private :func:`_reference_test`, which the test suite holds the
+Algorithm 2 on a :class:`~repro.core.flatness.CompiledTesterSketches`
+— precompiled prefix gathers plus a verdict memo (README.md, "Compiled
+tester engine") — and :class:`repro.api.HistogramSession` owns the draws
+and the compile (:func:`~repro.core.flatness.compile_tester_sketches`).
+The per-query oracle over a raw
+:class:`~repro.samples.estimators.MultiSketch` survives only as the
+private :func:`_reference_test`, which the test suite holds the
 compiled path to, byte for byte, on verdicts *and query logs*.
 """
 
@@ -37,10 +35,9 @@ from repro.core.flatness import (
     FlatnessResult,
     FleetFlatnessOracle,
     FleetTesterSketches,
-    compile_tester_sketches,
     flatness_oracle,
 )
-from repro.core.params import TesterParams
+from repro.core.params import TesterParams, validate_k
 from repro.core.results import FlatnessQuery, TestResult
 from repro.errors import InvalidParameterError
 from repro.histograms.intervals import Interval
@@ -273,7 +270,7 @@ def fleet_test_on_sketches(
     order), each byte-identical to the single-sketch call on that
     member's compiled sketches.
     """
-    _validate_k(n, k)
+    k = validate_k(k, n)
     if norm not in ("l1", "l2"):
         raise InvalidParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
     if members is None:
@@ -285,31 +282,6 @@ def fleet_test_on_sketches(
         _result_from_partition(n, k, epsilon, norm, params, partition, queries)
         for partition, queries in outcomes
     ]
-
-
-def resolve_flatness_oracle(
-    multi: MultiSketch | None,
-    metric: str,
-    epsilon: float,
-    *,
-    scale: float = 1.0,
-    compiled: CompiledTesterSketches | None = None,
-) -> FlatnessOracle:
-    """The compiled flatness oracle for one tester invocation.
-
-    Uses ``compiled`` when given (the session cache path) or compiles
-    ``multi`` on the spot.  ``multi`` may be ``None`` when ``compiled``
-    is supplied — the fleet facade compiles its gather stacks without
-    ever building per-member :class:`MultiSketch` objects.
-    """
-    if compiled is None:
-        if multi is None:
-            raise InvalidParameterError(
-                "need either a MultiSketch to compile or an already-compiled "
-                "CompiledTesterSketches"
-            )
-        compiled = compile_tester_sketches(multi)
-    return compiled.oracle(metric, epsilon, scale=scale)
 
 
 def _result_from_partition(
@@ -350,34 +322,26 @@ def _run_search(
     oracle_at: Callable[[float], FlatnessOracle],
 ) -> TestResult:
     """Validate ``k``, search with ``oracle_at(scale)``, read the verdict."""
-    _validate_k(n, k)
+    k = validate_k(k, n)
     scale = 1.0 if norm == "l2" else l1_effective_scale(n, k, epsilon, params)
     partition, queries = flat_partition(n, k, oracle_at(scale))
     return _result_from_partition(n, k, epsilon, norm, params, partition, queries)
 
 
-def _validate_k(n: int, k: int) -> None:
-    if not 1 <= k <= n:
-        raise InvalidParameterError(f"k must be in [1, n], got k={k}, n={n}")
-
-
 def test_l2_on_sketch(
-    multi: MultiSketch | None,
+    compiled: CompiledTesterSketches,
     n: int,
     k: int,
     epsilon: float,
     params: TesterParams,
-    *,
-    compiled: CompiledTesterSketches | None = None,
 ) -> TestResult:
-    """Theorem 3's tester on an already-built sketch (no source access).
+    """Theorem 3's tester on compiled sketches (no source access).
 
-    Pure in ``multi``: running it any number of times — or interleaved
-    with other ``(k, epsilon)`` queries over the same sketch — returns
-    identical results, which is what lets sessions share one draw.
-    Pass ``compiled`` to reuse a compiled layout and its verdict memo;
-    ``multi`` may then be ``None`` (the fleet path never builds
-    per-member sketches).
+    Pure in the sketch contents: running it any number of times — or
+    interleaved with other ``(k, epsilon)`` queries over the same
+    sketches — returns identical results, which is what lets sessions
+    share one draw.  Verdicts land in ``compiled``'s memo, so later
+    calls on the same object reuse them.
     """
     return _run_search(
         n,
@@ -385,9 +349,7 @@ def test_l2_on_sketch(
         epsilon,
         "l2",
         params,
-        lambda scale: resolve_flatness_oracle(
-            multi, "l2", epsilon, scale=scale, compiled=compiled
-        ),
+        lambda scale: compiled.oracle("l2", epsilon, scale=scale),
     )
 
 
@@ -404,28 +366,20 @@ def l1_effective_scale(n: int, k: int, epsilon: float, params: TesterParams) -> 
 
 
 def test_l1_on_sketch(
-    multi: MultiSketch | None,
+    compiled: CompiledTesterSketches,
     n: int,
     k: int,
     epsilon: float,
     params: TesterParams,
-    *,
-    compiled: CompiledTesterSketches | None = None,
 ) -> TestResult:
-    """Theorem 4's tester on an already-built sketch (no source access).
-
-    As with :func:`test_l2_on_sketch`, ``multi`` may be ``None`` when
-    ``compiled`` is supplied.
-    """
+    """Theorem 4's tester on compiled sketches (see :func:`test_l2_on_sketch`)."""
     return _run_search(
         n,
         k,
         epsilon,
         "l1",
         params,
-        lambda scale: resolve_flatness_oracle(
-            multi, "l1", epsilon, scale=scale, compiled=compiled
-        ),
+        lambda scale: compiled.oracle("l1", epsilon, scale=scale),
     )
 
 

@@ -10,8 +10,8 @@ maintainer), so one file checkpoints a whole serving tree.
 
 Restores are zero-copy where the engines allow it: compiled prefix
 slabs, candidate grids, sorted weight samples, and sample pools are
-handed to the engines as the loader's read-only memmap views, through
-the same ``adopt_compiled_*`` seams the fleet compiler plants through.
+handed to the engines as the loader's read-only memmap views, planted
+under the same cache keys the bundle's own compiles use.
 The structures that must stay mutable (reservoir buffers, the small
 ``k``-piece histograms) are copied.  The fleet's stacked ``(F, n+1, r)``
 tester slabs are deliberately *not* persisted: the fleet repairs them
@@ -70,9 +70,10 @@ def _restored_pool(values: np.ndarray) -> _GrowablePool:
 def _sample_set_over(sorted_values: np.ndarray, n: int) -> SampleSet:
     """A :class:`SampleSet` adopting an already-sorted read-only view.
 
-    ``SampleSet.from_sorted`` copies; the snapshot's payload is the
-    checksummed ``sorted_values`` of the set being restored, so the view
-    is adopted directly (sortedness was established when it was built).
+    The constructor would sort (and copy) again; the snapshot's payload
+    is the checksummed ``sorted_values`` of the set being restored, so
+    the view is adopted directly (sortedness was established when it was
+    built).
     """
     built = SampleSet.__new__(SampleSet)
     built._sorted = sorted_values

@@ -27,8 +27,9 @@ class CollisionSketch:
     """Prefix structure answering ``coll(S_I)`` and ``|S_I|`` per interval.
 
     Built once in ``O(m log m)`` from a sample array; every interval query
-    afterwards costs two binary searches (or one gather when the query
-    points were compiled with :meth:`prefixes_on_grid`).
+    afterwards costs two binary searches.  Compiles that need every
+    endpoint at once build their prefixes with :func:`interval_prefixes`
+    instead.
     """
 
     __slots__ = ("_values", "_count_prefix", "_pairs_prefix", "_size", "_n")
@@ -88,23 +89,6 @@ class CollisionSketch:
             return int(result)
         return result
 
-    def prefixes_on_grid(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Compile prefix arrays for a fixed sorted point grid.
-
-        Returns ``(count_prefix, pairs_prefix)`` with one entry per grid
-        point; the interval ``[grid[i], grid[j])`` then has
-        ``count = count_prefix[j] - count_prefix[i]`` and
-        ``coll = pairs_prefix[j] - pairs_prefix[i]`` — pure gathers, no
-        searches.  The gathered arrays are already fresh, so the dtype
-        normalisation is copy-free when the prefixes are int64 (the
-        common case on the compile path).
-        """
-        idx = self._locate(np.asarray(grid))
-        return (
-            self._count_prefix[idx].astype(np.int64, copy=False),
-            self._pairs_prefix[idx].astype(np.int64, copy=False),
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CollisionSketch(size={self._size}, n={self._n})"
 
@@ -114,26 +98,22 @@ def batched_interval_prefixes(
     n: int,
     grid: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Hit-count and pair-count prefixes of ``r`` sets on one grid, batched.
+    """Hit-count and pair-count prefixes of ``r`` sets on one grid, by sorting.
 
-    Equivalent to stacking ``CollisionSketch(s, n).prefixes_on_grid(grid)``
-    for each set, but built in a *single* vectorised pass: every set is
-    offset into its own ``[i * n, (i + 1) * n)`` stripe of a shared value
-    space, the concatenation is sorted and uniqued once, and all ``r * G``
-    grid queries resolve with one ``searchsorted``.  This is the compile
-    path shared by the greedy learner and the tester engine — ``r``
-    sequential sketch constructions became one sort.
+    The sparse-domain half of :func:`interval_prefixes`, built in a
+    *single* vectorised pass: every set is offset into its own
+    ``[i * n, (i + 1) * n)`` stripe of a shared value space, the
+    concatenation is sorted and uniqued once, and all ``r * G`` grid
+    queries resolve with one ``searchsorted``.
 
     Returns ``(count_rows, pair_rows)``, two C-contiguous ``(r, G)`` int64
     matrices whose row ``i`` holds set ``i``'s per-grid-point prefixes of
     ``|S^i_I|`` and ``coll(S^i_I)`` respectively.
     """
     sets = [np.asarray(s, dtype=np.int64) for s in sample_sets]
-    grid = np.asarray(grid, dtype=np.int64)
-    if grid.size and (grid.min() < 0 or grid.max() > n):
-        # A query point past n would spill into the next set's stripe
-        # and silently count its pairs; reject rather than mis-answer.
-        raise InvalidParameterError("grid points must lie in [0, n]")
+    # A query point past n would spill into the next set's stripe and
+    # silently count its pairs; _grid_points rejects it.
+    grid = _grid_points(grid, n)
     if not sets:
         empty = np.zeros((0, grid.size), dtype=np.int64)
         return empty, empty.copy()
@@ -170,16 +150,15 @@ def dense_interval_prefixes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full-grid hit/pair prefixes of ``r`` sets, built without sorting.
 
-    Returns the same numbers :func:`batched_interval_prefixes` would for
+    The dense-domain half of :func:`interval_prefixes`.  Returns the
+    same numbers :func:`batched_interval_prefixes` would for
     ``grid = arange(n + 1)`` — two ``(r, n + 1)`` int64 matrices whose
     row ``i`` holds set ``i``'s per-endpoint prefixes of ``|S^i_I|`` and
     ``coll(S^i_I)`` — but by counting (:func:`numpy.bincount` per set,
     touching each sample exactly once) followed by row cumsums.
-    Counting is O(r (m + n)) versus the sort's O(r m log m), which is
-    the fleet compiler's regime: many moderate sets over one shared
-    domain, every endpoint needed anyway.  All arithmetic is exact
-    integer math, so the two builders are interchangeable bit for bit
-    (the conformance tests pin this).
+    Counting is O(r (m + n)) versus the sort's O(r m log m).  All
+    arithmetic is exact integer math, so the two passes are
+    interchangeable bit for bit (the property tests pin this).
     """
     sets = [np.asarray(s, dtype=np.int64) for s in sample_sets]
     if int(n) != n or n < 1:
@@ -204,14 +183,43 @@ def dense_interval_prefixes(
     return count_rows, pair_rows
 
 
-def batched_pair_prefixes(
+def interval_prefixes(
     sample_sets: "list[np.ndarray] | tuple[np.ndarray, ...]",
     n: int,
-    grid: np.ndarray,
-) -> np.ndarray:
-    """Pair-count prefixes only (the greedy compile path's shape).
+    grid: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hit-count and pair-count prefixes of ``r`` sets, for every compile.
 
-    See :func:`batched_interval_prefixes` for the mechanism; this wrapper
-    returns just the C-contiguous ``(r, G)`` pair-count matrix.
+    Every compile reads its ``|S^i_I|`` and ``coll(S^i_I)`` prefixes from
+    here: a session's or a fleet member's tester layout, and the
+    learner's collision sets.  ``grid`` holds sorted query points in
+    ``[0, n]``; the default is every endpoint ``0..n``.
+
+    One rule picks the pass.  When ``n + 1 <= 4 x`` the total sample
+    count, :func:`dense_interval_prefixes` counts, in O(r (m + n)).
+    Otherwise the domain is sparse and :func:`batched_interval_prefixes`
+    sorts all sets once.  Both are exact integer math, so the choice
+    never shows in a result.
+
+    Returns ``(count_rows, pair_rows)``, two C-contiguous ``(r, G)``
+    int64 matrices whose row ``i`` holds set ``i``'s per-grid-point
+    prefixes.
     """
-    return batched_interval_prefixes(sample_sets, n, grid)[1]
+    total = sum(np.asarray(s).size for s in sample_sets)
+    if n + 1 > 4 * total:
+        if grid is None:
+            grid = np.arange(n + 1, dtype=np.int64)
+        return batched_interval_prefixes(sample_sets, n, grid)
+    count_rows, pair_rows = dense_interval_prefixes(sample_sets, n)
+    if grid is None:
+        return count_rows, pair_rows
+    grid = _grid_points(grid, n)
+    return count_rows[:, grid], pair_rows[:, grid]
+
+
+def _grid_points(grid: np.ndarray, n: int) -> np.ndarray:
+    """``grid`` as int64 query points, each checked to lie in ``[0, n]``."""
+    grid = np.asarray(grid, dtype=np.int64)
+    if grid.size and (grid.min() < 0 or grid.max() > n):
+        raise InvalidParameterError("grid points must lie in [0, n]")
+    return grid

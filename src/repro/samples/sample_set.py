@@ -38,34 +38,6 @@ class SampleSet:
         self._sorted.flags.writeable = False
         self._n = int(n)
 
-    @classmethod
-    def from_sorted(cls, sorted_samples: np.ndarray, n: int) -> "SampleSet":
-        """Build from an already-sorted array, skipping the O(m log m) sort.
-
-        The caller vouches for the ordering (checked, O(m)); the fleet
-        compiler uses this with counting-sorted values — for values in
-        ``[0, n)`` with ``n`` at most a few times ``m``, reconstructing
-        the sorted multiset from a bincount is markedly cheaper than a
-        comparison sort and yields the identical array.
-        """
-        sorted_samples = np.asarray(sorted_samples, dtype=np.int64)
-        if sorted_samples.ndim != 1:
-            raise InvalidParameterError(
-                f"samples must be a 1-d array, got shape {sorted_samples.shape}"
-            )
-        if sorted_samples.size and np.any(sorted_samples[1:] < sorted_samples[:-1]):
-            raise InvalidParameterError("from_sorted needs non-decreasing samples")
-        built = cls.__new__(cls)
-        if sorted_samples.size and (
-            sorted_samples[0] < 0 or sorted_samples[-1] >= n
-        ):
-            raise InvalidParameterError("samples contain values outside [0, n)")
-        values = sorted_samples.copy()
-        values.flags.writeable = False
-        built._sorted = values
-        built._n = int(n)
-        return built
-
     @property
     def n(self) -> int:
         """Domain size."""

@@ -1,6 +1,6 @@
 """`HistogramService`: request coalescing over a maintained fleet.
 
-The fleet layers answer *batches* fast — pooled draws, stacked sort-free
+The fleet layers answer *batches* fast — pooled draws, stacked
 compiles, lockstep Algorithm-2 searches — but a serving deployment
 receives *requests*: concurrent connections each asking one question of
 one named stream.  This module is the layer between the two:

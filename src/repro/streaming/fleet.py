@@ -25,7 +25,7 @@ import numpy as np
 from repro.api.fleet import HistogramFleet
 from repro.core.flatness import validate_flatness_epsilon
 from repro.core.identity import IdentityResult, test_identity_l2_on_sketch
-from repro.core.params import GreedyParams, TesterParams
+from repro.core.params import GreedyParams, TesterParams, validate_k
 from repro.core.results import LearnResult, TestResult, UniformityResult
 from repro.core.selection import SelectionResult
 from repro.core.uniformity import test_uniformity_on_sketch
@@ -80,7 +80,7 @@ class FleetMaintainer:
             raise InvalidParameterError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
         validate_flatness_epsilon(epsilon)
         self._n = int(n)
-        self._k = int(k)
+        self._k = validate_k(k)
         self._epsilon = float(epsilon)
         rngs = spawn_rngs(rng, fleet_size)
         self._reservoirs = [
@@ -384,7 +384,7 @@ class FleetMaintainer:
         members = self._probe_members(members)
         if norm not in ("l1", "l2"):
             raise InvalidParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
-        k = self._k if k is None else int(k)
+        k = self._k if k is None else validate_k(k, self._n)
         epsilon = self._epsilon if epsilon is None else float(epsilon)
         self._sync()
         resolved = self._tester_params(params)
@@ -407,6 +407,8 @@ class FleetMaintainer:
         ``members`` restricts the sweep, as in :meth:`test`.
         """
         members = self._probe_members(members)
+        if max_k is not None:
+            max_k = validate_k(max_k, self._n, name="max_k")
         epsilon = self._epsilon if epsilon is None else float(epsilon)
         self._sync()
         return self._fleet.min_k(
@@ -435,7 +437,7 @@ class FleetMaintainer:
         learn-after-failed-test path a serving client drives.
         """
         members = self._probe_members(members)
-        k = self._k if k is None else int(k)
+        k = self._k if k is None else validate_k(k)
         epsilon = self._epsilon if epsilon is None else float(epsilon)
         self._sync()
         results = self._fleet.learn(

@@ -2,20 +2,34 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import InvalidParameterError
+from repro.samples import collision
 from repro.samples.collision import (
     CollisionSketch,
     batched_interval_prefixes,
-    batched_pair_prefixes,
     collision_count,
     dense_interval_prefixes,
+    interval_prefixes,
 )
 from repro.utils.prefix import pairs_count
+
+
+def sketch_prefixes(sets, n, grid):
+    """Reference rows: each set's ``|S_I|`` and ``coll(S_I)`` over
+    ``[0, g)`` for every grid point ``g``, from per-set sketches."""
+    grid = np.asarray(grid, dtype=np.int64)
+    origin = np.zeros_like(grid)
+    sketches = [CollisionSketch(s, n) for s in sets]
+    counts = np.stack([np.asarray(k.count(origin, grid)) for k in sketches])
+    pairs = np.stack([np.asarray(k.collisions(origin, grid)) for k in sketches])
+    return counts, pairs
 
 
 def naive_collisions(samples, a, b):
@@ -87,7 +101,7 @@ class TestCollisionSketch:
         samples = np.array([0, 0, 1, 3, 3, 3, 7])
         sketch = CollisionSketch(samples, 8)
         grid = np.array([0, 2, 4, 8])
-        counts, pairs = sketch.prefixes_on_grid(grid)
+        (counts,), (pairs,) = interval_prefixes([samples], 8, grid)
         assert pairs[1] - pairs[0] == sketch.collisions(0, 2)
         assert pairs[2] - pairs[1] == sketch.collisions(2, 4)
         assert pairs[3] - pairs[2] == sketch.collisions(4, 8)
@@ -102,7 +116,7 @@ class TestCollisionSketch:
 
 
 class TestBatchedPrefixes:
-    """The one-pass compile must equal r sequential sketch compiles."""
+    """The one-sort pass must equal r per-set sketches at every grid point."""
 
     def test_matches_per_set_sketches(self, rng):
         n = 50
@@ -110,27 +124,30 @@ class TestBatchedPrefixes:
         grid = np.unique(
             np.concatenate([[0, n], rng.integers(0, n + 1, size=12)])
         )
-        batched = batched_pair_prefixes(sets, n, grid)
-        stacked = np.stack(
-            [CollisionSketch(s, n).prefixes_on_grid(grid)[1] for s in sets]
-        )
-        assert batched.dtype == np.int64
-        assert batched.flags.c_contiguous
-        assert np.array_equal(batched, stacked)
+        counts, pairs = batched_interval_prefixes(sets, n, grid)
+        ref_counts, ref_pairs = sketch_prefixes(sets, n, grid)
+        assert pairs.dtype == np.int64
+        assert counts.flags.c_contiguous and pairs.flags.c_contiguous
+        assert np.array_equal(counts, ref_counts)
+        assert np.array_equal(pairs, ref_pairs)
 
     def test_no_sets(self):
-        assert batched_pair_prefixes([], 10, np.array([0, 10])).shape == (0, 2)
+        counts, pairs = batched_interval_prefixes([], 10, np.array([0, 10]))
+        assert counts.shape == pairs.shape == (0, 2)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidParameterError):
-            batched_pair_prefixes([np.array([5])], 5, np.array([0, 5]))
+            batched_interval_prefixes([np.array([5])], 5, np.array([0, 5]))
 
     def test_grid_beyond_domain_rejected(self):
-        """A grid point past n would read the next set's stripe."""
+        """A grid point past n would read the next set's stripe (sorting)
+        or wrap around (counting); both passes refuse it."""
+        sets = [np.array([1, 1, 2]), np.array([3, 3, 3])]
         with pytest.raises(InvalidParameterError):
-            batched_pair_prefixes(
-                [np.array([1, 1, 2]), np.array([3, 3, 3])], 10, np.array([0, 5, 15])
-            )
+            batched_interval_prefixes(sets, 10, np.array([0, 5, 15]))
+        for grid in ([0, 5, 15], [-1, 5]):
+            with pytest.raises(InvalidParameterError):
+                interval_prefixes(sets, 4, np.array(grid))
 
     @given(
         st.lists(
@@ -143,20 +160,19 @@ class TestBatchedPrefixes:
         n = 8
         sets = [np.array(s, dtype=np.int64) for s in raw_sets]
         grid = np.arange(n + 1)
-        batched = batched_pair_prefixes(sets, n, grid)
-        stacked = np.stack(
-            [CollisionSketch(s, n).prefixes_on_grid(grid)[1] for s in sets]
-        )
-        assert np.array_equal(batched, stacked)
+        counts, pairs = batched_interval_prefixes(sets, n, grid)
+        ref_counts, ref_pairs = sketch_prefixes(sets, n, grid)
+        assert np.array_equal(counts, ref_counts)
+        assert np.array_equal(pairs, ref_pairs)
 
 
 @st.composite
 def adversarial_set_batches(draw):
-    """(n, sets) with the shapes that break naive prefix builders.
+    """(n, sets) with the shapes that break naive prefix code.
 
     Single-point domains, empty sets, all-mass-on-one-bucket sets, and
     arbitrary multisets mix freely — the interchange contract between
-    the counting and sort builders must hold on all of them.
+    the counting and sort passes must hold on all of them.
     """
     n = draw(st.integers(min_value=1, max_value=12))
     def one_set(kind_and_seed):
@@ -177,15 +193,16 @@ def adversarial_set_batches(draw):
 
 
 class TestDenseVsSortProperty:
-    """dense_interval_prefixes must equal the sort path bit for bit.
+    """Counting must equal the sort path bit for bit, and so must
+    interval_prefixes on either side of its count-or-sort rule.
 
-    The fleet lockstep suite only exercises the interchange indirectly
-    (through whole tester runs); this pins it at the builder level, on
-    adversarial shapes, for both the count and pair rows.
+    Whole tester and learner runs exercise the interchange only
+    indirectly; this pins it at the prefix level, on adversarial
+    shapes, for both the count and pair rows.
     """
 
-    @given(adversarial_set_batches())
-    def test_dense_equals_sort_path(self, batch):
+    @given(adversarial_set_batches(), st.data())
+    def test_dense_equals_sort_path(self, batch, data):
         n, sets = batch
         grid = np.arange(n + 1, dtype=np.int64)
         dense_counts, dense_pairs = dense_interval_prefixes(sets, n)
@@ -193,6 +210,27 @@ class TestDenseVsSortProperty:
         assert dense_counts.dtype == sort_counts.dtype == np.int64
         assert np.array_equal(dense_counts, sort_counts)
         assert np.array_equal(dense_pairs, sort_pairs)
+        # The same sets over wider domains: the largest that still counts
+        # (n + 1 == 4 x total, the boundary) and the smallest that sorts.
+        total = sum(s.size for s in sets)
+        domains = {n, max(n, 4 * total)}
+        if total:
+            domains.add(max(n, 4 * total - 1))
+        for domain in sorted(domains):
+            points = data.draw(st.lists(st.integers(0, domain), max_size=8))
+            for sub_grid in (None, np.unique(np.array(points, dtype=np.int64))):
+                query = np.arange(domain + 1) if sub_grid is None else sub_grid
+                with mock.patch.object(
+                    collision,
+                    "dense_interval_prefixes",
+                    wraps=dense_interval_prefixes,
+                ) as counting:
+                    counts, pairs = interval_prefixes(sets, domain, sub_grid)
+                assert counting.called == (domain + 1 <= 4 * total)
+                ref_counts, ref_pairs = batched_interval_prefixes(sets, domain, query)
+                assert counts.dtype == pairs.dtype == np.int64
+                assert np.array_equal(counts, ref_counts)
+                assert np.array_equal(pairs, ref_pairs)
 
     def test_single_point_domain(self):
         counts, pairs = dense_interval_prefixes(

@@ -6,7 +6,7 @@ per-member memo-hit accounting — to looping
 ``HistogramSession(sources[f], n, rng=rngs[f], ...)`` over the members
 with the same seeds.  Pinned here on deterministic fleets, a hypothesis
 lockstep over random fleets (mixed sizes, metrics, epsilons, operation
-orders), the sort-free compile kernels the fleet plants, and the cache
+orders), the compile kernels the fleet plants, and the cache
 lifetime / invalidation rules the facade relies on.
 """
 
@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.api import ArraySource, CountingSource, HistogramFleet, HistogramSession
 from repro.core.flatness import FleetTesterSketches, compile_tester_sketches
-from repro.core.greedy import GreedySamples, compile_greedy_sketches
 from repro.core.params import GreedyParams, TesterParams
 from repro.core.selection import _reference_min_k
 from repro.core.tester import _reference_test
@@ -29,8 +28,6 @@ from repro.samples.collision import (
     batched_interval_prefixes,
     dense_interval_prefixes,
 )
-from repro.samples.estimators import MultiSketch
-from repro.samples.sample_set import SampleSet
 
 TEST_PARAMS = TesterParams(num_sets=7, set_size=3_000)
 LEARN_PARAMS = GreedyParams(
@@ -211,7 +208,7 @@ def test_lockstep_random_fleets(seed):
 
 
 class TestDenseCompileKernels:
-    """The sort-free builders equal the sort-based ones, bit for bit."""
+    """The counting pass equals the sort-based one, bit for bit."""
 
     def test_dense_interval_prefixes_match_batched(self):
         rng = np.random.default_rng(4)
@@ -234,49 +231,11 @@ class TestDenseCompileKernels:
         assert empty_counts.shape == (0, 11)
         assert empty_pairs.shape == (0, 11)
 
-    def test_dense_greedy_compile_matches_sorted(self):
-        dist = families.zipf(64, 1.0)
-        rng = np.random.default_rng(7)
-        samples = GreedySamples(
-            dist.sample(2_000, rng), tuple(dist.sample(1_000, rng) for _ in range(3))
-        )
-        sorted_compiled = compile_greedy_sketches(samples, 64, method="fast")
-        dense_compiled = compile_greedy_sketches(
-            samples, 64, method="fast", prefixes="dense"
-        )
-        assert np.array_equal(
-            sorted_compiled.candidates.grid, dense_compiled.candidates.grid
-        )
-        assert np.array_equal(
-            sorted_compiled.weight_prefix, dense_compiled.weight_prefix
-        )
-        assert np.array_equal(
-            sorted_compiled.pair_prefix_cols, dense_compiled.pair_prefix_cols
-        )
-        assert np.array_equal(sorted_compiled.self_costs, dense_compiled.self_costs)
-        assert np.array_equal(
-            sorted_compiled.weight_set.sorted_values,
-            dense_compiled.weight_set.sorted_values,
-        )
-        with pytest.raises(InvalidParameterError):
-            compile_greedy_sketches(samples, 64, prefixes="magic")
-
-    def test_sample_set_from_sorted(self):
-        values = np.sort(np.random.default_rng(1).integers(0, 32, size=200))
-        assert np.array_equal(
-            SampleSet.from_sorted(values, 32).sorted_values,
-            SampleSet(values, 32).sorted_values,
-        )
-        with pytest.raises(InvalidParameterError):
-            SampleSet.from_sorted(np.array([3, 1, 2]), 32)
-        with pytest.raises(InvalidParameterError):
-            SampleSet.from_sorted(np.array([0, 40]), 32)
-
     def test_fleet_member_compile_matches_session_compile(self):
         """A fleet slab holds exactly what compile_tester_sketches builds."""
         dist = families.sawtooth(48)
         sets = dist.sample_sets(3, 1_000, np.random.default_rng(2))
-        reference = compile_tester_sketches(MultiSketch.from_sample_sets(sets, 48))
+        reference = compile_tester_sketches(sets, 48)
         fleet_sketches = FleetTesterSketches(48, 3, 1_000, fleet_size=2)
         member = fleet_sketches.compile_member(1, [np.asarray(s) for s in sets])
         assert np.array_equal(member._count_cols, reference._count_cols)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import HistogramSession
+from repro.api import HistogramFleet, HistogramSession
 from repro.core.params import TesterParams
 from repro.distributions import families
 from repro.errors import InvalidParameterError
@@ -75,3 +75,47 @@ class TestEstimateMinK:
             0.25, max_k=16, params=PARAMS
         )
         assert result.samples_used == PARAMS.total_samples
+
+
+AGREEMENT_PARAMS = TesterParams(num_sets=5, set_size=3_000)
+AGREEMENT_SEEDS = range(40)
+
+
+def smallest_accepted(verdicts):
+    """The first ``k`` (from 1) whose verdict accepted, or ``None``."""
+    return next((k for k, accepted in enumerate(verdicts, 1) if accepted), None)
+
+
+class TestMinKAgreesWithTester:
+    """For l2, min-k is exactly the smallest k ``test_l2`` accepts.
+
+    The l2 flatness test does not depend on ``k``, so the one left-greedy
+    sweep at ``max_k`` answers for every candidate.  l1 has no such pin:
+    its sweep tests light intervals at ``max_k``'s scale, and on these
+    seeds it reports more pieces than ``test_l1`` needs on 10 of 40.
+    """
+
+    @staticmethod
+    def _dist(seed):
+        return families.random_tiling_histogram(256, 4, rng=seed, min_piece=8)
+
+    def test_session_l2(self):
+        for seed in AGREEMENT_SEEDS:
+            session = HistogramSession(self._dist(seed), 256, rng=seed)
+            found = session.min_k(0.3, max_k=16, norm="l2", params=AGREEMENT_PARAMS)
+            verdicts = [
+                session.test_l2(k, 0.3, params=AGREEMENT_PARAMS).accepted
+                for k in range(1, 17)
+            ]
+            assert found.k == smallest_accepted(verdicts), seed
+
+    def test_fleet_l2(self):
+        seeds = list(AGREEMENT_SEEDS)
+        fleet = HistogramFleet([self._dist(seed) for seed in seeds], 256, rngs=seeds)
+        found = fleet.min_k(0.3, max_k=16, norm="l2", params=AGREEMENT_PARAMS)
+        per_k = [
+            fleet.test_l2(k, 0.3, params=AGREEMENT_PARAMS) for k in range(1, 17)
+        ]
+        for member, result in enumerate(found):
+            verdicts = [results[member].accepted for results in per_k]
+            assert result.k == smallest_accepted(verdicts), seeds[member]

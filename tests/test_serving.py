@@ -534,6 +534,25 @@ class TestBatchErrorPaths:
         response = asyncio.run(run())
         assert response.error_code == "invalid_parameter"
 
+    def test_fractional_piece_counts_are_structured(self):
+        # A fractional max_k once raised a bare TypeError inside the
+        # collector task, which ended it: every later request then
+        # waited forever.  Both counts now fail validation instead.
+        async def run():
+            service = build_service(["a"], max_batch=4, linger_us=0.0)
+            async with service:
+                await service.submit(Request.ingest("a", [1, 2, 3, 4]))
+                bad_max_k = await service.submit(Request.min_k("a", max_k=2.5))
+                bad_k = await service.submit(Request.test("a", k=2.5))
+                after = await asyncio.wait_for(service.submit(Request.test("a")), 5)
+            return bad_max_k, bad_k, after
+
+        bad_max_k, bad_k, after = asyncio.run(run())
+        assert bad_max_k.error_code == "invalid_parameter"
+        assert "max_k" in bad_max_k.error[1]
+        assert bad_k.error_code == "invalid_parameter"
+        assert after.ok
+
     def test_empty_ingest_batch_is_served(self):
         async def run():
             service = build_service(["a"], max_batch=4, linger_us=0.0)

@@ -22,6 +22,7 @@ from repro.api import (
     SampleSource,
     as_sample_source,
 )
+from repro.core.flatness import compile_tester_sketches
 from repro.core.greedy import draw_greedy_samples, learn_from_samples
 from repro.core.params import GreedyParams, TesterParams
 from repro.core.selection import select_min_k_on_sketch
@@ -31,7 +32,6 @@ from repro.core.tester import test_l1_on_sketch as l1_on_sketch
 from repro.core.tester import test_l2_on_sketch as l2_on_sketch
 from repro.distributions import families
 from repro.errors import InvalidParameterError
-from repro.samples.estimators import MultiSketch
 from repro.streaming.reservoir import ReservoirSampler
 
 N = 128
@@ -107,9 +107,10 @@ def legacy_learn(k, epsilon, params, *, rng, method="fast", max_candidates=None)
 
 
 def legacy_tester_sketch(rng):
-    """The paper's tester draw: ``r`` consecutive sets, one generator."""
+    """The paper's tester draw — ``r`` consecutive sets, one generator —
+    compiled for the tester."""
     sets = DIST.sample_sets(TEST_PARAMS.num_sets, TEST_PARAMS.set_size, rng=rng)
-    return MultiSketch.from_sample_sets(sets, N)
+    return compile_tester_sketches(sets, N)
 
 
 class TestSeedEquivalence:
@@ -283,6 +284,63 @@ class TestSessionBehaviour:
         session = HistogramSession(values, N, rng=1, scale=0.05)
         result = session.learn(4, 0.3)
         assert result.histogram.n == N
+
+
+class TestPieceCountValidation:
+    """``k`` and ``max_k`` equal an integer or are refused, before any draw.
+
+    A fractional count used to be truncated (maintainer), kept as a
+    float with one extra piece allowed (fleet), or fail deep inside with
+    a bare ``TypeError`` (session); ``True`` ran as ``k = 1``.
+    """
+
+    @pytest.mark.parametrize("bad", [2.5, True], ids=["fraction", "bool"])
+    @pytest.mark.parametrize("surface", ["session", "fleet", "maintainer"])
+    def test_rejected_as_k_and_max_k(self, surface, bad):
+        k_message, max_k_message = "k must be a positive integer", "max_k must be"
+        if surface == "maintainer":
+            from repro.streaming import FleetMaintainer
+
+            maintainer = FleetMaintainer(2, N, 2, 0.3, reservoir_capacity=256, rng=3)
+            maintainer.update_many(0, DIST.sample(512, rng=4))
+            drawn = maintainer.fleet.samples_drawn
+            with pytest.raises(InvalidParameterError, match=k_message):
+                maintainer.test(bad, members=[0])
+            with pytest.raises(InvalidParameterError, match=k_message):
+                maintainer.learn(bad, members=[0])
+            with pytest.raises(InvalidParameterError, match=max_k_message):
+                maintainer.min_k(max_k=bad, members=[0])
+            with pytest.raises(InvalidParameterError, match=k_message):
+                FleetMaintainer(1, N, bad)
+            assert maintainer.fleet.samples_drawn == drawn
+            return
+        if surface == "session":
+            target = HistogramSession(DIST, N, rng=1, test_budget=TEST_PARAMS)
+        else:
+            target = HistogramFleet([DIST, DIST], N, rngs=[1, 2], test_budget=TEST_PARAMS)
+        for call in (
+            lambda: target.test_l2(bad, 0.3),
+            lambda: target.test_l1(bad, 0.3),
+            lambda: target.test_many([(2, 0.3), (bad, 0.3)]),
+            lambda: target.learn(bad, 0.3, params=LEARN_PARAMS),
+        ):
+            with pytest.raises(InvalidParameterError, match=k_message):
+                call()
+        for norm in ("l1", "l2"):
+            with pytest.raises(InvalidParameterError, match=max_k_message):
+                target.min_k(0.3, max_k=bad, norm=norm)
+        assert target.samples_drawn in (0, [0, 0])
+
+    def test_integral_values_pass_on_as_int(self):
+        session = HistogramSession(DIST, N, rng=1, test_budget=TEST_PARAMS)
+        fleet = HistogramFleet([DIST], N, rngs=[1], test_budget=TEST_PARAMS)
+        for result in (
+            session.test_l2(3.0, 0.3),
+            session.test_l1(np.int64(3), 0.3),
+            fleet.test_l2(3.0, 0.3)[0],
+        ):
+            assert type(result.k) is int and result.k == 3
+        assert session.min_k(0.3, max_k=4.0).tried[-1][0] == 4
 
 
 _BAD_LEARN_POINTS = [(0, 0.3), (-2, 0.3), (2, 0.0), (2, float("nan"))]

@@ -49,10 +49,9 @@ CASES = [
 ]
 
 
-def make_multi(dist, n, rng):
-    return MultiSketch.from_sample_sets(
-        dist.sample_sets(PARAMS.num_sets, PARAMS.set_size, np.random.default_rng(rng)),
-        n,
+def make_sets(dist, rng):
+    return dist.sample_sets(
+        PARAMS.num_sets, PARAMS.set_size, np.random.default_rng(rng)
     )
 
 
@@ -95,8 +94,9 @@ class TestEngineEquivalence:
     def test_compiled_queries_match_per_query_oracle(self):
         """Every (start, stop) agrees with the legacy one-shot flatness tests."""
         dist = families.zipf(96, 1.0)
-        multi = make_multi(dist, 96, 11)
-        compiled = compile_tester_sketches(multi)
+        sets = make_sets(dist, 11)
+        multi = MultiSketch.from_sample_sets(sets, 96)
+        compiled = compile_tester_sketches(sets, 96)
         l2 = compiled.oracle("l2", 0.3)
         l1 = compiled.oracle("l1", 0.3, scale=0.01)
         rng = np.random.default_rng(0)
@@ -205,8 +205,9 @@ class TestMemoSharing:
 
     def test_distinct_epsilons_do_not_collide(self):
         dist = families.uniform(64)
-        multi = make_multi(dist, 64, 3)
-        sketches = compile_tester_sketches(multi)
+        sets = make_sets(dist, 3)
+        multi = MultiSketch.from_sample_sets(sets, 64)
+        sketches = compile_tester_sketches(sets, 64)
         a = sketches.oracle("l2", 0.3)(0, 64)
         b = sketches.oracle("l2", 0.5)(0, 64)
         assert sketches.memo_misses == 2  # same interval, two keys
@@ -243,8 +244,9 @@ class TestCacheLifetime:
 
     def test_validation_happens_once_not_per_query(self):
         """Bad parameters fail at oracle creation, before any probe."""
-        multi = make_multi(families.uniform(64), 64, 1)
-        sketches = compile_tester_sketches(multi)
+        sets = make_sets(families.uniform(64), 1)
+        multi = MultiSketch.from_sample_sets(sets, 64)
+        sketches = compile_tester_sketches(sets, 64)
         with pytest.raises(InvalidParameterError):
             sketches.oracle("l2", 0.0)
         with pytest.raises(InvalidParameterError):
@@ -256,12 +258,12 @@ class TestCacheLifetime:
         assert sketches.memo_misses == 0  # nothing ran
 
     def test_compile_matches_batched_interval_prefixes(self):
-        """Per-sketch compilation equals the one-sort batched pass."""
+        """Compiling the raw sets equals the one-sort batched pass."""
         from repro.samples.collision import batched_interval_prefixes
 
         dist = families.zipf(64, 1.0)
         sets = dist.sample_sets(3, 1_000, np.random.default_rng(2))
-        compiled = compile_tester_sketches(MultiSketch.from_sample_sets(sets, 64))
+        compiled = compile_tester_sketches(sets, 64)
         grid = np.arange(65, dtype=np.int64)
         count_rows, pair_rows = batched_interval_prefixes(sets, 64, grid)
         assert np.array_equal(compiled._count_cols, count_rows.T)
@@ -269,8 +271,7 @@ class TestCacheLifetime:
         assert compiled.set_size == 1_000
 
     def test_compiled_properties(self):
-        multi = make_multi(families.uniform(64), 64, 1)
-        sketches = compile_tester_sketches(multi)
+        sketches = compile_tester_sketches(make_sets(families.uniform(64), 1), 64)
         assert isinstance(sketches, CompiledTesterSketches)
         assert sketches.n == 64
         assert sketches.num_sets == PARAMS.num_sets
