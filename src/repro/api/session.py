@@ -41,7 +41,13 @@ import numpy as np
 from repro.api.sketches import SketchBundle
 from repro.api.source import SampleSource, as_sample_source
 from repro.core.greedy import LockstepRun, lockstep_learn
-from repro.core.params import GreedyParams, TesterParams, greedy_rounds, validate_k
+from repro.core.params import (
+    GreedyParams,
+    TesterParams,
+    greedy_rounds,
+    validate_epsilon,
+    validate_k,
+)
 from repro.core.results import LearnResult, TestResult
 from repro.core.selection import SelectionResult, select_min_k_on_sketch
 from repro.core.tester import test_l1_on_sketch, test_l2_on_sketch
@@ -178,6 +184,7 @@ class HistogramSession:
     def _test_params(
         self, norm: str, k: int, epsilon: float, params: TesterParams | None
     ) -> TesterParams:
+        validate_epsilon(epsilon)  # before any draw, explicit params or not
         if params is not None:
             return params
         if self._test_budget is not None:

@@ -16,31 +16,31 @@ the denominator, but the surrounding proofs (Eqs. 28–29 and 35) use
 The module is layered so Algorithm 2 can run on a *compiled* engine
 (README.md, "Compiled tester engine"):
 
-* **pure verdict kernels** — :func:`l2_flatness_verdict` /
-  :func:`l1_flatness_verdict` hold the papers' threshold math once;
-  every engine funnels through them, which is what makes the engines
-  byte-identical;
+* **one kernel** — :func:`flatness_rows` holds the papers' threshold
+  math once, row-wise over ``B`` gathered intervals: per-set hit and
+  pair counts in, ``(light, z, threshold)`` out, with the median-of-r
+  taken by exact selection; :func:`_verdicts` turns its rows into
+  :class:`FlatnessResult` s.  Every caller below funnels through the
+  pair, which is what makes them byte-identical;
 * **per-query oracles** — :func:`test_flatness_l2` /
   :func:`test_flatness_l1` answer one interval from a raw
   :class:`~repro.samples.estimators.MultiSketch` (binary searches per
-  query); :func:`flatness_oracle` is their validate-once closure form,
-  which the tests' private references
+  set, one kernel row); :func:`flatness_oracle` is their validate-once
+  closure form, which the tests' private references
   (:func:`repro.core.tester._reference_test`,
   :func:`repro.core.selection._reference_min_k`) search with;
 * **compiled engine** — :func:`compile_tester_sketches` builds a
   :class:`CompiledTesterSketches` straight from the raw sample sets
   (through :func:`repro.samples.collision.interval_prefixes`): per-set
   hit/pair prefixes over the full endpoint grid ``[0, n]`` in a
-  C-contiguous ``(n + 1, r)`` gather
-  layout, so one flatness query is two row gathers, an in-place
-  length-``r`` ratio, and a median — no sorting, searching, or
-  allocation — with verdicts memoised by
+  C-contiguous ``(n + 1, r)`` gather layout, so one flatness query is
+  one kernel row sliced from two prefix rows, with verdicts memoised by
   ``(start, stop, metric, epsilon, scale)`` across binary searches,
   ``test_many`` grid points, and min-k sweeps;
 * **fleet layer** — :class:`FleetTesterSketches` stacks many members'
   compiled layouts on a leading fleet axis and
   :class:`FleetFlatnessOracle` answers one batch of probes (at most one
-  per member) with fleet-axis gathers and row-wise medians, keeping
+  per member) as ``B`` kernel rows gathered from the stacks, keeping
   each member's verdict memo and accounting byte-compatible with the
   single-member engine (README.md, "Fleet serving").
 """
@@ -52,10 +52,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.params import flatness_l1_min_hits
+from repro.core.params import flatness_l1_min_hits, validate_epsilon
 from repro.errors import InsufficientSamplesError, InvalidParameterError
 from repro.samples.collision import interval_prefixes
 from repro.samples.estimators import MultiSketch, _ratio
+from repro.utils.prefix import pairs_count
 
 REASON_LIGHT = "light-weight"
 REASON_COLLISION_OK = "collision-bound"
@@ -104,12 +105,6 @@ def _check_interval(start: int, stop: int) -> int:
     return stop - start
 
 
-def validate_flatness_epsilon(epsilon: float) -> None:
-    """Reject out-of-range ``epsilon`` (shared by every flatness entry)."""
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon}")
-
-
 def validate_flatness_scale(scale: float) -> None:
     """Reject out-of-range ``scale`` (the l1 light-threshold rescale)."""
     if not 0.0 < scale <= 1.0:
@@ -125,63 +120,92 @@ def validate_metric(metric: str) -> None:
 
 
 # ------------------------------------------------------------------ #
-# pure verdict kernels (one code path for every engine)
+# the kernel: Algorithms 3 and 4, row-wise (one code path for every engine)
 # ------------------------------------------------------------------ #
 
 
-def l2_flatness_verdict(
-    counts: np.ndarray,
-    set_size: int,
-    length: int,
-    epsilon: float,
-    median_z: Callable[[], float],
-) -> FlatnessResult:
-    """``testFlatness-l2`` (Algorithm 3) decision from per-set hit counts.
+def _median_rows(values: np.ndarray) -> np.ndarray:
+    """``np.median`` along the last axis, by exact selection.
 
-    1. ``p_hat_i(I) = 2 |S^i_I| / m``;
-    2. accept if any ``|S^i_I| / m < eps^2 / 2`` (light interval);
-    3. ``z_I`` = median of per-set conditional collision estimates
-       (``median_z`` is called lazily — light intervals never pay for it);
-    4. accept iff ``z_I <= 1/|I| + max_i eps^2 / (2 p_hat_i(I))``.
-
-    ``counts`` may be int64 or float64: ``np.divide`` promotes both to
-    the same float64 values, so the per-query and compiled engines are
-    bit-identical through this single kernel.
+    The middle order statistic for odd ``r``, the mean of the two middle
+    ones for even ``r``: the bits ``np.median`` returns, at a fraction of
+    its per-call cost (:func:`repro.core.greedy._collision_z` selects the
+    same way).
     """
-    if np.any(counts / set_size < epsilon**2 / 2):
-        return FlatnessResult(True, REASON_LIGHT, None, None)
-    p_hat = 2.0 * counts / set_size
-    z = float(median_z())
-    threshold = 1.0 / length + float(np.max(epsilon**2 / (2.0 * p_hat)))
-    if z <= threshold:
-        return FlatnessResult(True, REASON_COLLISION_OK, z, threshold)
-    return FlatnessResult(False, REASON_REJECTED, z, threshold)
+    half = values.shape[-1] // 2
+    if values.shape[-1] % 2:
+        return np.partition(values, half, axis=-1)[..., half]
+    ordered = np.partition(values, (half - 1, half), axis=-1)
+    return (ordered[..., half - 1] + ordered[..., half]) / 2
 
 
-def l1_flatness_verdict(
+def flatness_rows(
     counts: np.ndarray,
-    length: int,
+    pairs: np.ndarray,
+    lengths: np.ndarray,
+    metric: str,
     epsilon: float,
     scale: float,
-    median_z: Callable[[], float],
-) -> FlatnessResult:
-    """``testFlatness-l1`` (Algorithm 4) decision from per-set hit counts.
+    set_size: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Algorithms 3 (l2) and 4 (l1) on ``B`` intervals at once.
 
-    1. accept if any ``|S^i_I| < scale * 16^3 sqrt(|I|) / eps^4`` (light;
-       ``scale`` rescales the paper's absolute threshold in proportion to
-       the sample sizes — see
-       :func:`repro.core.tester.l1_effective_scale`);
-    2. ``z_I`` = median of per-set conditional collision estimates;
-    3. accept iff ``z_I <= (1/|I|) (1 + eps^2 / 4)``.
+    ``counts`` and ``pairs`` are ``(B, r)`` int64 per-set hit counts
+    ``|S^i_I|`` and collision pairs ``coll(S^i_I)``; ``lengths`` holds
+    each ``|I|``.  Returns ``(light, z, threshold)``, one entry per row,
+    and each row depends only on its own inputs:
+
+    * ``testFlatness-l2``: light if any ``|S^i_I| / m < eps^2 / 2``;
+      else accept iff ``z_I <= 1/|I| + max_i eps^2 / (2 p_hat_i(I))``
+      with ``p_hat_i(I) = 2 |S^i_I| / m``;
+    * ``testFlatness-l1``: light if any
+      ``|S^i_I| < scale * 16^3 sqrt(|I|) / eps^4`` (``scale`` rescales the
+      paper's absolute count with the sample sizes — see
+      :func:`repro.core.tester.l1_effective_scale`); else accept iff
+      ``z_I <= (1/|I|) (1 + eps^2 / 4)``.
+
+    ``z_I`` is the median over the sets of ``coll(S^i_I) / C(|S^i_I|, 2)``
+    (0 for a set with fewer than two hits, see
+    :func:`~repro.samples.estimators._ratio`).  Light rows skip it, as
+    step 1 of both algorithms does; their ``z`` and ``threshold`` read 0.
     """
-    min_hits = scale * flatness_l1_min_hits(length, epsilon)
-    if np.any(counts < min_hits):
-        return FlatnessResult(True, REASON_LIGHT, None, None)
-    z = float(median_z())
-    threshold = (1.0 / length) * (1.0 + epsilon**2 / 4.0)
-    if z <= threshold:
-        return FlatnessResult(True, REASON_COLLISION_OK, z, threshold)
-    return FlatnessResult(False, REASON_REJECTED, z, threshold)
+    # Any set under the light bound <=> the emptiest set is under it, and
+    # max_i eps^2 / (2 p_hat_i) is attained there too: every operation
+    # below is monotone in the hit count, rounding included.
+    fewest = counts.min(axis=1)
+    if metric == "l2":
+        light = fewest / set_size < epsilon**2 / 2
+    else:
+        light = fewest < scale * flatness_l1_min_hits(lengths, epsilon)
+    z = np.zeros(light.shape)
+    threshold = np.zeros(light.shape)
+    num_light = np.count_nonzero(light)
+    if num_light == light.size:
+        return light, z, threshold
+    rows = ~light if num_light else slice(None)
+    counts, fewest, lengths = counts[rows], fewest[rows], lengths[rows]
+    z[rows] = _median_rows(_ratio(pairs[rows], pairs_count(counts)))
+    if metric == "l2":
+        p_hat = 2.0 * fewest / set_size
+        threshold[rows] = 1.0 / lengths + epsilon**2 / (2.0 * p_hat)
+    else:
+        threshold[rows] = (1.0 / lengths) * (1.0 + epsilon**2 / 4.0)
+    return light, z, threshold
+
+
+def _verdicts(
+    light: np.ndarray, z: np.ndarray, threshold: np.ndarray
+) -> list[FlatnessResult]:
+    """:func:`flatness_rows`' rows as verdicts (statistics as Python floats)."""
+    results = []
+    for is_light, stat, bound in zip(light.tolist(), z.tolist(), threshold.tolist()):
+        if is_light:
+            results.append(FlatnessResult(True, REASON_LIGHT, None, None))
+        elif stat <= bound:
+            results.append(FlatnessResult(True, REASON_COLLISION_OK, stat, bound))
+        else:
+            results.append(FlatnessResult(False, REASON_REJECTED, stat, bound))
+    return results
 
 
 # ------------------------------------------------------------------ #
@@ -194,12 +218,12 @@ def _query_multi(
 ) -> FlatnessResult:
     """One unvalidated flatness query answered by per-set binary searches."""
     length = _check_interval(start, stop)
-    median_z = lambda: multi.median_conditional_norm(start, stop)  # noqa: E731
-    if metric == "l2":
-        counts = multi.counts(start, stop).astype(np.float64)
-        return l2_flatness_verdict(counts, multi.set_size, length, epsilon, median_z)
     counts = multi.counts(start, stop)
-    return l1_flatness_verdict(counts, length, epsilon, scale, median_z)
+    pairs = np.array([sketch.collisions(start, stop) for sketch in multi.sketches])
+    stats = flatness_rows(
+        counts[None], pairs[None], np.array([length]), metric, epsilon, scale, multi.set_size
+    )
+    return _verdicts(*stats)[0]
 
 
 def test_flatness_l2(
@@ -207,7 +231,7 @@ def test_flatness_l2(
 ) -> FlatnessResult:
     """``testFlatness-l2`` (Algorithm 3) — one-shot, validating form."""
     _check_interval(start, stop)
-    validate_flatness_epsilon(epsilon)
+    epsilon = validate_epsilon(epsilon)
     return _query_multi(multi, start, stop, "l2", epsilon, 1.0)
 
 
@@ -226,7 +250,7 @@ def test_flatness_l1(
     requires ``scale *`` the threshold to test the same weight level.
     """
     _check_interval(start, stop)
-    validate_flatness_epsilon(epsilon)
+    epsilon = validate_epsilon(epsilon)
     validate_flatness_scale(scale)
     return _query_multi(multi, start, stop, "l1", epsilon, scale)
 
@@ -239,10 +263,10 @@ def flatness_oracle(
     The oracle of Algorithm 2's per-query reference path: parameters
     are checked here, once per tester invocation, instead of inside each
     of the O(k log n) binary-search probes; each query then re-runs the
-    per-set ``searchsorted`` counts and a fresh median-of-r estimate.
+    per-set ``searchsorted`` counts and one fresh kernel row.
     """
     validate_metric(metric)
-    validate_flatness_epsilon(epsilon)
+    epsilon = validate_epsilon(epsilon)
     validate_flatness_scale(scale)
     return lambda start, stop: _query_multi(multi, start, stop, metric, epsilon, scale)
 
@@ -259,8 +283,9 @@ class CompiledTesterSketches:
     expensive per-draw work — prefix evaluation on the full endpoint
     grid ``[0, n]`` — happens once at compile time
     (:func:`compile_tester_sketches`), after which any
-    interval's per-set hit and pair counts are two gathers of contiguous
-    length-``r`` rows (the ``(n + 1, r)`` C-contiguous layout below).
+    interval's per-set hit and pair counts are differences of contiguous
+    length-``r`` rows (the ``(n + 1, r)`` C-contiguous layout below),
+    sliced as one row of :func:`flatness_rows`.
 
     On top of the gathers sits a verdict memo keyed by
     ``(start, stop, metric, epsilon, scale)``.  Algorithm 2's binary
@@ -292,13 +317,6 @@ class CompiledTesterSketches:
         self._count_cols = np.ascontiguousarray(count_prefix_cols, dtype=np.int64)
         self._pair_cols = np.ascontiguousarray(pair_prefix_cols, dtype=np.int64)
         self._set_size = int(set_size)
-        num_sets = self._count_cols.shape[1]
-        # Reusable per-query buffers: one flatness query allocates nothing
-        # beyond numpy's internal median scratch.
-        self._counts = np.empty(num_sets, dtype=np.int64)
-        self._pairs = np.empty(num_sets, dtype=np.int64)
-        self._denom = np.empty(num_sets, dtype=np.int64)
-        self._ratio_buf = np.empty(num_sets, dtype=np.float64)
         self._memo: dict[tuple, FlatnessResult] = {}
         self.memo_hits = 0
         self.memo_misses = 0
@@ -323,16 +341,6 @@ class CompiledTesterSketches:
         """Number of distinct memoised verdicts."""
         return len(self._memo)
 
-    def _median_conditional_norm(self, start: int, stop: int) -> float:
-        """Median-of-r [GR00] estimate from the compiled rows, in place."""
-        counts = self._counts  # gathered by the caller for this interval
-        np.subtract(self._pair_cols[stop], self._pair_cols[start], out=self._pairs)
-        # C(counts, 2) in exact int64 math, matching utils.prefix.pairs_count.
-        np.subtract(counts, 1, out=self._denom)
-        np.multiply(self._denom, counts, out=self._denom)
-        np.floor_divide(self._denom, 2, out=self._denom)
-        return float(np.median(_ratio(self._pairs, self._denom, out=self._ratio_buf)))
-
     def query(
         self, start: int, stop: int, metric: str, epsilon: float, scale: float = 1.0
     ) -> FlatnessResult:
@@ -344,16 +352,17 @@ class CompiledTesterSketches:
             return cached
         self.memo_misses += 1
         length = _check_interval(start, stop)
-        counts = np.subtract(
-            self._count_cols[stop], self._count_cols[start], out=self._counts
+        after, before = slice(stop, stop + 1), slice(start, start + 1)
+        stats = flatness_rows(
+            self._count_cols[after] - self._count_cols[before],
+            self._pair_cols[after] - self._pair_cols[before],
+            np.array([length]),
+            metric,
+            epsilon,
+            scale,
+            self._set_size,
         )
-        median_z = lambda: self._median_conditional_norm(start, stop)  # noqa: E731
-        if metric == "l2":
-            result = l2_flatness_verdict(
-                counts, self._set_size, length, epsilon, median_z
-            )
-        else:
-            result = l1_flatness_verdict(counts, length, epsilon, scale, median_z)
+        (result,) = _verdicts(*stats)
         self._memo[key] = result
         return result
 
@@ -367,7 +376,7 @@ class CompiledTesterSketches:
         share its verdict memo.
         """
         validate_metric(metric)
-        validate_flatness_epsilon(epsilon)
+        epsilon = validate_epsilon(epsilon)
         validate_flatness_scale(scale)
         return lambda start, stop: self.query(start, stop, metric, epsilon, scale)
 
@@ -378,75 +387,19 @@ class CompiledTesterSketches:
         )
 
 
-def _resolve_stats(
-    count_stack: np.ndarray,
-    pair_stack: np.ndarray,
-    members: np.ndarray,
-    starts: np.ndarray,
-    stops: np.ndarray,
-    metric: str,
-    epsilon: float,
-    scale: float,
-    set_size: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched flatness statistics off the ``(F, n + 1, r)`` stacks.
-
-    Returns ``(light, z, threshold)`` rows for one batch of probes.
-    Every expression is row-wise (each output row depends only on its
-    own probe); the expressions mirror :func:`l2_flatness_verdict` /
-    :func:`l1_flatness_verdict` operand for operand, which is what makes
-    the batched results bit-identical to the scalar kernels.
-    """
-    counts = count_stack[members, stops] - count_stack[members, starts]
-    lengths = stops - starts
-    if metric == "l2":
-        light = np.any(counts / set_size < epsilon**2 / 2, axis=1)
-    else:
-        # scale * flatness_l1_min_hits(length, epsilon), vectorised:
-        # np.sqrt and math.sqrt are both correctly-rounded IEEE ops,
-        # so the batched thresholds equal the scalar kernel's bits.
-        min_hits = scale * ((16**3) * np.sqrt(lengths) / epsilon**4)
-        light = np.any(counts < min_hits[:, None], axis=1)
-    heavy = ~light
-    z = np.zeros(members.shape[0])
-    threshold = np.zeros(members.shape[0])
-    if np.any(heavy):
-        h_counts = counts[heavy]
-        pairs = (
-            pair_stack[members[heavy], stops[heavy]]
-            - pair_stack[members[heavy], starts[heavy]]
-        )
-        denom = (h_counts - 1) * h_counts // 2
-        ratio = np.zeros(h_counts.shape, dtype=np.float64)
-        np.divide(pairs, denom, out=ratio, where=denom > 0)
-        z[heavy] = np.median(ratio, axis=1)
-        if metric == "l2":
-            p_hat = 2.0 * h_counts / set_size
-            threshold[heavy] = 1.0 / lengths[heavy] + np.max(
-                epsilon**2 / (2.0 * p_hat), axis=1
-            )
-        else:
-            threshold[heavy] = (1.0 / lengths[heavy]) * (1.0 + epsilon**2 / 4.0)
-    return light, z, threshold
-
-
 class FleetFlatnessOracle:
     """A validate-once batched flatness oracle over a fleet's stacks.
 
     The lockstep partition driver (:func:`repro.core.tester.fleet_flat_partition`)
-    separates memo traffic from fresh statistics: :meth:`lookup` answers a
-    single member's probe from that member's verdict memo (or reports a
-    miss), and :meth:`resolve` computes one batch of misses — at most one
-    per member — with fleet-axis gathers and row-wise medians.  Both
-    sides of the split maintain the per-member memo and its hit/miss
-    accounting exactly as :meth:`CompiledTesterSketches.query` would, so
-    a fleet run leaves every member's compiled sketches in the same state
-    a looped single-session run would have.
-
-    The vectorised verdict math mirrors :func:`l2_flatness_verdict` /
-    :func:`l1_flatness_verdict` expression for expression (same operand
-    order, same dtypes), which is what makes the batched results
-    bit-identical to the scalar kernels — the lockstep suite asserts it.
+    separates memo traffic from fresh statistics: it reads each member's
+    verdict memo directly (:meth:`member_memo`, reporting its hits
+    through :meth:`flush_hits`), and :meth:`resolve` computes one batch
+    of misses — at most one per member — as rows of the one kernel,
+    :func:`flatness_rows`, gathered from the ``(F, n + 1, r)`` stacks.
+    Both sides maintain the per-member memo and its hit/miss accounting
+    exactly as :meth:`CompiledTesterSketches.query` would, so a fleet run
+    leaves every member's compiled sketches in the same state a looped
+    single-session run would have.
     """
 
     __slots__ = ("_fleet", "_metric", "_epsilon", "_scale")
@@ -480,26 +433,15 @@ class FleetFlatnessOracle:
             if count:
                 self._fleet.member(member).memo_hits += count
 
-    def lookup(self, member: int, start: int, stop: int) -> FlatnessResult | None:
-        """The memoised verdict for one member's probe, or ``None`` on miss."""
-        sketches = self._fleet.member(member)
-        cached = sketches._memo.get(
-            (start, stop, self._metric, self._epsilon, self._scale)
-        )
-        if cached is not None:
-            sketches.memo_hits += 1
-        return cached
-
     def resolve(
         self, members: np.ndarray, starts: np.ndarray, stops: np.ndarray
     ) -> list[FlatnessResult]:
         """Fresh verdicts for a batch of memo misses (one per member).
 
-        Gathers every probed member's per-set hit/pair rows with two
-        fancy indexes on the ``(F, n + 1, r)`` stacks, evaluates the
-        light checks and (for non-light rows only, matching the scalar
-        kernels' lazy median) the median-of-r statistics, then memoises
-        each verdict on its member with a miss tick.
+        Gathers every probed member's per-set hit/pair rows with fancy
+        indexes on the ``(F, n + 1, r)`` stacks, runs them through
+        :func:`flatness_rows` as one batch, then memoises each verdict on
+        its member with a miss tick.
         """
         members = np.asarray(members, dtype=np.int64)
         starts = np.asarray(starts, dtype=np.int64)
@@ -508,37 +450,25 @@ class FleetFlatnessOracle:
             raise InvalidParameterError(
                 "flatness test needs non-empty intervals in every probe"
             )
-        epsilon, scale, metric = self._epsilon, self._scale, self._metric
         count_stack, pair_stack = self._fleet.stacks
-        light, z, threshold = _resolve_stats(
-            count_stack,
-            pair_stack,
-            members,
-            starts,
-            stops,
-            metric,
-            epsilon,
-            scale,
+        stats = flatness_rows(
+            count_stack[members, stops] - count_stack[members, starts],
+            pair_stack[members, stops] - pair_stack[members, starts],
+            stops - starts,
+            self._metric,
+            self._epsilon,
+            self._scale,
             self._fleet.set_size,
         )
-        results: list[FlatnessResult] = []
+        results = _verdicts(*stats)
+        suffix = self.suffix
         fleet_members = self._fleet._members
-        z_list = z.tolist()
-        threshold_list = threshold.tolist()
-        for member, start, stop, is_light, stat, bound in zip(
-            members.tolist(), starts.tolist(), stops.tolist(),
-            light.tolist(), z_list, threshold_list,
+        for member, start, stop, result in zip(
+            members.tolist(), starts.tolist(), stops.tolist(), results
         ):
-            if is_light:
-                result = FlatnessResult(True, REASON_LIGHT, None, None)
-            elif stat <= bound:
-                result = FlatnessResult(True, REASON_COLLISION_OK, stat, bound)
-            else:
-                result = FlatnessResult(False, REASON_REJECTED, stat, bound)
             sketches = fleet_members[member]
             sketches.memo_misses += 1
-            sketches._memo[(start, stop, metric, epsilon, scale)] = result
-            results.append(result)
+            sketches._memo[(start, stop) + suffix] = result
         return results
 
 
@@ -695,7 +625,7 @@ class FleetTesterSketches:
     ) -> FleetFlatnessOracle:
         """A validate-once batched oracle over the compiled members."""
         validate_metric(metric)
-        validate_flatness_epsilon(epsilon)
+        epsilon = validate_epsilon(epsilon)
         validate_flatness_scale(scale)
         return FleetFlatnessOracle(self, metric, epsilon, scale)
 

@@ -26,6 +26,7 @@ import math
 
 import numpy as np
 
+from repro.core.params import validate_epsilon
 from repro.distributions.distances import as_pmf
 from repro.errors import InsufficientSamplesError, InvalidParameterError
 from repro.samples.collision import CollisionSketch
@@ -59,8 +60,7 @@ def identity_sample_size(n: int, epsilon: float, constant: float = 24.0) -> int:
     """
     if int(n) != n or n <= 0:
         raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon}")
+    epsilon = validate_epsilon(epsilon)
     return max(16, math.ceil(constant * math.sqrt(n) / epsilon**2))
 
 
@@ -77,8 +77,7 @@ def test_identity_l2_on_sketch(
     comes from the sketch's compiled pair prefix in O(1).  Pure in both
     inputs.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon}")
+    epsilon = validate_epsilon(epsilon)
     q = as_pmf(reference)
     if q.shape[0] != sketch.n:
         raise InvalidParameterError(
@@ -127,8 +126,7 @@ def test_identity_l2(
     scale / constant / rng:
         As in :func:`repro.core.uniformity.test_uniformity`.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon}")
+    epsilon = validate_epsilon(epsilon)
     if not 0.0 < scale <= 1.0:
         raise InvalidParameterError(f"scale must be in (0, 1], got {scale}")
     q = as_pmf(reference)

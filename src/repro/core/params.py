@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -33,8 +34,24 @@ from repro.errors import InvalidParameterError
 def _validate_common(n: int, epsilon: float) -> None:
     if int(n) != n or n <= 0:
         raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon}")
+    validate_epsilon(epsilon)
+
+
+def validate_epsilon(epsilon: float) -> float:
+    """The one check on an accuracy ``epsilon``; returns a ``float``.
+
+    The value must be a real number strictly inside ``(0, 1)``.  Bools,
+    strings and other non-real values are refused, and so is NaN, which
+    fails every comparison.  Callers pass the returned ``float`` on.
+    """
+    # ``float`` (``np.float64`` too) is tried first: the ``Real`` ABC check
+    # is slower, and the flatness kernel validates on every call.
+    real = isinstance(epsilon, float) or (
+        isinstance(epsilon, Real) and not isinstance(epsilon, bool)
+    )
+    if not real or not 0.0 < epsilon < 1.0:
+        raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon!r}")
+    return float(epsilon)
 
 
 def validate_k(k: int, n: int | None = None, *, name: str = "k") -> int:
@@ -66,16 +83,14 @@ def _validate_scale(scale: float) -> None:
 def xi(k: int, epsilon: float) -> float:
     """``xi = eps / (k ln(1/eps))`` — Algorithm 1's interval accuracy."""
     validate_k(k)
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon}")
+    validate_epsilon(epsilon)
     return epsilon / (k * math.log(1.0 / epsilon))
 
 
 def greedy_rounds(k: int, epsilon: float) -> int:
     """``q = ceil(k ln(1/eps))`` — greedy iterations (Theorem 1 proof)."""
     validate_k(k)
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon}")
+    validate_epsilon(epsilon)
     return max(1, math.ceil(k * math.log(1.0 / epsilon)))
 
 
@@ -199,14 +214,17 @@ class TesterParams:
         return cls(num_sets=sets, set_size=max(set_size, 16), scale=scale)
 
 
-def flatness_l1_min_hits(length: int, epsilon: float) -> float:
+def flatness_l1_min_hits(
+    length: "int | np.ndarray", epsilon: float
+) -> "float | np.ndarray":
     """``testFlatness-l1`` step 1: ``|S^i_I| >= 16^3 sqrt(|I|) / eps^4``.
 
     Derived in the Theorem 4 proof from ``|S_I| >= 16 sqrt(|I|) / delta^2``
-    with ``delta = eps^2 / 16``.
+    with ``delta = eps^2 / 16``.  ``length`` may be an array of interval
+    lengths (the flatness kernel passes one per row); ``np.sqrt`` is
+    correctly rounded, as ``math.sqrt`` is, so the bits match either way.
     """
-    if length < 1:
+    if np.asarray(length).min(initial=1) < 1:
         raise InvalidParameterError(f"interval length must be >= 1, got {length}")
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon}")
-    return (16**3) * math.sqrt(length) / epsilon**4
+    epsilon = validate_epsilon(epsilon)
+    return (16**3) * np.sqrt(length) / epsilon**4

@@ -10,6 +10,13 @@ accepts when ``previous = n`` (1-based), but the binary search leaves
 ``low = n + 1`` when the final interval is flat; the reachable condition —
 implemented here — is ``previous >= n`` in 0-based half-open coordinates.
 
+The search is written once, as the generator :func:`_partition_search`:
+it yields each probe, receives the verdict, and returns the partition
+and query log.  Two drivers step it: :func:`flat_partition` asks one
+flatness oracle per probe (sessions and the tests' reference), and
+:func:`fleet_flat_partition` steps many members in lockstep, answering
+memo hits at once and each round's misses in one batched call.
+
 Like the learner, the module splits "draw samples" from "run the
 algorithm": :func:`test_l2_on_sketch` / :func:`test_l1_on_sketch` run
 Algorithm 2 on a :class:`~repro.core.flatness.CompiledTesterSketches`
@@ -24,7 +31,7 @@ compiled path to, byte for byte, on verdicts *and query logs*.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Generator
 
 import numpy as np
 
@@ -43,43 +50,42 @@ from repro.errors import InvalidParameterError
 from repro.histograms.intervals import Interval
 from repro.samples.estimators import MultiSketch
 
+Probe = tuple[int, int]
+Partition = tuple[list[Interval], list[FlatnessQuery]]
 
-def flat_partition(
-    n: int,
-    max_pieces: int,
-    oracle: FlatnessOracle,
-) -> tuple[list[Interval], list[FlatnessQuery]]:
-    """Algorithm 2's partition search, generic over the flatness oracle.
 
-    Returns the flat intervals found (in order) and the full query log.
-    The caller decides acceptance from whether the intervals cover the
-    domain.  Every probe is logged, including ones a memoising oracle
-    answers from cache — the log is engine-independent.
+def _partition_search(
+    n: int, max_pieces: int
+) -> Generator[Probe, FlatnessResult, Partition]:
+    """Algorithm 2's partition search, written once.
+
+    Yields each probe ``(start, stop)``, receives its verdict through
+    ``send``, and returns the flat intervals found (in order) and the
+    full query log.  Every probe is logged, including ones a memo
+    answers — the log is driver-independent.  :func:`flat_partition`
+    and :func:`fleet_flat_partition` step it; the caller decides
+    acceptance from whether the intervals cover the domain.
     """
     if max_pieces < 1:
         raise InvalidParameterError(f"max_pieces must be >= 1, got {max_pieces}")
     queries: list[FlatnessQuery] = []
     partition: list[Interval] = []
-
-    def flat(start: int, stop: int) -> bool:
-        result = oracle(start, stop)
-        queries.append(
-            FlatnessQuery(
-                interval=Interval(start, stop),
-                accepted=result.accepted,
-                reason=result.reason,
-                statistic=result.statistic,
-                threshold=result.threshold,
-            )
-        )
-        return result.accepted
-
     previous = 0
     for _ in range(max_pieces):
         low, high = previous, n - 1
         while high >= low:
             mid = low + (high - low) // 2
-            if flat(previous, mid + 1):
+            result = yield previous, mid + 1
+            queries.append(
+                FlatnessQuery(
+                    interval=Interval(previous, mid + 1),
+                    accepted=result.accepted,
+                    reason=result.reason,
+                    statistic=result.statistic,
+                    threshold=result.threshold,
+                )
+            )
+            if result.accepted:
                 low = mid + 1
             else:
                 high = mid - 1
@@ -94,65 +100,19 @@ def flat_partition(
     return partition, queries
 
 
-class _FleetPartitionState:
-    """One member's Algorithm 2 binary-search state, lockstep-steppable.
+def flat_partition(n: int, max_pieces: int, oracle: FlatnessOracle) -> Partition:
+    """Algorithm 2's search driven by one flatness oracle.
 
-    A verbatim state-machine translation of :func:`flat_partition`'s
-    nested loops: ``(previous, low, high, pieces)`` hold the sequential
-    code's loop variables, and :meth:`advance` consumes one probe's
-    verdict — logging it and updating the search — returning whether the
-    member still has probes to make.  Driving every member through the
-    same transitions the sequential code takes is what keeps a fleet
-    run's per-member partitions *and query logs* byte-identical to a
-    loop of single-member runs.
+    Returns the flat intervals found (in order) and the full query log
+    (see :func:`_partition_search`).
     """
-
-    __slots__ = ("n", "max_pieces", "previous", "pieces", "low", "high",
-                 "partition", "queries")
-
-    def __init__(self, n: int, max_pieces: int) -> None:
-        self.n = n
-        self.max_pieces = max_pieces
-        self.previous = 0
-        self.pieces = 0
-        self.low = 0
-        self.high = n - 1
-        self.partition: list[Interval] = []
-        self.queries: list[FlatnessQuery] = []
-
-    def probe_stop(self) -> int:
-        """End of the interval the next flatness query tests (``mid + 1``;
-        the start is always the current ``previous``)."""
-        return self.low + (self.high - self.low) // 2 + 1
-
-    def advance(self, stop: int, result: FlatnessResult) -> bool:
-        """Consume the pending probe's verdict; ``True`` while active."""
-        self.queries.append(
-            FlatnessQuery(
-                interval=Interval(self.previous, stop),
-                accepted=result.accepted,
-                reason=result.reason,
-                statistic=result.statistic,
-                threshold=result.threshold,
-            )
-        )
-        if result.accepted:
-            self.low = stop  # == mid + 1
-        else:
-            self.high = stop - 2  # == mid - 1
-        if self.high >= self.low:
-            return True
-        # Inner binary search finished for this piece.
-        if self.low == self.previous:
-            # Defensive guard against a stuck search (see flat_partition).
-            return False
-        self.partition.append(Interval(self.previous, self.low))
-        self.previous = self.low
-        self.pieces += 1
-        if self.previous >= self.n or self.pieces >= self.max_pieces:
-            return False
-        self.low, self.high = self.previous, self.n - 1
-        return True
+    search = _partition_search(n, max_pieces)
+    try:
+        probe = next(search)
+        while True:
+            probe = search.send(oracle(*probe))
+    except StopIteration as done:
+        return done.value
 
 
 def fleet_flat_partition(
@@ -160,97 +120,54 @@ def fleet_flat_partition(
     max_pieces: int,
     oracle: FleetFlatnessOracle,
     members: "list[int]",
-) -> list[tuple[list[Interval], list[FlatnessQuery]]]:
-    """Algorithm 2's partition search for many members, lockstep-batched.
+) -> list[Partition]:
+    """Algorithm 2's search for many members, lockstep-batched.
 
-    Every member runs exactly the probe sequence :func:`flat_partition`
-    would run for it — memo-hit verdicts are consumed inline (members
-    fast-forward independently, so a member replaying a cached search
-    never stalls the batch), and each round gathers at most one fresh
-    probe per member into a single vectorised
-    :meth:`~repro.core.flatness.FleetFlatnessOracle.resolve` call.
+    Every member steps its own :func:`_partition_search`, so it runs
+    exactly the probes :func:`flat_partition` would run for it.  Memo-hit
+    verdicts are fed back at once (members fast-forward independently, so
+    a member replaying a cached search never stalls the batch), and each
+    round gathers at most one fresh probe per member into a single
+    :meth:`~repro.core.flatness.FleetFlatnessOracle.resolve` call.  Hit
+    ticks are counted locally and credited once through
+    :meth:`~repro.core.flatness.FleetFlatnessOracle.flush_hits`.
     Returns each member's ``(partition, query log)`` in input order,
     byte-identical — partitions, logs, and per-member memo accounting —
-    to looping the sequential search.
-
-    The fast-forward loop reads each member's verdict memo directly
-    (hit ticks are accumulated locally and flushed once at the end):
-    at fleet scale the per-probe constant of this loop is the serving
-    path's floor, so it stays free of per-probe method dispatch.
+    to looping the single-oracle search.
     """
-    if max_pieces < 1:
-        raise InvalidParameterError(f"max_pieces must be >= 1, got {max_pieces}")
-    states = [_FleetPartitionState(n, max_pieces) for _ in members]
+    searches = [_partition_search(n, max_pieces) for _ in members]
     memos = [oracle.member_memo(member) for member in members]
+    suffix = oracle.suffix
     hits = [0] * len(members)
-    metric, epsilon, scale = oracle.suffix
-    active = list(range(len(members)))
-    while active:
-        parked: list[int] = []
-        stops: list[int] = []
-        for i in active:
-            # Fast-forward through memo hits with the state in locals —
-            # the same transitions as _FleetPartitionState.advance, kept
-            # free of per-probe attribute and method dispatch (this loop
-            # is the serving path's floor; see the docstring).
-            state = states[i]
-            memo_get = memos[i].get
-            queries_append = state.queries.append
-            previous, low, high = state.previous, state.low, state.high
-            pieces, partition = state.pieces, state.partition
-            local_hits = 0
-            while True:
-                stop = low + (high - low) // 2 + 1
-                cached = memo_get((previous, stop, metric, epsilon, scale))
-                if cached is None:
-                    state.previous, state.low, state.high = previous, low, high
-                    state.pieces = pieces
-                    parked.append(i)
-                    stops.append(stop)
-                    break
-                local_hits += 1
-                queries_append(
-                    FlatnessQuery(
-                        interval=Interval(previous, stop),
-                        accepted=cached.accepted,
-                        reason=cached.reason,
-                        statistic=cached.statistic,
-                        threshold=cached.threshold,
-                    )
-                )
-                if cached.accepted:
-                    low = stop
-                else:
-                    high = stop - 2
-                if high >= low:
-                    continue
-                if low == previous:
-                    state.previous, state.low, state.high = previous, low, high
-                    state.pieces = pieces
-                    break
-                partition.append(Interval(previous, low))
-                previous = low
-                pieces += 1
-                if previous >= n or pieces >= max_pieces:
-                    state.previous, state.low, state.high = previous, low, high
-                    state.pieces = pieces
-                    break
-                low, high = previous, n - 1
-            hits[i] += local_hits
-        if not parked:
-            break
+    outcomes: list = [None] * len(members)
+
+    def step(i: int, verdict: "FlatnessResult | None") -> "Probe | None":
+        """Feed member ``i`` a verdict, then its memo hits; its next miss."""
+        search, memo = searches[i], memos[i]
+        try:
+            probe = search.send(verdict)
+            cached = memo.get(probe + suffix)
+            while cached is not None:
+                hits[i] += 1
+                probe = search.send(cached)
+                cached = memo.get(probe + suffix)
+        except StopIteration as done:
+            outcomes[i] = done.value
+            return None
+        return probe
+
+    pending = [(i, step(i, None)) for i in range(len(members))]
+    pending = [(i, probe) for i, probe in pending if probe is not None]
+    while pending:
         results = oracle.resolve(
-            np.asarray([members[i] for i in parked], dtype=np.int64),
-            np.asarray([states[i].previous for i in parked], dtype=np.int64),
-            np.asarray(stops, dtype=np.int64),
+            np.asarray([members[i] for i, _ in pending], dtype=np.int64),
+            np.asarray([probe[0] for _, probe in pending], dtype=np.int64),
+            np.asarray([probe[1] for _, probe in pending], dtype=np.int64),
         )
-        active = [
-            i
-            for i, stop, result in zip(parked, stops, results)
-            if states[i].advance(stop, result)
-        ]
+        stepped = [(i, step(i, result)) for (i, _), result in zip(pending, results)]
+        pending = [(i, probe) for i, probe in stepped if probe is not None]
     oracle.flush_hits(members, hits)
-    return [(state.partition, state.queries) for state in states]
+    return outcomes
 
 
 def fleet_test_on_sketches(

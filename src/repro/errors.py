@@ -101,10 +101,10 @@ class SnapshotError(ReproError):
 
 
 class InjectedFaultError(ReproError):
-    """A deterministic chaos fault fired (:class:`repro.utils.faults.FaultPlan`).
+    """A deterministic injected fault fired (:class:`repro.utils.faults.FaultySource`).
 
-    Only ever raised by test/chaos seams — a sample source wrapped by
-    :meth:`~repro.utils.faults.FaultPlan.wrap_source`, for instance —
-    never by production code paths.  Subclasses :class:`ReproError` so
+    Only ever raised by test seams — a sample source wrapped in
+    :class:`~repro.utils.faults.FaultySource`, for instance — never by
+    production code paths.  Subclasses :class:`ReproError` so
     the serving layer maps it to a structured response like any other
     library failure instead of crashing the collector."""

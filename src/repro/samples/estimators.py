@@ -50,30 +50,14 @@ def observed_collision_probability(samples: np.ndarray) -> float:
     return collision_count(samples) / pairs_count(samples.size)
 
 
-def _ratio(
-    numerator: np.ndarray,
-    denominator: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Element-wise ratio with 0 where the denominator is 0.
+def _ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+    """Element-wise ratio of equal-shape arrays, 0 where the denominator is 0.
 
     An interval holding fewer than two samples exhibits no collision pairs;
     its observed collision probability is defined as 0 (the safe, accepting
     direction — README.md, "Design notes").
-
-    ``out`` (a float64 buffer of the broadcast shape) makes the call
-    allocation-free for integer inputs: ``np.divide`` promotes them to
-    float64 element-wise, bit-identical to casting the whole array first.
-    The compiled tester kernels reuse one such buffer across every query.
     """
-    numerator = np.asarray(numerator)
-    denominator = np.asarray(denominator)
-    if out is None:
-        out = np.zeros(
-            np.broadcast(numerator, denominator).shape, dtype=np.float64
-        )
-    else:
-        out[...] = 0.0
+    out = np.zeros(denominator.shape)
     np.divide(numerator, denominator, out=out, where=denominator > 0)
     return out
 

@@ -50,6 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.params import GreedyParams, TesterParams
+from repro.distributions.distances import as_pmf
 from repro.errors import (
     DeadlineExceededError,
     EmptyStreamError,
@@ -218,7 +219,6 @@ class HistogramService:
         self._names = streams
         self._index = {name: member for member, name in enumerate(streams)}
         self._config = config if config is not None else ServiceConfig()
-        self._references = dict(references) if references else {}
         self._maintainer = FleetMaintainer(
             len(streams),
             n,
@@ -231,6 +231,9 @@ class HistogramService:
         )
         self._tester_params = tester_params
         self._n = int(n)
+        self._references: dict[str, np.ndarray] = {}
+        for name, reference in (references or {}).items():
+            self.register_reference(name, reference)
         self._queue: asyncio.Queue | None = None
         self._collector: asyncio.Task | None = None
         self._accepting = False
@@ -368,8 +371,25 @@ class HistogramService:
         }
 
     def register_reference(self, name: str, reference: object) -> None:
-        """Register a named reference for identity requests."""
-        self._references[name] = reference
+        """Register a named reference for identity requests.
+
+        The reference (pmf array, distribution, or histogram) is coerced
+        once and stored as a vector, which must be finite, non-negative,
+        1-d and of length ``n``.  It need not sum to one: a learned
+        histogram with gaps is a fair reference.
+        """
+        try:
+            vector = as_pmf(reference)
+        except (ReproError, TypeError, ValueError) as exc:
+            raise InvalidParameterError(
+                f"identity reference {name!r} is not a vector: {exc}"
+            ) from exc
+        if vector.shape != (self._n,) or not np.all(np.isfinite(vector) & (vector >= 0)):
+            raise InvalidParameterError(
+                f"identity reference {name!r} must be a finite, non-negative "
+                f"vector of length n={self._n}"
+            )
+        self._references[name] = vector
 
     # -------------------------------------------------------------- #
     # persistence

@@ -23,9 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.fleet import HistogramFleet
-from repro.core.flatness import validate_flatness_epsilon
 from repro.core.identity import IdentityResult, test_identity_l2_on_sketch
-from repro.core.params import GreedyParams, TesterParams, validate_k
+from repro.core.params import GreedyParams, TesterParams, validate_epsilon, validate_k
 from repro.core.results import LearnResult, TestResult, UniformityResult
 from repro.core.selection import SelectionResult
 from repro.core.uniformity import test_uniformity_on_sketch
@@ -78,10 +77,9 @@ class FleetMaintainer:
             )
         if n < 1 or k < 1:
             raise InvalidParameterError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-        validate_flatness_epsilon(epsilon)
         self._n = int(n)
         self._k = validate_k(k)
-        self._epsilon = float(epsilon)
+        self._epsilon = validate_epsilon(epsilon)
         rngs = spawn_rngs(rng, fleet_size)
         self._reservoirs = [
             ReservoirSampler(reservoir_capacity, member_rng) for member_rng in rngs
@@ -385,7 +383,7 @@ class FleetMaintainer:
         if norm not in ("l1", "l2"):
             raise InvalidParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
         k = self._k if k is None else validate_k(k, self._n)
-        epsilon = self._epsilon if epsilon is None else float(epsilon)
+        epsilon = self._epsilon if epsilon is None else validate_epsilon(epsilon)
         self._sync()
         resolved = self._tester_params(params)
         runner = self._fleet.test_l2 if norm == "l2" else self._fleet.test_l1
@@ -409,7 +407,7 @@ class FleetMaintainer:
         members = self._probe_members(members)
         if max_k is not None:
             max_k = validate_k(max_k, self._n, name="max_k")
-        epsilon = self._epsilon if epsilon is None else float(epsilon)
+        epsilon = self._epsilon if epsilon is None else validate_epsilon(epsilon)
         self._sync()
         return self._fleet.min_k(
             epsilon,
@@ -438,7 +436,7 @@ class FleetMaintainer:
         """
         members = self._probe_members(members)
         k = self._k if k is None else validate_k(k)
-        epsilon = self._epsilon if epsilon is None else float(epsilon)
+        epsilon = self._epsilon if epsilon is None else validate_epsilon(epsilon)
         self._sync()
         results = self._fleet.learn(
             k, epsilon, params=params if params is not None else self._params,
@@ -482,7 +480,7 @@ class FleetMaintainer:
         (the sketch build is cached alongside the tester pool).
         """
         members = self._probe_members(members)
-        epsilon = self._epsilon if epsilon is None else float(epsilon)
+        epsilon = self._epsilon if epsilon is None else validate_epsilon(epsilon)
         self._sync()
         resolved = self._tester_params(params)
         return [
@@ -509,7 +507,7 @@ class FleetMaintainer:
         :meth:`uniformity`.
         """
         members = self._probe_members(members)
-        epsilon = self._epsilon if epsilon is None else float(epsilon)
+        epsilon = self._epsilon if epsilon is None else validate_epsilon(epsilon)
         self._sync()
         resolved = self._tester_params(params)
         results = []

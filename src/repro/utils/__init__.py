@@ -1,7 +1,7 @@
 """Small shared utilities: RNG handling, prefix sums, tables, timing,
 and deterministic fault injection."""
 
-from repro.utils.faults import FaultPlan, FaultySource
+from repro.utils.faults import FaultySource
 from repro.utils.prefix import (
     interval_sums,
     pairs_count,
@@ -12,7 +12,6 @@ from repro.utils.tables import format_markdown_table
 from repro.utils.timing import Timer
 
 __all__ = [
-    "FaultPlan",
     "FaultySource",
     "Timer",
     "as_rng",

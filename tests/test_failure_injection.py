@@ -18,7 +18,7 @@ from repro.core.params import GreedyParams, TesterParams
 from repro.distributions import families
 from repro.errors import InjectedFaultError, ReproError
 from repro.serving import HistogramService, Request, ServiceConfig
-from repro.utils.faults import FaultPlan
+from repro.utils.faults import FaultySource
 
 TINY = GreedyParams(
     weight_sample_size=100, collision_sets=3, collision_set_size=100, rounds=2
@@ -136,10 +136,10 @@ class TestSessionInjection:
             session.learn(2, 0.3)
 
     def test_injected_draw_fault_is_a_repro_error(self):
-        # The chaos layer's source seam dies like a real source: the
+        # A FaultySource dies like a real source: the
         # scheduled draw raises InjectedFaultError — a ReproError, so
         # every existing handler already contains it.
-        source = FaultPlan(fail_draw_at=[0]).wrap_source(families.uniform(16))
+        source = FaultySource(families.uniform(16), fail_at=[0])
         session = HistogramSession(source, 16, rng=1, test_budget=TEST_TINY)
         with pytest.raises(InjectedFaultError, match="draw 0"):
             session.test_l2(2, 0.3)
@@ -154,7 +154,7 @@ class TestFleetInjection:
     def test_faulty_member_fails_the_fleet_op_cleanly(self):
         arrays = _member_arrays()
         sources: list = [ArraySource(values, 32) for values in arrays]
-        sources[1] = FaultPlan(fail_draw_at=[0]).wrap_source(sources[1])
+        sources[1] = FaultySource(sources[1], fail_at=[0])
         fleet = HistogramFleet(sources, 32, rngs=[0, 1, 2], test_budget=TEST_TINY)
         with pytest.raises(InjectedFaultError):
             fleet.test_l2(2, 0.3)
@@ -195,10 +195,10 @@ class TestServiceInjection:
                 assert (await service.submit(Request.ingest("s0", list(range(64))))).ok
 
                 def boom(*args, **kwargs):
-                    raise InjectedFaultError("injected: maintainer struck by the plan")
+                    raise InjectedFaultError("injected: maintainer struck mid-op")
 
-                # Shadow the bound op on the instance — the chaos seam
-                # for execution-time faults the FaultPlan can't reach
+                # Shadow the bound op on the instance — the seam for
+                # execution-time faults a wrapped source can't reach
                 # from outside the event loop.
                 service.maintainer.test = boom
                 struck = await service.submit(Request.test("s0", 2, 0.3))

@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 # Alias the paper-named ``test*`` functions so pytest does not collect them.
-from repro.core.flatness import REASON_COLLISION_OK, REASON_LIGHT, REASON_REJECTED
+from repro.core.flatness import (
+    REASON_COLLISION_OK,
+    REASON_LIGHT,
+    REASON_REJECTED,
+    flatness_rows,
+)
 from repro.core.flatness import test_flatness_l1 as flatness_l1
 from repro.core.flatness import test_flatness_l2 as flatness_l2
+from repro.core.params import flatness_l1_min_hits
 from repro.distributions import families
 from repro.errors import InvalidParameterError
 from repro.samples.estimators import MultiSketch
@@ -110,3 +118,85 @@ class TestFlatnessL1:
         multi = make_multi(dist, 5, 5_000, np.random.default_rng(4))
         assert flatness_l1(multi, 32, 64, 0.25, scale=1e-3).accepted
         assert flatness_l2(multi, 32, 64, 0.25).accepted
+
+
+def _kernel_case(data):
+    """A random batch for :func:`flatness_rows`: ``(B, r)`` rows, ``r`` in 1..8.
+
+    Each row draws its hit counts above a floor of 0, 1 or ``m / 2``, so
+    counts of 0 and 1 (no pairs, ratio 0) are common and rows land on
+    both sides of the light thresholds; pair counts stay within
+    ``C(hits, 2)``, and ``scale`` spans eight decades.
+    """
+    import numpy as np
+
+    r = data.draw(st.integers(1, 8), label="r")
+    rows = data.draw(st.integers(1, 6), label="rows")
+    set_size = data.draw(st.integers(2, 5_000), label="set_size")
+    counts = []
+    for _ in range(rows):
+        floor = data.draw(st.sampled_from([0, 1, set_size // 2]))
+        hits = st.one_of(st.sampled_from([floor, floor + 1]), st.integers(floor, set_size))
+        counts.append(data.draw(st.lists(hits, min_size=r, max_size=r)))
+    pairs = [[data.draw(st.integers(0, c * (c - 1) // 2)) for c in row] for row in counts]
+    lengths = data.draw(
+        st.lists(
+            st.one_of(st.integers(1, 16), st.integers(1, 4_096)),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    metric = data.draw(st.sampled_from(["l1", "l2"]), label="metric")
+    epsilon = data.draw(st.floats(0.05, 0.95), label="epsilon")
+    scale = min(1.0, 10 ** data.draw(st.floats(-8.0, 0.0), label="log10 scale"))
+    return (
+        np.array(counts, dtype=np.int64),
+        np.array(pairs, dtype=np.int64),
+        np.array(lengths, dtype=np.int64),
+        metric,
+        epsilon,
+        scale,
+        set_size,
+    )
+
+
+class TestKernel:
+    """The one flatness kernel, against the papers' formulas row by row."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_rows_match_their_scalar_formulas(self, data):
+        import numpy as np
+
+        counts, pairs, lengths, metric, epsilon, scale, set_size = _kernel_case(data)
+        light, z, threshold = flatness_rows(
+            counts, pairs, lengths, metric, epsilon, scale, set_size
+        )
+        for i, length in enumerate(lengths.tolist()):
+            # Each row is the kernel run on that row alone, bit for bit.
+            alone = flatness_rows(
+                counts[i : i + 1], pairs[i : i + 1], lengths[i : i + 1],
+                metric, epsilon, scale, set_size,
+            )
+            assert (light[i], z[i].tobytes(), threshold[i].tobytes()) == (
+                alone[0][0], alone[1][0].tobytes(), alone[2][0].tobytes()
+            )
+            row = counts[i].tolist()
+            if metric == "l1":
+                min_hits = scale * flatness_l1_min_hits(length, epsilon)
+                assert light[i] == any(c < min_hits for c in row)
+            else:
+                assert light[i] == any(c / set_size < epsilon**2 / 2 for c in row)
+            if light[i]:
+                continue
+            ratios = [
+                p / (c * (c - 1) // 2) if c > 1 else 0.0
+                for p, c in zip(pairs[i].tolist(), row)
+            ]
+            assert z[i].tobytes() == np.median(np.array(ratios)).tobytes()
+            if metric == "l1":
+                bound = (1.0 / length) * (1.0 + epsilon**2 / 4.0)
+            else:
+                p_hat = 2.0 * counts[i] / set_size
+                bound = 1.0 / length + float(np.max(epsilon**2 / (2.0 * p_hat)))
+            assert threshold[i] == bound

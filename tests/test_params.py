@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.core.params import (
@@ -11,6 +13,7 @@ from repro.core.params import (
     TesterParams,
     flatness_l1_min_hits,
     greedy_rounds,
+    validate_epsilon,
     xi,
 )
 from repro.errors import InvalidParameterError
@@ -136,3 +139,24 @@ class TestFlatnessThreshold:
             flatness_l1_min_hits(0, 0.5)
         with pytest.raises(InvalidParameterError):
             flatness_l1_min_hits(10, 1.5)
+        with pytest.raises(InvalidParameterError):
+            flatness_l1_min_hits(np.array([3, 0]), 0.5)
+
+    def test_array_of_lengths_matches_scalar_math(self):
+        lengths = np.arange(1, 5_000)
+        expected = [(16**3) * math.sqrt(x) / 0.3**4 for x in lengths.tolist()]
+        assert flatness_l1_min_hits(lengths, 0.3).tolist() == expected
+
+
+class TestValidateEpsilon:
+    def test_real_values_pass_on_as_float(self):
+        for value in (0.25, np.float32(0.25), np.float64(0.25), Fraction(1, 4)):
+            out = validate_epsilon(value)
+            assert type(out) is float and out == 0.25
+
+    @pytest.mark.parametrize(
+        "bad", [0.0, 1.0, -0.5, 2, float("nan"), True, np.True_, "0.3", None, 0.3 + 0j]
+    )
+    def test_refused(self, bad):
+        with pytest.raises(InvalidParameterError, match=r"epsilon must be in \(0, 1\)"):
+            validate_epsilon(bad)

@@ -25,7 +25,6 @@ from repro.persist import load_snapshot, write_snapshot
 from repro.serving.requests import Request, canonical, error_code
 from repro.serving.service import HistogramService, ServiceConfig
 from repro.streaming.fleet import FleetMaintainer
-from repro.utils.faults import FaultPlan
 
 N = 96
 LEARN_PARAMS = GreedyParams(
@@ -412,12 +411,12 @@ class TestCrashSafety:
             meta={"generation": 1},
             slabs={"a": np.arange(256, dtype=np.int64)},
         )
-        plan = FaultPlan(kill_at=[1])  # second write attempt dies
         real_sync = persist_format._sync_file
+        syncs = []
 
         def chaotic_sync(handle):
-            (directive,) = plan.task_directives(1)
-            if directive is not None:
+            syncs.append(handle)
+            if len(syncs) == 2:  # second write attempt dies
                 raise InjectedFaultError("injected crash mid-checkpoint")
             real_sync(handle)
 
@@ -428,7 +427,7 @@ class TestCrashSafety:
         snap = load_snapshot(path, kind="demo")
         # The file is the last *completed* generation, not the torn one.
         assert snap.meta == {"generation": 2}
-        assert plan.injected["kills"] == 1
+        assert len(syncs) == 2
 
     def test_truncated_snapshot_restores_cold(self, tmp_path):
         """Restore of a half-written file degrades, never crashes."""

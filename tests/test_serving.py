@@ -450,23 +450,61 @@ class TestAdmission:
         assert "transmogrify" in bogus.error[1]
         assert ok.ok  # the service survived
 
-    def test_non_library_failures_crash_loudly(self):
-        # A reference registered as garbage blows up inside the fleet
-        # op itself — a programming error, so it propagates unmapped
-        # instead of hiding behind an "internal" response.
+    def test_non_library_failures_crash_loudly(self, monkeypatch):
+        # A non-library exception inside the fleet op itself is a
+        # programming error, so it propagates unmapped instead of hiding
+        # behind an "internal" response.
+        def broken(*args, **kwargs):
+            raise RuntimeError("a programming error inside the fleet op")
+
         async def run():
             service = build_service(["a"], max_batch=4, linger_us=0.0)
-            service.register_reference("garbage", "not a distribution")
+            monkeypatch.setattr(service.maintainer, "identity", broken)
             async with service:
                 await service.submit(Request.ingest("a", [1, 2, 3, 4]))
                 with pytest.raises(Exception) as excinfo:
-                    await service.submit(Request.identity("a", "garbage"))
+                    await service.submit(Request.identity("a", "baseline"))
                 assert not isinstance(excinfo.value, ReproError)
 
         try:
             asyncio.run(run())
         except Exception as exc:  # close() re-raises the collector crash
             assert not isinstance(exc, ReproError)
+
+    @pytest.mark.parametrize(
+        "reference",
+        [
+            "not a distribution",
+            np.full(N, -1.0),
+            np.full(N - 1, 1.0 / N),
+            np.full((N, 1), 1.0 / N),
+            np.append(np.full(N - 1, 1.0 / N), np.nan),
+        ],
+        ids=["text", "negative", "short", "2-d", "nan"],
+    )
+    def test_garbage_references_are_refused_where_they_enter(self, reference):
+        # A garbage reference once constructed fine and then raised a
+        # bare ValueError inside the collector on first use, ending it;
+        # an all-negative one was answered ok=True.
+        with pytest.raises(InvalidParameterError, match="'r'"):
+            HistogramService(["a"], N, K, references={"r": reference})
+        service = build_service(["a"], max_batch=4, linger_us=0.0)
+        with pytest.raises(InvalidParameterError, match="'r'"):
+            service.register_reference("r", reference)
+
+    def test_reference_need_not_sum_to_one(self):
+        # A learned histogram with gaps is a fair reference.
+        gappy = np.zeros(N)
+        gappy[: N // 2] = 1.0 / N
+        service = build_service(["a"], max_batch=4, linger_us=0.0)
+        service.register_reference("gappy", list(gappy))
+
+        async def run():
+            async with service:
+                await service.submit(Request.ingest("a", [1, 2, 3, 4]))
+                return await service.submit(Request.identity("a", "gappy"))
+
+        assert asyncio.run(run()).ok
 
     def test_empty_stream_probe_is_structured(self):
         async def run():
@@ -551,6 +589,35 @@ class TestBatchErrorPaths:
         assert bad_max_k.error_code == "invalid_parameter"
         assert "max_k" in bad_max_k.error[1]
         assert bad_k.error_code == "invalid_parameter"
+        assert after.ok
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            Request.test("a", epsilon="abc"),
+            Request.min_k("a", epsilon="abc"),
+            Request.uniformity("a", epsilon="abc"),
+            Request.learn("a", epsilon="abc"),
+            Request.identity("a", "baseline", epsilon="abc"),
+        ],
+        ids=["test", "min_k", "uniformity", "learn", "identity"],
+    )
+    def test_non_numeric_epsilon_is_structured(self, bad):
+        # A string epsilon once raised a bare ValueError from float()
+        # inside the collector task, which ended it: the next request
+        # then waited forever.
+        async def run():
+            service = build_service(["a", "b"], max_batch=4, linger_us=0.0)
+            async with service:
+                for name in ("a", "b"):
+                    await service.submit(Request.ingest(name, [1, 2, 3, 4]))
+                refused = await service.submit(bad)
+                after = await asyncio.wait_for(service.submit(Request.test("b")), 5)
+            return refused, after
+
+        refused, after = asyncio.run(run())
+        assert refused.error_code == "invalid_parameter"
+        assert "epsilon" in refused.error[1]
         assert after.ok
 
     def test_empty_ingest_batch_is_served(self):

@@ -343,6 +343,52 @@ class TestPieceCountValidation:
         assert session.min_k(0.3, max_k=4.0).tried[-1][0] == 4
 
 
+class TestEpsilonValidation:
+    """``epsilon`` is a real number in (0, 1) or is refused, before any draw.
+
+    A string used to fail deep inside a session with a bare
+    ``TypeError``, and inside the maintainer with a bare ``ValueError``
+    from ``float()``, which ended the service's collector.
+    """
+
+    @pytest.mark.parametrize("bad", ["abc", "0.3", True], ids=["text", "digits", "bool"])
+    @pytest.mark.parametrize("surface", ["session", "fleet", "maintainer"])
+    def test_refused_on_every_op(self, surface, bad):
+        message = r"epsilon must be in \(0, 1\)"
+        if surface == "maintainer":
+            from repro.streaming import FleetMaintainer
+
+            maintainer = FleetMaintainer(2, N, 2, 0.3, reservoir_capacity=256, rng=3)
+            maintainer.update_many(0, DIST.sample(512, rng=4))
+            drawn = maintainer.fleet.samples_drawn
+            for call in (
+                lambda: maintainer.test(2, bad, members=[0]),
+                lambda: maintainer.min_k(bad, members=[0]),
+                lambda: maintainer.learn(2, bad, members=[0]),
+                lambda: maintainer.uniformity(bad, members=[0]),
+                lambda: maintainer.identity(np.full(N, 1.0 / N), bad, members=[0]),
+                lambda: FleetMaintainer(1, N, 2, bad),
+            ):
+                with pytest.raises(InvalidParameterError, match=message):
+                    call()
+            assert maintainer.fleet.samples_drawn == drawn
+            return
+        if surface == "session":
+            target = HistogramSession(DIST, N, rng=1, test_budget=TEST_PARAMS)
+        else:
+            target = HistogramFleet([DIST, DIST], N, rngs=[1, 2], test_budget=TEST_PARAMS)
+        for call in (
+            lambda: target.test_l2(2, bad),
+            lambda: target.test_l1(2, bad),
+            lambda: target.test_many([(2, 0.3), (3, bad)]),
+            lambda: target.min_k(bad, max_k=4),
+            lambda: target.learn(2, bad, params=LEARN_PARAMS),
+        ):
+            with pytest.raises(InvalidParameterError, match=message):
+                call()
+        assert target.samples_drawn in (0, [0, 0])
+
+
 _BAD_LEARN_POINTS = [(0, 0.3), (-2, 0.3), (2, 0.0), (2, float("nan"))]
 
 
