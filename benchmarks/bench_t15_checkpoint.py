@@ -15,9 +15,9 @@ The scenario is the steady-state serving loop: a warmed
 :class:`repro.serving.HistogramService` (every member ingested and
 compiled, one full parent checkpoint on disk) takes a small ingest
 wave — ``max(1, streams // 10)`` members — and checkpoints.  The
-delta kernel extends its parent chain (rounds stay below the
-``_COMPACT_EVERY`` compaction bound); the full kernel re-writes
-everything each round.  Restores through the chain are byte-identity
+delta kernel extends its parent chain (rounds stay below
+``repro.persist.format.MAX_CHAIN``, where the chain compacts); the
+full kernel re-writes everything each round.  Restores through the chain are byte-identity
 pinned by the conformance suite's snapshot axis; this bench prices
 the write path.
 

@@ -95,8 +95,7 @@ class HistogramSession:
         test_budget: TesterParams | None = None,
         max_candidates: int | None = None,
     ) -> None:
-        if int(n) != n or n < 1:
-            raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
+        validate_k(n, name="n")
         self._source: SampleSource = as_sample_source(source, n)
         self._n = int(n)
         self._rng = as_rng(rng)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.params import validate_k
 from repro.errors import InvalidParameterError
 from repro.utils.rng import as_rng
 
@@ -167,8 +168,7 @@ def all_interval_candidates(n: int) -> CandidateSet:
     (the triangle ``starts = 0..n-1`` x ``stops = 1..n``); quadratic in
     ``n``, intended for moderate domains.
     """
-    if int(n) != n or n < 1:
-        raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
+    validate_k(n, name="n")
     grid = np.arange(n + 1, dtype=np.int64)
     return CandidateSet.triangle(grid, grid[:-1], grid[1:])
 
@@ -194,8 +194,7 @@ def sample_endpoint_candidates(
     uncapped one.
     """
     samples = np.asarray(samples, dtype=np.int64)
-    if int(n) != n or n < 1:
-        raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
+    validate_k(n, name="n")
     if samples.size == 0:
         raise InvalidParameterError("need at least one sample to build T'")
     if samples.min() < 0 or samples.max() >= n:

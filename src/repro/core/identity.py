@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from repro.core.params import validate_epsilon
+from repro.core.params import validate_epsilon, validate_k
 from repro.distributions.distances import as_pmf
 from repro.errors import InsufficientSamplesError, InvalidParameterError
 from repro.samples.collision import CollisionSketch
@@ -58,8 +58,7 @@ def identity_sample_size(n: int, epsilon: float, constant: float = 24.0) -> int:
     The l2 statistic's variance is dominated by the collision term, same
     as uniformity testing, giving the classical ``O(sqrt(n)/eps^2)``.
     """
-    if int(n) != n or n <= 0:
-        raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
+    validate_k(n, name="n")
     epsilon = validate_epsilon(epsilon)
     return max(16, math.ceil(constant * math.sqrt(n) / epsilon**2))
 

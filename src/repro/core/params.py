@@ -32,8 +32,7 @@ from repro.errors import InvalidParameterError
 
 
 def _validate_common(n: int, epsilon: float) -> None:
-    if int(n) != n or n <= 0:
-        raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
+    validate_k(n, name="n")
     validate_epsilon(epsilon)
 
 
@@ -54,19 +53,28 @@ def validate_epsilon(epsilon: float) -> float:
     return float(epsilon)
 
 
-def validate_k(k: int, n: int | None = None, *, name: str = "k") -> int:
-    """The one check on a piece count ``k`` (or ``max_k``); returns an ``int``.
+def is_integer(value) -> bool:
+    """Whether ``value`` equals an integer (``int(value) == value``).
 
-    The count must equal an integer (``int(k) == k``) and be at least 1,
-    and at most ``n`` when ``n`` is given.  Bools are refused, though
-    they compare equal to 0 and 1.  Callers pass the returned ``int``
+    Bools are refused, though they compare equal to 0 and 1; so are
+    strings, NaN and infinities.
+    """
+    if type(value) is int:  # the common case, without the slow checks
+        return True
+    try:
+        return not isinstance(value, (bool, np.bool_)) and int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def validate_k(k: int, n: int | None = None, *, name: str = "k") -> int:
+    """The one "positive integer" check (a piece count, ``n``, a size).
+
+    The value must pass :func:`is_integer` and be at least 1, and at
+    most ``n`` when ``n`` is given.  Callers pass the returned ``int``
     on, so ``2.0`` becomes ``2``.
     """
-    try:
-        integral = not isinstance(k, (bool, np.bool_)) and int(k) == k
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral or k < 1:
+    if not is_integer(k) or k < 1:
         raise InvalidParameterError(f"{name} must be a positive integer, got {k!r}")
     if n is not None and k > n:
         raise InvalidParameterError(f"{name} must be in [1, n], got {name}={k}, n={n}")

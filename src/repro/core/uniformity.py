@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from repro.core.params import validate_epsilon
+from repro.core.params import validate_epsilon, validate_k
 from repro.core.results import UniformityResult
 from repro.errors import InsufficientSamplesError, InvalidParameterError
 from repro.samples.collision import CollisionSketch
@@ -35,8 +35,7 @@ from repro.utils.rng import as_rng
 
 def uniformity_sample_size(n: int, epsilon: float, constant: float = 16.0) -> int:
     """``m = constant * sqrt(n) / eps^2`` ([Pan08]-style, tight in n)."""
-    if int(n) != n or n <= 0:
-        raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
+    validate_k(n, name="n")
     epsilon = validate_epsilon(epsilon)
     return max(16, math.ceil(constant * math.sqrt(n) / epsilon**2))
 

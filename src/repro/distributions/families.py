@@ -21,15 +21,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.params import validate_k
 from repro.distributions.base import DiscreteDistribution
 from repro.errors import InvalidParameterError
 from repro.utils.rng import as_rng
 
 
 def _check_n(n: int) -> int:
-    if int(n) != n or n <= 0:
-        raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
-    return int(n)
+    return validate_k(n, name="n")
 
 
 def uniform(n: int) -> DiscreteDistribution:

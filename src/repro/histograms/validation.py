@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import InvalidHistogramError, InvalidParameterError
+from repro.core.params import validate_k
+from repro.errors import InvalidHistogramError
 
 
 def validate_domain_size(n: int) -> int:
     """Check that the domain size ``n`` is a positive integer and return it."""
-    if int(n) != n or n <= 0:
-        raise InvalidParameterError(f"domain size n must be a positive integer, got {n!r}")
-    return int(n)
+    return validate_k(n, name="domain size n")
 
 
 def validate_boundaries(boundaries: np.ndarray, n: int) -> np.ndarray:

@@ -81,7 +81,9 @@ def _sample_set_over(sorted_values: np.ndarray, n: int) -> SampleSet:
     return built
 
 
-def _check_fingerprint(layer: str, stored: dict, expected: dict) -> None:
+def _check_fingerprint(layer: str, meta: dict, expected: dict) -> None:
+    """Refuse ``meta`` unless it records the ``expected`` configuration."""
+    stored = {key: meta.get(key) for key in expected}
     if stored != expected:
         raise SnapshotError(
             f"{layer} snapshot was taken under configuration {stored}, "
@@ -177,9 +179,7 @@ def bundle_state(bundle) -> tuple[dict, dict]:
 
 def restore_bundle(bundle, meta: dict, slab) -> None:
     """Rebuild one bundle in place from restored state (zero-copy)."""
-    _check_fingerprint(
-        "bundle", {"n": int(meta["n"])}, {"n": int(bundle._n)}
-    )
+    _check_fingerprint("bundle", meta, {"n": int(bundle._n)})
     bundle.invalidate()
     bundle._weight_pool = _restored_pool(slab("pool/weight"))
     bundle._collision_pool = [
@@ -269,6 +269,15 @@ def restore_bundle(bundle, meta: dict, slab) -> None:
 # ------------------------------------------------------------------ #
 
 
+def _fleet_fingerprint(fleet) -> dict:
+    return {
+        "n": int(fleet._n),
+        "size": int(fleet.size),
+        "method": fleet._method,
+        "max_candidates": fleet._max_candidates,
+    }
+
+
 def fleet_state(fleet) -> tuple[dict, dict]:
     """Every member bundle plus the fleet's configuration fingerprint.
 
@@ -283,31 +292,12 @@ def fleet_state(fleet) -> tuple[dict, dict]:
         members.append(member_meta)
         for name, array in member_slabs.items():
             slabs[f"member/{f}/{name}"] = array
-    meta = {
-        "n": int(fleet._n),
-        "size": int(fleet.size),
-        "method": fleet._method,
-        "max_candidates": fleet._max_candidates,
-        "members": members,
-    }
-    return meta, slabs
-
-
-def _fleet_fingerprint(fleet) -> dict:
-    return {
-        "n": int(fleet._n),
-        "size": int(fleet.size),
-        "method": fleet._method,
-        "max_candidates": fleet._max_candidates,
-    }
+    return {**_fleet_fingerprint(fleet), "members": members}, slabs
 
 
 def restore_fleet(fleet, meta: dict, slab) -> None:
     """Rebuild every member bundle of a freshly constructed fleet."""
-    expected = _fleet_fingerprint(fleet)
-    _check_fingerprint(
-        "fleet", {key: meta.get(key) for key in expected}, expected
-    )
+    _check_fingerprint("fleet", meta, _fleet_fingerprint(fleet))
     # Drop any existing warm state (including stacked tester slabs);
     # the next fleet op re-adopts the restored compiled testers.
     fleet.invalidate()
@@ -339,43 +329,6 @@ def slab_member(name: str) -> int | None:
     return None
 
 
-def maintainer_state(maintainer) -> tuple[dict, dict]:
-    """Reservoirs, rebuild counters, stored histograms, and the fleet."""
-    fleet_meta, fleet_slabs = fleet_state(maintainer._fleet)
-    slabs = {f"fleet/{name}": array for name, array in fleet_slabs.items()}
-    histograms = []
-    for f, histogram in enumerate(maintainer._histograms):
-        histograms.append(histogram is not None)
-        if histogram is not None:
-            slabs[f"hist/{f}/boundaries"] = histogram.boundaries
-            slabs[f"hist/{f}/values"] = histogram.values
-    for f, reservoir in enumerate(maintainer._reservoirs):
-        slabs[f"reservoir/{f}"] = reservoir._items[: reservoir.size]
-    params = maintainer._params
-    meta = {
-        "fleet_size": int(maintainer.fleet_size),
-        "n": int(maintainer._n),
-        "k": int(maintainer._k),
-        "epsilon": float(maintainer._epsilon),
-        "reservoir_capacity": int(maintainer._reservoirs[0].capacity),
-        "refresh_every": int(maintainer._refresh_every),
-        "params": [
-            int(params.weight_sample_size),
-            int(params.collision_sets),
-            int(params.collision_set_size),
-            int(params.rounds),
-        ],
-        "reservoir_seen": [int(r.seen) for r in maintainer._reservoirs],
-        "items_seen": [int(v) for v in maintainer._items_seen],
-        "since_rebuild": [int(v) for v in maintainer._since_rebuild],
-        "stale": [bool(v) for v in maintainer._stale],
-        "rebuilds": int(maintainer._rebuilds),
-        "histograms": histograms,
-        "fleet": fleet_meta,
-    }
-    return meta, slabs
-
-
 def _maintainer_fingerprint(maintainer) -> dict:
     params = maintainer._params
     return {
@@ -394,12 +347,34 @@ def _maintainer_fingerprint(maintainer) -> dict:
     }
 
 
+def maintainer_state(maintainer) -> tuple[dict, dict]:
+    """Reservoirs, rebuild counters, stored histograms, and the fleet."""
+    fleet_meta, fleet_slabs = fleet_state(maintainer._fleet)
+    slabs = {f"fleet/{name}": array for name, array in fleet_slabs.items()}
+    histograms = []
+    for f, histogram in enumerate(maintainer._histograms):
+        histograms.append(histogram is not None)
+        if histogram is not None:
+            slabs[f"hist/{f}/boundaries"] = histogram.boundaries
+            slabs[f"hist/{f}/values"] = histogram.values
+    for f, reservoir in enumerate(maintainer._reservoirs):
+        slabs[f"reservoir/{f}"] = reservoir._items[: reservoir.size]
+    meta = {
+        **_maintainer_fingerprint(maintainer),
+        "reservoir_seen": [int(r.seen) for r in maintainer._reservoirs],
+        "items_seen": [int(v) for v in maintainer._items_seen],
+        "since_rebuild": [int(v) for v in maintainer._since_rebuild],
+        "stale": [bool(v) for v in maintainer._stale],
+        "rebuilds": int(maintainer._rebuilds),
+        "histograms": histograms,
+        "fleet": fleet_meta,
+    }
+    return meta, slabs
+
+
 def restore_maintainer(maintainer, meta: dict, slab) -> None:
     """Rebuild a freshly constructed maintainer's whole serving state."""
-    expected = _maintainer_fingerprint(maintainer)
-    _check_fingerprint(
-        "maintainer", {key: meta.get(key) for key in expected}, expected
-    )
+    _check_fingerprint("maintainer", meta, _maintainer_fingerprint(maintainer))
     restore_fleet(maintainer._fleet, meta["fleet"], _scoped(slab, "fleet/"))
     for f, reservoir in enumerate(maintainer._reservoirs):
         contents = slab(f"reservoir/{f}")

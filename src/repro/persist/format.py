@@ -26,13 +26,18 @@ in another snapshot file in the same directory.  References are
 flattened at write time — a delta whose parent entry is itself a
 reference copies that reference verbatim — so resolving any entry opens
 at most one other file, and the ``depth`` header field (link count back
-to the full base snapshot) is bounded by :data:`MAX_CHAIN`.  Version-1
-files read exactly as before.
+to the full base snapshot) is bounded by :data:`MAX_CHAIN` (8), the one
+chain bound: the writer refuses a deeper link, the loader refuses a file
+that declares one, and :class:`~repro.persist.chain.CheckpointChain`
+compacts to a full snapshot when the writer refuses.  Version-1 files
+read exactly as before.
 
 :func:`load_snapshot` maps the file once with :func:`numpy.memmap` and
-hands out zero-copy *read-only* views; payload checksums are verified up
+hands out zero-copy *read-only* views.  One parser reads every header —
+the loaded file's, each referenced link's, and a delta writer's parent —
+so each header check fires per link.  Payload checksums are verified up
 front — for referenced payloads against the *referring* file's recorded
-crc, per link — and every malformed condition — missing file, bad
+crc — and every malformed condition — missing file, bad
 magic, truncation, version or kind mismatch, checksum failure, a chain
 deeper than :data:`MAX_CHAIN` — surfaces as a structured
 :class:`~repro.errors.SnapshotError` whose ``reason`` names the
@@ -63,10 +68,11 @@ FORMAT_VERSION = 2
 #: Format versions this build can read (v1 predates differential
 #: snapshots; its files carry no parent/ref entries).
 SUPPORTED_VERSIONS = (1, 2)
-#: Hard bound on the parent-chain depth a snapshot may declare.  Writers
-#: compact long before this (the serving layer every 8 links); the bound
-#: is the loader's defence against a corrupted or adversarial header.
-MAX_CHAIN = 16
+#: The one bound on a delta chain's depth: the writer refuses a link
+#: deeper than this, the loader refuses a file that declares one, and
+#: :class:`~repro.persist.chain.CheckpointChain` compacts to a full
+#: snapshot when the writer refuses.
+MAX_CHAIN = 8
 _PAGE = 4096
 
 
@@ -105,43 +111,68 @@ def _check_link_name(owner: str, name: object) -> str:
     return name
 
 
-def _read_header(path: str) -> tuple[dict, int]:
-    """Parse one snapshot's JSON header without mapping its payloads.
+def _open_snapshot(path: str, kind: str | None = None) -> tuple:
+    """Map one snapshot file and parse its header: the one header parser.
 
-    Returns ``(header, data_start)``.  Raises the same structured
-    :class:`~repro.errors.SnapshotError` reasons as :func:`load_snapshot`
-    for defects visible at the header level.
+    Returns ``(raw, header, data_start)``: the file as a read-only
+    ``uint8`` memmap, the JSON header, and the page-aligned offset of
+    the first payload.  It checks magic, header length, the JSON
+    document, the format version, the kind (when ``kind`` is given),
+    the parent link name and the declared chain depth, each failure a
+    :class:`~repro.errors.SnapshotError` with its ``reason``.  A top-level
+    load, every referenced link and a delta writer's parent all go
+    through it, so every check fires per link.
     """
     try:
-        with open(path, "rb") as handle:
-            prefix = handle.read(16)
-            if len(prefix) < 16 or prefix[:8] != MAGIC:
-                raise SnapshotError(
-                    f"{path!r} is not a snapshot file (bad magic)",
-                    reason="bad-magic",
-                )
-            (header_len,) = struct.unpack("<Q", prefix[8:16])
-            blob = handle.read(header_len)
+        raw = np.memmap(path, mode="r", dtype=np.uint8)
     except FileNotFoundError as exc:
         raise SnapshotError(f"no snapshot at {path!r}", reason="missing") from exc
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise SnapshotError(
-            f"cannot read snapshot {path!r}: {exc}", reason="unreadable"
+            f"cannot map snapshot {path!r}: {exc}", reason="unreadable"
         ) from exc
-    if len(blob) < header_len:
+    if raw.size < 16 or raw[:8].tobytes() != MAGIC:
+        raise SnapshotError(
+            f"{path!r} is not a snapshot file (bad magic)", reason="bad-magic"
+        )
+    (header_len,) = struct.unpack("<Q", raw[8:16].tobytes())
+    if 16 + header_len > raw.size:
         raise SnapshotError(
             f"snapshot {path!r} is truncated inside its header",
             reason="truncated",
         )
     try:
-        header = json.loads(blob.decode("utf-8"))
-        header["format_version"], header["kind"], header["meta"], header["slabs"]
+        header = json.loads(raw[16 : 16 + header_len].tobytes().decode("utf-8"))
+        version = header["format_version"]
+        file_kind = header["kind"]
+        header["meta"], iter(header["slabs"])
+        depth = int(header.get("depth", 0))
     except (ValueError, KeyError, TypeError) as exc:
         raise SnapshotError(
             f"snapshot {path!r} has a malformed header: {exc}",
             reason="bad-header",
         ) from exc
-    return header, _align(16 + int(header_len))
+    if version not in SUPPORTED_VERSIONS:
+        raise SnapshotError(
+            f"snapshot {path!r} is format version {version!r}, this build "
+            f"reads {SUPPORTED_VERSIONS}",
+            reason="version-mismatch",
+        )
+    if kind is not None and file_kind != kind:
+        raise SnapshotError(
+            f"snapshot {path!r} holds a {file_kind!r} snapshot, expected "
+            f"{kind!r}",
+            reason="kind-mismatch",
+        )
+    if header.get("parent") is not None:
+        _check_link_name(path, header["parent"])
+    if depth > MAX_CHAIN:
+        raise SnapshotError(
+            f"snapshot {path!r} declares a parent chain {depth} deep "
+            f"(bound {MAX_CHAIN})",
+            reason="chain-too-deep",
+        )
+    return raw, header, _align(16 + int(header_len))
 
 
 def write_snapshot(
@@ -171,31 +202,12 @@ def write_snapshot(
     generation tracking upstream is what establishes that.
     """
     path = os.fspath(path)
-    arrays = {name: np.ascontiguousarray(array) for name, array in slabs.items()}
-    manifest = []
-    offset = 0
-    for name, array in arrays.items():
-        offset = _align(offset)
-        manifest.append(
-            {
-                "name": str(name),
-                "dtype": array.dtype.str,
-                "shape": list(array.shape),
-                "offset": offset,
-                "nbytes": array.nbytes,
-                "crc32": zlib.crc32(array.data),
-            }
-        )
-        offset += array.nbytes
-    header_doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": str(kind),
-        "meta": meta,
-        "slabs": manifest,
-    }
+    # A refused link (the chain compacts on one) costs no checksum pass:
+    # the parent is read and every reference resolved first.
+    refs, link = [], {}
     if parent is not None:
         parent = os.fspath(parent)
-        parent_header, parent_data_start = _read_header(parent)
+        _, parent_header, parent_data_start = _open_snapshot(parent, kind)
         depth = int(parent_header.get("depth", 0)) + 1
         if depth > MAX_CHAIN:
             raise SnapshotError(
@@ -219,7 +231,7 @@ def write_snapshot(
                 ref = list(spec["ref"])
             else:
                 ref = [parent_base, parent_data_start + int(spec["offset"])]
-            manifest.append(
+            refs.append(
                 {
                     "name": str(name),
                     "dtype": spec["dtype"],
@@ -229,12 +241,34 @@ def write_snapshot(
                     "ref": ref,
                 }
             )
-        header_doc["parent"] = parent_base
-        header_doc["depth"] = depth
+        link = {"parent": parent_base, "depth": depth}
     elif unchanged:
         raise SnapshotError(
             "unchanged= slab references require parent=", reason="missing-slab"
         )
+    arrays = {name: np.ascontiguousarray(array) for name, array in slabs.items()}
+    manifest = []
+    offset = 0
+    for name, array in arrays.items():
+        offset = _align(offset)
+        manifest.append(
+            {
+                "name": str(name),
+                "dtype": array.dtype.str,
+                "shape": list(array.shape),
+                "offset": offset,
+                "nbytes": array.nbytes,
+                "crc32": zlib.crc32(array.data),
+            }
+        )
+        offset += array.nbytes
+    header_doc = {
+        "format_version": FORMAT_VERSION,
+        "kind": str(kind),
+        "meta": meta,
+        "slabs": manifest + refs,
+        **link,
+    }
     header = json.dumps(header_doc, sort_keys=True).encode("utf-8")
     data_start = _align(16 + len(header))
     tmp = path + ".tmp"
@@ -294,67 +328,6 @@ class Snapshot:
             ) from None
 
 
-def _map_raw(path: str) -> np.memmap:
-    """Map one snapshot file read-only (shared missing/unreadable seam)."""
-    try:
-        return np.memmap(path, mode="r", dtype=np.uint8)
-    except FileNotFoundError as exc:
-        raise SnapshotError(f"no snapshot at {path!r}", reason="missing") from exc
-    except (OSError, ValueError) as exc:
-        raise SnapshotError(
-            f"cannot map snapshot {path!r}: {exc}", reason="unreadable"
-        ) from exc
-
-
-def _open_link(directory: str, basename: str, kind: str, cache: dict) -> np.memmap:
-    """Map and validate one referenced sibling snapshot file.
-
-    Every corruption reason fires *per link*: a referenced file that is
-    missing, unmappable, not a snapshot, truncated in its header, of an
-    unreadable version, or of a different kind raises the same
-    structured :class:`~repro.errors.SnapshotError` it would as a
-    top-level load.
-    """
-    if basename in cache:
-        return cache[basename]
-    link_path = os.path.join(directory, basename)
-    raw = _map_raw(link_path)
-    if raw.size < 16 or raw[:8].tobytes() != MAGIC:
-        raise SnapshotError(
-            f"{link_path!r} is not a snapshot file (bad magic)",
-            reason="bad-magic",
-        )
-    (header_len,) = struct.unpack("<Q", raw[8:16].tobytes())
-    if 16 + header_len > raw.size:
-        raise SnapshotError(
-            f"snapshot {link_path!r} is truncated inside its header",
-            reason="truncated",
-        )
-    try:
-        header = json.loads(raw[16 : 16 + header_len].tobytes().decode("utf-8"))
-        version = header["format_version"]
-        link_kind = header["kind"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise SnapshotError(
-            f"snapshot {link_path!r} has a malformed header: {exc}",
-            reason="bad-header",
-        ) from exc
-    if version not in SUPPORTED_VERSIONS:
-        raise SnapshotError(
-            f"snapshot {link_path!r} is format version {version!r}, this "
-            f"build reads {SUPPORTED_VERSIONS}",
-            reason="version-mismatch",
-        )
-    if link_kind != kind:
-        raise SnapshotError(
-            f"snapshot {link_path!r} holds a {link_kind!r} snapshot, its "
-            f"referring delta holds {kind!r}",
-            reason="kind-mismatch",
-        )
-    cache[basename] = raw
-    return raw
-
-
 def load_snapshot(path, *, kind: str | None = None) -> Snapshot:
     """Map and validate one snapshot file (resolving any parent chain).
 
@@ -369,55 +342,12 @@ def load_snapshot(path, *, kind: str | None = None) -> Snapshot:
     ``checksum-mismatch`` / ``chain-too-deep``).
     """
     path = os.fspath(path)
-    raw = _map_raw(path)
-    if raw.size < 16 or raw[:8].tobytes() != MAGIC:
-        raise SnapshotError(
-            f"{path!r} is not a snapshot file (bad magic)", reason="bad-magic"
-        )
-    (header_len,) = struct.unpack("<Q", raw[8:16].tobytes())
-    if 16 + header_len > raw.size:
-        raise SnapshotError(
-            f"snapshot {path!r} is truncated inside its header",
-            reason="truncated",
-        )
-    try:
-        header = json.loads(raw[16 : 16 + header_len].tobytes().decode("utf-8"))
-        version = header["format_version"]
-        file_kind = header["kind"]
-        meta = header["meta"]
-        manifest = header["slabs"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise SnapshotError(
-            f"snapshot {path!r} has a malformed header: {exc}",
-            reason="bad-header",
-        ) from exc
-    if version not in SUPPORTED_VERSIONS:
-        raise SnapshotError(
-            f"snapshot {path!r} is format version {version!r}, this build "
-            f"reads {SUPPORTED_VERSIONS}",
-            reason="version-mismatch",
-        )
-    if kind is not None and file_kind != kind:
-        raise SnapshotError(
-            f"snapshot {path!r} holds a {file_kind!r} snapshot, expected "
-            f"{kind!r}",
-            reason="kind-mismatch",
-        )
-    parent = header.get("parent")
-    depth = int(header.get("depth", 0))
-    if parent is not None:
-        _check_link_name(path, parent)
-    if depth > MAX_CHAIN:
-        raise SnapshotError(
-            f"snapshot {path!r} declares a parent chain {depth} deep "
-            f"(bound {MAX_CHAIN})",
-            reason="chain-too-deep",
-        )
+    raw, header, data_start = _open_snapshot(path, kind)
+    file_kind = header["kind"]
     directory = os.path.dirname(path)
-    data_start = _align(16 + int(header_len))
     links: dict[str, np.memmap] = {}
     views: dict[str, np.ndarray] = {}
-    for spec in manifest:
+    for spec in header["slabs"]:
         try:
             name = spec["name"]
             dtype = np.dtype(spec["dtype"])
@@ -425,12 +355,11 @@ def load_snapshot(path, *, kind: str | None = None) -> Snapshot:
             nbytes = int(spec["nbytes"])
             crc = int(spec["crc32"])
             if "ref" in spec:
-                ref_file, ref_offset = spec["ref"]
-                ref_offset = int(ref_offset)
-                source, start = None, ref_offset
+                ref_file, start = spec["ref"]
+                start = int(start)
             else:
                 ref_file = None
-                source, start = raw, data_start + int(spec["offset"])
+                start = data_start + int(spec["offset"])
                 if int(spec["offset"]) < 0:
                     raise ValueError("negative offset")
         except (KeyError, TypeError, ValueError) as exc:
@@ -446,11 +375,12 @@ def load_snapshot(path, *, kind: str | None = None) -> Snapshot:
                 reason="bad-header",
             )
         if ref_file is not None:
-            _check_link_name(path, ref_file)
-            source = _open_link(directory, ref_file, file_kind, links)
-            owner = os.path.join(directory, ref_file)
+            owner = os.path.join(directory, _check_link_name(path, ref_file))
+            if ref_file not in links:
+                links[ref_file] = _open_snapshot(owner, file_kind)[0]
+            source = links[ref_file]
         else:
-            owner = path
+            owner, source = path, raw
         if start + nbytes > source.size:
             raise SnapshotError(
                 f"snapshot {owner!r} is truncated inside slab {name!r}",
@@ -463,4 +393,11 @@ def load_snapshot(path, *, kind: str | None = None) -> Snapshot:
                 reason="checksum-mismatch",
             )
         views[name] = payload.view(dtype).reshape(shape)
-    return Snapshot(path, file_kind, meta, views, parent=parent, depth=depth)
+    return Snapshot(
+        path,
+        file_kind,
+        header["meta"],
+        views,
+        parent=header.get("parent"),
+        depth=int(header.get("depth", 0)),
+    )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.params import validate_k
 from repro.errors import InvalidParameterError
 from repro.utils.prefix import pairs_count, prefix_sums
 
@@ -161,8 +162,7 @@ def dense_interval_prefixes(
     interchangeable bit for bit (the property tests pin this).
     """
     sets = [np.asarray(s, dtype=np.int64) for s in sample_sets]
-    if int(n) != n or n < 1:
-        raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
+    validate_k(n, name="n")
     if not sets:
         empty = np.zeros((0, n + 1), dtype=np.int64)
         return empty, empty.copy()

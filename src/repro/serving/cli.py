@@ -73,7 +73,7 @@ def _parser() -> argparse.ArgumentParser:
         "--snapshot-dir",
         default=None,
         metavar="DIR",
-        help="warm-start directory: restore DIR/service.snap at startup "
+        help="warm-start directory: restore its newest checkpoint at startup "
         "(cold build if absent/corrupt) and checkpoint there at drain-close "
         "(implies --no-baseline)",
     )

@@ -93,6 +93,11 @@ class Request:
     #: changes *whether* a request runs, never which batch op serves it.
     deadline_ms: float | None = None
 
+    def __post_init__(self) -> None:
+        # Read on every submit (admission, cache, batch planner): built
+        # once here, so every instance carries the same attributes.
+        object.__setattr__(self, "_signature", self._build_signature())
+
     # ----------------------------- constructors ------------------- #
 
     @classmethod
@@ -161,6 +166,11 @@ class Request:
         runs (ingest values, selectivity bounds) are excluded, so one
         batch can carry many of them.
         """
+        if self._signature is None:
+            raise InvalidParameterError(f"unknown op {self.op!r}")
+        return self._signature
+
+    def _build_signature(self) -> "tuple | None":
         if self.op == "ingest":
             return ("ingest",)
         if self.op == "selectivity":
@@ -175,7 +185,7 @@ class Request:
             return ("identity", self.reference, self.epsilon)
         if self.op == "min_k":
             return ("min_k", self.norm, self.epsilon, self.max_k)
-        raise InvalidParameterError(f"unknown op {self.op!r}")
+        return None
 
     @property
     def mutates(self) -> bool:

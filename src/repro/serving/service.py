@@ -30,6 +30,10 @@ one named stream.  This module is the layer between the two:
 * **backpressure-safe shutdown** — :meth:`close` stops admission
   (later submits raise :class:`~repro.errors.ServiceClosedError`) and
   drains the backlog.
+* **warm starts** — restores and checkpoints go through one
+  :class:`~repro.persist.chain.CheckpointChain`; the service keeps the
+  cadence (``checkpoint_every``, skipping windows in which no generation
+  moved) and its stream list, which a restore must match.
 
 The binding contract mirrors every engine PR before it: for any
 ``(max_batch, max_linger_us)`` choice, the canonical response
@@ -49,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.params import GreedyParams, TesterParams
+from repro.core.params import GreedyParams, TesterParams, is_integer, validate_k
 from repro.distributions.distances import as_pmf
 from repro.errors import (
     DeadlineExceededError,
@@ -62,6 +66,7 @@ from repro.errors import (
     UnknownStreamError,
 )
 from repro.histograms.intervals import Interval
+from repro.persist.chain import CheckpointChain
 from repro.serving.requests import (
     CACHEABLE_OPS,
     OPS,
@@ -72,11 +77,6 @@ from repro.serving.requests import (
 from repro.streaming.fleet import FleetMaintainer
 
 _STOP = object()
-
-# A delta chain this deep triggers a full "compaction" checkpoint: the
-# next write re-writes every slab into ``service.snap`` and prunes the
-# delta files, so restore cost and corruption surface stay bounded.
-_COMPACT_EVERY = 8
 
 
 @dataclass(frozen=True)
@@ -115,23 +115,17 @@ class ServiceConfig:
     cache_capacity: int = 256
 
     def __post_init__(self) -> None:
-        if int(self.max_batch) != self.max_batch or self.max_batch < 1:
-            raise InvalidParameterError(
-                f"max_batch must be a positive integer, got {self.max_batch!r}"
-            )
+        validate_k(self.max_batch, name="max_batch")
         if self.max_linger_us < 0:
             raise InvalidParameterError(
                 f"max_linger_us must be >= 0, got {self.max_linger_us!r}"
             )
-        if int(self.max_queue) != self.max_queue or self.max_queue < 1:
-            raise InvalidParameterError(
-                f"max_queue must be a positive integer, got {self.max_queue!r}"
-            )
+        validate_k(self.max_queue, name="max_queue")
         if self.retry_after_s < 0:
             raise InvalidParameterError(
                 f"retry_after_s must be >= 0, got {self.retry_after_s!r}"
             )
-        if int(self.cache_capacity) != self.cache_capacity or self.cache_capacity < 0:
+        if not is_integer(self.cache_capacity) or self.cache_capacity < 0:
             raise InvalidParameterError(
                 f"cache_capacity must be a non-negative integer, got "
                 f"{self.cache_capacity!r}"
@@ -158,12 +152,13 @@ class HistogramService:
     reservoir_capacity / refresh_every / params / rng:
         Forwarded to the maintainer.
     snapshot_dir:
-        Directory for warm-start checkpoints (created if missing).  At
-        construction the service tries to restore
-        ``<snapshot_dir>/service.snap``; success warm-starts the whole
-        maintainer tree (:attr:`warm_started` turns true), and *any*
-        restore failure — no file yet, corrupt or truncated file, a
-        configuration mismatch — records its reason
+        Directory of the warm-start checkpoint chain
+        (:class:`~repro.persist.chain.CheckpointChain`, created if
+        missing).  At construction the service restores the chain's
+        newest link; success warm-starts the whole maintainer tree
+        (:attr:`warm_started` turns true), and *any* restore failure —
+        no file yet, corrupt or truncated file, a configuration or
+        stream-list mismatch — records its reason
         (:attr:`restore_error`) and falls back to a cold build, never a
         crash.  A draining :meth:`close` always writes a final
         checkpoint; crash-safe atomic writes mean a kill mid-checkpoint
@@ -178,14 +173,11 @@ class HistogramService:
         not wall-clock.
     checkpoint_mode:
         ``"full"`` (default) re-writes every slab each checkpoint.
-        ``"delta"`` writes differential checkpoints: only slabs whose
-        owning member's generation moved since the parent snapshot are
-        re-written, unchanged payloads are carried as references into
-        the parent file, and every ``_COMPACT_EVERY`` links a full
-        compaction snapshot re-bases the chain (pruning the delta
-        files).  A delta that cannot be expressed against its parent
-        falls back to a full write — self-healing, never an error.
-        Requires ``snapshot_dir``.
+        ``"delta"`` writes differential links that re-write only the
+        slabs of members whose generation moved; the chain compacts to
+        a full write at :data:`~repro.persist.format.MAX_CHAIN` links,
+        or whenever a link cannot be expressed.  Requires
+        ``snapshot_dir``.
 
     Use as an async context manager, or call :meth:`start` /
     :meth:`close` explicitly.  All execution happens on the event-loop
@@ -261,49 +253,26 @@ class HistogramService:
             )
         if checkpoint_mode == "delta" and snapshot_dir is None:
             raise InvalidParameterError("checkpoint_mode='delta' requires snapshot_dir")
-        self._checkpoint_mode = checkpoint_mode
         if checkpoint_every is not None:
             if snapshot_dir is None:
-                raise InvalidParameterError(
-                    "checkpoint_every requires snapshot_dir"
-                )
-            if int(checkpoint_every) != checkpoint_every or checkpoint_every < 1:
-                raise InvalidParameterError(
-                    f"checkpoint_every must be a positive integer, got "
-                    f"{checkpoint_every!r}"
-                )
-            checkpoint_every = int(checkpoint_every)
-        self._snapshot_dir = (
-            os.fspath(snapshot_dir) if snapshot_dir is not None else None
-        )
+                raise InvalidParameterError("checkpoint_every requires snapshot_dir")
+            checkpoint_every = validate_k(checkpoint_every, name="checkpoint_every")
         self._checkpoint_every = checkpoint_every
-        self._warm_started = False
+        self._chain: CheckpointChain | None = None
         self._restored_from: str | None = None
         self._restore_error: str | None = None
-        # Delta-chain state.  ``_chain_parent`` is None until this
-        # process writes its first checkpoint (always a full one — a
-        # restored process's generation counters are not comparable to
-        # the writer's), and ``_checkpoint_generations`` is the
-        # per-member watermark the next delta diffs against.
-        self._chain_parent: str | None = None
-        self._chain_depth = 0
-        self._delta_seq = 0
-        self._checkpoint_generations: "list[int] | None" = None
-        if self._snapshot_dir is not None:
-            os.makedirs(self._snapshot_dir, exist_ok=True)
-            self._delta_seq = self._scan_delta_seq()
-            restore_path = self._latest_checkpoint_path()
+        if snapshot_dir is not None:
+            self._chain = CheckpointChain(snapshot_dir, delta=checkpoint_mode == "delta")
             try:
-                self._restore(restore_path)
+                self._restored_from = self._chain.restore(
+                    self._maintainer, {"streams": self._names}
+                )
             except SnapshotError as exc:
                 # Graceful degradation: a missing, corrupt, truncated,
                 # or mismatched snapshot means a cold start, never a
                 # crash.  (A partial maintainer restore cannot leak —
                 # restore raises before touching state at that layer.)
                 self._restore_error = f"{exc.reason}: {exc}"
-            else:
-                self._warm_started = True
-                self._restored_from = restore_path
 
     # -------------------------------------------------------------- #
     # introspection
@@ -326,15 +295,13 @@ class HistogramService:
 
     @property
     def snapshot_path(self) -> str | None:
-        """Where checkpoints live (``None`` without ``snapshot_dir``)."""
-        if self._snapshot_dir is None:
-            return None
-        return os.path.join(self._snapshot_dir, "service.snap")
+        """The checkpoint chain's full base (``None`` without ``snapshot_dir``)."""
+        return None if self._chain is None else self._chain.base_path
 
     @property
     def warm_started(self) -> bool:
         """Whether construction restored state from a snapshot."""
-        return self._warm_started
+        return self._restored_from is not None
 
     @property
     def restored_from(self) -> str | None:
@@ -365,7 +332,7 @@ class HistogramService:
         return {
             "streams": len(self._names),
             "accepting": self._accepting,
-            "warm_started": self._warm_started,
+            "warm_started": self.warm_started,
             "generations": self._maintainer.generations,
             "stats": self.stats,
         }
@@ -396,150 +363,41 @@ class HistogramService:
     # -------------------------------------------------------------- #
 
     def checkpoint(self) -> str:
-        """Write one crash-safe snapshot of the whole maintainer tree.
+        """Write one crash-safe checkpoint of the whole maintainer tree.
 
-        The write is temp-file + fsync + atomic rename, so a crash mid-
+        The service's :class:`~repro.persist.chain.CheckpointChain`
+        picks the file: the full base, or in ``checkpoint_mode="delta"``
+        a differential link (see the chain for when it compacts).  The
+        write is temp-file + fsync + atomic rename, so a crash mid-
         checkpoint leaves the previous generation intact and restorable.
-        In ``checkpoint_mode="delta"`` (with an in-process parent and a
-        chain shorter than ``_COMPACT_EVERY``) only slabs whose owning
-        member's generation moved since the parent are re-written; the
-        rest ride as references into the parent file.  A delta that
-        cannot be expressed (parent dropped a referenced slab) falls
-        back to a full compaction write.  Raises
-        :class:`~repro.errors.InvalidParameterError` without a
+        Raises :class:`~repro.errors.InvalidParameterError` without a
         ``snapshot_dir``; any write failure propagates (the periodic and
         drain-close call sites swallow it into the
         ``checkpoint_failures`` counter instead of killing serving).
         Returns the path actually written.
         """
-        path = self.snapshot_path
-        if path is None:
+        if self._chain is None:
             raise InvalidParameterError(
                 "checkpoint() requires snapshot_dir at construction"
             )
-        from repro.persist import codec, format as persist_format
-
-        maintainer_meta, slabs = codec.maintainer_state(self._maintainer)
-        meta = {"streams": list(self._names), "maintainer": maintainer_meta}
-        generations = self._maintainer.generations
-        written: str | None = None
-        if (
-            self._checkpoint_mode == "delta"
-            and self._chain_parent is not None
-            and self._checkpoint_generations is not None
-            and self._chain_depth < _COMPACT_EVERY
-        ):
-            changed = {
-                f
-                for f, (old, new) in enumerate(
-                    zip(self._checkpoint_generations, generations)
-                )
-                if old != new
-            }
-            delta_slabs = {}
-            unchanged = []
-            for name, slab in slabs.items():
-                owner = codec.slab_member(name)
-                if owner is None or owner in changed:
-                    delta_slabs[name] = slab
-                else:
-                    unchanged.append(name)
-            delta_path = os.path.join(
-                self._snapshot_dir, f"service-delta-{self._delta_seq + 1:06d}.snap"
-            )
-            try:
-                persist_format.write_snapshot(
-                    delta_path,
-                    kind="service",
-                    meta=meta,
-                    slabs=delta_slabs,
-                    parent=self._chain_parent,
-                    unchanged=unchanged,
-                )
-            except SnapshotError:
-                # The parent cannot back this delta (e.g. a referenced
-                # slab vanished from its manifest) — self-heal by
-                # compacting to a full snapshot below.
-                pass
-            else:
-                written = delta_path
-                self._delta_seq += 1
-                self._chain_parent = delta_path
-                self._chain_depth += 1
-        if written is None:
-            persist_format.write_snapshot(path, kind="service", meta=meta, slabs=slabs)
-            written = path
-            self._chain_parent = path
-            self._chain_depth = 0
-            self._prune_deltas()
-        self._checkpoint_generations = generations
+        written = self._chain.write(self._maintainer, {"streams": self._names})
         self._stats["checkpoints"] += 1
         self._stats["checkpoint_bytes"] = os.path.getsize(written)
         return written
 
-    def _scan_delta_seq(self) -> int:
-        """Highest delta sequence number present in the snapshot dir."""
-        highest = 0
-        for name in os.listdir(self._snapshot_dir):
-            if name.startswith("service-delta-") and name.endswith(".snap"):
-                try:
-                    seq = int(name[len("service-delta-") : -len(".snap")])
-                except ValueError:
-                    continue
-                highest = max(highest, seq)
-        return highest
-
-    def _latest_checkpoint_path(self) -> str:
-        """The newest checkpoint on disk: the max-seq delta, else the full."""
-        if self._delta_seq > 0:
-            candidate = os.path.join(
-                self._snapshot_dir, f"service-delta-{self._delta_seq:06d}.snap"
-            )
-            if os.path.exists(candidate):
-                return candidate
-        return self.snapshot_path
-
-    def _prune_deltas(self) -> None:
-        """Drop superseded delta files after a full compaction write."""
-        for name in os.listdir(self._snapshot_dir):
-            if name.startswith("service-delta-") and name.endswith(".snap"):
-                try:
-                    os.unlink(os.path.join(self._snapshot_dir, name))
-                except OSError:  # pragma: no cover - best-effort cleanup
-                    pass
-        self._delta_seq = 0
-
-    def _restore(self, path: str) -> None:
-        """Warm-start the maintainer tree from ``path`` (or raise)."""
-        from repro.persist import codec, format as persist_format
-
-        snap = persist_format.load_snapshot(path, kind="service")
-        streams = snap.meta.get("streams")
-        if streams != list(self._names):
-            raise SnapshotError(
-                f"snapshot {path!r} hosts streams {streams!r}, the service "
-                f"hosts {list(self._names)!r}",
-                reason="config-mismatch",
-            )
-        codec.restore_maintainer(self._maintainer, snap.meta["maintainer"], snap.slab)
-
     def _maybe_checkpoint(self, *, final: bool = False) -> None:
         """Checkpoint if due (or at drain-close); failures never raise."""
-        if self._snapshot_dir is None:
+        if self._chain is None:
             return
-        if not final:
-            if self._checkpoint_every is None:
-                return
-            if self._stats["windows"] % self._checkpoint_every != 0:
-                return
-            if (
-                self._checkpoint_generations is not None
-                and self._maintainer.generations == self._checkpoint_generations
-            ):
-                # Nothing mutated since the last successful checkpoint —
-                # the window held only rejected/expired/repeat-read
-                # traffic, so the file on disk is already current.
-                return
+        if not final and (
+            self._checkpoint_every is None
+            or self._stats["windows"] % self._checkpoint_every != 0
+            # Nothing mutated since the last successful checkpoint — the
+            # window held only rejected/expired/repeat-read traffic, so
+            # the file on disk is already current.
+            or self._maintainer.generations == self._chain.generations
+        ):
+            return
         try:
             self.checkpoint()
         except Exception:
@@ -623,46 +481,55 @@ class HistogramService:
         if not self._accepting or self._queue is None:
             raise ServiceClosedError("service is not accepting requests")
         self._stats["submitted"] += 1
-        if request.stream not in self._index:
-            self._stats["served"] += 1
-            return error_response(
-                request,
-                UnknownStreamError(
+        try:
+            # Refused before the cache lookup, on the request alone: a
+            # hand-built request the cache or the collector cannot handle
+            # must neither raise out of submit nor end the collector.
+            if request.stream not in self._index:
+                raise UnknownStreamError(
                     f"unknown stream {request.stream!r} (service hosts "
                     f"{len(self._index)} streams)"
-                ),
-            )
-        if request.op not in OPS:
-            # Rejected at admission: a hand-built Request with a bogus
-            # op must not reach the coalescer (signature would raise
-            # mid-window and strand the rest of the backlog).
-            self._stats["served"] += 1
-            return error_response(
-                request,
-                InvalidParameterError(
+                )
+            if request.op not in OPS:
+                raise InvalidParameterError(
                     f"unknown op {request.op!r} (one of {', '.join(OPS)})"
-                ),
-            )
+                )
+            try:
+                hash(request.signature)  # it keys the cache
+            except TypeError:
+                raise InvalidParameterError(
+                    f"{request.op} request parameters must be hashable, got "
+                    f"{request.signature!r}"
+                ) from None
+            if request.op == "selectivity":
+                start, stop = request.start, request.stop
+                if not (is_integer(start) and is_integer(stop)):
+                    raise InvalidParameterError(
+                        f"selectivity bounds must be integers, got [{start!r}, {stop!r})"
+                    )
+                if not 0 <= start < stop <= self._n:
+                    raise InvalidParameterError(
+                        f"selectivity range [{start}, {stop}) outside the domain [0, {self._n})"
+                    )
+            budget_ms = request.deadline_ms
+            if budget_ms is not None and (not np.isfinite(budget_ms) or budget_ms < 0):
+                raise InvalidParameterError(
+                    f"deadline_ms must be finite and >= 0, got {budget_ms!r}"
+                )
+        except InvalidParameterError as exc:
+            self._stats["served"] += 1
+            return error_response(request, exc)
         loop = asyncio.get_running_loop()
         deadline = None
         if request.deadline_ms is not None:
-            budget_ms = request.deadline_ms
-            if not np.isfinite(budget_ms) or budget_ms < 0:
-                self._stats["served"] += 1
-                return error_response(
-                    request,
-                    InvalidParameterError(
-                        f"deadline_ms must be finite and >= 0, got {budget_ms!r}"
-                    ),
-                )
-            if budget_ms == 0:
+            if request.deadline_ms == 0:
                 # The degenerate budget is already spent at admission —
                 # and is how tests exercise the deadline path without
                 # racing the clock.
                 self._stats["served"] += 1
                 self._stats["deadline_hits"] += 1
                 return error_response(request, self._deadline_error(request))
-            deadline = loop.time() + budget_ms / 1e3
+            deadline = loop.time() + request.deadline_ms / 1e3
         if (
             self._config.cache_capacity
             and request.op in CACHEABLE_OPS
@@ -838,8 +705,8 @@ class HistogramService:
     def _execute_batch(self, batch: list) -> None:
         """Run one same-signature batch and resolve its futures.
 
-        Per-request pre-checks (readiness, reference resolution, range
-        validation) run identically for a 32-request batch and a
+        Per-request pre-checks (readiness, reference resolution) run
+        identically for a 32-request batch and a
         singleton, so the request-at-a-time reference emits the same
         structured errors byte for byte.  Library failures of the
         shared fleet op map to one structured error per affected
@@ -886,51 +753,28 @@ class HistogramService:
         pending: list = []  # entries the shared fleet op will answer
         members: list[int] = []  # distinct, first-occurrence order
         seen: dict[str, int] = {}  # stream -> position in `members`
-        head = batch[0][0]
         for request, future, _ in batch:
-            if request.op == "identity" and request.reference not in self._references:
-                future.set_result(
-                    error_response(
-                        request,
-                        InvalidParameterError(
-                            f"unknown identity reference {request.reference!r}; "
-                            "register it with register_reference()"
-                        ),
-                    )
-                )
-                continue
-            if request.op == "selectivity" and not (
-                0 <= request.start < request.stop <= self._n
-            ):
-                future.set_result(
-                    error_response(
-                        request,
-                        InvalidParameterError(
-                            f"selectivity range [{request.start}, {request.stop}) "
-                            f"outside the domain [0, {self._n})"
-                        ),
-                    )
-                )
-                continue
             member = self._index[request.stream]
-            if not ready[member]:
-                future.set_result(
-                    error_response(
-                        request,
-                        EmptyStreamError(
-                            f"stream {request.stream!r} has no observations yet; "
-                            "ingest() it first"
-                        ),
-                    )
+            if request.op == "identity" and request.reference not in self._references:
+                error = InvalidParameterError(
+                    f"unknown identity reference {request.reference!r}; "
+                    "register it with register_reference()"
                 )
+            elif not ready[member]:
+                error = EmptyStreamError(
+                    f"stream {request.stream!r} has no observations yet; "
+                    "ingest() it first"
+                )
+            else:
+                if request.stream not in seen:
+                    seen[request.stream] = len(members)
+                    members.append(member)
+                pending.append((request, future))
                 continue
-            if request.stream not in seen:
-                seen[request.stream] = len(members)
-                members.append(member)
-            pending.append((request, future))
+            future.set_result(error_response(request, error))
         if not pending:
             return
-        results = self._run_probe(op, head, members)
+        results = self._run_probe(op, batch[0][0], members)
         cacheable = self._config.cache_capacity and op in CACHEABLE_OPS
         for request, future in pending:
             response = Response(
@@ -956,49 +800,29 @@ class HistogramService:
 
     def _run_probe(self, op: str, head: Request, members: list[int]):
         """Dispatch one batch op; returns a per-request result reader."""
-        maintainer = self._maintainer
-        if op == "test":
-            rows = maintainer.test(
-                head.k,
-                head.epsilon,
-                norm=head.norm,
-                params=self._tester_params,
-                members=members,
-            )
-            return lambda request, position: rows[position]
-        if op == "min_k":
-            rows = maintainer.min_k(
-                head.epsilon,
-                max_k=head.max_k,
-                norm=head.norm,
-                params=self._tester_params,
-                members=members,
-            )
-            return lambda request, position: rows[position]
-        if op == "learn":
-            rows = maintainer.learn(head.k, head.epsilon, members=members)
-            return lambda request, position: rows[position]
-        if op == "uniformity":
-            rows = maintainer.uniformity(
-                head.epsilon, params=self._tester_params, members=members
-            )
-            return lambda request, position: rows[position]
-        if op == "identity":
-            rows = maintainer.identity(
-                self._references[head.reference],
-                head.epsilon,
-                params=self._tester_params,
-                members=members,
-            )
-            return lambda request, position: rows[position]
+        maintainer, params = self._maintainer, self._tester_params
         if op == "selectivity":
             histograms = maintainer.histograms_for(members)
             return lambda request, position: float(
-                histograms[position].range_mass(
-                    Interval(request.start, request.stop)
-                )
+                histograms[position].range_mass(Interval(request.start, request.stop))
             )
-        raise InvalidParameterError(f"unknown op {op!r}")
+        if op == "test":
+            rows = maintainer.test(
+                head.k, head.epsilon, norm=head.norm, params=params, members=members
+            )
+        elif op == "min_k":
+            rows = maintainer.min_k(
+                head.epsilon, max_k=head.max_k, norm=head.norm, params=params, members=members
+            )
+        elif op == "learn":
+            rows = maintainer.learn(head.k, head.epsilon, members=members)
+        elif op == "uniformity":
+            rows = maintainer.uniformity(head.epsilon, params=params, members=members)
+        else:  # identity: admission refuses every op outside OPS
+            rows = maintainer.identity(
+                self._references[head.reference], head.epsilon, params=params, members=members
+            )
+        return lambda request, position: rows[position]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

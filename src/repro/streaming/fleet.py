@@ -71,13 +71,8 @@ class FleetMaintainer:
         params: GreedyParams | None = None,
         rng: "int | None | np.random.Generator" = None,
     ) -> None:
-        if fleet_size < 1:
-            raise InvalidParameterError(
-                f"fleet_size must be >= 1, got {fleet_size}"
-            )
-        if n < 1 or k < 1:
-            raise InvalidParameterError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-        self._n = int(n)
+        fleet_size = validate_k(fleet_size, name="fleet_size")
+        self._n = validate_k(n, name="n")
         self._k = validate_k(k)
         self._epsilon = validate_epsilon(epsilon)
         rngs = spawn_rngs(rng, fleet_size)

@@ -160,3 +160,50 @@ class TestValidateEpsilon:
     def test_refused(self, bad):
         with pytest.raises(InvalidParameterError, match=r"epsilon must be in \(0, 1\)"):
             validate_epsilon(bad)
+
+
+class TestPositiveIntegerChecks:
+    """Every domain-size check is ``validate_k``: bools, text and
+    fractions are refused with one message, never a bare TypeError."""
+
+    @staticmethod
+    def _sites():
+        from repro.api.session import HistogramSession
+        from repro.core.candidates import all_interval_candidates, sample_endpoint_candidates
+        from repro.core.identity import identity_sample_size
+        from repro.core.uniformity import uniformity_sample_size
+        from repro.distributions.families import uniform
+        from repro.histograms.validation import validate_domain_size
+        from repro.samples.collision import dense_interval_prefixes
+
+        return {
+            "session": lambda n: HistogramSession(np.full(4, 0.25), n),
+            "greedy-params": lambda n: GreedyParams.from_paper(n, 2, 0.3),
+            "uniformity": lambda n: uniformity_sample_size(n, 0.3),
+            "identity": lambda n: identity_sample_size(n, 0.3),
+            "all-intervals": all_interval_candidates,
+            "endpoints": lambda n: sample_endpoint_candidates(np.arange(4), n),
+            "dense-prefixes": lambda n: dense_interval_prefixes([np.arange(4)], n),
+            "families": uniform,
+            "domain-size": validate_domain_size,
+        }
+
+    @pytest.mark.parametrize("bad", [True, 2.5, "abc", 0, float("nan")])
+    @pytest.mark.parametrize(
+        "site",
+        [
+            "session",
+            "greedy-params",
+            "uniformity",
+            "identity",
+            "all-intervals",
+            "endpoints",
+            "dense-prefixes",
+            "families",
+            "domain-size",
+        ],
+    )
+    def test_refused(self, site, bad):
+        with pytest.raises(InvalidParameterError, match="n must be a positive integer"):
+            self._sites()[site](bad)
+

@@ -184,7 +184,7 @@ class TestFormat:
 
 
 def _delta_header(path):
-    header, _ = persist_format._read_header(os.fspath(path))
+    _, header, _ = persist_format._open_snapshot(os.fspath(path))
     return header
 
 
@@ -882,27 +882,31 @@ class TestServiceDeltaCheckpoints:
         assert service.stats["checkpoint_bytes"] < full_bytes
 
     def test_compaction_rebases_and_prunes_the_chain(self, tmp_path):
-        from repro.serving import service as service_module
-
+        """The chain compacts exactly at ``MAX_CHAIN``, the one bound."""
+        bound = persist_format.MAX_CHAIN
         service = _service(tmp_path, checkpoint_mode="delta")
         rng = np.random.default_rng(1)
-        service._maintainer.update_many(0, rng.integers(0, N, size=700))
-        written = [service.checkpoint()]
-        for _ in range(2 * service_module._COMPACT_EVERY):
-            service._maintainer.update_many(
-                int(rng.integers(0, 3)), rng.integers(0, N, size=40)
-            )
-            written.append(service.checkpoint())
-        fulls = [p for p in written if p == service.snapshot_path]
-        deltas = [p for p in written if p != service.snapshot_path]
-        assert len(fulls) >= 2  # the chain compacted at least once
-        assert deltas
-        # Compaction pruned superseded links: what's on disk is at most
-        # one chain's worth.
-        assert len(_delta_files(tmp_path)) <= service_module._COMPACT_EVERY
-        # The live tree and a restore of the latest checkpoint agree.
+        for member in range(3):
+            service._maintainer.update_many(member, rng.integers(0, N, size=700))
+
+        def churn_and_checkpoint():
+            # One member churns between writes.
+            service._maintainer.update_many(1, rng.integers(0, N, size=40))
+            path = service.checkpoint()
+            if path == service.snapshot_path:
+                assert _delta_files(tmp_path) == []  # no delta survives a base
+            return os.path.basename(path)
+
+        written = [os.path.basename(service.checkpoint())]
+        written += [churn_and_checkpoint() for _ in range(2 * bound + 2)]
+        links = [f"service-delta-{seq:06d}.snap" for seq in range(1, bound + 1)]
+        base = "service.snap"
+        assert written == [base, *links, base, *links, base]
+        # The newest link is a delta again after one more write; a
+        # service restored from it probes like the live one.
+        assert churn_and_checkpoint() == links[0]
         restored = _service(tmp_path)
-        assert restored.warm_started
+        assert restored.restored_from == os.path.join(tmp_path, links[0])
         assert restored._maintainer.items_seen == service._maintainer.items_seen
         assert _freeze_probe(service._maintainer) == _freeze_probe(
             restored._maintainer

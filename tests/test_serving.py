@@ -450,6 +450,37 @@ class TestAdmission:
         assert "transmogrify" in bogus.error[1]
         assert ok.ok  # the service survived
 
+    @pytest.mark.parametrize("cache_capacity", [0, 256], ids=["cache-off", "cache-on"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            Request(op="selectivity", stream="a", start="x", stop="y"),
+            Request(op="selectivity", stream="a", start=1.5, stop=9),
+            Request(op="selectivity", stream="a", start=True, stop=9),
+            Request(op="identity", stream="a", reference=["r"]),
+            Request(op="test", stream="a", k=[2]),
+        ],
+        ids=["string-bounds", "fractional-start", "bool-start", "list-reference", "list-k"],
+    )
+    def test_hand_built_garbage_is_refused_at_admission(self, bad, cache_capacity):
+        # Each once raised a bare TypeError out of submit (cache on) or
+        # inside the collector (cache off), which ended it; a fractional
+        # or bool bound was answered ok=True.
+        async def run():
+            service = build_service(
+                ["a", "b"], max_batch=4, linger_us=0.0, cache_capacity=cache_capacity
+            )
+            async with service:
+                for name in ("a", "b"):
+                    await service.submit(Request.ingest(name, [1, 2, 3, 4]))
+                refused = await asyncio.wait_for(service.submit(bad), 2)
+                after = await asyncio.wait_for(service.submit(Request.test("b")), 2)
+            return refused, after
+
+        refused, after = asyncio.run(run())
+        assert refused.error_code == "invalid_parameter"
+        assert after.ok
+
     def test_non_library_failures_crash_loudly(self, monkeypatch):
         # A non-library exception inside the fleet op itself is a
         # programming error, so it propagates unmapped instead of hiding
@@ -767,6 +798,8 @@ class TestRequestShapes:
             HistogramService([], N, K)
         with pytest.raises(InvalidParameterError):
             HistogramService(["a", "a"], N, K)
+        with pytest.raises(InvalidParameterError, match="n must be a positive integer"):
+            HistogramService(["a"], "abc", 2)
 
     @pytest.mark.parametrize("epsilon", [0.0, 1.0, 2.0, -1.0, float("nan")])
     def test_service_rejects_epsilon_outside_unit_interval(self, epsilon):

@@ -238,6 +238,41 @@ class TestConstructionEpsilon:
             FleetMaintainer(2, 64, 2, epsilon)
 
 
+class TestConstructionSizes:
+    """``fleet_size``, ``n`` and ``k`` pass the one positive-integer check."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (1, 2.5, 2),
+            (1, "abc", 2),
+            (1, 64, "abc"),
+            ("abc", 64, 2),
+            (1.5, 64, 2),
+            (True, 64, 2),
+            (0, 64, 2),
+            (1, 64, 2.5),
+        ],
+        ids=[
+            "fractional-n",
+            "text-n",
+            "text-k",
+            "text-fleet",
+            "fractional-fleet",
+            "bool-fleet",
+            "empty-fleet",
+            "fractional-k",
+        ],
+    )
+    def test_refused(self, args):
+        with pytest.raises(InvalidParameterError, match="must be a positive integer"):
+            FleetMaintainer(*args)
+
+    def test_integral_values_pass_on_as_int(self):
+        maintainer = FleetMaintainer(2.0, 64.0, 2)
+        assert maintainer.fleet_size == 2
+
+
 class TestEmptyStreamProbes:
     """Probing any maintainer before its first observation is a clear
     :class:`EmptyStreamError` (a ReproError), never a stale-pool crash."""
