@@ -12,6 +12,12 @@ draw and prefixes with the uncapped candidates handed over as a pair
 list, so only the ``rel`` store varies (the dense triangle matrix
 against the flat pair list the engine keeps for capped sets).  CI holds
 the pair's speedup to a floor through ``benchmarks/perf_guard.py``.
+
+``test_fast_greedy_kernel_serving`` is the other end: a fresh session
+learn the size of one a serving fleet member runs on every rebuild (a
+512-item reservoir, ``GreedyParams(256, 5, 128, 8)``, n = 4,096, about
+300 points per triangle axis), where per-call overhead rather than
+rescoring arithmetic sets the cost.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 from conftest import emit
 
 import repro.core.greedy as greedy
-from repro.api import HistogramSession
+from repro.api import ArraySource, HistogramSession
 from repro.core.candidates import CandidateSet, sample_endpoint_candidates
 from repro.core.params import GreedyParams
 from repro.distributions import families
@@ -48,6 +54,36 @@ def test_fast_greedy_kernel(benchmark):
     benchmark(
         lambda: HistogramSession(dist, 512, rng=1, scale=0.02, method="fast").learn(4, 0.25)
     )
+
+
+SERVING_N = 4_096
+SERVING_PARAMS = GreedyParams(
+    weight_sample_size=256, collision_sets=5, collision_set_size=128, rounds=8
+)
+
+
+def _serving_source():
+    """512 observations shaped like a serving stream's reservoir: 70 % in
+    one hot window ``n / 32`` wide, the rest uniform over the domain."""
+    rng = np.random.default_rng(7)
+    values = rng.integers(0, SERVING_N, size=512)
+    hot = rng.random(512) < 0.7
+    values[hot] = 1_000 + rng.integers(0, SERVING_N // 32, size=int(hot.sum()))
+    return ArraySource(values, SERVING_N)
+
+
+def _learn_serving(source):
+    session = HistogramSession(source, SERVING_N, rng=1, method="fast")
+    return session.learn(8, 0.3, params=SERVING_PARAMS)
+
+
+def test_fast_greedy_kernel_serving(benchmark):
+    """Micro: one fresh session learn at a serving member's size (K ~ 300)."""
+    source = _serving_source()
+    result = benchmark(_learn_serving, source)
+    axis = (np.sqrt(8 * result.num_candidates + 1) - 1) / 2
+    assert 250 <= axis <= 350
+    assert len(result.rounds) == SERVING_PARAMS.rounds
 
 
 def _learn_large(dist):

@@ -124,7 +124,7 @@ _MEDIAN_NETWORKS = {1: lambda a: a, 3: _median3, 5: _median5}
 
 
 def _collision_z(
-    pair_prefix_cols: np.ndarray,
+    pair_rows: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     pairs_per_set: float,
@@ -136,16 +136,20 @@ def _collision_z(
     odd ``r``, the mean of the two middle ones for even ``r``.  Dividing
     by the positive ``C(m, 2)`` is monotone, so selecting on the raw
     pair counts and normalising only the selected values picks the same
-    bits.  ``r`` of 1, 3 or 5 runs a min/max network over one array per
-    set; any other ``r`` partitions a sets-last ``(..., r)`` block.
-    ``lo``/``hi`` may be any broadcastable index arrays.
+    bits.  ``pair_rows`` holds the pair-count prefixes set-major,
+    ``(r, G)`` float64.  ``r`` of 1, 3 or 5 gathers each set from its
+    contiguous row (a 1-D take) into a min/max network; any other ``r``
+    gathers through the transpose into a sets-last ``(..., r)`` block
+    and partitions it.  ``lo``/``hi`` may be any broadcastable index
+    arrays.
     """
-    sets = pair_prefix_cols.shape[1]
+    sets = pair_rows.shape[0]
     network = _MEDIAN_NETWORKS.get(sets)
     if network is not None:
-        counts = [pair_prefix_cols[hi, s] - pair_prefix_cols[lo, s] for s in range(sets)]
+        counts = [row[hi] - row[lo] for row in pair_rows]
         return network(*counts) / pairs_per_set
-    counts = pair_prefix_cols[hi] - pair_prefix_cols[lo]
+    cols = pair_rows.T
+    counts = cols[hi] - cols[lo]
     half = sets // 2
     if sets % 2:
         return np.partition(counts, half, axis=-1)[..., half] / pairs_per_set
@@ -158,7 +162,7 @@ def _piece_costs(
     grid: np.ndarray,
     weight_prefix: np.ndarray,
     weight_total: float,
-    pair_prefix_cols: np.ndarray,
+    pair_rows: np.ndarray,
     pairs_per_set: float,
     lo: np.ndarray,
     hi: np.ndarray,
@@ -172,35 +176,38 @@ def _piece_costs(
     fresh rescore — the invariant the engine relies on.  Entries are
     independent, so tabulating a sub-span of points, or a block of the
     triangle from broadcast ``lo``/``hi`` axes, yields the same bits as
-    tabulating everything.
+    tabulating everything, and one call over concatenated index arrays
+    the same bits as one call per part.
     """
     lo = np.asarray(lo)
     hi = np.asarray(hi)
     lengths = (grid[hi] - grid[lo]).astype(np.float64)
-    z = _collision_z(pair_prefix_cols, lo, hi, pairs_per_set)
+    z = _collision_z(pair_rows, lo, hi, pairs_per_set)
     y = (weight_prefix[hi] - weight_prefix[lo]) / weight_total
     fitted = z - y * y / np.maximum(lengths, 1.0)
-    return np.where(np.asarray(assigned), fitted, z)
+    if assigned is True:
+        return fitted
+    return np.where(assigned, fitted, z)
 
 
 def _pair_self_costs(
     candidates: CandidateSet,
     weight_prefix: np.ndarray,
     weight_total: float,
-    pair_prefix_cols: np.ndarray,
+    pair_rows: np.ndarray,
     pairs_per_set: float,
     chunk_size: int = _SCORE_CHUNK,
 ) -> np.ndarray:
     """Round-invariant ``z_J - y_J^2/|J|`` per pair-list candidate (chunked)."""
     out = np.empty(candidates.size, dtype=np.float64)
-    step = max(1, chunk_size // pair_prefix_cols.shape[1])
+    step = max(1, chunk_size // pair_rows.shape[0])
     for start in range(0, candidates.size, step):
         sl = slice(start, min(start + step, candidates.size))
         out[sl] = _piece_costs(
             candidates.grid,
             weight_prefix,
             weight_total,
-            pair_prefix_cols,
+            pair_rows,
             pairs_per_set,
             candidates.lo[sl],
             candidates.hi[sl],
@@ -213,7 +220,7 @@ def _triangle_self_costs(
     candidates: CandidateSet,
     weight_prefix: np.ndarray,
     weight_total: float,
-    pair_prefix_cols: np.ndarray,
+    pair_rows: np.ndarray,
     pairs_per_set: float,
     chunk_size: int = _SCORE_CHUNK,
 ) -> np.ndarray:
@@ -228,7 +235,7 @@ def _triangle_self_costs(
     starts, stops = candidates.starts, candidates.stops
     count = starts.size
     out = np.empty((count, count), dtype=np.float64)
-    step = max(1, chunk_size // (count * pair_prefix_cols.shape[1]))
+    step = max(1, chunk_size // (count * pair_rows.shape[0]))
     for first in range(0, count, step):
         last = min(first + step, count)
         block = out[first:last, first:]
@@ -236,7 +243,7 @@ def _triangle_self_costs(
             candidates.grid,
             weight_prefix,
             weight_total,
-            pair_prefix_cols,
+            pair_rows,
             pairs_per_set,
             starts[first:last, None],
             stops[None, first:],
@@ -245,6 +252,23 @@ def _triangle_self_costs(
         out[first:last, :first] = np.inf
         block[:, : last - first][np.tri(last - first, k=-1, dtype=bool)] = np.inf
     return out
+
+
+def _segment_sums(costs: np.ndarray) -> np.ndarray:
+    """``removed[a, b]``: the summed cost of segments ``a..b``, for ``b >= a``.
+
+    Each sum accumulates fresh from ``a`` (never as a difference of
+    running prefixes), so the value for an untouched segment range is
+    bitwise round-stable.  One masked ``cumsum``: row ``a`` runs over
+    ``-0.0`` up to ``a``, then over the costs from ``a`` on.  ``-0.0``
+    is the exact additive identity (``-0.0 + x`` is ``x`` bit for bit,
+    signed zeros included), so from the diagonal on each row holds the
+    bits of ``cumsum(costs[a:])``.  Below it every entry is ``-0.0``; no
+    candidate ends in a segment before the one it starts in, so no score
+    reads one.
+    """
+    below = np.tri(costs.size, k=-1, dtype=bool)
+    return np.cumsum(np.where(below, -0.0, costs), axis=1)
 
 
 @dataclass(frozen=True)
@@ -398,7 +422,9 @@ class _TriangleStore:
         self._self_cost = self_costs
         self._offsets = candidates.row_offsets()
         count = self._starts.size
-        self.rel = np.full((count, count), np.inf)
+        # Round 1's dirty span is the whole grid, so its rectangle writes
+        # every row from the diagonal block on: every cell ever read.
+        self.rel = np.empty((count, count))
         self._row_min = np.full(count, np.inf)
         self._rows_per_block = max(1, _SCORE_CHUNK // count)
 
@@ -485,8 +511,10 @@ class _GreedyEngine:
         self._grid = candidates.grid
         self._wprefix = np.asarray(compiled.weight_prefix).astype(np.float64)
         self._wtotal = float(compiled.weight_set.size)
-        self._pp_cols = np.ascontiguousarray(
-            compiled.pair_prefix_cols, dtype=np.float64
+        # One set-major copy of the persisted (G, r) columns: the median
+        # reads a contiguous row per set.
+        self._pair_rows = np.ascontiguousarray(
+            np.asarray(compiled.pair_prefix_cols).T, dtype=np.float64
         )
         self._pairs_per_set = float(compiled.pairs_per_set)
         self._full_span = bool(full_span)
@@ -499,9 +527,11 @@ class _GreedyEngine:
         self._seg_lo: list[int] = [0]
         self._seg_hi: list[int] = [last]
         self._seg_assigned: list[bool] = [False]
-        self._seg_cost: list[float] = [
-            float(self._piece_cost(np.asarray([0]), np.asarray([last]), False)[0])
-        ]
+        # A segment's cost is ``None`` from the commit that creates it
+        # until the next rescore prices it, in the same scoring call as
+        # the remainder terms; ``_unpriced`` spans those segments.
+        self._seg_cost: list[float | None] = [None]
+        self._unpriced = slice(0, 1)
         # Everything is dirty before the first round.
         self._dirty_lo = 0
         self._dirty_hi = last
@@ -524,7 +554,7 @@ class _GreedyEngine:
             self._grid,
             self._wprefix,
             self._wtotal,
-            self._pp_cols,
+            self._pair_rows,
             self._pairs_per_set,
             lo,
             hi,
@@ -541,7 +571,7 @@ class _GreedyEngine:
         return self.commit(self.argmin(), rescored)
 
     def rescore(self) -> int:
-        """Refresh the cached terms and ``rel`` over the dirty span.
+        """Price the new segments, refresh the cached terms and ``rel``.
 
         Every segment-dependent score term factors through a single
         candidate endpoint: the containing segment ``ia`` and the left
@@ -551,25 +581,18 @@ class _GreedyEngine:
         the dirty grid points — every other point's containing segment is
         unchanged — while the store looks ``ia``/``ib`` up afresh at the
         dirty candidates' endpoints, because segment *indices* shift
-        globally when the segment list grows.  Returns how many
-        candidates were rescored.
+        globally when the segment list grows.  One scoring call prices
+        the segments the last commit created together with both
+        remainder terms.  Returns how many candidates were rescored.
         """
         if self._full_span:
             lo, hi = 0, self._grid.size - 1
         else:
             lo, hi = self._dirty_lo, self._dirty_hi
+        grid = self._grid
         seg_lo = np.asarray(self._seg_lo, dtype=np.int64)
         seg_hi = np.asarray(self._seg_hi, dtype=np.int64)
         seg_assigned = np.asarray(self._seg_assigned, dtype=bool)
-        seg_costs = np.asarray(self._seg_cost, dtype=np.float64)
-        # removed[a, b]: summed cost of segments a..b, accumulated fresh
-        # from a (never as a difference of running prefixes) so the value
-        # for an untouched segment range is bitwise round-stable.
-        count = seg_lo.size
-        removed = np.zeros((count, count))
-        for a in range(count):
-            removed[a, a:] = np.cumsum(seg_costs[a:])
-        grid = self._grid
         seg_starts = grid[seg_lo]
 
         span = slice(lo, hi + 1)
@@ -577,15 +600,32 @@ class _GreedyEngine:
         at = grid[span]
         ia = np.searchsorted(seg_starts, at, side="right") - 1
         ib = np.searchsorted(seg_starts, at - 1, side="right") - 1
-        # Left remainder [segment start, a) for a candidate starting at a.
-        lcost = self._piece_cost(seg_lo[ia], points, seg_assigned[ia])
-        self._left_term[span] = np.where(seg_starts[ia] < at, lcost, 0.0)
-        # Right remainder [b, segment stop) for a candidate ending at b.
-        rcost = self._piece_cost(points, seg_hi[ib], seg_assigned[ib])
-        self._right_term[span] = np.where(grid[seg_hi[ib]] > at, rcost, 0.0)
+        # The new segments, the left remainders [segment start, a) of
+        # candidates starting at a, and the right remainders
+        # [b, segment stop) of candidates ending at b, in one call.
+        unpriced = self._unpriced
+        costs = self._piece_cost(
+            np.concatenate((seg_lo[unpriced], seg_lo[ia], points)),
+            np.concatenate((seg_hi[unpriced], points, seg_hi[ib])),
+            np.concatenate(
+                (seg_assigned[unpriced], seg_assigned[ia], seg_assigned[ib])
+            ),
+        )
+        fresh = unpriced.stop - unpriced.start
+        split = fresh + points.size
+        self._seg_cost[unpriced] = costs[:fresh].tolist()
+        self._unpriced = slice(0, 0)
+        self._left_term[span] = np.where(seg_starts[ia] < at, costs[fresh:split], 0.0)
+        self._right_term[span] = np.where(grid[seg_hi[ib]] > at, costs[split:], 0.0)
 
+        self._round_costs = np.asarray(self._seg_cost, dtype=np.float64)
         return self._store.rescore(
-            lo, hi, seg_starts, removed, self._left_term, self._right_term
+            lo,
+            hi,
+            seg_starts,
+            _segment_sums(self._round_costs),
+            self._left_term,
+            self._right_term,
         )
 
     def argmin(self) -> int:
@@ -595,13 +635,12 @@ class _GreedyEngine:
     def commit(self, best: int, rescored: int) -> RoundReport:
         """Commit candidate ``best`` and report the round's diff."""
         # ``total`` is shared by every candidate this round; summed fresh
-        # from the cached per-segment costs.
-        total = float(np.sum(np.asarray(self._seg_cost, dtype=np.float64)))
+        # from the segment costs the rescore priced.
+        total = float(np.sum(self._round_costs))
         cost = float(total + self._store.value(best))
         lo, hi = self._store.endpoints(best)
         chosen = Interval(int(self._grid[lo]), int(self._grid[hi]))
-        chosen_y = float(self._y(np.asarray([lo]), np.asarray([hi]))[0])
-        neighbours = self._apply(lo, hi)
+        chosen_y, neighbours = self._apply(lo, hi)
         return RoundReport(
             candidate_index=best,
             cost=cost,
@@ -612,13 +651,16 @@ class _GreedyEngine:
             rescored=rescored,
         )
 
-    def _apply(self, lo: int, hi: int) -> list[tuple[Interval, float]]:
+    def _apply(
+        self, lo: int, hi: int
+    ) -> tuple[float, list[tuple[Interval, float]]]:
         """Commit grid span ``[lo, hi]``: truncate neighbours, insert it.
 
-        Returns the re-added *assigned* remainders (left-to-right) with
-        their re-estimated values, and records the dirty grid-index span
-        — the full original extent of every segment this commit touched —
-        for the next round's rescoring.
+        Returns the chosen piece's weight estimate and the re-added
+        *assigned* remainders (left-to-right) with their re-estimated
+        values, and records the dirty grid-index span — the full
+        original extent of every segment this commit touched — for the
+        next round's rescoring, which also prices the new segments.
         """
         # Affected segments: seg_hi > lo and seg_lo < hi (both sorted).
         first = bisect_right(self._seg_hi, lo)
@@ -626,41 +668,33 @@ class _GreedyEngine:
         dirty_lo = self._seg_lo[first]
         dirty_hi = self._seg_hi[last]
 
-        pieces: list[tuple[int, int, bool]] = []
-        left: tuple[int, int, bool] | None = None
-        right: tuple[int, int, bool] | None = None
+        starts, stops, assigned = [lo], [hi], [True]
         if dirty_lo < lo:
-            left = (dirty_lo, lo, self._seg_assigned[first])
-            pieces.append(left)
-        pieces.append((lo, hi, True))
+            starts.insert(0, dirty_lo)
+            stops.insert(0, lo)
+            assigned.insert(0, self._seg_assigned[first])
         if dirty_hi > hi:
-            right = (hi, dirty_hi, self._seg_assigned[last])
-            pieces.append(right)
+            starts.append(hi)
+            stops.append(dirty_hi)
+            assigned.append(self._seg_assigned[last])
+        weights = self._y(np.asarray(starts), np.asarray(stops)).tolist()
 
-        costs = self._piece_cost(
-            np.asarray([p[0] for p in pieces]),
-            np.asarray([p[1] for p in pieces]),
-            np.asarray([p[2] for p in pieces]),
-        )
-        self._seg_lo[first : last + 1] = [p[0] for p in pieces]
-        self._seg_hi[first : last + 1] = [p[1] for p in pieces]
-        self._seg_assigned[first : last + 1] = [p[2] for p in pieces]
-        self._seg_cost[first : last + 1] = [float(c) for c in costs]
+        self._seg_lo[first : last + 1] = starts
+        self._seg_hi[first : last + 1] = stops
+        self._seg_assigned[first : last + 1] = assigned
+        self._seg_cost[first : last + 1] = [None] * len(starts)
+        self._unpriced = slice(first, first + len(starts))
         self._dirty_lo = dirty_lo
         self._dirty_hi = dirty_hi
 
+        # Only the chosen piece starts at ``lo``.
+        chosen_y = weights[starts.index(lo)]
         neighbours: list[tuple[Interval, float]] = []
-        for remainder in (left, right):
-            if remainder is None or not remainder[2]:
-                continue
-            interval = Interval(
-                int(self._grid[remainder[0]]), int(self._grid[remainder[1]])
-            )
-            y = float(
-                self._y(np.asarray([remainder[0]]), np.asarray([remainder[1]]))[0]
-            )
-            neighbours.append((interval, y / interval.length))
-        return neighbours
+        for start, stop, kept, y in zip(starts, stops, assigned, weights):
+            if kept and start != lo:
+                interval = Interval(int(self._grid[start]), int(self._grid[stop]))
+                neighbours.append((interval, y / interval.length))
+        return chosen_y, neighbours
 
     # -------------------------------------------------------------- #
     # output
@@ -685,17 +719,18 @@ class _GreedyEngine:
         range queries over low-density regions (README.md, "Design
         notes").
         """
-        boundaries = [0]
-        values = []
-        for lo, hi, assigned in zip(self._seg_lo, self._seg_hi, self._seg_assigned):
-            start, stop = int(self._grid[lo]), int(self._grid[hi])
-            boundaries.append(stop)
-            if assigned or fill_gaps:
-                y = float(self._y(np.asarray([lo]), np.asarray([hi]))[0])
-                values.append(y / (stop - start))
-            else:
-                values.append(0.0)
-        return TilingHistogram(n, boundaries, values)
+        seg_lo = np.asarray(self._seg_lo)
+        seg_hi = np.asarray(self._seg_hi)
+        starts = self._grid[seg_lo].tolist()
+        stops = self._grid[seg_hi].tolist()
+        weights = self._y(seg_lo, seg_hi).tolist()
+        values = [
+            y / (stop - start) if assigned or fill_gaps else 0.0
+            for start, stop, assigned, y in zip(
+                starts, stops, self._seg_assigned, weights
+            )
+        ]
+        return TilingHistogram(n, [0, *stops], values)
 
 
 def _build_priority_log(
@@ -752,9 +787,9 @@ class CompiledGreedySketches:
         The candidate grid and the weight sample compiled onto it.
     pair_prefix_cols:
         The ``r`` collision sets' pair-count prefixes in a C-contiguous
-        ``(G, r)`` float64 layout: gathering one grid endpoint fetches
-        all ``r`` prefix values from one contiguous stretch (the
-        engine's hot gather).
+        ``(G, r)`` float64 layout, as snapshots store them.  The median
+        reads them set-major: the compile from the ``(r, G)`` rows it
+        builds them from, the engine from one transposed copy.
     self_costs:
         Per-candidate ``z_J - y_J^2/|J|`` — including the median across
         the ``r`` sets — which never changes across greedy rounds.  For
@@ -843,7 +878,7 @@ def compile_greedy_sketches(
         candidates,
         weight_prefix.astype(np.float64),
         float(weight_set.size),
-        pair_prefix_cols,
+        pair_rows.astype(np.float64),
         pairs_per_set,
     )
     return CompiledGreedySketches(
@@ -872,7 +907,9 @@ def _pair_list_sketches(compiled: CompiledGreedySketches) -> CompiledGreedySketc
         candidates,
         np.asarray(compiled.weight_prefix).astype(np.float64),
         float(compiled.weight_set.size),
-        compiled.pair_prefix_cols,
+        np.ascontiguousarray(
+            np.asarray(compiled.pair_prefix_cols).T, dtype=np.float64
+        ),
         compiled.pairs_per_set,
     )
     return replace(compiled, candidates=candidates, self_costs=self_costs)

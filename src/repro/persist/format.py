@@ -117,8 +117,9 @@ def _open_snapshot(path: str, kind: str | None = None) -> tuple:
     Returns ``(raw, header, data_start)``: the file as a read-only
     ``uint8`` memmap, the JSON header, and the page-aligned offset of
     the first payload.  It checks magic, header length, the JSON
-    document, the format version, the kind (when ``kind`` is given),
-    the parent link name and the declared chain depth, each failure a
+    document (its slab manifest a list of objects), the format version,
+    the kind (when ``kind`` is given), the parent link name and the
+    declared chain depth, each failure a
     :class:`~repro.errors.SnapshotError` with its ``reason``.  A top-level
     load, every referenced link and a delta writer's parent all go
     through it, so every check fires per link.
@@ -152,6 +153,12 @@ def _open_snapshot(path: str, kind: str | None = None) -> tuple:
             f"snapshot {path!r} has a malformed header: {exc}",
             reason="bad-header",
         ) from exc
+    if not all(isinstance(spec, dict) for spec in header["slabs"]):
+        raise SnapshotError(
+            f"snapshot {path!r} has a malformed header: a slab manifest "
+            "entry is not a JSON object",
+            reason="bad-header",
+        )
     if version not in SUPPORTED_VERSIONS:
         raise SnapshotError(
             f"snapshot {path!r} is format version {version!r}, this build "

@@ -485,7 +485,11 @@ class HistogramService:
             # Refused before the cache lookup, on the request alone: a
             # hand-built request the cache or the collector cannot handle
             # must neither raise out of submit nor end the collector.
-            if request.stream not in self._index:
+            try:
+                hosted = request.stream in self._index
+            except TypeError:  # an unhashable stream name hosts nothing
+                hosted = False
+            if not hosted:
                 raise UnknownStreamError(
                     f"unknown stream {request.stream!r} (service hosts "
                     f"{len(self._index)} streams)"
@@ -512,10 +516,15 @@ class HistogramService:
                         f"selectivity range [{start}, {stop}) outside the domain [0, {self._n})"
                     )
             budget_ms = request.deadline_ms
-            if budget_ms is not None and (not np.isfinite(budget_ms) or budget_ms < 0):
-                raise InvalidParameterError(
-                    f"deadline_ms must be finite and >= 0, got {budget_ms!r}"
-                )
+            if budget_ms is not None:
+                try:
+                    valid = bool(np.isfinite(budget_ms)) and budget_ms >= 0
+                except (TypeError, ValueError):  # not a number
+                    valid = False
+                if not valid:
+                    raise InvalidParameterError(
+                        f"deadline_ms must be finite and >= 0, got {budget_ms!r}"
+                    )
         except InvalidParameterError as exc:
             self._stats["served"] += 1
             return error_response(request, exc)

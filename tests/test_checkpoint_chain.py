@@ -9,7 +9,9 @@ compaction.  These tests drive it with a bare
 
 from __future__ import annotations
 
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -122,6 +124,32 @@ class TestWrites:
         fresh = _maintainer()
         assert CheckpointChain(tmp_path).restore(fresh, META) == chain.base_path
         assert _probe(fresh) == _probe(maintainer)
+
+    def test_malformed_parent_manifest_falls_back_to_a_full_write(self, tmp_path):
+        # A parent header that is valid JSON but lists a slab entry that
+        # is not an object once made every later delta write raise.
+        maintainer, rng = _warm()
+        chain = CheckpointChain(tmp_path, delta=True)
+        base = chain.write(maintainer, META)
+        with open(base, "r+b") as handle:
+            handle.seek(8)
+            (length,) = struct.unpack("<Q", handle.read(8))
+            header = json.loads(handle.read(length))
+            header["slabs"] = [1]
+            text = json.dumps(header).encode()
+            assert len(text) <= length
+            handle.seek(16)
+            handle.write(text.ljust(length))
+        with pytest.raises(SnapshotError) as excinfo:
+            load_snapshot(base, kind="service")
+        assert excinfo.value.reason == "bad-header"
+        _churn(maintainer, rng)
+        assert chain.write(maintainer, META) == chain.base_path
+        fresh = _maintainer()
+        assert CheckpointChain(tmp_path).restore(fresh, META) == chain.base_path
+        assert _probe(fresh) == _probe(maintainer)
+        _churn(maintainer, rng)
+        assert os.path.basename(chain.write(maintainer, META)) == "service-delta-000001.snap"
 
     def test_goes_through_the_module_entry_points(self, tmp_path, monkeypatch):
         calls = []

@@ -19,7 +19,7 @@ import inspect
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.api.session as api_session
@@ -29,6 +29,7 @@ from repro.core.greedy import (
     _GreedyEngine,
     _pair_list_sketches,
     _reference_learn,
+    _segment_sums,
     compile_greedy_sketches,
     draw_greedy_samples,
     learn_from_samples,
@@ -170,7 +171,8 @@ def _engines(n, seed, method, max_candidates=None, pair_list=False):
 
 def _fresh_terms(engine):
     """A from-scratch full-grid tabulation of the left/right remainder
-    terms over the engine's current segments (bypassing its cache)."""
+    terms over the engine's current segments (bypassing its cache), one
+    scoring call per side."""
     grid = engine._grid
     seg_lo = np.asarray(engine._seg_lo, dtype=np.int64)
     seg_hi = np.asarray(engine._seg_hi, dtype=np.int64)
@@ -187,6 +189,30 @@ def _fresh_terms(engine):
     )
 
 
+def _fresh_costs(engine):
+    """Every current segment priced by a scoring call of its own."""
+    return [
+        float(engine._piece_cost(np.asarray([lo]), np.asarray([hi]), assigned)[0])
+        for lo, hi, assigned in zip(
+            engine._seg_lo, engine._seg_hi, engine._seg_assigned
+        )
+    ]
+
+
+def _float_bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _candidate_rel(engine):
+    """``rel`` at the candidates: the dense store's upper triangle (the
+    cells below its diagonal are never candidates and never read), or
+    the pair-list store's flat vector."""
+    rel = engine._store.rel
+    if engine._cands.is_triangle:
+        return rel[np.triu_indices(rel.shape[0])]
+    return rel
+
+
 class TestCachedTotalsProperty:
     """After every round, the cached state == a from-scratch recomputation.
 
@@ -194,7 +220,10 @@ class TestCachedTotalsProperty:
     scoring"): a clean grid point's cached remainder terms, and a clean
     candidate's cached ``rel``, must be bitwise equal to what a full
     re-tabulation and a full rescore would produce, round after round —
-    on the dense triangle store and on the pair-list store alike.
+    on the dense triangle store and on the pair-list store alike.  The
+    segments a commit creates stay unpriced until the next rescore, whose
+    one scoring call prices them together with both remainder terms;
+    every part must equal a scoring call of its own.
     """
 
     @settings(max_examples=20, deadline=None)
@@ -216,15 +245,27 @@ class TestCachedTotalsProperty:
             # the dense store counts upper-triangle cells, never the +inf
             # cells below the diagonal its rectangles sweep too.
             dirty = engine._cands.intersecting(engine._dirty_lo, engine._dirty_hi)
+            # Exactly the last commit's segments (before round 1, the
+            # whole-domain gap) wait for this rescore to price them.
+            pending = engine._unpriced
+            assert pending.stop > pending.start
+            assert [
+                index
+                for index, cost in enumerate(engine._seg_cost)
+                if cost is None
+            ] == list(range(pending.start, pending.stop))
             rescored = engine.rescore()
             full = reference.rescore()
             assert rescored == dirty.size
+            assert None not in engine._seg_cost
+            assert _float_bits(engine._seg_cost) == _float_bits(_fresh_costs(engine))
+            assert engine._seg_cost == reference._seg_cost
             # No candidate starts at the last grid point or ends at the
             # first, so those two entries are never read (nor kept fresh).
             left, right = _fresh_terms(engine)
             assert np.array_equal(engine._left_term[:-1], left[:-1])
             assert np.array_equal(engine._right_term[1:], right[1:])
-            assert np.array_equal(engine._store.rel, reference._store.rel)
+            assert np.array_equal(_candidate_rel(engine), _candidate_rel(reference))
             # The production engine never rescans more than the reference.
             assert rescored <= full == engine._cands.size
             a = engine.commit(engine.argmin(), rescored)
@@ -243,3 +284,20 @@ class TestCachedTotalsProperty:
         total = engine._cands.size
         assert reports[0].rescored == total
         assert min(r.rescored for r in reports[1:]) < total
+
+
+@settings(max_examples=100, deadline=None)
+@example(costs=[0.0, -0.0, -0.0, 0.0])
+@given(costs=st.lists(st.floats(width=64), min_size=1, max_size=30))
+def test_segment_sums_match_a_cumsum_per_start(costs):
+    """The one masked ``cumsum`` behind ``removed`` equals the per-start
+    loop it replaced, bit for bit from the diagonal on: row ``a`` is
+    ``cumsum(costs[a:])``, for any floats (signed zeros, infinities and
+    NaN included).  Below the diagonal, which no score reads, every
+    entry is a zero."""
+    costs = np.asarray(costs)
+    count = costs.size
+    sums = _segment_sums(costs)
+    for a in range(count):
+        assert sums[a, a:].tobytes() == np.cumsum(costs[a:]).tobytes()
+    assert np.all(sums[np.tril_indices(count, -1)] == 0.0)

@@ -117,15 +117,18 @@ def test_collision_median_is_np_median(sets, grid, spread, seed):
     """The median over the ``r`` sets — a min/max network for 1, 3 and
     5 sets, a partition otherwise — equals ``np.median`` of the
     normalised per-set estimates bit for bit, ties included, for flat
-    index pairs and for the broadcast axes of a triangle block."""
+    index pairs and for the broadcast axes of a triangle block.  The
+    prefixes go in set-major, ``(r, G)``, the layout the compile and the
+    engine hand it."""
     rng = np.random.default_rng(seed)
     # Small integer steps make many equal counts (ties across sets).
     cols = np.cumsum(rng.integers(0, spread, size=(grid, sets)), axis=0).astype(float)
+    rows = np.ascontiguousarray(cols.T)
     pairs_per_set = float(rng.integers(1, 50))
     lo = rng.integers(0, grid - 1, size=30)
     hi = lo + rng.integers(1, grid - lo)
     expected = np.median((cols[hi] - cols[lo]) / pairs_per_set, axis=1)
-    assert _collision_z(cols, lo, hi, pairs_per_set).tobytes() == expected.tobytes()
+    assert _collision_z(rows, lo, hi, pairs_per_set).tobytes() == expected.tobytes()
     starts, stops = lo[:6, None], hi[None, :]
     block = np.median((cols[stops] - cols[starts]) / pairs_per_set, axis=-1)
-    assert _collision_z(cols, starts, stops, pairs_per_set).tobytes() == block.tobytes()
+    assert _collision_z(rows, starts, stops, pairs_per_set).tobytes() == block.tobytes()

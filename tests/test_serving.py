@@ -481,6 +481,40 @@ class TestAdmission:
         assert refused.error_code == "invalid_parameter"
         assert after.ok
 
+    @pytest.mark.parametrize("cache_capacity", [0, 256], ids=["cache-off", "cache-on"])
+    @pytest.mark.parametrize(
+        "bad, code",
+        [
+            (Request(op="test", stream=["a"]), "unknown_stream"),
+            (Request(op="test", stream={"a": 1}), "unknown_stream"),
+            (Request(op="test", stream="a", deadline_ms="abc"), "invalid_parameter"),
+            (Request(op="test", stream="a", deadline_ms=[5]), "invalid_parameter"),
+            (
+                Request(op="test", stream="a", deadline_ms=np.array([5.0, 6.0])),
+                "invalid_parameter",
+            ),
+        ],
+        ids=["list-stream", "dict-stream", "string-deadline", "list-deadline", "array-deadline"],
+    )
+    def test_hand_built_stream_and_deadline_are_refused(self, bad, code, cache_capacity):
+        # An unhashable stream name and a non-numeric deadline each once
+        # raised a bare TypeError out of submit.
+        async def run():
+            service = build_service(
+                ["a", "b"], max_batch=4, linger_us=0.0, cache_capacity=cache_capacity
+            )
+            async with service:
+                for name in ("a", "b"):
+                    await service.submit(Request.ingest(name, [1, 2, 3, 4]))
+                refused = await asyncio.wait_for(service.submit(bad), 2)
+                after = await asyncio.wait_for(service.submit(Request.test("b")), 2)
+            return refused, after
+
+        refused, after = asyncio.run(run())
+        assert not refused.ok
+        assert refused.error_code == code
+        assert after.ok
+
     def test_non_library_failures_crash_loudly(self, monkeypatch):
         # A non-library exception inside the fleet op itself is a
         # programming error, so it propagates unmapped instead of hiding
