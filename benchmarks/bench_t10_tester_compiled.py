@@ -1,11 +1,14 @@
 """T10 — the compiled tester vs the per-query reference.
 
 Each workload is benchmarked twice over one cached draw of raw sample
-sets.  The compiled tester compiles those sets every round
-(``compile_tester_sketches(sets, n)``, a fresh session's cold path), so
-every round pays the cold cost.  The private per-query reference
-``_reference_test`` searches a :class:`~repro.samples.estimators.MultiSketch`
-prebuilt once over the same sets.  The pairs feed ``BENCH_tester.json``
+sets.  The compiled tester compiles those sets every round into a
+one-member :class:`~repro.core.flatness.FleetTesterSketches`
+(``compile_member``, the one tester compile) and searches it with
+``fleet_test_on_sketches`` — the path a fresh session's first tester
+call takes, draws aside — so every round pays the cold cost.  The
+private per-query reference ``_reference_test`` searches a
+:class:`~repro.samples.estimators.MultiSketch` prebuilt once over the
+same sets.  The pairs feed ``BENCH_tester.json``
 via ``benchmarks/record_tester_bench.py``.  Two workloads:
 
 * a 4-point l2 ``test_many``-style grid (the session batch shape;
@@ -22,13 +25,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.core.flatness import compile_tester_sketches
+from repro.core.flatness import FleetTesterSketches
 from repro.core.params import TesterParams
-from repro.core.tester import _reference_test
-
-# Alias the paper-named ``test*`` functions so pytest does not collect them.
-from repro.core.tester import test_l1_on_sketch as l1_on_sketch
-from repro.core.tester import test_l2_on_sketch as l2_on_sketch
+from repro.core.tester import _reference_test, fleet_test_on_sketches
 from repro.distributions import families
 from repro.samples.estimators import MultiSketch
 
@@ -72,9 +71,19 @@ def _large_multi() -> MultiSketch:
     return MultiSketch.from_sample_sets(_large_sets(), LARGE_N)
 
 
+def _compile(sets, n: int, params: TesterParams) -> FleetTesterSketches:
+    """A one-member fleet compiled from ``sets`` (cold every round)."""
+    compiled = FleetTesterSketches(n, params.num_sets, params.set_size, fleet_size=1)
+    compiled.compile_member(0, list(sets))
+    return compiled
+
+
 def _grid_compiled():
-    compiled = compile_tester_sketches(_grid_sets(), GRID_N)  # cold every round
-    return [l2_on_sketch(compiled, GRID_N, k, eps, GRID_PARAMS) for k, eps in GRID]
+    compiled = _compile(_grid_sets(), GRID_N, GRID_PARAMS)
+    return [
+        fleet_test_on_sketches(compiled, GRID_N, k, eps, "l2", GRID_PARAMS)[0]
+        for k, eps in GRID
+    ]
 
 
 def _grid_full():
@@ -85,8 +94,10 @@ def _grid_full():
 
 
 def _large_compiled():
-    compiled = compile_tester_sketches(_large_sets(), LARGE_N)  # cold every round
-    return l1_on_sketch(compiled, LARGE_N, LARGE_K, LARGE_EPS, LARGE_PARAMS)
+    compiled = _compile(_large_sets(), LARGE_N, LARGE_PARAMS)
+    return fleet_test_on_sketches(
+        compiled, LARGE_N, LARGE_K, LARGE_EPS, "l1", LARGE_PARAMS
+    )[0]
 
 
 def _large_full():

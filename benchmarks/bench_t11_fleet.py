@@ -12,11 +12,12 @@ feed ``BENCH_fleet.json`` via ``benchmarks/record_fleet_bench.py``.
 Workloads:
 
 * ``test_fleet_serving_64`` — the tester sweep over 64 bootstrap
-  streams (the headline pair).  Both sides compile each member with the
-  same prefix function, so the pair measures the fleet's stacked slab
-  and lockstep search; ``BENCH_fleet.json`` records the speedup;
+  streams (the headline pair).  A session is a one-member fleet, so
+  both sides compile each member with the same ``compile_member``; the
+  pair measures the 64-member lockstep search against 64 one-member
+  searches; ``BENCH_fleet.json`` records the speedup;
 * ``test_fleet_learn_64`` — a greedy learn over the same 64 streams.
-  Each fleet member compiles in its own session's cache, exactly as a
+  Each fleet member compiles in its own bundle's cache, exactly as a
   looped session does, so the pair measures only the one
   ``lockstep_learn`` call for all members (about 1x);
 * ``test_fleet_intake_64`` — reservoir intake on 64 streams through

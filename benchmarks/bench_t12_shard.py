@@ -37,7 +37,7 @@ from unittest import mock
 
 import numpy as np
 
-import repro.api.session as api_session
+import repro.api.fleet as api_fleet
 from repro.api import ArraySource, HistogramFleet, HistogramSession
 from repro.core.greedy import _reference_learn
 from repro.core.params import GreedyParams
@@ -124,7 +124,7 @@ def _learn_shard():
 
 def _learn_loop():
     """The same session draws through the full-span reference."""
-    with mock.patch.object(api_session, "lockstep_learn", _reference_learn):
+    with mock.patch.object(api_fleet, "lockstep_learn", _reference_learn):
         return _learn_shard()
 
 

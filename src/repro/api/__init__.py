@@ -6,11 +6,13 @@ This package is the recommended front door to the library:
   once, answer many learn/test/min-k operations over it;
 * :class:`HistogramFleet` — the same facade over many distributions
   sharing a domain: pooled draws, stacked compilation, and
-  lockstep tester searches, byte-identical to a loop of sessions;
+  lockstep tester searches, byte-identical to a loop of sessions (a
+  session is a one-member fleet);
 * :class:`SampleSource` — the formal protocol every algorithm consumes a
   distribution through, with :func:`as_sample_source`,
   :class:`ArraySource`, and :class:`CountingSource` adapters;
-* :class:`SketchBundle` — the shared pools and caches behind a session.
+* :class:`SketchBundle` — the shared pools and caches behind each fleet
+  member.
 
 A fresh session's first operation draws exactly what the paper's
 draw-then-run composition of the :mod:`repro.core` halves would at the

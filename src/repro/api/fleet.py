@@ -4,24 +4,28 @@ The session facade (:class:`~repro.api.HistogramSession`) amortises work
 *within* one distribution; a serving deployment watches a fleet of
 streams over one shared domain and asks the same questions of each.
 Looping sessions answers that correctly but pays a Python-level binary
-search per probe, per member, ``F`` times.  :class:`HistogramFleet`
+search per probe, per member, ``F`` times.  :class:`HistogramFleet` is
+the one facade both ride: a session is a one-member fleet.  Each member
+owns one
+:class:`~repro.api.SketchBundle` (its sample pools and compiled
+caches), budgets are resolved once for every member, and the fleet
 batches across members:
 
 * **pooled draws** — every operation grows all members' sample pools in
   one planned pass (each member's draws stay in its own generator's
-  session order, which is what keeps the fleet replayable);
+  order, which is what keeps the fleet replayable);
 * **stacked compilation** — each member's hit/pair prefix arrays come
-  from the same function a session compiles with
-  (:func:`repro.samples.collision.interval_prefixes`) and are stacked
-  on a leading fleet axis
+  from :func:`repro.samples.collision.interval_prefixes` and are
+  stacked on a leading fleet axis
   (:class:`~repro.core.flatness.FleetTesterSketches`);
 * **lockstep probing** — ``test_l2`` / ``test_l1`` / ``test_many`` /
   ``min_k`` run every member's Algorithm 2 search in lockstep
   (:func:`repro.core.tester.fleet_flat_partition`), batching fresh
   flatness statistics across members while each member keeps its own
-  verdict memo;
+  verdict memo; a lone member steps the single-oracle search on its own
+  compiled sketches, since it has nothing to batch;
 * **one learn call** — ``learn`` / ``learn_many`` compile each member's
-  grid in its own session's cache
+  grid in its own bundle's cache
   (:meth:`repro.api.SketchBundle.compiled_sketches`) and hand all
   members' runs to one :func:`repro.core.greedy.lockstep_learn` call.
 
@@ -35,19 +39,28 @@ with the same seeds.  ``BENCH_fleet.json`` tracks the measured speedup.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from dataclasses import replace
 
 import numpy as np
 
-from repro.api.session import HistogramSession
+from repro.api.sketches import SketchBundle
+from repro.api.source import as_sample_source
 from repro.core.flatness import FleetTesterSketches
 # perfbench/ledger.py wraps compile_greedy_sketches under this module's name.
 from repro.core.greedy import LockstepRun, compile_greedy_sketches, lockstep_learn  # noqa: F401
-from repro.core.params import GreedyParams, TesterParams, validate_k
+from repro.core.params import (
+    GreedyParams,
+    TesterParams,
+    greedy_rounds,
+    validate_epsilon,
+    validate_k,
+    validate_member,
+)
 from repro.core.results import LearnResult, TestResult
 from repro.core.selection import SelectionResult, select_min_k_on_fleet
 from repro.core.tester import fleet_test_on_sketches
 from repro.errors import InvalidParameterError
-from repro.utils.rng import spawn_rngs
+from repro.utils.rng import as_rng, spawn_rngs
 
 
 class HistogramFleet:
@@ -69,9 +82,20 @@ class HistogramFleet:
         independent child generator per member is spawned
         (:func:`repro.utils.rng.spawn_rngs`).  Mutually exclusive with
         ``rngs``.
-    scale / method / learn_budget / test_budget / max_candidates:
-        As in :class:`~repro.api.HistogramSession`, applied to every
-        member.
+    scale:
+        Default multiplier on the paper's sample sizes when no explicit
+        budget or params are given.
+    method:
+        Default learner candidate strategy, ``"fast"`` or
+        ``"exhaustive"``.
+    learn_budget:
+        Optional fixed :class:`GreedyParams` for every learn call; only
+        the round count is re-derived per ``(k, epsilon)``.  A fixed
+        budget is what makes a grid share one compiled sketch.
+    test_budget:
+        Optional fixed :class:`TesterParams` for every test/min-k call.
+    max_candidates:
+        Default candidate cap forwarded to the learner.
 
     Operations return one result per member, in member order.
     """
@@ -102,20 +126,15 @@ class HistogramFleet:
                 raise InvalidParameterError(
                     f"got {len(sources)} sources but {len(rngs)} rngs"
                 )
-        self._n = int(n)
+        self._n = validate_k(n, name="n")
+        self._scale = float(scale)
         self._method = method
+        self._learn_budget = learn_budget
+        self._test_budget = test_budget
         self._max_candidates = max_candidates
-        self._sessions = [
-            HistogramSession(
-                source,
-                n,
-                rng=member_rng,
-                scale=scale,
-                method=method,
-                learn_budget=learn_budget,
-                test_budget=test_budget,
-                max_candidates=max_candidates,
-            )
+        # One bundle per member; each member's generator owns its draws.
+        self._bundles = [
+            SketchBundle(as_sample_source(source, self._n), self._n, as_rng(member_rng))
             for source, member_rng in zip(sources, rngs)
         ]
         # One FleetTesterSketches per tester budget, lazily built and
@@ -129,36 +148,36 @@ class HistogramFleet:
     @property
     def size(self) -> int:
         """Number of fleet members ``F``."""
-        return len(self._sessions)
+        return len(self._bundles)
 
     @property
     def n(self) -> int:
         """The shared domain size."""
         return self._n
 
-    def session(self, member: int) -> HistogramSession:
-        """Member ``member``'s underlying session (shared pools and all)."""
-        return self._sessions[self._member(member)]
+    def bundle(self, member: int) -> SketchBundle:
+        """Member ``member``'s sample pools and compiled caches."""
+        return self._bundles[validate_member(member, self.size)]
 
     @property
     def samples_drawn(self) -> list[int]:
         """Per-member total samples drawn so far."""
-        return [session.samples_drawn for session in self._sessions]
+        return [bundle.samples_drawn for bundle in self._bundles]
 
     @property
     def draw_events(self) -> list[dict[str, int]]:
         """Per-member pool-filling draw events (diagnostics)."""
-        return [session.draw_events for session in self._sessions]
+        return [dict(bundle.draw_events) for bundle in self._bundles]
 
     def generation(self, member: int) -> int:
         """Member ``member``'s mutation epoch (see
-        :attr:`HistogramSession.generation`)."""
-        return self._sessions[self._member(member)].generation
+        :attr:`repro.api.SketchBundle.generation`)."""
+        return self._bundles[validate_member(member, self.size)].generation
 
     @property
     def generations(self) -> list[int]:
         """Per-member mutation epochs."""
-        return [session.generation for session in self._sessions]
+        return [bundle.generation for bundle in self._bundles]
 
     def invalidate(self, member: int | None = None) -> None:
         """Forget drawn samples and sketches, fleet-wide or per member.
@@ -168,9 +187,11 @@ class HistogramFleet:
         compiled state (and verdict memos) survives untouched.  The next
         operation re-draws and recompiles just the stale member.
         """
-        members = range(self.size) if member is None else (self._member(member),)
+        members = (
+            range(self.size) if member is None else (validate_member(member, self.size),)
+        )
         for index in members:
-            self._sessions[index].invalidate()
+            self._bundles[index].invalidate()
             for fleet_sketches in self._tester_fleet_cache.values():
                 fleet_sketches.drop_member(index)
 
@@ -194,8 +215,8 @@ class HistogramFleet:
         """Adopt a whole-fleet snapshot in place (zero-copy per member).
 
         The snapshot must come from a fleet of the same shape and
-        configuration (``n``, member count, method, candidate cap); anything else —
-        including a missing or corrupt file — raises
+        configuration (``n``, member count, method, candidate cap);
+        anything else — including a missing or corrupt file — raises
         :class:`~repro.errors.SnapshotError` and leaves the fleet able
         to rebuild cold.
         """
@@ -203,6 +224,33 @@ class HistogramFleet:
 
         snap = persist_format.load_snapshot(path, kind="fleet")
         codec.restore_fleet(self, snap.meta, snap.slab)
+
+    # -------------------------------------------------------------- #
+    # parameter resolution
+    # -------------------------------------------------------------- #
+
+    def _learn_params(
+        self, k: int, epsilon: float, params: GreedyParams | None
+    ) -> GreedyParams:
+        # Validates k and epsilon, explicit params or not.
+        rounds = greedy_rounds(k, epsilon)
+        if params is not None:
+            return params
+        if self._learn_budget is not None:
+            return replace(self._learn_budget, rounds=rounds)
+        return GreedyParams.from_paper(self._n, k, epsilon, scale=self._scale)
+
+    def _test_params(
+        self, norm: str, k: int, epsilon: float, params: TesterParams | None
+    ) -> TesterParams:
+        validate_epsilon(epsilon)  # before any draw, explicit params or not
+        if params is not None:
+            return params
+        if self._test_budget is not None:
+            return self._test_budget
+        if norm == "l2":
+            return TesterParams.l2_from_paper(self._n, epsilon, scale=self._scale)
+        return TesterParams.l1_from_paper(self._n, k, epsilon, scale=self._scale)
 
     # -------------------------------------------------------------- #
     # learning
@@ -220,13 +268,17 @@ class HistogramFleet:
     ) -> list[LearnResult]:
         """Learn a near-optimal k-histogram per member, batched.
 
-        Each listed member's pools are grown and its grid compiled in
-        its session's cache, member by member, then one
+        The guarantee is relative to the best tiling k-histogram
+        ``H*``: ``||p - H||_2^2 <= ||p - H*||_2^2 + 5 eps`` for
+        ``method="exhaustive"`` (Theorem 1), ``+ 8 eps`` for
+        ``method="fast"`` (Theorem 2), at ``scale = 1``.  Each listed
+        member's pools are grown and its grid compiled in its bundle's
+        cache, member by member, then one
         :func:`repro.core.greedy.lockstep_learn` call runs every
-        member's greedy rounds.  Results are the sessions' results, byte
-        for byte.  ``members`` restricts the op to a subset of the fleet
-        (results come back in the listed order) — the entry point
-        serving batches and partial maintainer rebuilds coalesce into.
+        member's greedy rounds.  ``members`` restricts the op to a
+        subset of the fleet (results come back in the listed order) —
+        the entry point serving batches and partial maintainer rebuilds
+        coalesce into.
         """
         runs = self._learn_runs(
             self._members(members), [(k, epsilon)], method, params, max_candidates
@@ -243,22 +295,27 @@ class HistogramFleet:
     ) -> "list[LockstepRun]":
         """One run per (point, member), point-major and member-minor.
 
-        Each member compiles in its own session's cache
-        (:meth:`HistogramSession._learn_run`), member by member — pool
-        draws and any candidate-cap rng consumption in the order looped
-        sessions would use, which keeps the fleet equal to them draw for
-        draw.
+        Each member compiles (or fetches) in its own bundle's cache
+        (:meth:`repro.api.SketchBundle.compiled_sketches`), member by
+        member — pool draws and any candidate-cap rng consumption in the
+        order looped sessions would use, which keeps the fleet equal to
+        them draw for draw.
         """
         method = self._method if method is None else method
         if max_candidates is None:
             max_candidates = self._max_candidates
         runs = []
         for k, epsilon in points:
-            resolved = self._sessions[0]._learn_params(k, epsilon, params)
-            runs.extend(
-                self._sessions[member]._learn_run(resolved, method, max_candidates)
-                for member in members
-            )
+            resolved = self._learn_params(k, epsilon, params)
+            for member in members:
+                _, compiled = self._bundles[member].compiled_sketches(
+                    resolved, method=method, max_candidates=max_candidates
+                )
+                runs.append(
+                    LockstepRun(
+                        compiled=compiled, params=resolved, method=method, n=self._n
+                    )
+                )
         return runs
 
     def prefetch_learn(
@@ -267,10 +324,24 @@ class HistogramFleet:
         *,
         params: GreedyParams | None = None,
     ) -> None:
-        """Grow every member's learn pool to cover a planned grid."""
-        points = list(grid)
-        for session in self._sessions:
-            session.prefetch_learn(points, params=params)
+        """Grow every member's learn pool to cover a planned grid up front.
+
+        One draw event per member covers the elementwise-largest
+        resolved budget; the subsequent :meth:`learn` calls are then
+        sample-free.  Useful on its own to move sampling cost out of a
+        timed or latency-sensitive region.
+        """
+        resolved = [self._learn_params(k, e, params) for k, e in grid]
+        if not resolved:
+            return
+        cover = GreedyParams(
+            weight_sample_size=max(p.weight_sample_size for p in resolved),
+            collision_sets=max(p.collision_sets for p in resolved),
+            collision_set_size=max(p.collision_set_size for p in resolved),
+            rounds=1,
+        )
+        for bundle in self._bundles:
+            bundle.ensure_learn_pool(cover)
 
     def learn_many(
         self,
@@ -282,12 +353,13 @@ class HistogramFleet:
     ) -> list[list[LearnResult]]:
         """:meth:`learn` at every grid point; one result list per member.
 
-        Mirrors :meth:`HistogramSession.learn_many`: pools are prefetched
-        to the grid's elementwise-largest budget before any point runs,
-        so the whole batch issues at most one draw event per member.
-        The entire ``F x P`` batch — every member at every grid point —
-        then goes to one :func:`repro.core.greedy.lockstep_learn` call.
-        Returns ``results[member][point]``.
+        The whole grid is planned before anything is drawn
+        (:meth:`prefetch_learn`), so the batch issues at most one draw
+        event per member regardless of grid size.  The entire ``F x P``
+        batch — every member at every grid point — then goes to one
+        :func:`repro.core.greedy.lockstep_learn` call, byte-identical to
+        calling :meth:`learn` per point.  Returns
+        ``results[member][point]``.
         """
         points = list(grid)
         self.prefetch_learn(points, params=params)
@@ -304,31 +376,22 @@ class HistogramFleet:
     # testing
     # -------------------------------------------------------------- #
 
-    def _member(self, member: int) -> int:
-        """Validate one member index (negative indices are refused)."""
-        member = int(member)
-        if not 0 <= member < self.size:
-            raise InvalidParameterError(
-                f"member must be in [0, {self.size}), got {member}"
-            )
-        return member
-
     def _members(self, members: "Sequence[int] | None") -> list[int]:
         """Normalise and validate a member-subset argument."""
         if members is None:
             return list(range(self.size))
-        return [self._member(member) for member in members]
+        return [validate_member(member, self.size) for member in members]
 
     def _fleet_tester(
         self, resolved: TesterParams, members: "list[int]"
     ) -> FleetTesterSketches:
         """The stacked compiled sketches for one budget, repaired lazily.
 
-        A member's slab is valid exactly when its session's bundle still
-        caches the same compiled object the fleet planted — anything
-        else (fresh member, per-member invalidation, even a direct
-        ``session.invalidate()`` behind the fleet's back) recompiles
-        that one slab from the member's pool and replants it.  Only the
+        A member's slab is valid exactly when its bundle still caches
+        the same compiled object the fleet planted — anything else
+        (fresh member, per-member invalidation, even a direct
+        ``bundle.invalidate()`` behind the fleet's back) recompiles that
+        one slab from the member's pool and replants it.  Only the
         listed members are drawn for and compiled.
         """
         key = (resolved.num_sets, resolved.set_size)
@@ -339,15 +402,15 @@ class HistogramFleet:
             )
             self._tester_fleet_cache[key] = fleet_sketches
         for index in members:
-            bundle = self._sessions[index]._bundle
+            bundle = self._bundles[index]
             member = fleet_sketches.member_or_none(index)
             cached = bundle._tester_compiled_cache.get(key)
             if member is not None and cached is member:
                 continue
             if cached is not None:
-                # The session compiled this budget itself (e.g. a direct
-                # session call before the fleet op): keep its object —
-                # and its memo — and mirror the layout into the slab.
+                # The bundle holds a compile this fleet did not plant (a
+                # restore's): keep its object — and its memo — and mirror
+                # the layout into the slab.
                 fleet_sketches.adopt_member(index, cached)
                 continue
             member = fleet_sketches.compile_member(
@@ -366,7 +429,7 @@ class HistogramFleet:
     ) -> list[TestResult]:
         members = self._members(members)
         k = validate_k(k, self._n)
-        resolved = self._sessions[0]._test_params(norm, k, epsilon, params)
+        resolved = self._test_params(norm, k, epsilon, params)
         fleet_sketches = self._fleet_tester(resolved, members)
         return fleet_test_on_sketches(
             fleet_sketches, self._n, k, epsilon, norm, resolved, members=members
@@ -380,8 +443,14 @@ class HistogramFleet:
         params: TesterParams | None = None,
         members: "Sequence[int] | None" = None,
     ) -> list[TestResult]:
-        """Theorem 3's tester per member (one lockstep search).
+        """Theorem 3's tester per member, in one search.
 
+        Runs on each member's cached
+        :class:`~repro.core.flatness.CompiledTesterSketches`, sharing its
+        flatness-verdict memo with every other tester or min-k call on
+        the same budget; two or more members search in lockstep.  At
+        ``scale = 1``, members are accepted and distributions eps-far in
+        l2 are rejected, each with probability at least 2/3.
         ``members`` restricts the op to a subset of the fleet (results
         come back in the listed order); the default covers everyone.
         """
@@ -395,7 +464,7 @@ class HistogramFleet:
         params: TesterParams | None = None,
         members: "Sequence[int] | None" = None,
     ) -> list[TestResult]:
-        """Theorem 4's tester per member (one lockstep search)."""
+        """Theorem 4's tester per member, in one search (see :meth:`test_l2`)."""
         return self._run_test("l1", k, epsilon, params, members)
 
     def test_many(
@@ -408,10 +477,11 @@ class HistogramFleet:
     ) -> list[list[TestResult]]:
         """The tester at every grid point; one verdict list per member.
 
-        Mirrors :meth:`HistogramSession.test_many`: every member's pool
-        is grown once to the grid's largest resolved budget, so the
-        batch issues at most one draw event per member, and grid points
-        sharing a budget share each member's verdict memo.  Returns
+        Every member's pool is grown once to the grid's largest resolved
+        budget before any point runs, so the batch issues at most one
+        draw event per member, and grid points sharing a budget share
+        each member's verdict memo: interval verdicts established at one
+        ``k`` are free at every other.  Returns
         ``results[member][point]`` (members in the listed order).
         """
         if norm not in ("l1", "l2"):
@@ -419,15 +489,13 @@ class HistogramFleet:
         members = self._members(members)
         points = [(validate_k(k, self._n), epsilon) for k, epsilon in grid]
         if points:
-            resolved = [
-                self._sessions[0]._test_params(norm, k, e, params) for k, e in points
-            ]
+            resolved = [self._test_params(norm, k, e, params) for k, e in points]
             cover = TesterParams(
                 num_sets=max(p.num_sets for p in resolved),
                 set_size=max(p.set_size for p in resolved),
             )
             for member in members:
-                self._sessions[member]._bundle.ensure_tester_pool(cover)
+                self._bundles[member].ensure_tester_pool(cover)
         per_point = [
             self._run_test(norm, k, epsilon, params, members)
             for k, epsilon in points
@@ -450,11 +518,12 @@ class HistogramFleet:
         params: TesterParams | None = None,
         members: "Sequence[int] | None" = None,
     ) -> list[SelectionResult]:
-        """Smallest piece count per member (one lockstep sweep).
+        """Smallest piece count per member, up to ``max_k``, in one sweep.
 
-        The same answer as :meth:`HistogramSession.min_k`: for l2 the
-        smallest ``k`` :meth:`test_l2` accepts, for l1 possibly more
-        than the smallest ``k`` :meth:`test_l1` accepts.  Shares each
+        ``max_k`` defaults to ``n``.  For l2 the answer is the smallest
+        ``k`` :meth:`test_l2` accepts on the same samples; for l1 it may
+        be larger than the smallest ``k`` :meth:`test_l1` accepts (see
+        :func:`repro.core.selection.select_min_k_on_fleet`).  Shares each
         member's test-family pool and verdict memo with :meth:`test_l1`
         / :meth:`test_l2`.  ``members`` restricts the sweep to a subset
         of the fleet.
@@ -463,7 +532,7 @@ class HistogramFleet:
         if norm not in ("l1", "l2"):
             raise InvalidParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
         members = self._members(members)
-        resolved = self._sessions[0]._test_params(norm, max_k, epsilon, params)
+        resolved = self._test_params(norm, max_k, epsilon, params)
         fleet_sketches = self._fleet_tester(resolved, members)
         return select_min_k_on_fleet(
             fleet_sketches,

@@ -14,10 +14,15 @@ per sketch family (see :class:`~repro.api.SketchBundle`) and answers
 * :meth:`min_k` — the smallest credible bucket count,
 
 with cross-call caching of raw draws, built sketches, and compiled
-candidate grids.  Sharing samples across calls is sound for the same
-reason :meth:`min_k` may share them across candidate ``k``: the
-analyses union-bound over all ``n^2`` intervals, so
-every estimate is simultaneously valid.  (The price is that answers are
+candidate grids.  A session is a one-member
+:class:`~repro.api.HistogramFleet`: each operation is the fleet's, over
+its one member, so both facades share one budget resolution, one
+compile path and one learn, tester and min-k body.
+
+Sharing samples across calls is sound for the same reason
+:meth:`min_k` may share them across candidate ``k``: the analyses
+union-bound over all ``n^2`` intervals, so every estimate is
+simultaneously valid.  (The price is that answers are
 *correlated* — repeated calls do not give independent 2/3-confidence
 amplification; open a fresh session per independent trial for that.)
 
@@ -34,25 +39,14 @@ different samples than a fresh session would.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import replace
 
 import numpy as np
 
-from repro.api.sketches import SketchBundle
-from repro.api.source import SampleSource, as_sample_source
-from repro.core.greedy import LockstepRun, lockstep_learn
-from repro.core.params import (
-    GreedyParams,
-    TesterParams,
-    greedy_rounds,
-    validate_epsilon,
-    validate_k,
-)
+from repro.api.fleet import HistogramFleet
+from repro.api.source import SampleSource
+from repro.core.params import GreedyParams, TesterParams
 from repro.core.results import LearnResult, TestResult
-from repro.core.selection import SelectionResult, select_min_k_on_sketch
-from repro.core.tester import test_l1_on_sketch, test_l2_on_sketch
-from repro.errors import InvalidParameterError
-from repro.utils.rng import as_rng
+from repro.core.selection import SelectionResult
 
 
 class HistogramSession:
@@ -67,20 +61,9 @@ class HistogramSession:
         Domain size.
     rng:
         Seed or generator; owns every draw the session makes.
-    scale:
-        Default multiplier on the paper's sample sizes when no explicit
-        budget or params are given.
-    method:
-        Default learner candidate strategy, ``"fast"`` or
-        ``"exhaustive"``.
-    learn_budget:
-        Optional fixed :class:`GreedyParams` for every learn call; only
-        the round count is re-derived per ``(k, epsilon)``.  A fixed
-        budget is what makes a grid share one compiled sketch.
-    test_budget:
-        Optional fixed :class:`TesterParams` for every test/min-k call.
-    max_candidates:
-        Default candidate cap forwarded to the learner.
+    scale / method / learn_budget / test_budget / max_candidates:
+        As in :class:`~repro.api.HistogramFleet`, whose one member this
+        session is.
     """
 
     def __init__(
@@ -95,16 +78,17 @@ class HistogramSession:
         test_budget: TesterParams | None = None,
         max_candidates: int | None = None,
     ) -> None:
-        validate_k(n, name="n")
-        self._source: SampleSource = as_sample_source(source, n)
-        self._n = int(n)
-        self._rng = as_rng(rng)
-        self._scale = float(scale)
-        self._method = method
-        self._learn_budget = learn_budget
-        self._test_budget = test_budget
-        self._max_candidates = max_candidates
-        self._bundle = SketchBundle(self._source, self._n, self._rng)
+        self._fleet = HistogramFleet(
+            [source],
+            n,
+            rngs=[rng],
+            scale=scale,
+            method=method,
+            learn_budget=learn_budget,
+            test_budget=test_budget,
+            max_candidates=max_candidates,
+        )
+        self._bundle = self._fleet.bundle(0)
 
     # -------------------------------------------------------------- #
     # introspection
@@ -113,12 +97,12 @@ class HistogramSession:
     @property
     def n(self) -> int:
         """Domain size."""
-        return self._n
+        return self._fleet.n
 
     @property
     def source(self) -> SampleSource:
         """The normalised sample source."""
-        return self._source
+        return self._bundle._source
 
     @property
     def samples_drawn(self) -> int:
@@ -146,7 +130,7 @@ class HistogramSession:
         Call after the source's contents change (e.g. a reservoir that
         absorbed new stream items); the next operation re-draws.
         """
-        self._bundle.invalidate()
+        self._fleet.invalidate(0)
 
     def snapshot(self, path) -> None:
         """Write this session's warm state (pools, sketches, rng) to ``path``.
@@ -166,33 +150,6 @@ class HistogramSession:
         self._bundle.restore(path)
 
     # -------------------------------------------------------------- #
-    # parameter resolution
-    # -------------------------------------------------------------- #
-
-    def _learn_params(
-        self, k: int, epsilon: float, params: GreedyParams | None
-    ) -> GreedyParams:
-        # Validates k and epsilon, explicit params or not.
-        rounds = greedy_rounds(k, epsilon)
-        if params is not None:
-            return params
-        if self._learn_budget is not None:
-            return replace(self._learn_budget, rounds=rounds)
-        return GreedyParams.from_paper(self._n, k, epsilon, scale=self._scale)
-
-    def _test_params(
-        self, norm: str, k: int, epsilon: float, params: TesterParams | None
-    ) -> TesterParams:
-        validate_epsilon(epsilon)  # before any draw, explicit params or not
-        if params is not None:
-            return params
-        if self._test_budget is not None:
-            return self._test_budget
-        if norm == "l2":
-            return TesterParams.l2_from_paper(self._n, epsilon, scale=self._scale)
-        return TesterParams.l1_from_paper(self._n, k, epsilon, scale=self._scale)
-
-    # -------------------------------------------------------------- #
     # learning
     # -------------------------------------------------------------- #
 
@@ -207,15 +164,12 @@ class HistogramSession:
     ) -> LearnResult:
         """Learn a near-optimal k-histogram from the shared pool.
 
-        The guarantee is relative to the best tiling k-histogram
-        ``H*``: ``||p - H||_2^2 <= ||p - H*||_2^2 + 5 eps`` for
-        ``method="exhaustive"`` (Theorem 1), ``+ 8 eps`` for
-        ``method="fast"`` (Theorem 2), at ``scale = 1``.  Samples and
+        See :meth:`HistogramFleet.learn` for the guarantee.  Samples and
         compiled sketches are reused across calls whenever the resolved
-        sizes allow it.  A one-point :meth:`learn_many`.
+        sizes allow it.
         """
-        return self.learn_many(
-            [(k, epsilon)], method=method, params=params, max_candidates=max_candidates
+        return self._fleet.learn(
+            k, epsilon, method=method, params=params, max_candidates=max_candidates
         )[0]
 
     def prefetch_learn(
@@ -224,24 +178,9 @@ class HistogramSession:
         *,
         params: GreedyParams | None = None,
     ) -> None:
-        """Grow the learn-family pool to cover a planned grid up front.
-
-        One draw event covers the elementwise-largest resolved budget;
-        the subsequent :meth:`learn` calls are then sample-free.  Useful
-        on its own to move sampling cost out of a timed or
-        latency-sensitive region.
-        """
-        resolved = [self._learn_params(k, e, params) for k, e in grid]
-        if not resolved:
-            return
-        self._bundle.ensure_learn_pool(
-            GreedyParams(
-                weight_sample_size=max(p.weight_sample_size for p in resolved),
-                collision_sets=max(p.collision_sets for p in resolved),
-                collision_set_size=max(p.collision_set_size for p in resolved),
-                rounds=1,
-            )
-        )
+        """Grow the learn-family pool to cover a planned grid up front
+        (see :meth:`HistogramFleet.prefetch_learn`)."""
+        self._fleet.prefetch_learn(grid, params=params)
 
     def learn_many(
         self,
@@ -253,37 +192,13 @@ class HistogramSession:
     ) -> list[LearnResult]:
         """:meth:`learn` for every ``(k, epsilon)`` point of a grid.
 
-        The whole grid is planned before anything is drawn
-        (:meth:`prefetch_learn`), so the batch issues at most one draw
-        event for the learn family regardless of grid size; one
-        :func:`repro.core.greedy.lockstep_learn` call then runs every
-        point's greedy rounds, byte-identical to calling :meth:`learn`
-        per point.
+        The whole grid is planned before anything is drawn, so the batch
+        issues at most one draw event for the learn family regardless of
+        grid size (see :meth:`HistogramFleet.learn_many`).
         """
-        points = list(grid)
-        self.prefetch_learn(points, params=params)
-        method = self._method if method is None else method
-        if max_candidates is None:
-            max_candidates = self._max_candidates
-        runs = [
-            self._learn_run(self._learn_params(k, epsilon, params), method, max_candidates)
-            for k, epsilon in points
-        ]
-        return lockstep_learn(runs)
-
-    def _learn_run(
-        self, resolved: GreedyParams, method: str, max_candidates: int | None
-    ) -> LockstepRun:
-        """One learn, compiled (or fetched) in this session's cache.
-
-        The fleet builds its members' runs through here too, so a fleet
-        learn compiles exactly what looped sessions would, in the same
-        order.
-        """
-        _, compiled = self._bundle.compiled_sketches(
-            resolved, method=method, max_candidates=max_candidates
-        )
-        return LockstepRun(compiled=compiled, params=resolved, method=method, n=self._n)
+        return self._fleet.learn_many(
+            grid, method=method, params=params, max_candidates=max_candidates
+        )[0]
 
     # -------------------------------------------------------------- #
     # testing
@@ -304,10 +219,7 @@ class HistogramSession:
         accepted and distributions eps-far in l2 are rejected, each with
         probability at least 2/3.
         """
-        k = validate_k(k, self._n)
-        resolved = self._test_params("l2", k, epsilon, params)
-        compiled = self._bundle.compiled_tester(resolved)
-        return test_l2_on_sketch(compiled, self._n, k, epsilon, resolved)
+        return self._fleet.test_l2(k, epsilon, params=params)[0]
 
     def test_l1(
         self,
@@ -317,10 +229,7 @@ class HistogramSession:
         params: TesterParams | None = None,
     ) -> TestResult:
         """Theorem 4 tester (l1 norm) over the shared test-family pool."""
-        k = validate_k(k, self._n)
-        resolved = self._test_params("l1", k, epsilon, params)
-        compiled = self._bundle.compiled_tester(resolved)
-        return test_l1_on_sketch(compiled, self._n, k, epsilon, resolved)
+        return self._fleet.test_l1(k, epsilon, params=params)[0]
 
     def test_many(
         self,
@@ -337,19 +246,7 @@ class HistogramSession:
         verdicts established at one ``k`` are free at every other — the
         binary searches of nearby points mostly overlap.
         """
-        if norm not in ("l1", "l2"):
-            raise InvalidParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
-        points = [(validate_k(k, self._n), epsilon) for k, epsilon in grid]
-        if points:
-            resolved = [self._test_params(norm, k, e, params) for k, e in points]
-            self._bundle.ensure_tester_pool(
-                TesterParams(
-                    num_sets=max(p.num_sets for p in resolved),
-                    set_size=max(p.set_size for p in resolved),
-                )
-            )
-        runner = self.test_l2 if norm == "l2" else self.test_l1
-        return [runner(k, epsilon, params=params) for k, epsilon in points]
+        return self._fleet.test_many(grid, norm=norm, params=params)[0]
 
     # -------------------------------------------------------------- #
     # model selection
@@ -370,23 +267,16 @@ class HistogramSession:
         ``norm="l1"`` it may be larger than the smallest ``k``
         :meth:`test_l1` accepts: the sweep tests light intervals at
         ``max_k``'s scale, not at each ``k``'s.  See
-        :func:`repro.core.selection.select_min_k_on_sketch`.  Shares
+        :func:`repro.core.selection.select_min_k_on_fleet`.  Shares
         the test-family pool with :meth:`test_l1` / :meth:`test_l2`:
         after any tester call with a compatible budget, model selection
         is sample-free, and it inherits the flatness-verdict memo, so
         intervals those calls already certified are not re-estimated.
         """
-        max_k = self._n if max_k is None else validate_k(max_k, self._n, name="max_k")
-        if norm not in ("l1", "l2"):
-            raise InvalidParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
-        resolved = self._test_params(norm, max_k, epsilon, params)
-        compiled = self._bundle.compiled_tester(resolved)
-        return select_min_k_on_sketch(
-            compiled, self._n, epsilon, max_k=max_k, norm=norm, params=resolved
-        )
+        return self._fleet.min_k(epsilon, max_k=max_k, norm=norm, params=params)[0]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"HistogramSession(n={self._n}, samples_drawn={self.samples_drawn}, "
+            f"HistogramSession(n={self.n}, samples_drawn={self.samples_drawn}, "
             f"draw_events={self.draw_events})"
         )

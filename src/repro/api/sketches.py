@@ -1,4 +1,4 @@
-"""Shared sample pools and compiled-sketch caches for sessions.
+"""Sample pools and compiled-sketch caches, one bundle per fleet member.
 
 The paper's algorithms consume two *sketch families*:
 
@@ -6,14 +6,16 @@ The paper's algorithms consume two *sketch families*:
   compiled into prefix arrays over a candidate grid (Algorithm 1);
 * the **test family** — ``r`` plain sample sets compiled straight into
   a :class:`~repro.core.flatness.CompiledTesterSketches` gather layout
-  (Algorithm 2 and the min-k search).
+  (Algorithm 2 and the min-k search) by the fleet that owns the bundle
+  (:meth:`~repro.core.flatness.FleetTesterSketches.compile_member`).
 
 :class:`SketchBundle` owns one growable pool of raw samples per family
 and memoises the derived structures.  Pools only ever grow (i.i.d. draws
 are exchangeable, so the first ``m`` elements of a larger pool are a
-valid size-``m`` draw), which gives the session its central guarantee:
-a batch of ``(k, epsilon)`` operations issues at most one draw per
-family, and an operation whose sizes fit the existing pool issues none.
+valid size-``m`` draw), which gives sessions and fleets their central
+guarantee: a batch of ``(k, epsilon)`` operations issues at most one
+draw per family and member, and an operation whose sizes fit the
+existing pool issues none.
 Each pool is a capacity-doubling buffer with a length cursor
 (:class:`_GrowablePool`), so repeated budget bumps append in amortised
 O(1) per element; every consumer receives read-only views, never copies.
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.flatness import CompiledTesterSketches, compile_tester_sketches
+from repro.core.flatness import CompiledTesterSketches
 from repro.core.greedy import (
     CompiledGreedySketches,
     GreedySamples,
@@ -40,7 +42,7 @@ from repro.core.greedy import (
 )
 from repro.core.params import GreedyParams, TesterParams
 from repro.errors import InvalidParameterError
-from repro.samples.estimators import MultiSketch
+from repro.samples.collision import CollisionSketch
 
 _LEARN = "learn"
 _TEST = "test"
@@ -98,7 +100,7 @@ class _GrowablePool:
 
 
 class SketchBundle:
-    """Sample pools plus compiled sketches, shared across session calls.
+    """Sample pools plus compiled sketches, shared across one member's calls.
 
     Parameters
     ----------
@@ -107,7 +109,7 @@ class SketchBundle:
     n:
         Domain size.
     rng:
-        The generator every pool draw consumes (owned by the session).
+        The generator every pool draw consumes (the member's own).
     """
 
     def __init__(self, source: object, n: int, rng: np.random.Generator) -> None:
@@ -117,7 +119,7 @@ class SketchBundle:
         self._weight_pool = _GrowablePool()
         self._collision_pool: list[_GrowablePool] = []
         self._tester_pool: list[_GrowablePool] = []
-        self._multi_cache: dict[tuple[int, int], MultiSketch] = {}
+        self._probe_cache: dict[tuple[int, int], CollisionSketch] = {}
         self._compiled_cache: dict[tuple, CompiledGreedySketches] = {}
         self._tester_compiled_cache: dict[
             tuple[int, int], CompiledTesterSketches
@@ -141,7 +143,7 @@ class SketchBundle:
         self._weight_pool = _GrowablePool()
         self._collision_pool = []
         self._tester_pool = []
-        self._multi_cache = {}
+        self._probe_cache = {}
         self._compiled_cache = {}
         self._tester_compiled_cache = {}
         self.generation += 1
@@ -251,9 +253,8 @@ class SketchBundle:
         """The raw test-family draw of exactly ``params``' sizes (pool views).
 
         Grows the pool if needed.  Every consumer of the test family
-        reads these views — :meth:`compiled_tester`, the fleet's member
-        compile and :meth:`multi_sketch` — so all of them see the same
-        samples.
+        reads these views — the fleet's member compile and
+        :meth:`probe_sketch` — so all of them see the same samples.
         """
         self.ensure_tester_pool(params)
         return [
@@ -261,39 +262,20 @@ class SketchBundle:
             for pool in self._tester_pool[: params.num_sets]
         ]
 
-    def multi_sketch(self, params: TesterParams) -> MultiSketch:
-        """The test-family :class:`MultiSketch` for ``params``' sizes.
+    def probe_sketch(self, params: TesterParams) -> CollisionSketch:
+        """The first tester set's sorted sketch, for whole-domain probes.
 
-        Per-set sorted sketches over :meth:`tester_sets`, memoised per
-        ``(num_sets, set_size)``.  The tester never builds one; the
-        uniformity and identity probes read its first set, and the
-        tests' per-query references search it.
+        Uniformity and identity read one collision sketch of the first
+        set of :meth:`tester_sets`; it is built once per
+        ``(num_sets, set_size)`` and dropped by :meth:`invalidate`
+        together with the pools.  The other sets are never sketched.
         """
         key = (params.num_sets, params.set_size)
-        multi = self._multi_cache.get(key)
-        if multi is None:
-            multi = MultiSketch.from_sample_sets(self.tester_sets(params), self._n)
-            self._multi_cache[key] = multi
-        return multi
-
-    def compiled_tester(self, params: TesterParams) -> CompiledTesterSketches:
-        """The test-family compiled gather layout for ``params``' sizes.
-
-        Compiled straight from :meth:`tester_sets` and memoised per
-        ``(num_sets, set_size)``: a grid of tester or min-k calls sharing
-        one budget compiles once, and — because the compiled object
-        carries the flatness-verdict memo — later calls start with every
-        verdict the earlier ones already established.  A fleet may plant
-        its own member compile here (:meth:`adopt_compiled_tester`).
-        Dropped by :meth:`invalidate` together with the pools.
-        """
-        key = (params.num_sets, params.set_size)
-        compiled = self._tester_compiled_cache.get(key)
-        if compiled is None:
-            compiled = compile_tester_sketches(self.tester_sets(params), self._n)
-            self._tester_compiled_cache[key] = compiled
-            self.generation += 1
-        return compiled
+        sketch = self._probe_cache.get(key)
+        if sketch is None:
+            sketch = CollisionSketch(self.tester_sets(params)[0], self._n)
+            self._probe_cache[key] = sketch
+        return sketch
 
     # -------------------------------------------------------------- #
     # persistence
@@ -319,7 +301,7 @@ class SketchBundle:
 
         Compiled slabs arrive as read-only ``np.memmap`` views planted
         through the same cache keys :meth:`compiled_sketches` /
-        :meth:`compiled_tester` use; pools serve views off the mapped
+        :meth:`adopt_compiled_tester` use; pools serve views off the mapped
         file and copy out only if they later grow.  Raises
         :class:`~repro.errors.SnapshotError` on any mismatch (missing
         or corrupt file, wrong domain size) without touching state
@@ -338,16 +320,15 @@ class SketchBundle:
     def adopt_compiled_tester(
         self, params: TesterParams, compiled: CompiledTesterSketches
     ) -> None:
-        """Adopt a precompiled tester layout for ``params``' budget.
+        """Cache a tester layout compiled for ``params``' budget.
 
         The fleet compiles each member's layout into its stacked slab
-        (:meth:`~repro.core.flatness.FleetTesterSketches.compile_member`);
-        planting it here makes every subsequent session call on this
-        budget — tester,
-        min-k, or a direct :meth:`compiled_tester` — reuse the planted
-        object and its verdict memo, exactly as if the session had
-        compiled it itself.  The caller vouches that ``compiled`` was
-        built over :meth:`tester_sets` of the same ``params``.
+        (:meth:`~repro.core.flatness.FleetTesterSketches.compile_member`)
+        and plants it here, which is what the bundle's snapshot persists
+        and what tells the fleet the slab is current: every later tester
+        or min-k call on this budget reuses the planted object and its
+        verdict memo.  The caller vouches that ``compiled`` was built
+        over :meth:`tester_sets` of the same ``params``.
         """
         if (
             compiled.n != self._n

@@ -4,15 +4,17 @@
   :func:`learn_from_samples` — the greedy priority-histogram learner
   (Algorithm 1 / Theorem 1 with ``method="exhaustive"``, the improved
   Theorem 2 variant with ``method="fast"``);
-* :func:`compile_tester_sketches` / :func:`test_l2_on_sketch` /
-  :func:`test_l1_on_sketch` — the tiling k-histogram testers of
-  Section 4 (Theorems 3 and 4) on sample sets compiled once, and
-  :func:`select_min_k_on_sketch`, the min-k search built on them;
+* :class:`FleetTesterSketches` / :func:`fleet_test_on_sketches` — the
+  tiling k-histogram testers of Section 4 (Theorems 3 and 4) on sample
+  sets compiled once, one member or many
+  (:meth:`FleetTesterSketches.compile_member`), and
+  :func:`select_min_k_on_fleet`, the min-k search built on them;
 * :mod:`repro.core.lower_bound` — the Theorem 5 hard instances;
 * :func:`test_uniformity` — the [GR00] collision uniformity tester
   (the ``k = 1`` special case the paper builds on).
 
-:class:`repro.api.HistogramSession` composes the halves behind one draw
+:class:`repro.api.HistogramSession` (a one-member
+:class:`repro.api.HistogramFleet`) composes the halves behind one draw
 per sketch family; it is the front door.
 """
 
@@ -24,7 +26,6 @@ from repro.core.flatness import (
     CompiledTesterSketches,
     FlatnessResult,
     FleetTesterSketches,
-    compile_tester_sketches,
     flatness_oracle,
     test_flatness_l1,
     test_flatness_l2,
@@ -48,17 +49,8 @@ from repro.core.lower_bound import (
 )
 from repro.core.params import GreedyParams, TesterParams, greedy_rounds, xi
 from repro.core.results import FlatnessQuery, LearnResult, TestResult, UniformityResult
-from repro.core.selection import (
-    SelectionResult,
-    select_min_k_on_fleet,
-    select_min_k_on_sketch,
-)
-from repro.core.tester import (
-    fleet_flat_partition,
-    fleet_test_on_sketches,
-    test_l1_on_sketch,
-    test_l2_on_sketch,
-)
+from repro.core.selection import SelectionResult, select_min_k_on_fleet
+from repro.core.tester import fleet_flat_partition, fleet_test_on_sketches
 from repro.core.uniformity import test_uniformity, test_uniformity_on_sketch
 
 __all__ = [
@@ -78,7 +70,6 @@ __all__ = [
     "all_interval_candidates",
     "collision_distinguisher",
     "compile_greedy_sketches",
-    "compile_tester_sketches",
     "draw_greedy_samples",
     "flatness_oracle",
     "fleet_flat_partition",
@@ -88,13 +79,10 @@ __all__ = [
     "no_instance",
     "sample_endpoint_candidates",
     "select_min_k_on_fleet",
-    "select_min_k_on_sketch",
     "test_flatness_l1",
     "test_flatness_l2",
     "test_identity_l2",
     "test_identity_l2_on_sketch",
-    "test_l1_on_sketch",
-    "test_l2_on_sketch",
     "test_uniformity",
     "test_uniformity_on_sketch",
     "xi",

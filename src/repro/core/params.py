@@ -44,7 +44,7 @@ def validate_epsilon(epsilon: float) -> float:
     fails every comparison.  Callers pass the returned ``float`` on.
     """
     # ``float`` (``np.float64`` too) is tried first: the ``Real`` ABC check
-    # is slower, and the flatness kernel validates on every call.
+    # is slower, and every tester, min-k and probe call validates once.
     real = isinstance(epsilon, float) or (
         isinstance(epsilon, Real) and not isinstance(epsilon, bool)
     )
@@ -79,6 +79,20 @@ def validate_k(k: int, n: int | None = None, *, name: str = "k") -> int:
     if n is not None and k > n:
         raise InvalidParameterError(f"{name} must be in [1, n], got {name}={k}, n={n}")
     return int(k)
+
+
+def validate_member(member: int, size: int) -> int:
+    """The one fleet-member index check; returns an ``int``.
+
+    The value must pass :func:`is_integer` and lie in ``[0, size)``, so
+    ``0.7``, ``True`` and ``"1"`` are refused rather than truncated or
+    coerced, and ``-1`` does not alias the last member.
+    """
+    if type(member) is int and 0 <= member < size:  # the common case, cheaply
+        return member
+    if not is_integer(member) or not 0 <= member < size:
+        raise InvalidParameterError(f"member must be in [0, {size}), got {member!r}")
+    return int(member)
 
 
 def _validate_scale(scale: float) -> None:
@@ -229,10 +243,18 @@ def flatness_l1_min_hits(
 
     Derived in the Theorem 4 proof from ``|S_I| >= 16 sqrt(|I|) / delta^2``
     with ``delta = eps^2 / 16``.  ``length`` may be an array of interval
-    lengths (the flatness kernel passes one per row); ``np.sqrt`` is
-    correctly rounded, as ``math.sqrt`` is, so the bits match either way.
+    lengths; ``np.sqrt`` is correctly rounded, as ``math.sqrt`` is, so
+    the bits match either way.
     """
     if np.asarray(length).min(initial=1) < 1:
         raise InvalidParameterError(f"interval length must be >= 1, got {length}")
-    epsilon = validate_epsilon(epsilon)
+    return _l1_min_hits(length, validate_epsilon(epsilon))
+
+
+def _l1_min_hits(length: "int | np.ndarray", epsilon: float) -> "float | np.ndarray":
+    """:func:`flatness_l1_min_hits` on validated inputs.
+
+    The flatness kernel calls it once per batch of probes whose lengths
+    and epsilon its oracle has already checked.
+    """
     return (16**3) * np.sqrt(length) / epsilon**4

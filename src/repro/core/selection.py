@@ -9,10 +9,12 @@ takes a union bound over all ``n^2`` intervals, so reuse is sound.
 
 This module is an extension beyond the paper (README.md, "Design notes"):
 the paper's machinery composes into it directly.
-:func:`select_min_k_on_sketch` is the pure half operating on compiled
-sketches, and :meth:`repro.api.HistogramSession.min_k` the
-draw-once, sketch-reusing front door; :func:`_reference_min_k` runs the
-same sweep on the per-query oracle as the tests' private reference.
+:func:`select_min_k_on_fleet` is the pure half operating on compiled
+sketches (the one min-k entry point; a session's sketches are a
+one-member fleet's), and :meth:`repro.api.HistogramSession.min_k` /
+:meth:`repro.api.HistogramFleet.min_k` the draw-once, sketch-reusing
+front doors; :func:`_reference_min_k` runs the same sweep on the
+per-query oracle as the tests' private reference.
 
 What the sweep returns depends on the norm.  One partition search runs
 at ``max_pieces = max_k``, and the answer is the number of flat pieces
@@ -28,22 +30,11 @@ sweep reports.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
-from repro.core.flatness import (
-    CompiledTesterSketches,
-    FlatnessOracle,
-    FleetTesterSketches,
-    flatness_oracle,
-)
-from repro.core.params import TesterParams, validate_k
-from repro.core.tester import (
-    flat_partition,
-    fleet_flat_partition,
-    l1_effective_scale,
-)
-from repro.errors import InvalidParameterError
+from repro.core.flatness import FleetTesterSketches, flatness_oracle
+from repro.core.params import TesterParams
+from repro.core.tester import _search_scale, flat_partition, fleet_flat_partition
 from repro.histograms.intervals import Interval
 from repro.samples.estimators import MultiSketch
 
@@ -72,44 +63,6 @@ class SelectionResult:
     samples_used: int
 
 
-def select_min_k_on_sketch(
-    compiled: CompiledTesterSketches,
-    n: int,
-    epsilon: float,
-    *,
-    max_k: int,
-    norm: str = "l1",
-    params: TesterParams,
-) -> SelectionResult:
-    """Smallest piece count the left-greedy flat partition needs, up to ``max_k``.
-
-    The min-k search on compiled sketches (no source access), pure in
-    their contents; :meth:`repro.api.HistogramSession.min_k` delegates
-    here.  The search reads and extends ``compiled``'s verdict memo,
-    which matters because the left-greedy sweep re-probes exactly the
-    intervals earlier tester calls already certified.
-
-    The search runs once with ``max_pieces = max_k`` and reads the
-    answer off the discovered partition: the number of flat intervals
-    it needed to cover ``[0, n)``.  For ``norm="l2"`` that is exactly
-    the smallest ``k`` the tester accepts with these samples.  For
-    ``norm="l1"`` every interval is probed at ``max_k``'s light-interval
-    scale, which can differ from the scale ``test_l1(k)`` uses, so the
-    answer can exceed the smallest ``k`` that ``test_l1`` accepts (see
-    the module docstring).  Either way the answer is sound up to the
-    testers' epsilon-gap (a distribution epsilon-close to a k-histogram
-    may be accepted at that ``k``).
-    """
-    return _run_sweep(
-        n,
-        epsilon,
-        max_k,
-        norm,
-        params,
-        lambda scale: compiled.oracle(norm, epsilon, scale=scale),
-    )
-
-
 def _reference_min_k(
     multi: MultiSketch,
     n: int,
@@ -121,41 +74,14 @@ def _reference_min_k(
 ) -> SelectionResult:
     """The min-k sweep on the per-query oracle: the tests' private reference.
 
-    Same search as :func:`select_min_k_on_sketch`, but every probe
+    Same search as :func:`select_min_k_on_fleet`, but every probe
     re-runs the per-set searches over the raw sketch, with no compiled
     layout and no memo (see :func:`repro.core.tester._reference_test`).
     """
-    return _run_sweep(
-        n,
-        epsilon,
-        max_k,
-        norm,
-        params,
-        lambda scale: flatness_oracle(multi, norm, epsilon, scale=scale),
+    max_k, scale = _search_scale(n, max_k, epsilon, norm, params, name="max_k")
+    partition, _ = flat_partition(
+        n, max_k, flatness_oracle(multi, norm, epsilon, scale=scale)
     )
-
-
-def _sweep_scale(
-    n: int, epsilon: float, max_k: int, norm: str, params: TesterParams
-) -> tuple[int, float]:
-    """Validate a sweep's ``max_k`` and ``norm``; ``max_k`` and its scale."""
-    max_k = validate_k(max_k, n, name="max_k")
-    if norm not in ("l1", "l2"):
-        raise InvalidParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
-    scale = 1.0 if norm == "l2" else l1_effective_scale(n, max_k, epsilon, params)
-    return max_k, scale
-
-
-def _run_sweep(
-    n: int,
-    epsilon: float,
-    max_k: int,
-    norm: str,
-    params: TesterParams,
-    oracle_at: Callable[[float], FlatnessOracle],
-) -> SelectionResult:
-    max_k, scale = _sweep_scale(n, epsilon, max_k, norm, params)
-    partition, _ = flat_partition(n, max_k, oracle_at(scale))
     return _selection_from_partition(n, max_k, partition, params)
 
 
@@ -187,17 +113,29 @@ def select_min_k_on_fleet(
     params: TesterParams,
     members: "list[int] | None" = None,
 ) -> list[SelectionResult]:
-    """The min-k search across a compiled fleet, lockstep-batched.
+    """Smallest piece count the left-greedy flat partition needs, up to ``max_k``.
 
-    The fleet-axis counterpart of :func:`select_min_k_on_sketch`, with
-    the same per-norm semantics: one
-    validated oracle, one lockstep left-greedy sweep
-    (:func:`repro.core.tester.fleet_flat_partition`), one
-    :class:`SelectionResult` per member in member order — each
-    byte-identical to the single-sketch search on that member's compiled
-    sketches, memo accounting included.
+    The one min-k entry point, on compiled sketches (no source access)
+    and pure in their contents: one validated oracle, one left-greedy
+    sweep over the listed members (default: all) through
+    :func:`repro.core.tester.fleet_flat_partition`, one
+    :class:`SelectionResult` per member in the listed order.  The sweep
+    reads and extends each member's verdict memo, which matters because
+    it re-probes exactly the intervals earlier tester calls already
+    certified.
+
+    The search runs once with ``max_pieces = max_k`` and reads the
+    answer off the discovered partition: the number of flat intervals
+    it needed to cover ``[0, n)``.  For ``norm="l2"`` that is exactly
+    the smallest ``k`` the tester accepts with these samples.  For
+    ``norm="l1"`` every interval is probed at ``max_k``'s light-interval
+    scale, which can differ from the scale ``test_l1(k)`` uses, so the
+    answer can exceed the smallest ``k`` that ``test_l1`` accepts (see
+    the module docstring).  Either way the answer is sound up to the
+    testers' epsilon-gap (a distribution epsilon-close to a k-histogram
+    may be accepted at that ``k``).
     """
-    max_k, scale = _sweep_scale(n, epsilon, max_k, norm, params)
+    max_k, scale = _search_scale(n, max_k, epsilon, norm, params, name="max_k")
     if members is None:
         members = list(range(fleet.fleet_size))
     oracle = fleet.oracle(norm, epsilon, scale=scale)

@@ -13,31 +13,33 @@ implemented here — is ``previous >= n`` in 0-based half-open coordinates.
 The search is written once, as the generator :func:`_partition_search`:
 it yields each probe, receives the verdict, and returns the partition
 and query log.  Two drivers step it: :func:`flat_partition` asks one
-flatness oracle per probe (sessions and the tests' reference), and
-:func:`fleet_flat_partition` steps many members in lockstep, answering
-memo hits at once and each round's misses in one batched call.
+flatness oracle per probe, and :func:`fleet_flat_partition` steps many
+members in lockstep, answering memo hits at once and each round's misses
+in one batched call (a lone member has nothing to batch, so it takes
+:func:`flat_partition` on its own compiled sketches).
 
 Like the learner, the module splits "draw samples" from "run the
-algorithm": :func:`test_l2_on_sketch` / :func:`test_l1_on_sketch` run
-Algorithm 2 on a :class:`~repro.core.flatness.CompiledTesterSketches`
-— precompiled prefix gathers plus a verdict memo (README.md, "Compiled
-tester engine") — and :class:`repro.api.HistogramSession` owns the draws
-and the compile (:func:`~repro.core.flatness.compile_tester_sketches`).
-The per-query oracle over a raw
-:class:`~repro.samples.estimators.MultiSketch` survives only as the
-private :func:`_reference_test`, which the test suite holds the
-compiled path to, byte for byte, on verdicts *and query logs*.
+algorithm": :func:`fleet_test_on_sketches`, the one tester entry point,
+runs Algorithm 2 on a :class:`~repro.core.flatness.FleetTesterSketches`
+— each member's precompiled prefix gathers plus its verdict memo
+(README.md, "Compiled tester engine") — and
+:class:`repro.api.HistogramFleet` (a session is a one-member fleet) owns
+the draws and the compile
+(:meth:`~repro.core.flatness.FleetTesterSketches.compile_member`).  The
+per-query oracle over a raw :class:`~repro.samples.estimators.MultiSketch`
+survives only as the private :func:`_reference_test`, which the test
+suite holds the compiled path to, byte for byte, on verdicts *and query
+logs*.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Generator
+from collections.abc import Generator
 
 import numpy as np
 
 from repro.core.flatness import (
     REASON_REJECTED,
-    CompiledTesterSketches,
     FlatnessOracle,
     FlatnessResult,
     FleetFlatnessOracle,
@@ -124,7 +126,10 @@ def fleet_flat_partition(
     """Algorithm 2's search for many members, lockstep-batched.
 
     Every member steps its own :func:`_partition_search`, so it runs
-    exactly the probes :func:`flat_partition` would run for it.  Memo-hit
+    exactly the probes :func:`flat_partition` would run for it.  A lone
+    member has nothing to batch: it steps :func:`flat_partition` on its
+    own compiled sketches (:meth:`FleetFlatnessOracle.member_oracle`),
+    which reads and extends its memo with the same accounting.  Memo-hit
     verdicts are fed back at once (members fast-forward independently, so
     a member replaying a cached search never stalls the batch), and each
     round gathers at most one fresh probe per member into a single
@@ -135,6 +140,8 @@ def fleet_flat_partition(
     byte-identical — partitions, logs, and per-member memo accounting —
     to looping the single-oracle search.
     """
+    if len(members) == 1:
+        return [flat_partition(n, max_pieces, oracle.member_oracle(members[0]))]
     searches = [_partition_search(n, max_pieces) for _ in members]
     memos = [oracle.member_memo(member) for member in members]
     suffix = oracle.suffix
@@ -179,20 +186,20 @@ def fleet_test_on_sketches(
     params: TesterParams,
     members: "list[int] | None" = None,
 ) -> list[TestResult]:
-    """One tester invocation across a compiled fleet (no source access).
+    """Theorem 3 (``norm="l2"``) or 4 (``"l1"``) on compiled sketches.
 
-    The fleet-axis counterpart of :func:`test_l2_on_sketch` /
-    :func:`test_l1_on_sketch`: one validated oracle, one lockstep
-    partition search, one :class:`TestResult` per member (in member
-    order), each byte-identical to the single-sketch call on that
-    member's compiled sketches.
+    The one tester entry point (no source access): one validated
+    oracle, one partition search over the listed members (default: all)
+    through :func:`fleet_flat_partition`, one :class:`TestResult` per
+    member in the listed order.  Pure in the sketch contents: running it
+    any number of times — or interleaved with other ``(k, epsilon)``
+    queries over the same sketches — returns identical results, which is
+    what lets sessions share one draw.  Verdicts land in each member's
+    memo, so later calls reuse them.
     """
-    k = validate_k(k, n)
-    if norm not in ("l1", "l2"):
-        raise InvalidParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
+    k, scale = _search_scale(n, k, epsilon, norm, params)
     if members is None:
         members = list(range(fleet.fleet_size))
-    scale = 1.0 if norm == "l2" else l1_effective_scale(n, k, epsilon, params)
     oracle = fleet.oracle(norm, epsilon, scale=scale)
     outcomes = fleet_flat_partition(n, k, oracle, members)
     return [
@@ -214,7 +221,7 @@ def _result_from_partition(
 
     Acceptance is coverage: the search committed flat intervals up to
     ``k`` pieces, so the domain is covered iff the last one reaches
-    ``n``.  Single-sketch and fleet runs both read their verdicts
+    ``n``.  Compiled and reference runs both read their verdicts
     through this one function (the byte-identity contract's anchor).
     """
     covered = partition[-1].stop if partition else 0
@@ -230,44 +237,15 @@ def _result_from_partition(
     )
 
 
-def _run_search(
-    n: int,
-    k: int,
-    epsilon: float,
-    norm: str,
-    params: TesterParams,
-    oracle_at: Callable[[float], FlatnessOracle],
-) -> TestResult:
-    """Validate ``k``, search with ``oracle_at(scale)``, read the verdict."""
-    k = validate_k(k, n)
+def _search_scale(
+    n: int, k: int, epsilon: float, norm: str, params: TesterParams, *, name: str = "k"
+) -> tuple[int, float]:
+    """Validate a search's piece cap and norm; the cap and its l1 scale."""
+    k = validate_k(k, n, name=name)
+    if norm not in ("l1", "l2"):
+        raise InvalidParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
     scale = 1.0 if norm == "l2" else l1_effective_scale(n, k, epsilon, params)
-    partition, queries = flat_partition(n, k, oracle_at(scale))
-    return _result_from_partition(n, k, epsilon, norm, params, partition, queries)
-
-
-def test_l2_on_sketch(
-    compiled: CompiledTesterSketches,
-    n: int,
-    k: int,
-    epsilon: float,
-    params: TesterParams,
-) -> TestResult:
-    """Theorem 3's tester on compiled sketches (no source access).
-
-    Pure in the sketch contents: running it any number of times — or
-    interleaved with other ``(k, epsilon)`` queries over the same
-    sketches — returns identical results, which is what lets sessions
-    share one draw.  Verdicts land in ``compiled``'s memo, so later
-    calls on the same object reuse them.
-    """
-    return _run_search(
-        n,
-        k,
-        epsilon,
-        "l2",
-        params,
-        lambda scale: compiled.oracle("l2", epsilon, scale=scale),
-    )
+    return k, scale
 
 
 def l1_effective_scale(n: int, k: int, epsilon: float, params: TesterParams) -> float:
@@ -282,24 +260,6 @@ def l1_effective_scale(n: int, k: int, epsilon: float, params: TesterParams) -> 
     return min(1.0, params.set_size / paper_set_size)
 
 
-def test_l1_on_sketch(
-    compiled: CompiledTesterSketches,
-    n: int,
-    k: int,
-    epsilon: float,
-    params: TesterParams,
-) -> TestResult:
-    """Theorem 4's tester on compiled sketches (see :func:`test_l2_on_sketch`)."""
-    return _run_search(
-        n,
-        k,
-        epsilon,
-        "l1",
-        params,
-        lambda scale: compiled.oracle("l1", epsilon, scale=scale),
-    )
-
-
 def _reference_test(
     multi: MultiSketch,
     n: int,
@@ -312,18 +272,15 @@ def _reference_test(
 
     Every probe re-runs the per-set searches over the raw sketch
     (:func:`~repro.core.flatness.flatness_oracle`), with no compiled
-    layout and no memo.  The suite holds :func:`test_l2_on_sketch`,
-    :func:`test_l1_on_sketch` and the fleet's lockstep search to it,
-    byte for byte, on verdicts and query logs.
+    layout and no memo.  The suite holds :func:`fleet_test_on_sketches`
+    — a lone member's search and the lockstep one — to it, byte for
+    byte, on verdicts and query logs.
     """
-    return _run_search(
-        n,
-        k,
-        epsilon,
-        norm,
-        params,
-        lambda scale: flatness_oracle(multi, norm, epsilon, scale=scale),
+    k, scale = _search_scale(n, k, epsilon, norm, params)
+    partition, queries = flat_partition(
+        n, k, flatness_oracle(multi, norm, epsilon, scale=scale)
     )
+    return _result_from_partition(n, k, epsilon, norm, params, partition, queries)
 
 
 def count_rejections(result: TestResult) -> int:

@@ -24,9 +24,9 @@ future rng draws — to the live instance it was snapshotted from.  Two
 details carry most of that weight.  First, JSON round-trips the exact
 bits of every finite float (``repr`` ↔ parse) and arbitrary-precision
 ints, so memo keys, thresholds, and PCG64 states restore exactly.
-Second, each fleet member's reservoir, session, and bundle share one
+Second, each fleet member's reservoir and bundle share one
 ``Generator`` object, so assigning ``bit_generator.state`` in the
-bundle restore rewinds all three at once.
+bundle restore rewinds both at once.
 
 A configuration fingerprint mismatch (the restoring instance was built
 with different ``n``/sizes/method than the snapshotted one) raises
@@ -259,8 +259,8 @@ def restore_bundle(bundle, meta: dict, slab) -> None:
         {str(key): int(value) for key, value in meta["draw_events"].items()}
     )
     bundle.samples_drawn = int(meta["samples_drawn"])
-    # In place: the reservoir, session, and bundle of one fleet member
-    # share this Generator, so all three rewind together.
+    # In place: the reservoir and bundle of one fleet member share this
+    # Generator, so both rewind together.
     bundle._rng.bit_generator.state = meta["rng_state"]
 
 
@@ -287,8 +287,8 @@ def fleet_state(fleet) -> tuple[dict, dict]:
     """
     members = []
     slabs: dict = {}
-    for f, session in enumerate(fleet._sessions):
-        member_meta, member_slabs = bundle_state(session._bundle)
+    for f in range(fleet.size):
+        member_meta, member_slabs = bundle_state(fleet.bundle(f))
         members.append(member_meta)
         for name, array in member_slabs.items():
             slabs[f"member/{f}/{name}"] = array
@@ -302,9 +302,7 @@ def restore_fleet(fleet, meta: dict, slab) -> None:
     # the next fleet op re-adopts the restored compiled testers.
     fleet.invalidate()
     for f, member_meta in enumerate(meta["members"]):
-        restore_bundle(
-            fleet._sessions[f]._bundle, member_meta, _scoped(slab, f"member/{f}/")
-        )
+        restore_bundle(fleet.bundle(f), member_meta, _scoped(slab, f"member/{f}/"))
 
 
 # ------------------------------------------------------------------ #

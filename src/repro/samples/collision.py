@@ -191,8 +191,8 @@ def interval_prefixes(
     """Hit-count and pair-count prefixes of ``r`` sets, for every compile.
 
     Every compile reads its ``|S^i_I|`` and ``coll(S^i_I)`` prefixes from
-    here: a session's or a fleet member's tester layout, and the
-    learner's collision sets.  ``grid`` holds sorted query points in
+    here: a fleet member's tester layout (a session's is a one-member
+    fleet's), and the learner's collision sets.  ``grid`` holds sorted query points in
     ``[0, n]``; the default is every endpoint ``0..n``.
 
     One rule picks the pass.  When ``n + 1 <= 4 x`` the total sample

@@ -24,7 +24,13 @@ import numpy as np
 
 from repro.api.fleet import HistogramFleet
 from repro.core.identity import IdentityResult, test_identity_l2_on_sketch
-from repro.core.params import GreedyParams, TesterParams, validate_epsilon, validate_k
+from repro.core.params import (
+    GreedyParams,
+    TesterParams,
+    validate_epsilon,
+    validate_k,
+    validate_member,
+)
 from repro.core.results import LearnResult, TestResult, UniformityResult
 from repro.core.selection import SelectionResult
 from repro.core.uniformity import test_uniformity_on_sketch
@@ -153,7 +159,7 @@ class FleetMaintainer:
         which is what response caches and differential checkpoints key
         on.
         """
-        self._check_member(member)
+        member = validate_member(member, self.fleet_size)
         return self._mutations[member] + self._fleet.generation(member)
 
     @property
@@ -163,12 +169,6 @@ class FleetMaintainer:
             self._mutations[f] + self._fleet.generation(f)
             for f in range(self.fleet_size)
         ]
-
-    def _check_member(self, member: int) -> None:
-        if not 0 <= member < self.fleet_size:
-            raise InvalidParameterError(
-                f"member must be in [0, {self.fleet_size}), got {member}"
-            )
 
     def _probe_members(self, members: "list[int] | None") -> list[int]:
         """Validate a probe's member subset and its streams' readiness.
@@ -180,9 +180,7 @@ class FleetMaintainer:
         if members is None:
             members = list(range(self.fleet_size))
         else:
-            members = [int(member) for member in members]
-            for member in members:
-                self._check_member(member)
+            members = [validate_member(member, self.fleet_size) for member in members]
         empty = [f for f in members if self._reservoirs[f].size == 0]
         if empty:
             raise EmptyStreamError(
@@ -239,7 +237,7 @@ class FleetMaintainer:
         reservoir sees it rather than silently truncated, and a bool
         rather than taken as domain point 0 or 1.
         """
-        self._check_member(member)
+        member = validate_member(member, self.fleet_size)
         if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
             raise InvalidParameterError(
                 f"stream {member}: value must be an integer, got {value!r} "
@@ -265,7 +263,7 @@ class FleetMaintainer:
         never sees half a batch).  An empty batch, of any dtype, is a
         no-op: the member stays fresh and its generation does not move.
         """
-        self._check_member(member)
+        member = validate_member(member, self.fleet_size)
         values = np.asarray(values)
         if values.size == 0:
             return
@@ -451,14 +449,13 @@ class FleetMaintainer:
         Uniformity and identity are whole-domain collision statistics —
         they read a single :class:`~repro.samples.collision.CollisionSketch`,
         not the ``r``-set flatness machinery — so the probe consumes the
-        first set of the member's shared test-family pool.  The pool (and
-        its cached :class:`~repro.samples.estimators.MultiSketch` build)
-        is the same one :meth:`test` / :meth:`min_k` draw from, so these
-        probes never cost a separate draw event.
+        first set of the member's shared test-family pool, sketched once
+        (:meth:`repro.api.SketchBundle.probe_sketch`).  The pool is the
+        same one :meth:`test` / :meth:`min_k` draw from, so these probes
+        never cost a separate draw event.
         """
-        bundle = self._fleet.session(member)._bundle
-        multi = bundle.multi_sketch(params)
-        return multi.sketches[0], bundle.tester_sets(params)[0]
+        bundle = self._fleet.bundle(member)
+        return bundle.probe_sketch(params), bundle.tester_sets(params)[0]
 
     def uniformity(
         self,

@@ -31,7 +31,6 @@ import numpy as np
 import pytest
 
 import repro.api.fleet as api_fleet
-import repro.api.session as api_session
 from repro.api import (
     ArraySource,
     CountingSource,
@@ -43,6 +42,7 @@ from repro.core.params import GreedyParams, TesterParams
 from repro.core.selection import _reference_min_k
 from repro.core.tester import _reference_test
 from repro.distributions import families
+from repro.samples.estimators import MultiSketch
 
 N = 96
 FLEET_SIZE = 3
@@ -67,11 +67,11 @@ MATRIX = list(itertools.product(LEARN_ROUTES, TESTER_ENGINES, SOURCE_KINDS, DRIV
 
 @contextlib.contextmanager
 def learn_route(route: str):
-    """Send every session/fleet learn through ``route``'s driver."""
+    """Send every session/fleet learn through ``route``'s driver (a
+    session learns through its one-member fleet)."""
     driver = LEARN_ROUTES[route]
     with pytest.MonkeyPatch.context() as patch:
         if driver is not None:
-            patch.setattr(api_session, "lockstep_learn", driver)
             patch.setattr(api_fleet, "lockstep_learn", driver)
         yield
 
@@ -95,7 +95,7 @@ def _freeze_learn(result):
     )
 
 
-def _freeze_memo(sessions) -> tuple:
+def _freeze_memo(bundles) -> tuple:
     """Per-member flatness-memo accounting of every compiled budget.
 
     Part of the byte-identity contract on the compiled tester: a
@@ -106,11 +106,9 @@ def _freeze_memo(sessions) -> tuple:
     return tuple(
         tuple(
             (key, compiled.memo_hits, compiled.memo_misses, compiled.memo_size)
-            for key, compiled in sorted(
-                session._bundle._tester_compiled_cache.items()
-            )
+            for key, compiled in sorted(bundle._tester_compiled_cache.items())
         )
-        for session in sessions
+        for bundle in bundles
     )
 
 
@@ -131,15 +129,19 @@ def run_scenario(
         if driver == "fleet":
             fleet = HistogramFleet(sources, N, rngs=seeds, **kwargs)
             learned = fleet.learn(3, 0.3)
-            sessions = [fleet.session(f) for f in range(FLEET_SIZE)]
+            bundles = [fleet.bundle(f) for f in range(FLEET_SIZE)]
         else:
             sessions = [
                 HistogramSession(source, N, rng=member_seed, **kwargs)
                 for source, member_seed in zip(sources, seeds)
             ]
             learned = [session.learn(3, 0.3) for session in sessions]
+            bundles = [session._bundle for session in sessions]
         if tester_engine == "full":
-            multis = [s._bundle.multi_sketch(TEST_PARAMS) for s in sessions]
+            multis = [
+                MultiSketch.from_sample_sets(bundle.tester_sets(TEST_PARAMS), N)
+                for bundle in bundles
+            ]
             tested_l2 = [
                 [_reference_test(m, N, k, e, "l2", TEST_PARAMS) for k, e in TEST_GRID]
                 for m in multis
@@ -238,7 +240,7 @@ def test_snapshot_cell_matches_live_fleet(tmp_path, case):
             tuple(fleet.min_k(0.3, max_k=6, norm="l2")),
             tuple(fleet.test_l2(2, 0.3, params=grown)),
         )
-        return outcome, _freeze_memo(fleet._sessions)
+        return outcome, _freeze_memo(fleet.bundle(f) for f in range(fleet.size))
 
     live = build()
     live.learn(3, 0.3)
@@ -310,7 +312,7 @@ def _serve_memo(service) -> tuple:
         tuple(
             (key, compiled.memo_misses, compiled.memo_size)
             for key, compiled in sorted(
-                maintainer.fleet.session(f)._bundle._tester_compiled_cache.items()
+                maintainer.fleet.bundle(f)._tester_compiled_cache.items()
             )
         )
         for f in range(maintainer.fleet_size)

@@ -18,16 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ArraySource, CountingSource, HistogramFleet, HistogramSession
-from repro.core.flatness import FleetTesterSketches, compile_tester_sketches
+from repro.core.flatness import FleetTesterSketches
 from repro.core.params import GreedyParams, TesterParams
 from repro.core.selection import _reference_min_k
-from repro.core.tester import _reference_test
+from repro.core.tester import _reference_test, fleet_test_on_sketches
 from repro.distributions import families
 from repro.errors import InvalidParameterError
 from repro.samples.collision import (
     batched_interval_prefixes,
     dense_interval_prefixes,
 )
+from repro.samples.estimators import MultiSketch
 
 TEST_PARAMS = TesterParams(num_sets=7, set_size=3_000)
 LEARN_PARAMS = GreedyParams(
@@ -52,10 +53,8 @@ def make_fleet_and_sessions(n=128, fleet_size=6, seed=0, **kwargs):
     return fleet, sessions
 
 
-def memo_stats(session_like, params):
-    sketches = session_like._bundle._tester_compiled_cache[
-        (params.num_sets, params.set_size)
-    ]
+def memo_stats(bundle, params):
+    sketches = bundle._tester_compiled_cache[(params.num_sets, params.set_size)]
     return sketches.memo_hits, sketches.memo_misses, sketches.memo_size
 
 
@@ -73,8 +72,8 @@ class TestFleetEquivalence:
         ]
         # Memo accounting matches per member after the whole op sequence.
         for f, session in enumerate(sessions):
-            assert memo_stats(fleet.session(f), TEST_PARAMS) == (
-                memo_stats(session, TEST_PARAMS)
+            assert memo_stats(fleet.bundle(f), TEST_PARAMS) == (
+                memo_stats(session._bundle, TEST_PARAMS)
             )
 
     def test_l1_tester(self):
@@ -115,7 +114,8 @@ class TestFleetEquivalence:
         tested = fleet.test_l2(3, 0.3)
         selected = fleet.min_k(0.3, max_k=5, norm="l2")
         multis = [
-            fleet.session(f)._bundle.multi_sketch(TEST_PARAMS) for f in range(fleet.size)
+            MultiSketch.from_sample_sets(fleet.bundle(f).tester_sets(TEST_PARAMS), fleet.n)
+            for f in range(fleet.size)
         ]
         assert tested == [
             _reference_test(multi, fleet.n, 3, 0.3, "l2", TEST_PARAMS) for multi in multis
@@ -147,9 +147,12 @@ def test_lockstep_random_fleets(seed):
     """Hypothesis lockstep: random fleets, mixed ops/metrics/epsilons.
 
     A random fleet size, a random op sequence mixing both norms,
-    several epsilons, learn calls, and min-k sweeps — outputs and query
-    logs must equal the looped single-session reference point for point,
-    and each member's memo accounting must tally exactly.
+    several epsilons, learn calls, min-k sweeps and calls on a random
+    member subset — outputs and query logs must equal the looped
+    single-session reference point for point, and each member's memo
+    accounting must tally exactly.  A one-member subset steps the
+    single-oracle search and a larger one the lockstep search, so here
+    the two steppers share a member's memo inside one fleet.
     """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(32, 128))
@@ -169,10 +172,25 @@ def test_lockstep_random_fleets(seed):
 
     num_ops = int(rng.integers(2, 5))
     for _ in range(num_ops):
-        op = rng.choice(["l1", "l2", "min_k", "learn"])
+        op = rng.choice(["l1", "l2", "min_k", "learn", "subset"])
         epsilon = float(rng.choice([0.2, 0.25, 0.3, 0.4]))
         k = int(rng.integers(1, max(n // 4, 2)))
-        if op == "learn":
+        if op == "subset":
+            size = int(rng.integers(1, fleet_size + 1))
+            subset = [int(f) for f in rng.permutation(fleet_size)[:size]]
+            norm = "l2" if rng.integers(2) else "l1"
+            if rng.integers(2):
+                max_k = int(rng.integers(1, n + 1))
+                got = fleet.min_k(epsilon, max_k=max_k, norm=norm, members=subset)
+                want = [
+                    sessions[f].min_k(epsilon, max_k=max_k, norm=norm) for f in subset
+                ]
+            else:
+                runner = f"test_{norm}"
+                got = getattr(fleet, runner)(k, epsilon, members=subset)
+                want = [getattr(sessions[f], runner)(k, epsilon) for f in subset]
+            assert got == want
+        elif op == "learn":
             got = fleet.learn(k, epsilon, params=learn_params)
             want = [s.learn(k, epsilon, params=learn_params) for s in sessions]
             for a, b in zip(got, want):
@@ -196,7 +214,7 @@ def test_lockstep_random_fleets(seed):
 
     key = (params.num_sets, params.set_size)
     for f, session in enumerate(sessions):
-        fleet_cache = fleet.session(f)._bundle._tester_compiled_cache
+        fleet_cache = fleet.bundle(f)._tester_compiled_cache
         session_cache = session._bundle._tester_compiled_cache
         assert (key in fleet_cache) == (key in session_cache)
         if key in fleet_cache:
@@ -233,10 +251,13 @@ class TestDenseCompileKernels:
         assert empty_pairs.shape == (0, 11)
 
     def test_fleet_member_compile_matches_session_compile(self):
-        """A fleet slab holds exactly what compile_tester_sketches builds."""
+        """A slab of a larger fleet holds exactly what a session's
+        one-member compile builds."""
         dist = families.sawtooth(48)
         sets = dist.sample_sets(3, 1_000, np.random.default_rng(2))
-        reference = compile_tester_sketches(sets, 48)
+        reference = FleetTesterSketches(48, 3, 1_000, fleet_size=1).compile_member(
+            0, [np.asarray(s) for s in sets]
+        )
         fleet_sketches = FleetTesterSketches(48, 3, 1_000, fleet_size=2)
         member = fleet_sketches.compile_member(1, [np.asarray(s) for s in sets])
         assert np.array_equal(member._count_cols, reference._count_cols)
@@ -267,27 +288,29 @@ class TestFleetCacheLifetime:
         fleet, _ = make_fleet_and_sessions(test_budget=TEST_PARAMS)
         first = fleet.test_l2(4, 0.3)
         misses = [
-            memo_stats(fleet.session(f), TEST_PARAMS)[1]
-            for f in range(fleet.size)
+            memo_stats(fleet.bundle(f), TEST_PARAMS)[1] for f in range(fleet.size)
         ]
         assert fleet.test_l2(4, 0.3) == first
         assert [
-            memo_stats(fleet.session(f), TEST_PARAMS)[1]
-            for f in range(fleet.size)
+            memo_stats(fleet.bundle(f), TEST_PARAMS)[1] for f in range(fleet.size)
         ] == misses
 
-    def test_session_compiled_member_is_adopted_with_memo(self):
-        """A member whose session compiled first keeps its verdict memo."""
+    def test_bundle_compiled_member_is_adopted_with_memo(self):
+        """A member whose bundle holds a compile the fleet did not plant
+        (as a restore leaves it) keeps that object and its verdict memo."""
         fleet, _ = make_fleet_and_sessions(test_budget=TEST_PARAMS)
-        # Drive one member's session directly before any fleet op.
-        direct = fleet.session(3).test_l2(4, 0.3)
-        planted = fleet.session(3)._bundle._tester_compiled_cache[
-            (TEST_PARAMS.num_sets, TEST_PARAMS.set_size)
-        ]
+        bundle = fleet.bundle(3)
+        # Compile and search member 3's sets outside the fleet first.
+        outside = FleetTesterSketches(
+            fleet.n, TEST_PARAMS.num_sets, TEST_PARAMS.set_size, fleet_size=1
+        )
+        planted = outside.compile_member(0, bundle.tester_sets(TEST_PARAMS))
+        (direct,) = fleet_test_on_sketches(outside, fleet.n, 4, 0.3, "l2", TEST_PARAMS)
+        bundle.adopt_compiled_tester(TEST_PARAMS, planted)
         misses_before = planted.memo_misses
         results = fleet.test_l2(4, 0.3)
         assert results[3] == direct
-        adopted = fleet.session(3)._bundle._tester_compiled_cache[
+        adopted = bundle._tester_compiled_cache[
             (TEST_PARAMS.num_sets, TEST_PARAMS.set_size)
         ]
         assert adopted is planted  # same object, memo preserved
@@ -363,16 +386,45 @@ class TestMemberSubsets:
             fleet.test_l2(3, 0.3, members=[99])
 
     def test_member_accessors_reject_out_of_range(self):
-        """invalidate / generation / session validate their index the way
+        """invalidate / generation / bundle validate their index the way
         members= does: -1 must not alias the last member."""
         fleet, _ = make_fleet_and_sessions(fleet_size=3, test_budget=TEST_PARAMS)
         fleet.test_l2(3, 0.3)
         generations = fleet.generations
         for bad in (-1, 3):
-            for accessor in (fleet.invalidate, fleet.generation, fleet.session):
+            for accessor in (fleet.invalidate, fleet.generation, fleet.bundle):
                 with pytest.raises(InvalidParameterError, match=r"\[0, 3\)"):
                     accessor(bad)
         assert fleet.generations == generations  # no member was dropped
+
+    @pytest.mark.parametrize("bad", [0.7, True, "1", np.float64(1.5)])
+    def test_non_integer_members_are_refused(self, bad):
+        """A member index is checked, not converted: 0.7, True and "1"
+        must not silently select member 0 or 1."""
+        fleet, _ = make_fleet_and_sessions(
+            fleet_size=2, test_budget=TEST_PARAMS, learn_budget=LEARN_PARAMS
+        )
+        calls = [
+            lambda: fleet.test_l2(3, 0.3, members=[bad]),
+            lambda: fleet.test_l1(3, 0.3, members=[0, bad]),
+            lambda: fleet.test_many([(2, 0.3)], members=[bad]),
+            lambda: fleet.min_k(0.3, max_k=4, norm="l2", members=[bad]),
+            lambda: fleet.learn(2, 0.3, members=[bad]),
+            lambda: fleet.invalidate(bad),
+            lambda: fleet.generation(bad),
+            lambda: fleet.bundle(bad),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidParameterError, match=r"\[0, 2\)"):
+                call()
+        assert fleet.samples_drawn == [0, 0]  # nothing was drawn
+
+    def test_integral_member_values_are_accepted(self):
+        fleet, sessions = make_fleet_and_sessions(fleet_size=2, test_budget=TEST_PARAMS)
+        assert fleet.test_l2(3, 0.3, members=[np.int64(1), 0.0]) == [
+            sessions[1].test_l2(3, 0.3),
+            sessions[0].test_l2(3, 0.3),
+        ]
 
 
 class TestRecompileDetachesOldMember:
@@ -382,7 +434,7 @@ class TestRecompileDetachesOldMember:
         fleet, _ = make_fleet_and_sessions(fleet_size=2, test_budget=TEST_PARAMS)
         first = fleet.test_l2(3, 0.3)
         key = (TEST_PARAMS.num_sets, TEST_PARAMS.set_size)
-        held = fleet.session(0)._bundle._tester_compiled_cache[key]
+        held = fleet.bundle(0)._tester_compiled_cache[key]
         count_before = held._count_cols.copy()
         verdict_before = held.query(0, 64, "l2", 0.3)
         # Invalidate and recompile member 0's slab from a fresh draw.
@@ -392,6 +444,6 @@ class TestRecompileDetachesOldMember:
         assert np.array_equal(held._count_cols, count_before)
         assert held.query(0, 64, "l2", 0.3) == verdict_before
         # ...while the fleet serves a freshly compiled member.
-        fresh = fleet.session(0)._bundle._tester_compiled_cache[key]
+        fresh = fleet.bundle(0)._tester_compiled_cache[key]
         assert fresh is not held
         assert first[1] == fleet.test_l2(3, 0.3)[1]  # member 1 untouched

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import repro.api.session as api_session
+import repro.api.fleet as api_fleet
 import repro.core.greedy as greedy
 from repro.api import HistogramFleet, HistogramSession
 from repro.core.greedy import (
@@ -61,7 +61,7 @@ def _full_span():
     """Route one-shot and session learns through the full-span reference."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(greedy, "lockstep_learn", _reference_learn)
-        patch.setattr(api_session, "lockstep_learn", _reference_learn)
+        patch.setattr(api_fleet, "lockstep_learn", _reference_learn)
         yield
 
 

@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.api.fleet as api_fleet
-import repro.api.session as api_session
 from repro.api import (
     ArraySource,
     HistogramFleet,
@@ -47,9 +46,9 @@ ALONE = functools.partial(_reference_learn, full_span=False)
 
 @contextlib.contextmanager
 def _routed(driver):
-    """Send every session/fleet learn through ``driver`` for the block."""
+    """Send every session/fleet learn through ``driver`` for the block
+    (a session learns through its one-member fleet)."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(api_session, "lockstep_learn", driver)
         patch.setattr(api_fleet, "lockstep_learn", driver)
         yield
 

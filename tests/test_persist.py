@@ -479,7 +479,7 @@ def _freeze_probe(maintainer: FleetMaintainer):
     )
     memo = []
     for f in range(maintainer.fleet_size):
-        bundle = maintainer.fleet.session(f)._bundle
+        bundle = maintainer.fleet.bundle(f)
         memo.append(
             sorted(
                 (key, c.memo_hits, c.memo_misses, c.memo_size)
@@ -626,7 +626,7 @@ class TestMaintainerRoundTrip:
         restored = _fresh_maintainer(seed=3)
         restored.restore(path)
         for f in range(restored.fleet_size):
-            for compiled in restored.fleet.session(f)._bundle._compiled_cache.values():
+            for compiled in restored.fleet.bundle(f)._compiled_cache.values():
                 assert not compiled.candidates.is_triangle
         assert _freeze_probe(live) == _freeze_probe(restored)
 

@@ -22,14 +22,11 @@ from repro.api import (
     SampleSource,
     as_sample_source,
 )
-from repro.core.flatness import compile_tester_sketches
+from repro.core.flatness import FleetTesterSketches
 from repro.core.greedy import draw_greedy_samples, learn_from_samples
 from repro.core.params import GreedyParams, TesterParams
-from repro.core.selection import select_min_k_on_sketch
-
-# Alias the paper-named ``test*`` functions so pytest does not collect them.
-from repro.core.tester import test_l1_on_sketch as l1_on_sketch
-from repro.core.tester import test_l2_on_sketch as l2_on_sketch
+from repro.core.selection import select_min_k_on_fleet
+from repro.core.tester import fleet_test_on_sketches
 from repro.distributions import families
 from repro.errors import InvalidParameterError
 from repro.streaming.reservoir import ReservoirSampler
@@ -108,9 +105,13 @@ def legacy_learn(k, epsilon, params, *, rng, method="fast", max_candidates=None)
 
 def legacy_tester_sketch(rng):
     """The paper's tester draw — ``r`` consecutive sets, one generator —
-    compiled for the tester."""
+    compiled for the tester (a one-member fleet)."""
     sets = DIST.sample_sets(TEST_PARAMS.num_sets, TEST_PARAMS.set_size, rng=rng)
-    return compile_tester_sketches(sets, N)
+    compiled = FleetTesterSketches(
+        N, TEST_PARAMS.num_sets, TEST_PARAMS.set_size, fleet_size=1
+    )
+    compiled.compile_member(0, [np.asarray(s) for s in sets])
+    return compiled
 
 
 class TestSeedEquivalence:
@@ -130,17 +131,21 @@ class TestSeedEquivalence:
         assert_learn_results_equal(legacy, fresh.learn(3, 0.4, params=LEARN_PARAMS))
 
     def test_test_l2_matches_legacy(self):
-        legacy = l2_on_sketch(legacy_tester_sketch(5), N, 4, 0.3, TEST_PARAMS)
+        (legacy,) = fleet_test_on_sketches(
+            legacy_tester_sketch(5), N, 4, 0.3, "l2", TEST_PARAMS
+        )
         fresh = HistogramSession(DIST, N, rng=5)
         assert legacy == fresh.test_l2(4, 0.3, params=TEST_PARAMS)
 
     def test_test_l1_matches_legacy(self):
-        legacy = l1_on_sketch(legacy_tester_sketch(5), N, 4, 0.3, TEST_PARAMS)
+        (legacy,) = fleet_test_on_sketches(
+            legacy_tester_sketch(5), N, 4, 0.3, "l1", TEST_PARAMS
+        )
         fresh = HistogramSession(DIST, N, rng=5)
         assert legacy == fresh.test_l1(4, 0.3, params=TEST_PARAMS)
 
     def test_min_k_matches_legacy(self):
-        legacy = select_min_k_on_sketch(
+        (legacy,) = select_min_k_on_fleet(
             legacy_tester_sketch(9), N, 0.25, max_k=10, params=TEST_PARAMS
         )
         fresh = HistogramSession(DIST, N, rng=9)

@@ -375,6 +375,29 @@ class TestFleetMaintainer:
         with pytest.raises(InvalidParameterError):
             maintainer.test(norm="tv")
 
+    @pytest.mark.parametrize("bad", [0.5, 0.7, True, "1", -1])
+    def test_non_integer_members_are_refused(self, bad):
+        """A member index is checked, not converted: 0.7, True and "1"
+        must not silently name member 0 or 1, on intake or on a probe."""
+        maintainer = self._fed(fleet_size=2)
+        items = maintainer.items_seen
+        generations = maintainer.generations
+        calls = [
+            lambda: maintainer.update(bad, 3),
+            lambda: maintainer.update_many(bad, np.array([1, 2])),
+            lambda: maintainer.generation(bad),
+            lambda: maintainer.test(members=[bad]),
+            lambda: maintainer.min_k(0.3, max_k=4, members=[0, bad]),
+            lambda: maintainer.uniformity(members=[bad]),
+            lambda: maintainer.histograms_for([bad]),
+            lambda: maintainer.learn(members=[bad]),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidParameterError, match=r"\[0, 2\)"):
+                call()
+        assert maintainer.items_seen == items  # nothing was ingested
+        assert maintainer.generations == generations
+
     def test_scalar_update_rejects_non_integer_values(self):
         """A float must not truncate into the reservoir (3.7 -> 3), nor a
         bool become domain point 0 or 1: the scalar path refuses both, as

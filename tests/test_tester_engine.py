@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.api import CountingSource, HistogramSession
 from repro.core.flatness import (
     CompiledTesterSketches,
-    compile_tester_sketches,
+    FleetTesterSketches,
     flatness_oracle,
 )
 
@@ -55,16 +55,27 @@ def make_sets(dist, rng):
     )
 
 
-def reference(session, norm, k, epsilon, params=PARAMS):
-    """The per-query reference over the session's pooled sketch."""
-    multi = session._bundle.multi_sketch(params)
-    return _reference_test(multi, session.n, k, epsilon, norm, params)
+def compile_sets(sets, n):
+    """One member's compiled tester layout over raw sets."""
+    compiled = FleetTesterSketches(n, len(sets), len(sets[0]), fleet_size=1)
+    return compiled.compile_member(0, [np.asarray(s) for s in sets])
 
 
-def reference_min_k(session, epsilon, max_k, norm="l1", params=PARAMS):
-    multi = session._bundle.multi_sketch(params)
+def pooled_sketch(bundle, params):
+    """A bundle's pooled test-family draw as a per-query sketch."""
+    return MultiSketch.from_sample_sets(bundle.tester_sets(params), bundle.n)
+
+
+def reference(bundle, norm, k, epsilon, params=PARAMS):
+    """The per-query reference over a bundle's pooled sketch."""
+    multi = pooled_sketch(bundle, params)
+    return _reference_test(multi, bundle.n, k, epsilon, norm, params)
+
+
+def reference_min_k(bundle, epsilon, max_k, norm="l1", params=PARAMS):
+    multi = pooled_sketch(bundle, params)
     return _reference_min_k(
-        multi, session.n, epsilon, max_k=max_k, norm=norm, params=params
+        multi, bundle.n, epsilon, max_k=max_k, norm=norm, params=params
     )
 
 
@@ -77,26 +88,26 @@ class TestEngineEquivalence:
         session = HistogramSession(dist, n, rng=seed)
         compiled = session.test_l2(4, 0.25, params=PARAMS)
         # partition, queries, verdict — everything
-        assert compiled == reference(session, "l2", 4, 0.25)
+        assert compiled == reference(session._bundle, "l2", 4, 0.25)
 
     @pytest.mark.parametrize("name,dist,n", CASES, ids=[c[0] for c in CASES])
     def test_one_shot_l1(self, name, dist, n):
         session = HistogramSession(dist, n, rng=7)
         compiled = session.test_l1(4, 0.25, params=PARAMS)
-        assert compiled == reference(session, "l1", 4, 0.25)
+        assert compiled == reference(session._bundle, "l1", 4, 0.25)
 
     def test_min_k_equivalence(self):
         dist = families.two_level(256, heavy_start=64, heavy_length=64)
         session = HistogramSession(dist, 256, rng=5)
         compiled = session.min_k(0.25, max_k=10, params=PARAMS)
-        assert compiled == reference_min_k(session, 0.25, max_k=10)
+        assert compiled == reference_min_k(session._bundle, 0.25, max_k=10)
 
     def test_compiled_queries_match_per_query_oracle(self):
         """Every (start, stop) agrees with the legacy one-shot flatness tests."""
         dist = families.zipf(96, 1.0)
         sets = make_sets(dist, 11)
         multi = MultiSketch.from_sample_sets(sets, 96)
-        compiled = compile_tester_sketches(sets, 96)
+        compiled = compile_sets(sets, 96)
         l2 = compiled.oracle("l2", 0.3)
         l1 = compiled.oracle("l1", 0.3, scale=0.01)
         rng = np.random.default_rng(0)
@@ -120,7 +131,7 @@ class TestSessionEquivalence:
         dist = families.random_tiling_histogram(128, 4, rng=9, min_piece=4)
         session = HistogramSession(dist, 128, rng=3, test_budget=PARAMS)
         assert session.test_many(self.GRID, norm=norm) == [
-            reference(session, norm, k, epsilon) for k, epsilon in self.GRID
+            reference(session._bundle, norm, k, epsilon) for k, epsilon in self.GRID
         ]
 
     def test_engine_override_per_call(self):
@@ -135,8 +146,8 @@ class TestSessionEquivalence:
             assert "engine" not in inspect.signature(method).parameters, method
         dist = families.sawtooth(128)
         session = HistogramSession(dist, 128, rng=2, test_budget=PARAMS)
-        assert session.test_l2(3, 0.3) == reference(session, "l2", 3, 0.3)
-        assert session.min_k(0.3, max_k=6) == reference_min_k(session, 0.3, max_k=6)
+        assert session.test_l2(3, 0.3) == reference(session._bundle, "l2", 3, 0.3)
+        assert session.min_k(0.3, max_k=6) == reference_min_k(session._bundle, 0.3, max_k=6)
 
 
 @settings(max_examples=15, deadline=None)
@@ -162,7 +173,7 @@ def test_lockstep_random_grids(seed):
     compiled_session = HistogramSession(dist, n, rng=seed, test_budget=params)
     norm = "l2" if seed % 2 else "l1"
     a = compiled_session.test_many(grid, norm=norm)
-    b = [reference(compiled_session, norm, k, e, params) for k, e in grid]
+    b = [reference(compiled_session._bundle, norm, k, e, params) for k, e in grid]
     assert a == b
     # Memo accounting on the session's shared compiled object.
     sketches = compiled_session._bundle._tester_compiled_cache[
@@ -208,7 +219,7 @@ class TestMemoSharing:
         dist = families.uniform(64)
         sets = make_sets(dist, 3)
         multi = MultiSketch.from_sample_sets(sets, 64)
-        sketches = compile_tester_sketches(sets, 64)
+        sketches = compile_sets(sets, 64)
         a = sketches.oracle("l2", 0.3)(0, 64)
         b = sketches.oracle("l2", 0.5)(0, 64)
         assert sketches.memo_misses == 2  # same interval, two keys
@@ -247,7 +258,7 @@ class TestCacheLifetime:
         """Bad parameters fail at oracle creation, before any probe."""
         sets = make_sets(families.uniform(64), 1)
         multi = MultiSketch.from_sample_sets(sets, 64)
-        sketches = compile_tester_sketches(sets, 64)
+        sketches = compile_sets(sets, 64)
         with pytest.raises(InvalidParameterError):
             sketches.oracle("l2", 0.0)
         with pytest.raises(InvalidParameterError):
@@ -264,7 +275,7 @@ class TestCacheLifetime:
 
         dist = families.zipf(64, 1.0)
         sets = dist.sample_sets(3, 1_000, np.random.default_rng(2))
-        compiled = compile_tester_sketches(sets, 64)
+        compiled = compile_sets(sets, 64)
         grid = np.arange(65, dtype=np.int64)
         count_rows, pair_rows = batched_interval_prefixes(sets, 64, grid)
         assert np.array_equal(compiled._count_cols, count_rows.T)
@@ -272,7 +283,7 @@ class TestCacheLifetime:
         assert compiled.set_size == 1_000
 
     def test_compiled_properties(self):
-        sketches = compile_tester_sketches(make_sets(families.uniform(64), 1), 64)
+        sketches = compile_sets(make_sets(families.uniform(64), 1), 64)
         assert isinstance(sketches, CompiledTesterSketches)
         assert sketches.n == 64
         assert sketches.num_sets == PARAMS.num_sets
@@ -300,10 +311,10 @@ class TestMaintainerPassthrough:
     def test_engines_agree_over_the_reservoir(self):
         maintainer = self._fed()
         params = maintainer._tester_params(None)
-        session = maintainer.fleet.session(0)
-        assert maintainer.test(4, 0.3) == [reference(session, "l2", 4, 0.3, params)]
+        bundle = maintainer.fleet.bundle(0)
+        assert maintainer.test(4, 0.3) == [reference(bundle, "l2", 4, 0.3, params)]
         assert maintainer.min_k(0.3, max_k=8) == [
-            reference_min_k(session, 0.3, max_k=8, params=params)
+            reference_min_k(bundle, 0.3, max_k=8, params=params)
         ]
 
     def test_probes_share_session_budget(self):
