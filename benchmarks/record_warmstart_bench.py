@@ -18,7 +18,7 @@ speedup is time-to-first-response, warm over cold.  Two modes:
 
 Speedups use each kernel's *minimum* round time (the pairs run
 interleaved on shared CI machines; the mean is also recorded).  The
-64-stream pair records ~2.9x for warm start over cold compile; the CI
+64-stream pair records ~2.7x for warm start over cold compile; the CI
 ``persist-smoke`` job fails the smoke-sized pair below 1.5x.
 """
 

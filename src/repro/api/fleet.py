@@ -393,6 +393,13 @@ class HistogramFleet:
         ``bundle.invalidate()`` behind the fleet's back) recompiles that
         one slab from the member's pool and replants it.  Only the
         listed members are drawn for and compiled.
+
+        A compile the bundle holds but the fleet did not plant (a
+        restore's) keeps its object, and its memo.  A call over two or
+        more members mirrors its layout into the slab, which their
+        lockstep reads; a lone member's search reads only the object,
+        so that call gets a stackless view of it instead and the slab
+        stays unmirrored.
         """
         key = (resolved.num_sets, resolved.set_size)
         fleet_sketches = self._tester_fleet_cache.get(key)
@@ -408,9 +415,8 @@ class HistogramFleet:
             if member is not None and cached is member:
                 continue
             if cached is not None:
-                # The bundle holds a compile this fleet did not plant (a
-                # restore's): keep its object — and its memo — and mirror
-                # the layout into the slab.
+                if len(members) == 1:
+                    return FleetTesterSketches.holding(index, cached, self.size)
                 fleet_sketches.adopt_member(index, cached)
                 continue
             member = fleet_sketches.compile_member(

@@ -9,31 +9,48 @@ The paper's algorithms consume two *sketch families*:
   (Algorithm 2 and the min-k search) by the fleet that owns the bundle
   (:meth:`~repro.core.flatness.FleetTesterSketches.compile_member`).
 
-:class:`SketchBundle` owns one growable pool of raw samples per family
-and memoises the derived structures.  Pools only ever grow (i.i.d. draws
-are exchangeable, so the first ``m`` elements of a larger pool are a
-valid size-``m`` draw), which gives sessions and fleets their central
-guarantee: a batch of ``(k, epsilon)`` operations issues at most one
-draw per family and member, and an operation whose sizes fit the
-existing pool issues none.
-Each pool is a capacity-doubling buffer with a length cursor
-(:class:`_GrowablePool`), so repeated budget bumps append in amortised
-O(1) per element; every consumer receives read-only views, never copies.
+:class:`SketchBundle` owns one growable pool of raw samples per set and
+memoises the derived structures.  A batch of ``(k, epsilon)`` operations
+issues at most one draw event per family and member, and an operation
+whose sizes fit the existing pools issues none.  Each pool is a
+capacity-doubling buffer with a length cursor (:class:`_GrowablePool`),
+so repeated budget bumps append in amortised O(1) per element; every
+consumer receives read-only views, never copies.
+
+**Family draws.**  The ``r`` sets a family lacks come from one
+``_draw``, which calls the source's ``sample_sets`` when it has one
+(:func:`repro.api.source.draw_sets`).  A reservoir cuts them from one
+permutation of the slots it holds, so they share no slot while
+``r x set_size`` fits in it: drawn with replacement, a slot drawn twice
+would count as a collision and bias every pair rate.  A distribution's
+``sample_sets`` is ``r`` ``sample()`` calls, and an array source gets the
+same calls, so an i.i.d. family is ``r`` consecutive ``sample()`` calls.
+
+**Growth.**  Pools only ever grow, and a consumer reads the first ``m``
+elements of each set as its size-``m`` draw: a prefix of an i.i.d. set
+is i.i.d., and prefixes of disjoint cuts stay disjoint.  An i.i.d.
+source's sets grow by their missing suffix.  A reservoir's family
+(``disjoint_sets``) cannot append to a set cut from a permutation, so a
+family that must grow is redrawn whole at the covering size, and the
+compiled caches and probe sketches built over the old sets are dropped
+with it.  Serving never grows a family: the maintainer's budgets are
+fixed.
 
 Draw order is fixed — a learn-family fill from empty performs the same
 ``sample()`` calls in the same order as
-:func:`repro.core.greedy.draw_greedy_samples`, and a test-family fill
-from empty draws ``num_sets`` consecutive sets of ``set_size`` — which is
-what makes a fresh session's first sampling operation seed-for-seed the
-paper's draw-then-run composition (subsequent fills share the
-generator, so they are equivalent draws but not byte-replays of a fresh
-session's).
+:func:`repro.core.greedy.draw_greedy_samples` on an i.i.d. source, and a
+test-family fill from empty draws ``num_sets`` consecutive sets of
+``set_size`` — which is what makes a fresh session's first sampling
+operation seed-for-seed the paper's draw-then-run composition
+(subsequent fills share the generator, so they are equivalent draws but
+not byte-replays of a fresh session's).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.api.source import draw_sets
 from repro.core.flatness import CompiledTesterSketches
 from repro.core.greedy import (
     CompiledGreedySketches,
@@ -60,9 +77,15 @@ class _GrowablePool:
 
     __slots__ = ("_buffer", "_length")
 
-    def __init__(self) -> None:
-        self._buffer = np.empty(0, dtype=np.int64)
-        self._length = 0
+    def __init__(self, values: np.ndarray | None = None) -> None:
+        # Seeded with ``values`` (a family draw's set, or a restored
+        # read-only mapping), the pool serves views of that array until it
+        # grows: capacity equals length, so growth copies into a fresh
+        # writable buffer first and never writes ``values``.
+        if values is None:
+            values = np.empty(0, dtype=np.int64)
+        self._buffer = np.ascontiguousarray(values, dtype=np.int64)
+        self._length = int(self._buffer.shape[0])
 
     @property
     def length(self) -> int:
@@ -99,6 +122,13 @@ class _GrowablePool:
         return view
 
 
+def _short(pools: "list[_GrowablePool]", num_sets: int, set_size: int) -> bool:
+    """Whether a family lacks sets, or its first ``num_sets`` lack samples."""
+    return len(pools) < num_sets or any(
+        pool.length < set_size for pool in pools[:num_sets]
+    )
+
+
 class SketchBundle:
     """Sample pools plus compiled sketches, shared across one member's calls.
 
@@ -114,12 +144,15 @@ class SketchBundle:
 
     def __init__(self, source: object, n: int, rng: np.random.Generator) -> None:
         self._source = source
+        self._disjoint_sets = bool(getattr(source, "disjoint_sets", False))
         self._n = int(n)
         self._rng = rng
         self._weight_pool = _GrowablePool()
         self._collision_pool: list[_GrowablePool] = []
         self._tester_pool: list[_GrowablePool] = []
-        self._probe_cache: dict[tuple[int, int], CollisionSketch] = {}
+        self._probe_cache: dict[
+            tuple[int, int, int], tuple[CollisionSketch, np.ndarray]
+        ] = {}
         self._compiled_cache: dict[tuple, CompiledGreedySketches] = {}
         self._tester_compiled_cache: dict[
             tuple[int, int], CompiledTesterSketches
@@ -152,50 +185,71 @@ class SketchBundle:
     # pool growth
     # -------------------------------------------------------------- #
 
-    def _draw(self, size: int) -> np.ndarray:
+    def _draw(self, size: int, num_sets: int | None = None):
+        """One draw of ``size`` samples in all.
+
+        Without ``num_sets`` it is one ``sample(size)`` call.  With it,
+        it is a family: ``num_sets`` sets of ``size // num_sets``, drawn
+        by :func:`repro.api.source.draw_sets`, so a reservoir cuts them
+        from one permutation.  ``size`` stays the first positional
+        argument: ``perfbench/ledger.py`` reads it as the draw's count.
+        """
         self.samples_drawn += int(size)
-        return np.asarray(self._source.sample(size, self._rng))
+        if num_sets is None:
+            return np.asarray(self._source.sample(size, self._rng))
+        return draw_sets(self._source, num_sets, size // num_sets, self._rng)
+
+    def _grow_family(
+        self, pools: "list[_GrowablePool]", num_sets: int, set_size: int
+    ) -> bool:
+        """Grow a short family in place to ``num_sets`` x ``set_size``.
+
+        Only the sets the call will slice are extended, each by its
+        missing suffix; the sets it lacks come from one family draw.  A
+        source with ``disjoint_sets`` cannot append to a set cut from a
+        permutation, so its family is redrawn whole at the covering
+        size instead.  Returns whether that happened: every sketch built
+        over the old sets is then stale.
+        """
+        redraw = bool(pools) and self._disjoint_sets
+        if redraw:
+            num_sets = max(num_sets, len(pools))
+            set_size = max(set_size, max(pool.length for pool in pools))
+            pools.clear()
+        for pool in pools[:num_sets]:
+            pool.fill_to(set_size, self._draw)
+        missing = num_sets - len(pools)
+        if missing > 0:
+            pools.extend(
+                _GrowablePool(values)
+                for values in self._draw(missing * set_size, missing)
+            )
+        return redraw
 
     def ensure_learn_pool(self, params: GreedyParams) -> None:
         """Grow the learn-family pools to cover ``params``' sizes."""
-        grew = (
-            self._weight_pool.length < params.weight_sample_size
-            or len(self._collision_pool) < params.collision_sets
-            or any(
-                pool.length < params.collision_set_size
-                for pool in self._collision_pool[: params.collision_sets]
-            )
+        short = _short(
+            self._collision_pool, params.collision_sets, params.collision_set_size
         )
-        if not grew:
+        if not short and self._weight_pool.length >= params.weight_sample_size:
             return
         self.draw_events[_LEARN] += 1
         self.generation += 1
         self._weight_pool.fill_to(params.weight_sample_size, self._draw)
-        # Only the sets this call will slice are extended; any further
-        # pooled sets keep their size until a request actually needs them.
-        for pool in self._collision_pool[: params.collision_sets]:
-            pool.fill_to(params.collision_set_size, self._draw)
-        while len(self._collision_pool) < params.collision_sets:
-            pool = _GrowablePool()
-            pool.fill_to(params.collision_set_size, self._draw)
-            self._collision_pool.append(pool)
+        if short and self._grow_family(
+            self._collision_pool, params.collision_sets, params.collision_set_size
+        ):
+            self._compiled_cache = {}
 
     def ensure_tester_pool(self, params: TesterParams) -> None:
         """Grow the test-family pool to cover ``params``' sizes."""
-        grew = len(self._tester_pool) < params.num_sets or any(
-            pool.length < params.set_size
-            for pool in self._tester_pool[: params.num_sets]
-        )
-        if not grew:
+        if not _short(self._tester_pool, params.num_sets, params.set_size):
             return
         self.draw_events[_TEST] += 1
         self.generation += 1
-        for pool in self._tester_pool[: params.num_sets]:
-            pool.fill_to(params.set_size, self._draw)
-        while len(self._tester_pool) < params.num_sets:
-            pool = _GrowablePool()
-            pool.fill_to(params.set_size, self._draw)
-            self._tester_pool.append(pool)
+        if self._grow_family(self._tester_pool, params.num_sets, params.set_size):
+            self._tester_compiled_cache = {}
+            self._probe_cache = {}
 
     # -------------------------------------------------------------- #
     # derived structures
@@ -262,20 +316,26 @@ class SketchBundle:
             for pool in self._tester_pool[: params.num_sets]
         ]
 
-    def probe_sketch(self, params: TesterParams) -> CollisionSketch:
-        """The first tester set's sorted sketch, for whole-domain probes.
+    def probe_sketch(
+        self, params: TesterParams, num_sets: int
+    ) -> tuple[CollisionSketch, np.ndarray]:
+        """One sorted sketch over the first ``num_sets`` tester sets.
 
-        Uniformity and identity read one collision sketch of the first
-        set of :meth:`tester_sets`; it is built once per
-        ``(num_sets, set_size)`` and dropped by :meth:`invalidate`
-        together with the pools.  The other sets are never sketched.
+        Uniformity and identity are whole-domain statistics: they read
+        one :class:`~repro.samples.collision.CollisionSketch` over the
+        union of the first ``num_sets`` sets of :meth:`tester_sets`, and
+        identity the union's samples too; both come back.  The caller
+        picks ``num_sets`` so that the union counts no slot twice (the
+        sets a reservoir cut from one permutation).  Built once per
+        budget and count, and dropped with the pools.
         """
-        key = (params.num_sets, params.set_size)
-        sketch = self._probe_cache.get(key)
-        if sketch is None:
-            sketch = CollisionSketch(self.tester_sets(params)[0], self._n)
-            self._probe_cache[key] = sketch
-        return sketch
+        key = (params.num_sets, params.set_size, num_sets)
+        probe = self._probe_cache.get(key)
+        if probe is None:
+            samples = np.concatenate(self.tester_sets(params)[:num_sets])
+            probe = (CollisionSketch(samples, self._n), samples)
+            self._probe_cache[key] = probe
+        return probe
 
     # -------------------------------------------------------------- #
     # persistence

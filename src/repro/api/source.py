@@ -9,9 +9,20 @@ front door accepts
 
 * :class:`repro.distributions.DiscreteDistribution` (and subclasses such
   as :class:`~repro.distributions.EmpiricalDistribution`),
-* :class:`repro.streaming.ReservoirSampler` (bootstrap view of a stream),
+* :class:`repro.streaming.ReservoirSampler` (a stream's reservoir),
 * raw integer arrays / sequences of observed values (wrapped in
   :class:`ArraySource`, a with-replacement bootstrap).
+
+The paper's collision statistics read ``r`` sets at once, so a source
+may also offer ``sample_sets(num_sets, set_size, rng)``, and
+:func:`draw_sets` draws one whole family through it.  A distribution's
+``sample_sets`` is ``num_sets`` ``sample()`` calls on one generator, and
+a source without one (an :class:`ArraySource`) gets exactly those calls,
+so neither draws a bit differently.  A reservoir cuts its sets from one
+permutation of the slots it holds, which keeps them free of repeated
+slots; it marks that with ``disjoint_sets = True``, and the sample pools
+redraw such a family whole instead of appending to its sets (see
+:mod:`repro.api.sketches`).
 
 :class:`CountingSource` instruments any source with draw accounting — the
 sessions' sample-reuse guarantees are asserted against it in the test
@@ -102,10 +113,15 @@ class ArraySource:
 class CountingSource:
     """Wrap a source and count every draw made through it.
 
+    ``sample_sets`` is forwarded through :func:`draw_sets`, so a wrapped
+    reservoir still cuts disjoint sets, and ``disjoint_sets`` reports the
+    wrapped source's.
+
     Attributes
     ----------
     calls:
-        Number of ``sample()`` invocations.
+        Number of sample arrays drawn: one per ``sample()`` call and one
+        per set of a ``sample_sets()`` call.
     samples_drawn:
         Total samples returned across all calls.
     """
@@ -125,10 +141,45 @@ class CountingSource:
         self.samples_drawn += int(np.asarray(result).size)
         return result
 
+    def sample_sets(
+        self,
+        num_sets: int,
+        set_size: int,
+        rng: int | None | np.random.Generator = None,
+    ) -> list[np.ndarray]:
+        sets = draw_sets(self._inner, num_sets, set_size, rng)
+        self.calls += len(sets)
+        self.samples_drawn += sum(int(s.size) for s in sets)
+        return sets
+
+    @property
+    def disjoint_sets(self) -> bool:
+        """Whether the wrapped source cuts disjoint sets."""
+        return getattr(self._inner, "disjoint_sets", False)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CountingSource(calls={self.calls}, samples_drawn={self.samples_drawn})"
         )
+
+
+def draw_sets(
+    source: SampleSource,
+    num_sets: int,
+    set_size: int,
+    rng: int | None | np.random.Generator = None,
+) -> list[np.ndarray]:
+    """One family of ``num_sets`` sets of ``set_size`` samples.
+
+    Through the source's ``sample_sets`` when it has one, else as
+    ``num_sets`` ``sample()`` calls on one generator, in order (``None``
+    leaves each call to the source's own default).
+    """
+    sample_sets = getattr(source, "sample_sets", None)
+    if sample_sets is not None:
+        return [np.asarray(s) for s in sample_sets(num_sets, set_size, rng)]
+    generator = None if rng is None else as_rng(rng)
+    return [np.asarray(source.sample(set_size, generator)) for _ in range(num_sets)]
 
 
 def as_sample_source(source: object, n: int | None = None) -> SampleSource:

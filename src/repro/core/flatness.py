@@ -640,6 +640,20 @@ class FleetTesterSketches:
             pair_stack[index] = sketches._pair_cols
             self._members[index] = sketches
 
+    @classmethod
+    def holding(
+        cls, index: int, sketches: CompiledTesterSketches, fleet_size: int
+    ) -> "FleetTesterSketches":
+        """A stackless fleet whose only member is ``sketches`` at ``index``.
+
+        For a one-member search, which reads the member's own object
+        (:meth:`FleetFlatnessOracle.member_oracle`) and never the
+        stacks: the view allocates none and copies nothing.
+        """
+        view = cls(sketches.n, sketches.num_sets, sketches.set_size, fleet_size)
+        view._members[index] = sketches
+        return view
+
     def drop_member(self, index: int) -> None:
         """Forget one member's compiled sketches (its source changed).
 

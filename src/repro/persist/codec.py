@@ -53,20 +53,6 @@ def _scoped(slab, prefix: str):
     return lambda name: slab(prefix + name)
 
 
-def _restored_pool(values: np.ndarray) -> _GrowablePool:
-    """A sample pool over a read-only restored buffer.
-
-    Capacity equals length, so the pool serves views straight off the
-    mapped file and any *growth* reallocates into a fresh writable
-    buffer first (``fill_to`` copies the prefix out) — the mapping is
-    never written.
-    """
-    pool = _GrowablePool()
-    pool._buffer = np.ascontiguousarray(values, dtype=np.int64)
-    pool._length = int(pool._buffer.shape[0])
-    return pool
-
-
 def _sample_set_over(sorted_values: np.ndarray, n: int) -> SampleSet:
     """A :class:`SampleSet` adopting an already-sorted read-only view.
 
@@ -181,13 +167,13 @@ def restore_bundle(bundle, meta: dict, slab) -> None:
     """Rebuild one bundle in place from restored state (zero-copy)."""
     _check_fingerprint("bundle", meta, {"n": int(bundle._n)})
     bundle.invalidate()
-    bundle._weight_pool = _restored_pool(slab("pool/weight"))
+    bundle._weight_pool = _GrowablePool(slab("pool/weight"))
     bundle._collision_pool = [
-        _restored_pool(slab(f"pool/collision/{i}"))
+        _GrowablePool(slab(f"pool/collision/{i}"))
         for i in range(int(meta["collision_pools"]))
     ]
     bundle._tester_pool = [
-        _restored_pool(slab(f"pool/tester/{i}"))
+        _GrowablePool(slab(f"pool/tester/{i}"))
         for i in range(int(meta["tester_pools"]))
     ]
     for j, entry in enumerate(meta["learn"]):

@@ -195,24 +195,25 @@ def interval_prefixes(
     fleet's), and the learner's collision sets.  ``grid`` holds sorted query points in
     ``[0, n]``; the default is every endpoint ``0..n``.
 
-    One rule picks the pass.  When ``n + 1 <= 4 x`` the total sample
-    count, :func:`dense_interval_prefixes` counts, in O(r (m + n)).
-    Otherwise the domain is sparse and :func:`batched_interval_prefixes`
-    sorts all sets once.  Both are exact integer math, so the choice
-    never shows in a result.
+    One rule picks the pass.  The default grid, every endpoint ``0..n``
+    (every tester compile's), always counts with
+    :func:`dense_interval_prefixes`: its output alone is ``r (n + 1)``
+    values, and counting builds it in O(r (m + n)) where sorting pays a
+    search per endpoint on top.  A sparser grid (the learner's
+    candidates) counts when ``n + 1 <= 4 x`` the total sample count and
+    otherwise sorts all sets once with :func:`batched_interval_prefixes`.
+    Both are exact integer math, so the choice never shows in a result.
 
     Returns ``(count_rows, pair_rows)``, two C-contiguous ``(r, G)``
     int64 matrices whose row ``i`` holds set ``i``'s per-grid-point
     prefixes.
     """
+    if grid is None:
+        return dense_interval_prefixes(sample_sets, n)
     total = sum(np.asarray(s).size for s in sample_sets)
     if n + 1 > 4 * total:
-        if grid is None:
-            grid = np.arange(n + 1, dtype=np.int64)
         return batched_interval_prefixes(sample_sets, n, grid)
     count_rows, pair_rows = dense_interval_prefixes(sample_sets, n)
-    if grid is None:
-        return count_rows, pair_rows
     grid = _grid_points(grid, n)
     return count_rows[:, grid], pair_rows[:, grid]
 

@@ -57,9 +57,14 @@ class FleetMaintainer:
     reservoir_capacity:
         Per-stream reservoir size (default 4096).
     params:
-        Explicit learner sizes; defaults to a budget matched to the
-        reservoir (it cannot support more independent information than
-        it holds).
+        Explicit learner sizes.  The default is matched to the
+        reservoir, which cannot support more independent information
+        than it holds: a weight sample of ``capacity // 2`` and 5
+        collision sets of ``capacity // 5``, so the sets fit in one
+        permutation of a full reservoir and share no slot
+        (:meth:`~repro.streaming.ReservoirSampler.sample_sets`).  The
+        tester probes' default is 5 sets of ``capacity // 5`` for the
+        same reason.  Both set sizes are at least 16.
     rng:
         Base seed; one independent child generator is spawned per
         stream (its reservoir and session draws share it).
@@ -95,7 +100,7 @@ class FleetMaintainer:
             params = GreedyParams(
                 weight_sample_size=max(budget // 2, 16),
                 collision_sets=5,
-                collision_set_size=max(budget // 4, 16),
+                collision_set_size=max(budget // 5, 16),
                 rounds=max(self._k, 2),
             )
         self._params = params
@@ -348,10 +353,10 @@ class FleetMaintainer:
         if params is not None:
             return params
         # Like the learner default: the reservoir cannot support more
-        # independent information than it holds, so budget per set is
-        # tied to its capacity (sets are drawn with replacement).
+        # independent information than it holds, so the 5 sets together
+        # fit in it and a full reservoir cuts them disjoint.
         return TesterParams(
-            num_sets=5, set_size=max(self._reservoirs[0].capacity, 16)
+            num_sets=5, set_size=max(self._reservoirs[0].capacity // 5, 16)
         )
 
     def test(
@@ -444,18 +449,23 @@ class FleetMaintainer:
         return results
 
     def _probe_sketch(self, member: int, params: TesterParams):
-        """One stream's first pooled tester set, sketched and cached.
+        """One stream's disjoint pooled tester sets, sketched and cached.
 
         Uniformity and identity are whole-domain collision statistics —
         they read a single :class:`~repro.samples.collision.CollisionSketch`,
-        not the ``r``-set flatness machinery — so the probe consumes the
-        first set of the member's shared test-family pool, sketched once
-        (:meth:`repro.api.SketchBundle.probe_sketch`).  The pool is the
-        same one :meth:`test` / :meth:`min_k` draw from, so these probes
-        never cost a separate draw event.
+        not the ``r``-set flatness machinery — over the union of the
+        member's tester sets (:meth:`repro.api.SketchBundle.probe_sketch`),
+        so the probe costs no separate draw event.  At the default
+        budget on a full reservoir the union is ``r x set_size <=
+        capacity`` distinct slots.  A partly filled reservoir starts a
+        new permutation when the next set does not fit, and those sets
+        overlap the earlier ones, so the probe reads only the sets cut
+        from the first permutation: no slot counts twice.  Returns the
+        sketch and its samples.
         """
-        bundle = self._fleet.bundle(member)
-        return bundle.probe_sketch(params), bundle.tester_sets(params)[0]
+        held = self._reservoirs[member].size
+        disjoint = min(params.num_sets, max(held // params.set_size, 1))
+        return self._fleet.bundle(member).probe_sketch(params, disjoint)
 
     def uniformity(
         self,

@@ -4,6 +4,15 @@ Maintains a uniform-without-replacement sample of a stream; the
 streaming maintainers use it as the sample source for greedy rebuilds
 and tester probes.
 
+Two draws read it.  :meth:`ReservoirSampler.sample` is a with-replacement
+bootstrap, which the learner's weight sample uses (weight estimates are
+unbiased either way).  :meth:`ReservoirSampler.sample_sets` serves every
+collision family: it cuts ``r`` sets from one random permutation of the
+held slots, so the sets are disjoint whenever ``r x set_size`` fits in
+the reservoir and no set holds a slot twice while ``set_size`` does.
+Drawn with replacement instead, two copies of one slot count as a
+collision and double every pair rate at ``set_size = capacity``.
+
 Algorithm R treats the stream's ``j``-th item (counting from 0) in one
 of two ways: while the reservoir fills, the item takes slot ``j``;
 after that it draws a slot uniformly from ``[0, j]`` and replaces the
@@ -40,6 +49,11 @@ class ReservoirSampler:
     reservoir with probability ``capacity / t`` (exactly, by induction) —
     the classical Algorithm R invariant.
     """
+
+    #: :meth:`sample_sets` cuts disjoint sets from one permutation, so a
+    #: set cannot grow by appending draws: a consumer that needs larger
+    #: or more sets draws the whole family again.
+    disjoint_sets = True
 
     def __init__(
         self,
@@ -118,12 +132,53 @@ class ReservoirSampler:
     ) -> np.ndarray:
         """Draw ``size`` items i.i.d. (with replacement) from the reservoir.
 
-        This is the bootstrap view the greedy learner consumes: the
-        reservoir approximates the stream's empirical distribution, and
-        with-replacement draws from it approximate fresh stream samples.
+        The bootstrap view: the reservoir approximates the stream's
+        empirical distribution, and with-replacement draws from it
+        approximate fresh stream samples for estimates that are linear
+        in the sample, such as the learner's weights.  A collision
+        statistic is not: a slot drawn twice counts as a pair, so
+        collision sets come from :meth:`sample_sets`.
         """
-        if self.size == 0:
-            raise InvalidParameterError("cannot sample from an empty reservoir")
-        generator = as_rng(rng if rng is not None else self._rng)
+        generator = self._generator(rng)
         idx = generator.integers(0, self.size, size=size)
         return self._items[idx]
+
+    def sample_sets(
+        self,
+        num_sets: int,
+        set_size: int,
+        rng: "int | None | np.random.Generator" = None,
+    ) -> list[np.ndarray]:
+        """``num_sets`` sets of ``set_size`` items, cut from permutations.
+
+        Draws a random permutation of the held slots and cuts
+        consecutive sets of ``set_size`` from it; when the next set does
+        not fit in what is left, it starts a new permutation.  So the
+        sets are pairwise disjoint whenever ``num_sets * set_size`` is at
+        most :attr:`size`, and no set holds a slot twice while
+        ``set_size`` is.  Only a stream shorter than one set
+        (``set_size > size``) draws each set with replacement, as
+        :meth:`sample` does.  Same name and signature as
+        :meth:`repro.distributions.DiscreteDistribution.sample_sets`.
+        """
+        if set_size < 1:
+            raise InvalidParameterError(f"set_size must be >= 1, got {set_size}")
+        generator = self._generator(rng)
+        size = self.size
+        if set_size > size:
+            return [
+                self._items[generator.integers(0, size, size=set_size)]
+                for _ in range(num_sets)
+            ]
+        per_permutation = size // set_size
+        sets: list[np.ndarray] = []
+        while len(sets) < num_sets:
+            cut = min(per_permutation, num_sets - len(sets))
+            order = generator.permutation(size)[: cut * set_size]
+            sets.extend(self._items[order].reshape(cut, set_size))
+        return sets
+
+    def _generator(self, rng) -> np.random.Generator:
+        if self.size == 0:
+            raise InvalidParameterError("cannot sample from an empty reservoir")
+        return as_rng(rng if rng is not None else self._rng)

@@ -194,7 +194,8 @@ def adversarial_set_batches(draw):
 
 class TestDenseVsSortProperty:
     """Counting must equal the sort path bit for bit, and so must
-    interval_prefixes on either side of its count-or-sort rule.
+    interval_prefixes on either side of its count-or-sort rule (the full
+    grid always counts; a sparse grid counts while n + 1 <= 4 x total).
 
     Whole tester and learner runs exercise the interchange only
     indirectly; this pins it at the prefix level, on adversarial
@@ -210,8 +211,9 @@ class TestDenseVsSortProperty:
         assert dense_counts.dtype == sort_counts.dtype == np.int64
         assert np.array_equal(dense_counts, sort_counts)
         assert np.array_equal(dense_pairs, sort_pairs)
-        # The same sets over wider domains: the largest that still counts
-        # (n + 1 == 4 x total, the boundary) and the smallest that sorts.
+        # The same sets over wider domains: the largest where a sparse grid
+        # still counts (n + 1 == 4 x total, the boundary) and the smallest
+        # where it sorts; the full grid counts on every one.
         total = sum(s.size for s in sets)
         domains = {n, max(n, 4 * total)}
         if total:
@@ -226,7 +228,9 @@ class TestDenseVsSortProperty:
                     wraps=dense_interval_prefixes,
                 ) as counting:
                     counts, pairs = interval_prefixes(sets, domain, sub_grid)
-                assert counting.called == (domain + 1 <= 4 * total)
+                assert counting.called == (
+                    sub_grid is None or domain + 1 <= 4 * total
+                )
                 ref_counts, ref_pairs = batched_interval_prefixes(sets, domain, query)
                 assert counts.dtype == pairs.dtype == np.int64
                 assert np.array_equal(counts, ref_counts)

@@ -10,7 +10,11 @@ pinned seeds through every combination of
 * tester (flatness) engine — ``compiled`` (the production path) or
   ``full`` (the private per-query reference, ``_reference_test`` /
   ``_reference_min_k`` over each member's pooled sketch),
-* sample source          — :class:`ArraySource` / :class:`CountingSource`,
+* sample source          — :class:`ArraySource` or a
+  :class:`~repro.streaming.ReservoirSampler` (whose families are cut
+  from one permutation), each plain or wrapped in a
+  :class:`CountingSource`; each of the two is compared with its own
+  reference cell, since their draws differ,
 * driver                 — a :class:`HistogramSession` loop /
   one :class:`HistogramFleet`,
 
@@ -43,6 +47,7 @@ from repro.core.selection import _reference_min_k
 from repro.core.tester import _reference_test
 from repro.distributions import families
 from repro.samples.estimators import MultiSketch
+from repro.streaming.reservoir import ReservoirSampler
 
 N = 96
 FLEET_SIZE = 3
@@ -52,6 +57,9 @@ LEARN_PARAMS = GreedyParams(
     weight_sample_size=2_000, collision_sets=3, collision_set_size=1_000, rounds=2
 )
 TEST_GRID = [(2, 0.3), (4, 0.25)]
+# Holds 5 x 2,500 items, so the snapshot axis's grown tester family is
+# still cut disjoint.
+RESERVOIR_CAPACITY = 12_500
 
 # Each learn route's driver; ``None`` keeps the production one.
 LEARN_ROUTES = {
@@ -59,7 +67,7 @@ LEARN_ROUTES = {
     "lockstep": None,
 }
 TESTER_ENGINES = ("compiled", "full")
-SOURCE_KINDS = ("array", "counting")
+SOURCE_KINDS = ("array", "counting", "reservoir", "counting-reservoir")
 DRIVERS = ("session", "fleet")
 
 MATRIX = list(itertools.product(LEARN_ROUTES, TESTER_ENGINES, SOURCE_KINDS, DRIVERS))
@@ -76,13 +84,23 @@ def learn_route(route: str):
         yield
 
 
+def _family(kind: str) -> str:
+    """The source a kind draws from, ``array`` or ``reservoir``."""
+    return "reservoir" if kind.endswith("reservoir") else "array"
+
+
 def _make_sources(kind: str):
     base = families.random_tiling_histogram(N, 3, rng=5, min_piece=8)
     arrays = [
         base.sample(15_000, np.random.default_rng(200 + f)) for f in range(FLEET_SIZE)
     ]
-    sources = [ArraySource(values, N) for values in arrays]
-    if kind == "counting":
+    if _family(kind) == "reservoir":
+        sources = [ReservoirSampler(RESERVOIR_CAPACITY, rng=300 + f) for f in range(FLEET_SIZE)]
+        for reservoir, values in zip(sources, arrays):
+            reservoir.update_many(values)
+    else:
+        sources = [ArraySource(values, N) for values in arrays]
+    if kind.startswith("counting"):
         sources = [CountingSource(source) for source in sources]
     return sources
 
@@ -169,11 +187,12 @@ def run_scenario(
 
 @pytest.fixture(scope="module")
 def reference_outcomes():
-    """The matrix's reference cell (the full-span learn route),
-    computed once per pinned seed."""
+    """The matrix's reference cells (the full-span learn route), one per
+    pinned seed and source family."""
     return {
-        seed: run_scenario("full", "compiled", "array", "session", seed)
+        (seed, family): run_scenario("full", "compiled", family, "session", seed)
         for seed in SEEDS
+        for family in ("array", "reservoir")
     }
 
 
@@ -190,7 +209,7 @@ def test_matrix_cell_matches_reference(
     transitive, so all C(|matrix|, 2) pairs agree iff each cell agrees
     with the reference)."""
     outcome = run_scenario(route, tester_engine, source_kind, driver, seed)
-    assert outcome == reference_outcomes[seed]
+    assert outcome == reference_outcomes[seed, _family(source_kind)]
 
 
 def test_counting_sources_observe_identical_draws():
@@ -209,7 +228,7 @@ def test_counting_sources_observe_identical_draws():
 # ------------------------------------------------------------------ #
 
 
-@pytest.mark.parametrize("case", ["serial"])
+@pytest.mark.parametrize("case", ["serial", "reservoir"])
 def test_snapshot_cell_matches_live_fleet(tmp_path, case):
     """A fleet restored mid-workload finishes it byte-identically.
 
@@ -218,14 +237,15 @@ def test_snapshot_cell_matches_live_fleet(tmp_path, case):
     *larger*-budget tester call that forces the restored read-only pools
     to grow and spends restored rng draws — runs on both the live fleet
     and a freshly built fleet restored from the file.  Outcomes and
-    per-member memo accounting must match exactly.
+    per-member memo accounting must match exactly.  Over array sources
+    the pools grow by suffix; over reservoirs the family is redrawn.
     """
     seeds = [SEEDS[0] + f for f in range(FLEET_SIZE)]
     grown = TesterParams(num_sets=5, set_size=2_500)
 
     def build():
         return HistogramFleet(
-            _make_sources("array"),
+            _make_sources("reservoir" if case == "reservoir" else "array"),
             N,
             rngs=list(seeds),
             learn_budget=LEARN_PARAMS,

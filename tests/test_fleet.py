@@ -316,6 +316,34 @@ class TestFleetCacheLifetime:
         assert adopted is planted  # same object, memo preserved
         assert adopted.memo_misses == misses_before  # replayed from memo
 
+    def test_restored_lone_member_call_is_not_mirrored(self, tmp_path):
+        """A restored compile searched by a one-member call stays out of
+        the slab (the search reads only the object); a later call over
+        two members adopts the same object, memo included."""
+        key = (TEST_PARAMS.num_sets, TEST_PARAMS.set_size)
+        live, _ = make_fleet_and_sessions(fleet_size=3, test_budget=TEST_PARAMS)
+        expected = live.test_l2(4, 0.3)
+        live.snapshot(tmp_path / "fleet.snap")
+        restored, _ = make_fleet_and_sessions(fleet_size=3, test_budget=TEST_PARAMS)
+        restored.restore(tmp_path / "fleet.snap")
+        planted = restored.bundle(0)._tester_compiled_cache[key]
+        hits, misses = planted.memo_hits, planted.memo_misses
+
+        assert restored.test_l2(4, 0.3, members=[0]) == [expected[0]]
+        assert restored.min_k(0.3, max_k=6, norm="l2", members=[0]) == [
+            live.min_k(0.3, max_k=6, norm="l2", members=[0])[0]
+        ]
+        slab = restored._tester_fleet_cache[key]
+        assert slab.member_or_none(0) is None
+        assert slab._count_stack is None  # no stack allocated or copied
+        assert planted.memo_misses == misses and planted.memo_hits > hits
+
+        hits = planted.memo_hits
+        assert restored.test_l2(4, 0.3, members=[0, 1]) == expected[:2]
+        assert slab.member_or_none(0) is planted
+        assert planted.memo_misses == misses and planted.memo_hits > hits
+        assert restored.draw_events == live.draw_events
+
     def test_counting_sources_one_budget_per_member(self):
         base = families.zipf(64, 1.0)
         counters = [CountingSource(base) for _ in range(3)]
