@@ -5,7 +5,7 @@ restarted 64-stream serving fleet that restores its mmap snapshot
 reaches its first byte-identical response faster than rebuilding cold —
 replaying the retained stream history through every reservoir (refresh
 rebuilds included) and recompiling every member's tester sketches.
-The recorded ratio is ~2.7x, with the replay going through the batched
+The recorded ratio is ~3.6x, with the replay going through the batched
 reservoir intake; CI guards the smoke-sized pair at 1.5x.
 Kernels come in ``<name>`` / ``<name>_cold`` pairs that feed
 ``BENCH_warmstart.json`` via ``benchmarks/record_warmstart_bench.py``.
@@ -118,7 +118,7 @@ else:
 
     def test_warmstart_fleet_64(benchmark):
         """64-stream warm start (restore + sweep) — the headline pair;
-        recorded at ~2.7x over the cold rebuild."""
+        recorded at ~3.6x over the cold rebuild."""
         _bench_warm(benchmark)
 
     def test_warmstart_fleet_64_cold(benchmark):

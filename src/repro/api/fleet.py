@@ -14,9 +14,9 @@ batches across members:
 * **pooled draws** — every operation grows all members' sample pools in
   one planned pass (each member's draws stay in its own generator's
   order, which is what keeps the fleet replayable);
-* **stacked compilation** — each member's hit/pair prefix arrays come
-  from :func:`repro.samples.collision.interval_prefixes` and are
-  stacked on a leading fleet axis
+* **stacked compilation** — each member's compiled tester layout
+  (dense prefix rows or sparse sorted keys, by budget) is stacked on a
+  leading fleet axis
   (:class:`~repro.core.flatness.FleetTesterSketches`);
 * **lockstep probing** — ``test_l2`` / ``test_l1`` / ``test_many`` /
   ``min_k`` run every member's Algorithm 2 search in lockstep
@@ -202,7 +202,7 @@ class HistogramFleet:
     def snapshot(self, path) -> None:
         """Write every member's warm state to one snapshot file.
 
-        The stacked ``(F, n+1, r)`` tester slabs are not persisted —
+        The fleet's stacked tester slabs are not persisted —
         a restored fleet re-adopts each member's compiled layout into
         fresh stacks on the next operation, byte-identically.
         """

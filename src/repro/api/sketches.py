@@ -5,7 +5,7 @@ The paper's algorithms consume two *sketch families*:
 * the **learn family** — one weight sample plus ``r`` collision sets,
   compiled into prefix arrays over a candidate grid (Algorithm 1);
 * the **test family** — ``r`` plain sample sets compiled straight into
-  a :class:`~repro.core.flatness.CompiledTesterSketches` gather layout
+  a :class:`~repro.core.flatness.CompiledTesterSketches` layout
   (Algorithm 2 and the min-k search) by the fleet that owns the bundle
   (:meth:`~repro.core.flatness.FleetTesterSketches.compile_member`).
 

@@ -30,14 +30,17 @@ The module is layered so Algorithm 2 can run on a *compiled* engine
   (:func:`repro.core.tester._reference_test`,
   :func:`repro.core.selection._reference_min_k`) search with;
 * **compiled engine** — :class:`CompiledTesterSketches` holds one
-  member's per-set hit/pair prefixes over the full endpoint grid
-  ``[0, n]`` in a C-contiguous ``(n + 1, r)`` gather layout, so one
-  flatness query is one kernel row sliced from two prefix rows, with
-  verdicts memoised by ``(start, stop, metric, epsilon, scale)`` across
-  binary searches, ``test_many`` grid points, and min-k sweeps;
+  member's sets in the form :func:`tester_form` picks from ``(n, m)``:
+  dense, per-set hit/pair prefixes over the full endpoint grid
+  ``[0, n]`` in a C-contiguous ``(n + 1, r)`` gather layout; or sparse,
+  the ``r m`` samples sorted once in per-set stripes plus a pair prefix,
+  where one ``searchsorted`` places an interval's endpoints.  Either
+  way one flatness query is one kernel row of exact integer
+  differences, with verdicts memoised by
+  ``(start, stop, metric, epsilon, scale)`` across binary searches,
+  ``test_many`` grid points, and min-k sweeps;
 * **fleet layer** — :class:`FleetTesterSketches` compiles every
-  member's layout straight from its raw sample sets (through
-  :func:`repro.samples.collision.interval_prefixes`, in
+  member's layout straight from its raw sample sets (in
   :meth:`FleetTesterSketches.compile_member`, the one tester compile)
   into a slab of stacks with a leading fleet axis, and
   :class:`FleetFlatnessOracle` answers one batch of probes (at most one
@@ -56,7 +59,7 @@ import numpy as np
 
 from repro.core.params import _l1_min_hits, validate_epsilon
 from repro.errors import InvalidParameterError
-from repro.samples.collision import interval_prefixes
+from repro.samples.collision import interval_prefixes, striped_sort
 from repro.samples.estimators import MultiSketch, _ratio
 from repro.utils.prefix import pairs_count
 
@@ -278,17 +281,64 @@ def flatness_oracle(
 # compiled engine
 # ------------------------------------------------------------------ #
 
+DENSE = "dense"
+SPARSE = "sparse"
+
+# Each form's two arrays, by the names a snapshot stores them under.
+_LAYOUT_NAMES = {DENSE: ("count_cols", "pair_cols"), SPARSE: ("keys", "pair_prefix")}
+
+
+def tester_form(n: int, set_size: int) -> str:
+    """The layout a tester budget compiles into: ``"sparse"`` or ``"dense"``.
+
+    Sets that are sparse in the domain, ``4 * set_size <= n + 1``, keep
+    their ``r * m`` samples sorted in per-set stripes plus a prefix of
+    colliding pairs (:func:`repro.samples.collision.striped_sort`):
+    O(r m) memory, and an endpoint becomes ``r`` positions by one
+    ``searchsorted``.  Denser sets keep per-set hit and pair prefixes on
+    every endpoint ``0..n``: O(r n) memory, and an endpoint is its own
+    row.  Both forms give the same exact integers, so the choice never
+    shows in a verdict; the threshold is where a timed compile plus
+    min-k sweep crosses over (README.md, "Compiled tester engine").
+    """
+    return SPARSE if 4 * set_size <= n + 1 else DENSE
+
+
+def _striped_counts(
+    keys: np.ndarray, pair_prefix: np.ndarray, stripes: np.ndarray, ends
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-set hit and pair counts between two rows of endpoints.
+
+    ``ends`` is ``(2, B)``: the intervals' starts, then their stops, in
+    the keys' value space; ``stripes`` holds each set's offset in it.
+    One ``searchsorted`` turns the ``2 B r`` points into positions, whose
+    differences are hit counts and whose ``pair_prefix`` entries differ by
+    the collision pairs.  Returns two ``(B, r)`` int64 arrays.
+    """
+    at = keys.searchsorted(np.add.outer(ends, stripes))
+    pairs = pair_prefix[at]
+    return at[1] - at[0], pairs[1] - pairs[0]
+
 
 class CompiledTesterSketches:
-    """``r`` sample sets compiled for O(r) flatness queries.
+    """``r`` sample sets compiled for flatness queries of O(r) rows each.
 
     Mirrors :class:`repro.core.greedy.CompiledGreedySketches`: the
-    expensive per-draw work — prefix evaluation on the full endpoint
-    grid ``[0, n]`` — happens once at compile time
+    per-draw work happens once at compile time
     (:meth:`FleetTesterSketches.compile_member`), after which any
-    interval's per-set hit and pair counts are differences of contiguous
-    length-``r`` rows (the ``(n + 1, r)`` C-contiguous layout below),
-    sliced as one row of :func:`flatness_rows`.
+    interval's per-set hit and pair counts come out as exact integer
+    differences, one row of :func:`flatness_rows`.  :func:`tester_form`
+    picks the layout from ``(n, m)`` alone, and the two forms differ only
+    in how an endpoint becomes a row:
+
+    * **dense** — per-set hit/pair prefixes on the full endpoint grid
+      ``[0, n]`` in C-contiguous ``(n + 1, r)`` columns; an endpoint is
+      its own row, so an interval is two contiguous length-``r`` rows;
+    * **sparse** — the ``r m`` samples sorted once with set ``s``'s in
+      the stripe ``s n + v``, plus the pair prefix by position; an
+      endpoint ``x`` becomes the positions of ``s n + x`` through one
+      ``searchsorted``, whose differences are the hit counts and whose
+      pair-prefix entries differ by the collision pairs.
 
     On top of the gathers sits a verdict memo keyed by
     ``(start, stop, metric, epsilon, scale)``.  Algorithm 2's binary
@@ -299,40 +349,65 @@ class CompiledTesterSketches:
     Algorithm 2 returns is unaffected — every probe is logged whether or
     not its verdict came from the memo.
 
-    Memory is O(n r), and no more than the raw sketch's: at the largest
-    domain the benchmarks use (n = 16,384, r = 21, m = 120,000) the
-    layout is 5.5 MB against the :class:`MultiSketch`'s 7.6 MB.
+    Memory is O(r min(m, n)): ``2 (n + 1) r`` integers dense, ``2 r m + 1``
+    sparse.  :meth:`state` and :meth:`from_state` are the only way a
+    snapshot reads or writes the layout.
+
+    ``arrays`` maps the form's two names (``count_cols`` and
+    ``pair_cols`` dense, ``keys`` and ``pair_prefix`` sparse) to its
+    arrays, adopted without a copy when already int64 and contiguous;
+    ``offset`` is how far sparse keys sit above their values (a member
+    viewing its fleet's stack row).
     """
 
     def __init__(
         self,
-        count_prefix_cols: np.ndarray,
-        pair_prefix_cols: np.ndarray,
+        n: int,
         set_size: int,
+        arrays: "dict[str, np.ndarray]",
+        *,
+        offset: int = 0,
     ) -> None:
-        if (
-            count_prefix_cols.shape != pair_prefix_cols.shape
-            or count_prefix_cols.ndim != 2
-        ):
-            raise InvalidParameterError(
-                "count/pair prefix layouts must be two equal-shape matrices"
-            )
-        self._count_cols = np.ascontiguousarray(count_prefix_cols, dtype=np.int64)
-        self._pair_cols = np.ascontiguousarray(pair_prefix_cols, dtype=np.int64)
+        self._n = int(n)
         self._set_size = int(set_size)
+        self._form = tester_form(self._n, self._set_size)
+        first, second = (
+            np.ascontiguousarray(arrays[name], dtype=np.int64)
+            for name in _LAYOUT_NAMES[self._form]
+        )
+        if self._form == DENSE:
+            num_sets = first.shape[-1] if first.ndim else 0
+            valid = first.shape == second.shape == (self._n + 1, num_sets)
+            self._stripes = None
+        else:
+            num_sets = first.size // max(self._set_size, 1)
+            valid = first.shape == (num_sets * self._set_size,) and (
+                second.shape == (first.size + 1,)
+            )
+            # A fleet-compiled member views its stack row, whose keys sit
+            # ``offset`` higher; folding it into the stripes keeps queries
+            # one searchsorted.
+            self._stripes = int(offset) + np.arange(num_sets, dtype=np.int64) * self._n
+        if not valid or num_sets < 1:
+            raise InvalidParameterError(
+                f"a {self._form} tester layout over n={self._n}, m={self._set_size} "
+                f"needs {' and '.join(_LAYOUT_NAMES[self._form])} of matching shapes"
+            )
+        self._layout = (first, second)
+        self._num_sets = num_sets
         self._memo: dict[tuple, FlatnessResult] = {}
         self.memo_hits = 0
         self.memo_misses = 0
 
     @property
     def n(self) -> int:
-        """Domain size (the grid holds every endpoint ``0..n``)."""
-        return self._count_cols.shape[0] - 1
+        """Domain size (queries take endpoints ``0..n``)."""
+        return self._n
 
     @property
     def num_sets(self) -> int:
         """The replication factor ``r``."""
-        return self._count_cols.shape[1]
+        return self._num_sets
 
     @property
     def set_size(self) -> int:
@@ -340,9 +415,42 @@ class CompiledTesterSketches:
         return self._set_size
 
     @property
+    def form(self) -> str:
+        """The layout, ``"dense"`` or ``"sparse"`` (see :func:`tester_form`)."""
+        return self._form
+
+    @property
     def memo_size(self) -> int:
         """Number of distinct memoised verdicts."""
         return len(self._memo)
+
+    def _offset(self) -> int:
+        """How far this member's sparse keys sit above their own values."""
+        return 0 if self._stripes is None else int(self._stripes[0])
+
+    def interval_counts(
+        self, starts: np.ndarray, stops: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-set hit counts ``|S^i_I|`` and collision pairs ``coll(S^i_I)``.
+
+        One row per interval ``[starts[b], stops[b])`` with
+        ``0 <= start <= stop <= n``: two ``(B, r)`` int64 arrays.
+        """
+        starts = np.asarray(starts, dtype=np.int64).reshape(-1)
+        stops = np.asarray(stops, dtype=np.int64).reshape(-1)
+        if starts.shape != stops.shape or np.any(
+            (starts < 0) | (stops < starts) | (stops > self._n)
+        ):
+            raise InvalidParameterError(
+                f"intervals must satisfy 0 <= start <= stop <= {self._n}"
+            )
+        if self._stripes is None:
+            count_cols, pair_cols = self._layout
+            return (
+                count_cols[stops] - count_cols[starts],
+                pair_cols[stops] - pair_cols[starts],
+            )
+        return _striped_counts(*self._layout, self._stripes, (starts, stops))
 
     def query(
         self, start: int, stop: int, metric: str, epsilon: float, scale: float = 1.0
@@ -355,10 +463,18 @@ class CompiledTesterSketches:
             return cached
         self.memo_misses += 1
         length = _check_interval(start, stop)
-        after, before = slice(stop, stop + 1), slice(start, start + 1)
+        if self._stripes is None:
+            count_cols, pair_cols = self._layout
+            after, before = slice(stop, stop + 1), slice(start, start + 1)
+            counts = count_cols[after] - count_cols[before]
+            pairs = pair_cols[after] - pair_cols[before]
+        else:
+            counts, pairs = _striped_counts(
+                *self._layout, self._stripes, ((start,), (stop,))
+            )
         stats = flatness_rows(
-            self._count_cols[after] - self._count_cols[before],
-            self._pair_cols[after] - self._pair_cols[before],
+            counts,
+            pairs,
             np.array([length]),
             metric,
             epsilon,
@@ -383,9 +499,80 @@ class CompiledTesterSketches:
         validate_flatness_scale(scale)
         return lambda start, stop: self.query(start, stop, metric, epsilon, scale)
 
+    # -------------------------------------------------------------- #
+    # persistence: the only door to the layout
+    # -------------------------------------------------------------- #
+
+    def state(self) -> "tuple[dict, dict[str, np.ndarray]]":
+        """The compile as a JSON-safe ``meta`` plus named arrays.
+
+        ``meta`` records the form, the verdict memo (one row per entry,
+        floats as exact Python floats) and its hit/miss counts; the
+        arrays are the form's two, named as the constructor takes them,
+        sparse keys without any fleet offset.  :meth:`from_state`
+        inverts it.
+        """
+        memo = [
+            [
+                int(start),
+                int(stop),
+                str(metric),
+                float(epsilon),
+                float(scale),
+                bool(result.accepted),
+                str(result.reason),
+                None if result.statistic is None else float(result.statistic),
+                None if result.threshold is None else float(result.threshold),
+            ]
+            for (start, stop, metric, epsilon, scale), result in self._memo.items()
+        ]
+        meta = {
+            "form": self._form,
+            "memo": memo,
+            "memo_hits": int(self.memo_hits),
+            "memo_misses": int(self.memo_misses),
+        }
+        first, second = self._layout
+        offset = self._offset()
+        if offset:
+            first = first - offset
+        return meta, dict(zip(_LAYOUT_NAMES[self._form], (first, second)))
+
+    @classmethod
+    def from_state(
+        cls, n: int, set_size: int, meta: dict, arrays
+    ) -> "CompiledTesterSketches":
+        """Rebuild a compile from :meth:`state`'s ``meta`` and arrays.
+
+        ``arrays`` maps an array name to its array (a snapshot's slab
+        accessor); the arrays are adopted without a copy.  ``meta``'s
+        form must be the one :func:`tester_form` picks for ``(n,
+        set_size)``; the caller checks that first (a snapshot from
+        another layout rule restores cold).
+        """
+        form = tester_form(n, set_size)
+        if meta.get("form") != form:
+            raise InvalidParameterError(
+                f"a {meta.get('form')!r} tester state cannot restore as {form!r}"
+            )
+        compiled = cls(n, set_size, {name: arrays(name) for name in _LAYOUT_NAMES[form]})
+        for row in meta["memo"]:
+            start, stop, metric, epsilon, scale = row[:5]
+            accepted, reason, statistic, threshold = row[5:]
+            key = (int(start), int(stop), str(metric), float(epsilon), float(scale))
+            compiled._memo[key] = FlatnessResult(
+                bool(accepted),
+                str(reason),
+                None if statistic is None else float(statistic),
+                None if threshold is None else float(threshold),
+            )
+        compiled.memo_hits = int(meta["memo_hits"])
+        compiled.memo_misses = int(meta["memo_misses"])
+        return compiled
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"CompiledTesterSketches(n={self.n}, r={self.num_sets}, "
+            f"CompiledTesterSketches({self._form}, n={self.n}, r={self.num_sets}, "
             f"m={self._set_size}, memo={self.memo_size})"
         )
 
@@ -398,7 +585,7 @@ class FleetFlatnessOracle:
     verdict memo directly (:meth:`member_memo`, reporting its hits
     through :meth:`flush_hits`), and :meth:`resolve` computes one batch
     of misses — at most one per member — as rows of the one kernel,
-    :func:`flatness_rows`, gathered from the ``(F, n + 1, r)`` stacks.
+    :func:`flatness_rows`, gathered from the fleet's stacks.
     Both sides maintain the per-member memo and its hit/miss accounting
     exactly as :meth:`CompiledTesterSketches.query` would, so a fleet run
     leaves every member's compiled sketches in the same state a looped
@@ -450,10 +637,10 @@ class FleetFlatnessOracle:
     ) -> list[FlatnessResult]:
         """Fresh verdicts for a batch of memo misses (one per member).
 
-        Gathers every probed member's per-set hit/pair rows with fancy
-        indexes on the ``(F, n + 1, r)`` stacks, runs them through
-        :func:`flatness_rows` as one batch, then memoises each verdict on
-        its member with a miss tick.
+        Gathers every probed member's per-set hit/pair rows from the
+        stacks (:meth:`FleetTesterSketches.interval_counts`), runs them
+        through :func:`flatness_rows` as one batch, then memoises each
+        verdict on its member with a miss tick.
         """
         members = np.asarray(members, dtype=np.int64)
         starts = np.asarray(starts, dtype=np.int64)
@@ -462,10 +649,8 @@ class FleetFlatnessOracle:
             raise InvalidParameterError(
                 "flatness test needs non-empty intervals in every probe"
             )
-        count_stack, pair_stack = self._fleet.stacks
         stats = flatness_rows(
-            count_stack[members, stops] - count_stack[members, starts],
-            pair_stack[members, stops] - pair_stack[members, starts],
+            *self._fleet.interval_counts(members, starts, stops),
             stops - starts,
             self._metric,
             self._epsilon,
@@ -487,21 +672,27 @@ class FleetFlatnessOracle:
 class FleetTesterSketches:
     """F members' compiled tester sketches stacked on a leading fleet axis.
 
-    The per-member layout is exactly :class:`CompiledTesterSketches`'s
-    C-contiguous ``(n + 1, r)`` gather matrix; the fleet stacks them into
-    two ``(F, n + 1, r)`` arrays so one batched flatness step can gather
-    any subset of members' rows with a single fancy index (see
-    :class:`FleetFlatnessOracle`).  Every member keeps its own
-    :class:`CompiledTesterSketches` wrapping a zero-copy view of its
-    slab, so the verdict memo — and its hit/miss accounting — stays per
-    member, byte-compatible with a looped single-session run.
+    The fleet holds two stacks in its members' form (:func:`tester_form`),
+    so one batched flatness step gathers any subset of members' rows in a
+    few vectorised calls (see :class:`FleetFlatnessOracle`):
 
+    * **dense** — two ``(F, n + 1, r)`` hit/pair prefix stacks, one
+      member's :class:`CompiledTesterSketches` columns per slab, gathered
+      by fancy index;
+    * **sparse** — an ``(F, r m + 1)`` key stack and an ``(F, r m + 1)``
+      pair-prefix stack.  Member ``f``'s keys sit ``f (r n + 1)`` higher
+      and close with one sentinel, so the flattened key stack is sorted
+      and one ``searchsorted`` over it places a whole batch's endpoints.
+
+    Members compiled here wrap zero-copy views of their slab; every
+    member keeps its own verdict memo — and its hit/miss accounting — so
+    a fleet run stays byte-compatible with a looped single-session run.
     Members compile independently (:meth:`compile_member`) and can be
     dropped independently (:meth:`drop_member`), which is what gives the
     fleet facade its lazy per-member invalidation: refreshing one
     member's stream recompiles one slab, not the fleet.
 
-    Memory is O(F n r): ``F`` per-member layouts, stacked.
+    Memory is O(F r min(m, n)): ``F`` per-member layouts, stacked.
     """
 
     def __init__(
@@ -515,23 +706,27 @@ class FleetTesterSketches:
             raise InvalidParameterError(
                 "FleetTesterSketches needs n, num_sets, set_size, fleet_size >= 1"
             )
-        self._shape = (fleet_size, n + 1, num_sets)
-        # Allocated by the first member's compile, after its prefixes are
-        # built (see _slabs).
-        self._count_stack: np.ndarray | None = None
-        self._pair_stack: np.ndarray | None = None
+        self._n = int(n)
+        self._num_sets = int(num_sets)
         self._set_size = int(set_size)
+        self._form = tester_form(self._n, self._set_size)
+        # Sparse keys: each member's stripes, and the gap between members.
+        self._stripes = np.arange(self._num_sets, dtype=np.int64) * self._n
+        self._span = self._num_sets * self._n + 1
+        # Allocated by the first member's compile, after its layout is
+        # built (see _slabs).
+        self._stacks: tuple[np.ndarray, np.ndarray] | None = None
         self._members: list[CompiledTesterSketches | None] = [None] * fleet_size
 
     @property
     def n(self) -> int:
-        """Domain size (the stacks hold every endpoint ``0..n``)."""
-        return self._shape[1] - 1
+        """Domain size (queries take endpoints ``0..n``)."""
+        return self._n
 
     @property
     def num_sets(self) -> int:
         """The replication factor ``r``."""
-        return self._shape[2]
+        return self._num_sets
 
     @property
     def set_size(self) -> int:
@@ -539,28 +734,72 @@ class FleetTesterSketches:
         return self._set_size
 
     @property
+    def form(self) -> str:
+        """The members' layout, ``"dense"`` or ``"sparse"``."""
+        return self._form
+
+    @property
     def fleet_size(self) -> int:
         """Number of member slots ``F``."""
         return len(self._members)
 
     @property
-    def stacks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(F, n + 1, r)`` count/pair prefix stacks."""
-        return self._slabs()
+    def nbytes(self) -> int:
+        """Bytes the stacks hold (0 until a member is compiled or adopted)."""
+        return 0 if self._stacks is None else sum(a.nbytes for a in self._stacks)
 
     def _slabs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The stacks, allocated on first use.
+        """The two stacks, allocated on first use: dense ``(F, n + 1, r)``
+        hit and pair prefixes, sparse ``(F, r m + 1)`` offset keys and
+        pair prefixes.
 
-        A cold compile builds its prefixes before the stacks exist, so
-        its large temporaries reuse freed memory instead of growing the
-        heap past two live stacks.  Allocating the stacks up front made a
+        A cold compile builds its layout before the stacks exist, so its
+        large temporaries reuse freed memory instead of growing the heap
+        past two live stacks.  Allocating the stacks up front made a
         one-member compile about 15 % slower on a 2-core VM (n = 4,096,
-        15 sets of 60,000).
+        15 sets of 60,000).  A sparse key stack starts with every row at
+        its member's offset, so the flattened stack is sorted before any
+        member is planted.
         """
-        if self._count_stack is None:
-            self._count_stack = np.zeros(self._shape, dtype=np.int64)
-            self._pair_stack = np.zeros(self._shape, dtype=np.int64)
-        return self._count_stack, self._pair_stack
+        if self._stacks is None:
+            fleet_size = len(self._members)
+            if self._form == DENSE:
+                shape = (fleet_size, self._n + 1, self._num_sets)
+                self._stacks = (
+                    np.zeros(shape, dtype=np.int64),
+                    np.zeros(shape, dtype=np.int64),
+                )
+            else:
+                width = self._num_sets * self._set_size + 1
+                keys = np.repeat(
+                    np.arange(fleet_size, dtype=np.int64) * self._span, width
+                ).reshape(fleet_size, width)
+                keys[:, -1] += self._span - 1
+                self._stacks = (keys, np.zeros((fleet_size, width), dtype=np.int64))
+        return self._stacks
+
+    def interval_counts(
+        self, members: np.ndarray, starts: np.ndarray, stops: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-set hit and pair counts of ``members[b]``'s ``[starts[b], stops[b])``.
+
+        Two ``(B, r)`` int64 arrays read from the stacks, equal to each
+        member's own :meth:`CompiledTesterSketches.interval_counts`.  The
+        batch path of :meth:`FleetFlatnessOracle.resolve`: int64 arrays
+        in, members planted, endpoints in ``[0, n]``, no re-validation.
+        """
+        first, second = self._slabs()
+        if self._form == DENSE:
+            return (
+                first[members, stops] - first[members, starts],
+                second[members, stops] - second[members, starts],
+            )
+        return _striped_counts(
+            first.reshape(-1),
+            second.reshape(-1),
+            self._stripes,
+            np.array((starts, stops)) + members * self._span,
+        )
 
     def member(self, index: int) -> CompiledTesterSketches:
         """Member ``index``'s compiled sketches (must be compiled)."""
@@ -576,43 +815,67 @@ class FleetTesterSketches:
     def _detach_member(self, index: int) -> None:
         """Give an outgoing member its own copy of the slab data.
 
-        Members wrap zero-copy views of their slab, so overwriting the
-        slab would otherwise mutate a previously issued
+        Members compiled here wrap zero-copy views of their slab, so
+        overwriting the slab would otherwise mutate a previously issued
         :class:`CompiledTesterSketches` in place — leaving any held
         reference with its old verdict memo over new numbers.  Copying
         on replacement (a rare, invalidation-driven path) keeps every
         outstanding object internally consistent.
         """
         outgoing = self._members[index]
-        if outgoing is not None and np.shares_memory(
-            outgoing._count_cols, self._count_stack
+        if (
+            outgoing is not None
+            and self._stacks is not None
+            and np.shares_memory(outgoing._layout[1], self._stacks[1])
         ):
-            outgoing._count_cols = outgoing._count_cols.copy()
-            outgoing._pair_cols = outgoing._pair_cols.copy()
+            outgoing._layout = tuple(array.copy() for array in outgoing._layout)
+
+    def _plant(
+        self, index: int, layout: "tuple[np.ndarray, np.ndarray]", offset: int = 0
+    ) -> "dict[str, np.ndarray]":
+        """Copy one member's two arrays into its slab; the slab's views.
+
+        ``offset`` is how far the sparse keys in ``layout`` already sit
+        above their values; they land ``index (r n + 1)`` above them.
+        """
+        first, second = self._slabs()
+        if self._form == DENSE:
+            first[index], second[index] = layout
+            return {"count_cols": first[index], "pair_cols": second[index]}
+        keys, pair_prefix = layout
+        np.add(keys, index * self._span - offset, out=first[index, :-1])
+        second[index] = pair_prefix
+        return {"keys": first[index, :-1], "pair_prefix": second[index]}
 
     def compile_member(
         self, index: int, sample_sets: "list[np.ndarray]"
     ) -> CompiledTesterSketches:
         """(Re)compile one member's slab from its raw sample sets.
 
-        The one tester compile: the prefixes come from
+        The one tester compile.  Dense prefixes come from
         :func:`repro.samples.collision.interval_prefixes`, the function
-        every compile shares.  The returned member wraps a zero-copy
-        view of the slab and starts with a fresh (empty) verdict memo.
+        every prefix compile shares; sparse keys from
+        :func:`repro.samples.collision.striped_sort`, the first half of
+        its sorting pass.  The returned member wraps a zero-copy view of
+        the slab and starts with a fresh (empty) verdict memo.
         """
         self._detach_member(index)
-        if len(sample_sets) != self.num_sets or any(
+        if len(sample_sets) != self._num_sets or any(
             s.shape[0] != self._set_size for s in sample_sets
         ):
             raise InvalidParameterError(
                 "sample sets do not match the fleet's (num_sets, set_size) layout"
             )
-        count_rows, pair_rows = interval_prefixes(sample_sets, self.n)
-        count_stack, pair_stack = self._slabs()
-        count_stack[index] = count_rows.T
-        pair_stack[index] = pair_rows.T
+        if self._form == DENSE:
+            count_rows, pair_rows = interval_prefixes(sample_sets, self._n)
+            layout = (count_rows.T, pair_rows.T)
+        else:
+            layout = striped_sort(sample_sets, self._n)
         member = CompiledTesterSketches(
-            count_stack[index], pair_stack[index], self._set_size
+            self._n,
+            self._set_size,
+            self._plant(index, layout),
+            offset=index * self._span,
         )
         self._members[index] = member
         return member
@@ -620,14 +883,14 @@ class FleetTesterSketches:
     def adopt_member(self, index: int, sketches: CompiledTesterSketches) -> None:
         """Adopt an externally compiled member into the stacks.
 
-        Copies the member's gather layout into its slab and keeps the
-        *object* — verdict memo, accounting and all — as the fleet
-        member, so a compile restored from a snapshot (and partially
-        memoised before it was taken) loses nothing.
+        Copies the member's layout into its slab and keeps the *object*
+        — verdict memo, accounting and all — as the fleet member, so a
+        compile restored from a snapshot (and partially memoised before
+        it was taken) loses nothing.
         """
         if (
-            sketches.n != self.n
-            or sketches.num_sets != self.num_sets
+            sketches.n != self._n
+            or sketches.num_sets != self._num_sets
             or sketches.set_size != self._set_size
         ):
             raise InvalidParameterError(
@@ -635,9 +898,7 @@ class FleetTesterSketches:
             )
         if self._members[index] is not sketches:
             self._detach_member(index)
-            count_stack, pair_stack = self._slabs()
-            count_stack[index] = sketches._count_cols
-            pair_stack[index] = sketches._pair_cols
+            self._plant(index, sketches._layout, sketches._offset())
             self._members[index] = sketches
 
     @classmethod
@@ -675,6 +936,7 @@ class FleetTesterSketches:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         compiled = sum(1 for m in self._members if m is not None)
         return (
-            f"FleetTesterSketches(F={self.fleet_size} ({compiled} compiled), "
-            f"n={self.n}, r={self.num_sets}, m={self._set_size})"
+            f"FleetTesterSketches({self._form}, F={self.fleet_size} "
+            f"({compiled} compiled), n={self.n}, r={self.num_sets}, "
+            f"m={self._set_size})"
         )

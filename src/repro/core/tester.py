@@ -21,8 +21,8 @@ in one batched call (a lone member has nothing to batch, so it takes
 Like the learner, the module splits "draw samples" from "run the
 algorithm": :func:`fleet_test_on_sketches`, the one tester entry point,
 runs Algorithm 2 on a :class:`~repro.core.flatness.FleetTesterSketches`
-— each member's precompiled prefix gathers plus its verdict memo
-(README.md, "Compiled tester engine") — and
+— each member's compiled layout (dense prefix rows or sparse sorted
+keys) plus its verdict memo (README.md, "Compiled tester engine") — and
 :class:`repro.api.HistogramFleet` (a session is a one-member fleet) owns
 the draws and the compile
 (:meth:`~repro.core.flatness.FleetTesterSketches.compile_member`).  The

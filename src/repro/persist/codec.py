@@ -13,10 +13,14 @@ slabs, candidate grids, sorted weight samples, and sample pools are
 handed to the engines as the loader's read-only memmap views, planted
 under the same cache keys the bundle's own compiles use.
 The structures that must stay mutable (reservoir buffers, the small
-``k``-piece histograms) are copied.  The fleet's stacked ``(F, n+1, r)``
-tester slabs are deliberately *not* persisted: the fleet repairs them
-member by member from the restored compiled testers through its
-existing ``adopt_member`` path, byte-identically.
+``k``-piece histograms) are copied.  A compiled tester is read and
+written only through :meth:`~repro.core.flatness.CompiledTesterSketches.state`
+and :meth:`~repro.core.flatness.CompiledTesterSketches.from_state`, so
+its layout (dense ``count_cols``/``pair_cols`` or sparse
+``keys``/``pair_prefix`` slabs) stays private to ``core/flatness.py``.
+The fleet's tester stacks are deliberately *not* persisted: the fleet
+repairs them member by member from the restored compiled testers
+through its existing ``adopt_member`` path, byte-identically.
 
 The binding contract: a restored instance answers byte-identical
 responses — verdicts, histograms, query logs, memo accounting, and
@@ -32,7 +36,10 @@ A configuration fingerprint mismatch (the restoring instance was built
 with different ``n``/sizes/method than the snapshotted one) raises
 :class:`~repro.errors.SnapshotError` with ``reason="config-mismatch"``
 *before* any state is touched at that layer, so callers fall back to a
-cold rebuild.
+cold rebuild.  Each bundle's record includes its draw scheme (the
+source's ``disjoint_sets``) and each compiled tester's form
+(:func:`~repro.core.flatness.tester_form`); a snapshot that lacks them,
+as every one written before they were recorded does, restores cold.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ import numpy as np
 
 from repro.api.sketches import _GrowablePool
 from repro.core.candidates import CandidateSet
-from repro.core.flatness import CompiledTesterSketches, FlatnessResult
+from repro.core.flatness import CompiledTesterSketches, tester_form
 from repro.core.greedy import CompiledGreedySketches
 from repro.errors import SnapshotError
 from repro.histograms.tiling import TilingHistogram
@@ -87,6 +94,7 @@ def bundle_state(bundle) -> tuple[dict, dict]:
     """One bundle's pools, compiled caches, memos, and rng state."""
     meta = {
         "n": int(bundle._n),
+        "disjoint_sets": bool(bundle._disjoint_sets),
         "samples_drawn": int(bundle.samples_drawn),
         "draw_events": {
             str(key): int(value) for key, value in bundle.draw_events.items()
@@ -131,41 +139,42 @@ def bundle_state(bundle) -> tuple[dict, dict]:
         slabs[f"learn/{j}/weight_prefix"] = compiled.weight_prefix
         slabs[f"learn/{j}/pair_prefix_cols"] = compiled.pair_prefix_cols
         slabs[f"learn/{j}/self_costs"] = compiled.self_costs
-    for j, (key, compiled) in enumerate(bundle._tester_compiled_cache.items()):
-        num_sets, set_size = key
-        memo = [
-            [
-                int(start),
-                int(stop),
-                str(metric),
-                float(epsilon),
-                float(scale),
-                bool(result.accepted),
-                str(result.reason),
-                None if result.statistic is None else float(result.statistic),
-                None if result.threshold is None else float(result.threshold),
-            ]
-            for (start, stop, metric, epsilon, scale), result in (
-                compiled._memo.items()
-            )
-        ]
+    for j, ((num_sets, set_size), compiled) in enumerate(
+        bundle._tester_compiled_cache.items()
+    ):
+        tester_meta, arrays = compiled.state()
         meta["test"].append(
-            {
-                "num_sets": int(num_sets),
-                "set_size": int(set_size),
-                "memo": memo,
-                "memo_hits": int(compiled.memo_hits),
-                "memo_misses": int(compiled.memo_misses),
-            }
+            {"num_sets": int(num_sets), "set_size": int(set_size), **tester_meta}
         )
-        slabs[f"test/{j}/count_cols"] = compiled._count_cols
-        slabs[f"test/{j}/pair_cols"] = compiled._pair_cols
+        for name, array in arrays.items():
+            slabs[f"test/{j}/{name}"] = array
     return meta, slabs
+
+
+def _check_bundle(bundle, meta: dict) -> None:
+    """Refuse a bundle snapshot taken under another configuration.
+
+    The domain, the draw scheme (whether the source cuts disjoint sets)
+    and the layout of every compiled tester must match what this bundle
+    would build: pools drawn another way, or a compile in another form,
+    restore cold.  Snapshots that predate either record fail here too.
+    """
+    _check_fingerprint(
+        "bundle",
+        meta,
+        {"n": int(bundle._n), "disjoint_sets": bool(bundle._disjoint_sets)},
+    )
+    for entry in meta["test"]:
+        _check_fingerprint(
+            "tester",
+            entry,
+            {"form": tester_form(bundle._n, int(entry["set_size"]))},
+        )
 
 
 def restore_bundle(bundle, meta: dict, slab) -> None:
     """Rebuild one bundle in place from restored state (zero-copy)."""
-    _check_fingerprint("bundle", meta, {"n": int(bundle._n)})
+    _check_bundle(bundle, meta)
     bundle.invalidate()
     bundle._weight_pool = _GrowablePool(slab("pool/weight"))
     bundle._collision_pool = [
@@ -215,31 +224,11 @@ def restore_bundle(bundle, meta: dict, slab) -> None:
         )
         bundle._compiled_cache[key] = compiled
     for j, entry in enumerate(meta["test"]):
-        compiled = CompiledTesterSketches(
-            slab(f"test/{j}/count_cols"),
-            slab(f"test/{j}/pair_cols"),
-            int(entry["set_size"]),
+        set_size = int(entry["set_size"])
+        compiled = CompiledTesterSketches.from_state(
+            bundle._n, set_size, entry, _scoped(slab, f"test/{j}/")
         )
-        for row in entry["memo"]:
-            start, stop, metric, epsilon, scale = row[:5]
-            accepted, reason, statistic, threshold = row[5:]
-            key = (
-                int(start),
-                int(stop),
-                str(metric),
-                float(epsilon),
-                float(scale),
-            )
-            compiled._memo[key] = FlatnessResult(
-                bool(accepted),
-                str(reason),
-                None if statistic is None else float(statistic),
-                None if threshold is None else float(threshold),
-            )
-        compiled.memo_hits = int(entry["memo_hits"])
-        compiled.memo_misses = int(entry["memo_misses"])
-        key = (int(entry["num_sets"]), int(entry["set_size"]))
-        bundle._tester_compiled_cache[key] = compiled
+        bundle._tester_compiled_cache[(int(entry["num_sets"]), set_size)] = compiled
     bundle.draw_events.clear()
     bundle.draw_events.update(
         {str(key): int(value) for key, value in meta["draw_events"].items()}
@@ -267,7 +256,7 @@ def _fleet_fingerprint(fleet) -> dict:
 def fleet_state(fleet) -> tuple[dict, dict]:
     """Every member bundle plus the fleet's configuration fingerprint.
 
-    The stacked ``(F, n+1, r)`` tester slabs are recomputed on restore
+    The fleet's tester stacks are recomputed on restore
     from the members' compiled testers (``adopt_member`` copies each
     layout back into fresh stacks), so only per-member state persists.
     """
@@ -284,6 +273,8 @@ def fleet_state(fleet) -> tuple[dict, dict]:
 def restore_fleet(fleet, meta: dict, slab) -> None:
     """Rebuild every member bundle of a freshly constructed fleet."""
     _check_fingerprint("fleet", meta, _fleet_fingerprint(fleet))
+    for f, member_meta in enumerate(meta["members"]):
+        _check_bundle(fleet.bundle(f), member_meta)
     # Drop any existing warm state (including stacked tester slabs);
     # the next fleet op re-adopts the restored compiled testers.
     fleet.invalidate()

@@ -94,6 +94,54 @@ class CollisionSketch:
         return f"CollisionSketch(size={self._size}, n={self._n})"
 
 
+def _check_samples(samples: np.ndarray, n: int) -> None:
+    """Reject a sample set that is not 1-d or holds values outside ``[0, n)``."""
+    if samples.ndim != 1:
+        raise InvalidParameterError(
+            f"samples must be 1-d arrays, got shape {samples.shape}"
+        )
+    if samples.size and (samples.min() < 0 or samples.max() >= n):
+        raise InvalidParameterError("samples contain values outside [0, n)")
+
+
+def striped_sort(
+    sample_sets: "list[np.ndarray] | tuple[np.ndarray, ...]",
+    n: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``r`` sets sorted once in stripes of one value space, with a pair prefix.
+
+    Set ``i``'s samples are offset into their own ``[i * n, (i + 1) * n)``
+    stripe and the concatenation is sorted once, so ``keys`` holds set
+    0's samples in order, then set 1's, and so on.  ``pair_prefix[p]``
+    counts the colliding pairs among ``keys[:p]``; at a position where a
+    run of equal keys starts, which is where every left ``searchsorted``
+    lands, that is the sum of ``C(c, 2)`` over the runs before it.  So for
+    a query point ``i * n + x`` (``0 <= x <= n``), differences of
+    ``searchsorted(keys, ...)`` are set ``i``'s hit counts and differences
+    of ``pair_prefix`` there its collision pairs, in exact integers.
+
+    Returns ``(keys, pair_prefix)``: int64 arrays of ``T`` and ``T + 1``
+    entries for ``T`` samples in all.
+    """
+    sets = [np.asarray(s, dtype=np.int64) for s in sample_sets]
+    for s in sets:
+        _check_samples(s, n)
+    keys = np.concatenate(
+        [s + i * n for i, s in enumerate(sets)] or [np.zeros(0, dtype=np.int64)]
+    )
+    keys.sort()
+    # A sample's rank inside its run of equal keys is the number of
+    # earlier samples it collides with; the prefix is their running sum.
+    positions = np.arange(keys.size, dtype=np.int64)
+    run_start = np.where(
+        np.concatenate(([True], keys[1:] != keys[:-1]))[: keys.size], positions, 0
+    )
+    np.maximum.accumulate(run_start, out=run_start)
+    pair_prefix = np.zeros(keys.size + 1, dtype=np.int64)
+    np.cumsum(positions - run_start, out=pair_prefix[1:])
+    return keys, pair_prefix
+
+
 def batched_interval_prefixes(
     sample_sets: "list[np.ndarray] | tuple[np.ndarray, ...]",
     n: int,
@@ -101,48 +149,23 @@ def batched_interval_prefixes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hit-count and pair-count prefixes of ``r`` sets on one grid, by sorting.
 
-    The sparse-domain half of :func:`interval_prefixes`, built in a
-    *single* vectorised pass: every set is offset into its own
-    ``[i * n, (i + 1) * n)`` stripe of a shared value space, the
-    concatenation is sorted and uniqued once, and all ``r * G`` grid
-    queries resolve with one ``searchsorted``.
+    The sparse-domain half of :func:`interval_prefixes`: the sets are
+    sorted once into stripes (:func:`striped_sort`, which the sparse
+    tester compile stores as it is) and all ``r * G`` grid queries
+    resolve with one ``searchsorted``.
 
     Returns ``(count_rows, pair_rows)``, two C-contiguous ``(r, G)`` int64
     matrices whose row ``i`` holds set ``i``'s per-grid-point prefixes of
     ``|S^i_I|`` and ``coll(S^i_I)`` respectively.
     """
-    sets = [np.asarray(s, dtype=np.int64) for s in sample_sets]
     # A query point past n would spill into the next set's stripe and
     # silently count its pairs; _grid_points rejects it.
     grid = _grid_points(grid, n)
-    if not sets:
-        empty = np.zeros((0, grid.size), dtype=np.int64)
-        return empty, empty.copy()
-    for s in sets:
-        if s.ndim != 1:
-            raise InvalidParameterError(
-                f"samples must be 1-d arrays, got shape {s.shape}"
-            )
-        if s.size and (s.min() < 0 or s.max() >= n):
-            raise InvalidParameterError("samples contain values outside [0, n)")
-    offsets = np.arange(len(sets), dtype=np.int64) * n
-    flat = np.concatenate([s + off for s, off in zip(sets, offsets)])
-    flat.sort()
-    if flat.size:
-        starts = np.nonzero(np.concatenate(([True], flat[1:] != flat[:-1])))[0]
-        values = flat[starts]
-        counts = np.diff(np.concatenate((starts, [flat.size])))
-    else:
-        values = flat
-        counts = np.zeros(0, dtype=np.int64)
-    count_prefix = prefix_sums(counts)
-    pair_prefix = prefix_sums(pairs_count(counts))
-    queries = offsets[:, None] + grid[None, :]
-    idx = np.searchsorted(values, queries.ravel()).reshape(len(sets), grid.size)
-    base_idx = np.searchsorted(values, offsets)
-    count_rows = np.ascontiguousarray(count_prefix[idx] - count_prefix[base_idx][:, None])
-    pair_rows = np.ascontiguousarray(pair_prefix[idx] - pair_prefix[base_idx][:, None])
-    return count_rows, pair_rows
+    keys, pair_prefix = striped_sort(sample_sets, n)
+    offsets = np.arange(len(sample_sets), dtype=np.int64) * n
+    idx = np.searchsorted(keys, offsets[:, None] + grid[None, :])
+    base_idx = np.searchsorted(keys, offsets)[:, None]
+    return idx - base_idx, pair_prefix[idx] - pair_prefix[base_idx]
 
 
 def dense_interval_prefixes(
@@ -168,12 +191,8 @@ def dense_interval_prefixes(
         return empty, empty.copy()
     counts = np.empty((len(sets), n), dtype=np.int64)
     for i, s in enumerate(sets):
-        if s.ndim != 1:
-            raise InvalidParameterError(
-                f"samples must be 1-d arrays, got shape {s.shape}"
-            )
-        if s.size and (s.min() < 0 or s.max() >= n):
-            raise InvalidParameterError("samples contain values outside [0, n)")
+        # Checked set by set, so each set is still cached for its count.
+        _check_samples(s, n)
         counts[i] = np.bincount(s, minlength=n)
     pairs = counts * (counts - 1) // 2
     count_rows = np.zeros((len(sets), n + 1), dtype=np.int64)

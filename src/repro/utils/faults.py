@@ -20,6 +20,12 @@ class FaultySource:
     ``fail_at`` raises :class:`~repro.errors.InjectedFaultError` *before*
     delegating, so the inner source's draw stream is left exactly one
     batch short — the way a real source dies.
+
+    A family of sets draws the way the wrapped source does
+    (:func:`repro.api.source.draw_sets`, so a wrapped reservoir still
+    cuts disjoint sets) and counts one draw per set.  A family whose
+    draws include a scheduled fault is drawn set by set instead, so the
+    fault fires at the same draw index either way.
     """
 
     def __init__(self, source, *, fail_at=()) -> None:
@@ -36,6 +42,11 @@ class FaultySource:
         """How many draws were attempted through this wrapper."""
         return self._draws
 
+    @property
+    def disjoint_sets(self) -> bool:
+        """Whether the wrapped source cuts disjoint sets."""
+        return getattr(self._source, "disjoint_sets", False)
+
     def sample(self, size, rng=None):
         """Delegate one draw, unless this draw index is scheduled to fail."""
         index = self._draws
@@ -45,3 +56,15 @@ class FaultySource:
                 f"injected source fault on draw {index} (size {size})"
             )
         return self._source.sample(size, rng)
+
+    def sample_sets(self, num_sets, set_size, rng=None):
+        """Delegate one family of ``num_sets`` draws (see the class notes)."""
+        from repro.api.source import draw_sets
+        from repro.utils.rng import as_rng
+
+        first = self._draws
+        if any(first <= index < first + num_sets for index in self._fail_at):
+            generator = None if rng is None else as_rng(rng)
+            return [self.sample(set_size, generator) for _ in range(num_sets)]
+        self._draws += num_sets
+        return draw_sets(self._source, num_sets, set_size, rng)

@@ -228,7 +228,7 @@ def test_counting_sources_observe_identical_draws():
 # ------------------------------------------------------------------ #
 
 
-@pytest.mark.parametrize("case", ["serial", "reservoir"])
+@pytest.mark.parametrize("case", ["serial", "reservoir", "sparse"])
 def test_snapshot_cell_matches_live_fleet(tmp_path, case):
     """A fleet restored mid-workload finishes it byte-identically.
 
@@ -239,17 +239,21 @@ def test_snapshot_cell_matches_live_fleet(tmp_path, case):
     and a freshly built fleet restored from the file.  Outcomes and
     per-member memo accounting must match exactly.  Over array sources
     the pools grow by suffix; over reservoirs the family is redrawn.
+    The ``sparse`` case runs reservoirs at budgets small enough
+    (``4 m <= N + 1``) that every tester compiles into sorted keys.
     """
     seeds = [SEEDS[0] + f for f in range(FLEET_SIZE)]
-    grown = TesterParams(num_sets=5, set_size=2_500)
+    budget, grown = TEST_PARAMS, TesterParams(num_sets=5, set_size=2_500)
+    if case == "sparse":
+        budget, grown = TesterParams(num_sets=5, set_size=16), TesterParams(5, 24)
 
     def build():
         return HistogramFleet(
-            _make_sources("reservoir" if case == "reservoir" else "array"),
+            _make_sources("array" if case == "serial" else "reservoir"),
             N,
             rngs=list(seeds),
             learn_budget=LEARN_PARAMS,
-            test_budget=TEST_PARAMS,
+            test_budget=budget,
         )
 
     def phase_b(fleet):
@@ -271,6 +275,12 @@ def test_snapshot_cell_matches_live_fleet(tmp_path, case):
     restored = build()
     restored.restore(path)
     assert phase_b(live) == phase_b(restored)
+    forms = {
+        compiled.form
+        for f in range(restored.size)
+        for compiled in restored.bundle(f)._tester_compiled_cache.values()
+    }
+    assert forms == {"sparse" if case == "sparse" else "dense"}
 
 
 # ------------------------------------------------------------------ #

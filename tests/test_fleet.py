@@ -76,6 +76,27 @@ class TestFleetEquivalence:
                 memo_stats(session._bundle, TEST_PARAMS)
             )
 
+    def test_sparse_budget_matches_sessions(self):
+        """At a budget sparse in the domain (4 m <= n + 1) members compile
+        into sorted keys, and the lockstep still equals looped sessions."""
+        sparse = TesterParams(num_sets=5, set_size=30)
+        fleet, sessions = make_fleet_and_sessions(test_budget=sparse)
+        grid = [(2, 0.3), (4, 0.25)]
+        assert fleet.test_many(grid, norm="l2") == [
+            s.test_many(grid, norm="l2") for s in sessions
+        ]
+        assert fleet.test_l1(3, 0.3) == [s.test_l1(3, 0.3) for s in sessions]
+        assert fleet.min_k(0.3, max_k=8, norm="l2") == [
+            s.min_k(0.3, max_k=8, norm="l2") for s in sessions
+        ]
+        for f, session in enumerate(sessions):
+            assert memo_stats(fleet.bundle(f), sparse) == (
+                memo_stats(session._bundle, sparse)
+            )
+        slab = fleet._tester_fleet_cache[(sparse.num_sets, sparse.set_size)]
+        assert slab.form == "sparse"
+        assert slab.nbytes == 2 * fleet.size * (5 * 30 + 1) * 8
+
     def test_l1_tester(self):
         fleet, sessions = make_fleet_and_sessions(test_budget=TEST_PARAMS)
         assert fleet.test_l1(3, 0.3) == [s.test_l1(3, 0.3) for s in sessions]
@@ -260,8 +281,12 @@ class TestDenseCompileKernels:
         )
         fleet_sketches = FleetTesterSketches(48, 3, 1_000, fleet_size=2)
         member = fleet_sketches.compile_member(1, [np.asarray(s) for s in sets])
-        assert np.array_equal(member._count_cols, reference._count_cols)
-        assert np.array_equal(member._pair_cols, reference._pair_cols)
+        member_meta, member_arrays = member.state()
+        reference_meta, reference_arrays = reference.state()
+        assert member_meta == reference_meta
+        assert member_arrays.keys() == reference_arrays.keys()
+        for name, array in member_arrays.items():
+            assert np.array_equal(array, reference_arrays[name])
         assert fleet_sketches.member(1) is member
         with pytest.raises(InvalidParameterError):
             fleet_sketches.member(0)  # not compiled yet
@@ -335,7 +360,7 @@ class TestFleetCacheLifetime:
         ]
         slab = restored._tester_fleet_cache[key]
         assert slab.member_or_none(0) is None
-        assert slab._count_stack is None  # no stack allocated or copied
+        assert slab.nbytes == 0  # no stack allocated or copied
         assert planted.memo_misses == misses and planted.memo_hits > hits
 
         hits = planted.memo_hits
@@ -463,15 +488,36 @@ class TestRecompileDetachesOldMember:
         first = fleet.test_l2(3, 0.3)
         key = (TEST_PARAMS.num_sets, TEST_PARAMS.set_size)
         held = fleet.bundle(0)._tester_compiled_cache[key]
-        count_before = held._count_cols.copy()
+        # Every prefix [0, x): the held object's whole count layout.
+        stops = np.arange(fleet.n + 1)
+        counts_before = held.interval_counts(np.zeros_like(stops), stops)
         verdict_before = held.query(0, 64, "l2", 0.3)
         # Invalidate and recompile member 0's slab from a fresh draw.
         fleet.invalidate(0)
         fleet.test_l2(3, 0.3)
         # The held (stale) object kept its own data and verdicts...
-        assert np.array_equal(held._count_cols, count_before)
+        counts_after = held.interval_counts(np.zeros_like(stops), stops)
+        assert all(map(np.array_equal, counts_after, counts_before))
         assert held.query(0, 64, "l2", 0.3) == verdict_before
         # ...while the fleet serves a freshly compiled member.
         fresh = fleet.bundle(0)._tester_compiled_cache[key]
         assert fresh is not held
         assert first[1] == fleet.test_l2(3, 0.3)[1]  # member 1 untouched
+
+    def test_held_sparse_object_stays_consistent(self):
+        """The same for a sparse member, whose keys view its stack row."""
+        sparse = TesterParams(num_sets=5, set_size=30)
+        fleet, _ = make_fleet_and_sessions(fleet_size=3, test_budget=sparse)
+        fleet.test_l2(3, 0.3)
+        held = fleet.bundle(1)._tester_compiled_cache[(5, 30)]
+        assert held.form == "sparse"
+        starts, stops = np.triu_indices(fleet.n + 1)
+        counts_before = held.interval_counts(starts, stops)
+        state_before = {name: a.copy() for name, a in held.state()[1].items()}
+        fleet.invalidate(1)
+        fleet.test_l2(3, 0.3)
+        counts_after = held.interval_counts(starts, stops)
+        assert all(map(np.array_equal, counts_after, counts_before))
+        for name, array in held.state()[1].items():
+            assert np.array_equal(array, state_before[name])
+        assert fleet.bundle(1)._tester_compiled_cache[(5, 30)] is not held

@@ -642,6 +642,64 @@ class TestMaintainerRoundTrip:
             3, 0.3, params=bigger
         )
 
+    def test_sparse_tester_snapshot_restores_byte_identically(self, tmp_path):
+        """A sparse-form compile (sorted keys plus a pair prefix) round
+        trips through its own slab names, un-offset, and its members'
+        lockstep answers and memo accounting carry over exactly."""
+        from repro.persist import codec
+
+        sparse = TesterParams(num_sets=4, set_size=24)  # 4 x 24 <= N + 1
+        live = _built_maintainer(seed=3)
+        live.test(3, 0.3, params=sparse)
+        meta, slabs = codec.maintainer_state(live)
+        forms = {
+            entry["set_size"]: entry["form"]
+            for member in meta["fleet"]["members"]
+            for entry in member["test"]
+        }
+        assert forms == {TEST_PARAMS.set_size: "dense", 24: "sparse"}
+        assert "fleet/member/2/test/1/keys" in slabs
+        assert "fleet/member/2/test/1/pair_prefix" in slabs
+        path = tmp_path / "m.snap"
+        live.snapshot(path)
+        restored = _fresh_maintainer(seed=3)
+        restored.restore(path)
+
+        def probe(maintainer):
+            return (
+                maintainer.test(4, 0.25, params=sparse),
+                maintainer.min_k(0.3, max_k=5, params=sparse),
+                _freeze_probe(maintainer),
+            )
+
+        assert probe(live) == probe(restored)
+
+    @pytest.mark.parametrize("stale", ["no-draw-scheme", "no-form", "other-form"])
+    def test_stale_snapshot_restores_cold(self, tmp_path, stale):
+        """A snapshot that does not record its draw scheme or its tester
+        form (every one written before they were recorded), or that
+        records another form, is a config mismatch before any state is
+        touched."""
+        from repro.persist import codec
+
+        live = _built_maintainer(seed=3)
+        meta, slabs = codec.maintainer_state(live)
+        member = meta["fleet"]["members"][1]
+        if stale == "no-draw-scheme":
+            del member["disjoint_sets"]
+        elif stale == "no-form":
+            del member["test"][0]["form"]
+        else:
+            member["test"][0]["form"] = "sparse"
+        path = tmp_path / "m.snap"
+        write_snapshot(path, kind="maintainer", meta=meta, slabs=slabs)
+        other = _fresh_maintainer(seed=3)
+        with pytest.raises(SnapshotError) as excinfo:
+            other.restore(path)
+        assert excinfo.value.reason == "config-mismatch"
+        assert other.items_seen == [0, 0, 0]  # untouched
+        assert other.fleet.samples_drawn == [0, 0, 0]
+
     def test_config_mismatch_before_any_state_is_touched(self, tmp_path):
         live = _built_maintainer(seed=3)
         path = tmp_path / "m.snap"
@@ -765,6 +823,32 @@ class TestServiceWarmStart:
             )
             assert not renamed.warm_started
             assert renamed.restore_error.startswith("config-mismatch")
+
+        asyncio.run(scenario())
+
+    def test_snapshot_without_draw_scheme_restores_cold(self, tmp_path):
+        """A checkpoint that does not record its members' draw scheme —
+        as none written before it was recorded does — restores cold and
+        says why; the cold service then checkpoints a good one."""
+
+        async def scenario():
+            ingest, probes = _trace()
+            await _serve(_service(tmp_path), ingest + probes[:2])
+            path = tmp_path / "service.snap"
+            snap = load_snapshot(path)
+            slabs = {name: np.array(snap.slab(name)) for name in snap.slab_names}
+            meta = snap.meta
+            for member in meta["maintainer"]["fleet"]["members"]:
+                del member["disjoint_sets"]
+            del snap
+            write_snapshot(path, kind="service", meta=meta, slabs=slabs)
+            cold = _service(tmp_path)
+            assert not cold.warm_started
+            assert cold.restore_error.startswith("config-mismatch")
+            assert "disjoint_sets" in cold.restore_error
+            responses = await _serve(cold, ingest + probes[:1])
+            assert all(ok for ok, _ in responses)
+            assert _service(tmp_path).warm_started
 
         asyncio.run(scenario())
 

@@ -278,8 +278,10 @@ class TestCacheLifetime:
         compiled = compile_sets(sets, 64)
         grid = np.arange(65, dtype=np.int64)
         count_rows, pair_rows = batched_interval_prefixes(sets, 64, grid)
-        assert np.array_equal(compiled._count_cols, count_rows.T)
-        assert np.array_equal(compiled._pair_cols, pair_rows.T)
+        # Every prefix [0, x): the compile's counts on the whole grid.
+        counts, pairs = compiled.interval_counts(np.zeros_like(grid), grid)
+        assert np.array_equal(counts, count_rows.T)
+        assert np.array_equal(pairs, pair_rows.T)
         assert compiled.set_size == 1_000
 
     def test_compiled_properties(self):
