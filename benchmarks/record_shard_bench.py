@@ -19,10 +19,8 @@ interleaved on shared CI machines; the mean is also recorded).  The
 acceptance bar for this suite: the out-of-core learn pair — the
 production engine against its full-span reference over the same
 session draws — records >= 2x (CI additionally holds it to a 1.5x
-floor at smoke size via ``benchmarks/perf_guard.py``).  The 64-member
-fleet ``learn_many`` pair isolates fleet batching (same engine on
-both sides) and is recorded without a bar.  The reduction itself is the
-shared paired recorder (``benchmarks/_recorder.py``).
+floor at smoke size via ``benchmarks/perf_guard.py``).  The reduction
+itself is the shared paired recorder (``benchmarks/_recorder.py``).
 """
 
 from __future__ import annotations
@@ -40,8 +38,7 @@ SPEC = PairedBenchSpec(
     extra="mean",
     suite="bench_t12_shard kernel pairs, each twin measured in the same "
     "run, all in-process: the out-of-core learn on the production engine "
-    "vs its full-span reference, the fleet learn batched vs looped "
-    "sessions; "
+    "vs its full-span reference; "
     "speedup = loop_s / shard_s over per-kernel minimum round times, cold "
     "compile included",
 )

@@ -11,8 +11,8 @@ This package is the recommended front door to the library:
 * :class:`SampleSource` — the formal protocol every algorithm consumes a
   distribution through, with :func:`as_sample_source`,
   :class:`ArraySource`, and :class:`CountingSource` adapters;
-* :class:`SketchBundle` — the shared pools and caches behind each fleet
-  member.
+* :class:`SketchBundle` — the sample pools and learn compiles behind
+  each fleet member.
 
 A fresh session's first operation draws exactly what the paper's
 draw-then-run composition of the :mod:`repro.core` halves would at the

@@ -7,9 +7,9 @@ Looping sessions answers that correctly but pays a Python-level binary
 search per probe, per member, ``F`` times.  :class:`HistogramFleet` is
 the one facade both ride: a session is a one-member fleet.  Each member
 owns one
-:class:`~repro.api.SketchBundle` (its sample pools and compiled
-caches), budgets are resolved once for every member, and the fleet
-batches across members:
+:class:`~repro.api.SketchBundle` (its sample pools and learn compiles),
+budgets are resolved once for every member, and the fleet batches
+across members:
 
 * **pooled draws** — every operation grows all members' sample pools in
   one planned pass (each member's draws stay in its own generator's
@@ -17,7 +17,9 @@ batches across members:
 * **stacked compilation** — each member's compiled tester layout
   (dense prefix rows or sparse sorted keys, by budget) is stacked on a
   leading fleet axis
-  (:class:`~repro.core.flatness.FleetTesterSketches`);
+  (:class:`~repro.core.flatness.FleetTesterSketches`, one per budget and
+  the one owner of its members' compiles: snapshots read and restore
+  them there);
 * **lockstep probing** — ``test_l2`` / ``test_l1`` / ``test_many`` /
   ``min_k`` run every member's Algorithm 2 search in lockstep
   (:func:`repro.core.tester.fleet_flat_partition`), batching fresh
@@ -45,7 +47,7 @@ import numpy as np
 
 from repro.api.sketches import SketchBundle
 from repro.api.source import as_sample_source
-from repro.core.flatness import FleetTesterSketches
+from repro.core.flatness import CompiledTesterSketches, FleetTesterSketches
 # perfbench/ledger.py wraps compile_greedy_sketches under this module's name.
 from repro.core.greedy import LockstepRun, compile_greedy_sketches, lockstep_learn  # noqa: F401
 from repro.core.params import (
@@ -137,9 +139,15 @@ class HistogramFleet:
             SketchBundle(as_sample_source(source, self._n), self._n, as_rng(member_rng))
             for source, member_rng in zip(sources, rngs)
         ]
-        # One FleetTesterSketches per tester budget, lazily built and
-        # repaired member by member (see _fleet_tester).
+        # One FleetTesterSketches per tester budget, the owner of its
+        # members' compiles, filled member by member (see _fleet_tester).
         self._tester_fleet_cache: dict[tuple[int, int], FleetTesterSketches] = {}
+        # Per member: each budget whose slot it filled, with the bundle's
+        # tester_epoch at the fill; the latest fill last, as snapshots
+        # list them.
+        self._tester_fills: list[dict[tuple[int, int], int]] = [
+            {} for _ in self._bundles
+        ]
 
     # -------------------------------------------------------------- #
     # introspection
@@ -156,8 +164,25 @@ class HistogramFleet:
         return self._n
 
     def bundle(self, member: int) -> SketchBundle:
-        """Member ``member``'s sample pools and compiled caches."""
+        """Member ``member``'s sample pools and learn compiles."""
         return self._bundles[validate_member(member, self.size)]
+
+    def tester_compiles(
+        self, member: int
+    ) -> "dict[tuple[int, int], CompiledTesterSketches]":
+        """Member ``member``'s current tester compiles by ``(num_sets, set_size)``.
+
+        In the order they were compiled or restored, which is the order
+        a snapshot lists them in; a slot gone stale (see
+        :meth:`_fleet_tester`) is left out.
+        """
+        member = validate_member(member, self.size)
+        epoch = self._bundles[member].tester_epoch
+        return {
+            key: self._tester_fleet_cache[key].member(member)
+            for key, filled in self._tester_fills[member].items()
+            if filled == epoch
+        }
 
     @property
     def samples_drawn(self) -> list[int]:
@@ -183,17 +208,16 @@ class HistogramFleet:
         """Forget drawn samples and sketches, fleet-wide or per member.
 
         Per-member invalidation is lazy and local: only that member's
-        pools, caches, and fleet slabs drop; every other member's
-        compiled state (and verdict memos) survives untouched.  The next
-        operation re-draws and recompiles just the stale member.
+        pools and caches drop, and its tester slots go stale with its
+        bundle's :attr:`~repro.api.SketchBundle.tester_epoch`; every other
+        member's compiled state (and verdict memos) survives untouched.
+        The next operation re-draws and recompiles just the stale member.
         """
         members = (
             range(self.size) if member is None else (validate_member(member, self.size),)
         )
         for index in members:
             self._bundles[index].invalidate()
-            for fleet_sketches in self._tester_fleet_cache.values():
-                fleet_sketches.drop_member(index)
 
     # -------------------------------------------------------------- #
     # persistence
@@ -202,9 +226,10 @@ class HistogramFleet:
     def snapshot(self, path) -> None:
         """Write every member's warm state to one snapshot file.
 
-        The fleet's stacked tester slabs are not persisted —
-        a restored fleet re-adopts each member's compiled layout into
-        fresh stacks on the next operation, byte-identically.
+        Each member's pools, learn compiles, tester compiles (verdict
+        memos included), draw counters and generator state.  The stacks
+        themselves are not persisted: a restored member keeps its mapped
+        arrays, and a call over several members copies them in.
         """
         from repro.persist import codec, format as persist_format
 
@@ -377,52 +402,68 @@ class HistogramFleet:
     # -------------------------------------------------------------- #
 
     def _members(self, members: "Sequence[int] | None") -> list[int]:
-        """Normalise and validate a member-subset argument."""
+        """Normalise and validate a member-subset argument.
+
+        A member may be listed once: a repeat would run its search twice
+        against one memo, so its memo accounting would no longer match
+        looped sessions.
+        """
         if members is None:
             return list(range(self.size))
-        return [validate_member(member, self.size) for member in members]
+        members = [validate_member(member, self.size) for member in members]
+        if len(set(members)) < len(members):
+            raise InvalidParameterError(f"members must not repeat, got {members}")
+        return members
+
+    def _testers(self, key: "tuple[int, int]") -> FleetTesterSketches:
+        """The stacked compiles of one ``(num_sets, set_size)`` budget."""
+        fleet_sketches = self._tester_fleet_cache.get(key)
+        if fleet_sketches is None:
+            fleet_sketches = FleetTesterSketches(self._n, *key, self.size)
+            self._tester_fleet_cache[key] = fleet_sketches
+        return fleet_sketches
+
+    def _filled(self, member: int, key: "tuple[int, int]") -> None:
+        """Record ``member``'s slot at ``key`` as over its current sets."""
+        fills = self._tester_fills[member]
+        fills.pop(key, None)
+        fills[key] = self._bundles[member].tester_epoch
+
+    def _restore_tester(self, member: int, compiled: CompiledTesterSketches) -> None:
+        """Fill ``member``'s slot with a restored compile: no compile runs
+        and no generation moves (see
+        :meth:`~repro.core.flatness.FleetTesterSketches.restore_member`)."""
+        key = (compiled.num_sets, compiled.set_size)
+        self._testers(key).restore_member(member, compiled)
+        self._filled(member, key)
 
     def _fleet_tester(
         self, resolved: TesterParams, members: "list[int]"
     ) -> FleetTesterSketches:
-        """The stacked compiled sketches for one budget, repaired lazily.
+        """The stacked compiled sketches for one budget, compiled lazily.
 
-        A member's slab is valid exactly when its bundle still caches
-        the same compiled object the fleet planted — anything else
-        (fresh member, per-member invalidation, even a direct
-        ``bundle.invalidate()`` behind the fleet's back) recompiles that
-        one slab from the member's pool and replants it.  Only the
-        listed members are drawn for and compiled.
-
-        A compile the bundle holds but the fleet did not plant (a
-        restore's) keeps its object, and its memo.  A call over two or
-        more members mirrors its layout into the slab, which their
-        lockstep reads; a lone member's search reads only the object,
-        so that call gets a stackless view of it instead and the slab
-        stays unmirrored.
+        A member's slot is current while its bundle's
+        :attr:`~repro.api.SketchBundle.tester_epoch` reads what it read
+        when the slot was filled.  An empty or stale slot (fresh member,
+        invalidation, a family redrawn to grow, even a direct
+        ``bundle.invalidate()`` behind the fleet's back) recompiles from
+        the member's pool, which bumps its generation once; only the
+        listed members are drawn for and compiled.  A call over two or
+        more members searches the stacks, so the restored members it
+        lists are copied in first; a lone member's search reads only its
+        object, so it allocates no stack.
         """
         key = (resolved.num_sets, resolved.set_size)
-        fleet_sketches = self._tester_fleet_cache.get(key)
-        if fleet_sketches is None:
-            fleet_sketches = FleetTesterSketches(
-                self._n, resolved.num_sets, resolved.set_size, self.size
-            )
-            self._tester_fleet_cache[key] = fleet_sketches
+        fleet_sketches = self._testers(key)
         for index in members:
             bundle = self._bundles[index]
-            member = fleet_sketches.member_or_none(index)
-            cached = bundle._tester_compiled_cache.get(key)
-            if member is not None and cached is member:
-                continue
-            if cached is not None:
-                if len(members) == 1:
-                    return FleetTesterSketches.holding(index, cached, self.size)
-                fleet_sketches.adopt_member(index, cached)
-                continue
-            member = fleet_sketches.compile_member(
-                index, bundle.tester_sets(resolved)
-            )
-            bundle.adopt_compiled_tester(resolved, member)
+            if self._tester_fills[index].get(key) != bundle.tester_epoch:
+                fleet_sketches.compile_member(index, bundle.tester_sets(resolved))
+                # After the draw: a redraw to grow moves the epoch.
+                self._filled(index, key)
+                bundle.generation += 1
+        if len(members) > 1:
+            fleet_sketches.stack(members)
         return fleet_sketches
 
     def _run_test(

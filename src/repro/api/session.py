@@ -17,7 +17,8 @@ with cross-call caching of raw draws, built sketches, and compiled
 candidate grids.  A session is a one-member
 :class:`~repro.api.HistogramFleet`: each operation is the fleet's, over
 its one member, so both facades share one budget resolution, one
-compile path and one learn, tester and min-k body.
+compile path and one learn, tester and min-k body.  Its snapshot is
+the fleet's too: the fleet owns the compiled testers it writes.
 
 Sharing samples across calls is sound for the same reason
 :meth:`min_k` may share them across candidate ``k``: the analyses
@@ -135,19 +136,22 @@ class HistogramSession:
     def snapshot(self, path) -> None:
         """Write this session's warm state (pools, sketches, rng) to ``path``.
 
-        See :meth:`repro.api.SketchBundle.snapshot`; the write is
-        crash-safe (temp file + fsync + atomic rename).
+        The one-member fleet's snapshot (:meth:`HistogramFleet.snapshot`):
+        the write is crash-safe (temp file + fsync + atomic rename), and
+        the file records the fleet's configuration.
         """
-        self._bundle.snapshot(path)
+        self._fleet.snapshot(path)
 
     def restore(self, path) -> None:
         """Adopt a snapshot's warm state in place (zero-copy mmap views).
 
         Raises :class:`~repro.errors.SnapshotError` on a missing,
-        corrupt, or mismatched snapshot — the session stays usable and
-        rebuilds cold.  See :meth:`repro.api.SketchBundle.restore`.
+        corrupt, or mismatched snapshot — one taken under another
+        ``n``, ``method`` or ``max_candidates``, or not by a session or
+        one-member fleet — and the session stays usable and rebuilds
+        cold.  See :meth:`HistogramFleet.restore`.
         """
-        self._bundle.restore(path)
+        self._fleet.restore(path)
 
     # -------------------------------------------------------------- #
     # learning

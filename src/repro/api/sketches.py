@@ -1,4 +1,4 @@
-"""Sample pools and compiled-sketch caches, one bundle per fleet member.
+"""Sample pools and the sketches built on them, one bundle per fleet member.
 
 The paper's algorithms consume two *sketch families*:
 
@@ -7,11 +7,13 @@ The paper's algorithms consume two *sketch families*:
 * the **test family** — ``r`` plain sample sets compiled straight into
   a :class:`~repro.core.flatness.CompiledTesterSketches` layout
   (Algorithm 2 and the min-k search) by the fleet that owns the bundle
-  (:meth:`~repro.core.flatness.FleetTesterSketches.compile_member`).
+  (:meth:`~repro.core.flatness.FleetTesterSketches.compile_member`),
+  which also owns that compile.
 
 :class:`SketchBundle` owns one growable pool of raw samples per set and
-memoises the derived structures.  A batch of ``(k, epsilon)`` operations
-issues at most one draw event per family and member, and an operation
+memoises the learn compiles and probe sketches over them; it holds no
+tester compile.  A batch of ``(k, epsilon)`` operations issues at most
+one draw event per family and member, and an operation
 whose sizes fit the existing pools issues none.  Each pool is a
 capacity-doubling buffer with a length cursor (:class:`_GrowablePool`),
 so repeated budget bumps append in amortised O(1) per element; every
@@ -32,9 +34,10 @@ is i.i.d., and prefixes of disjoint cuts stay disjoint.  An i.i.d.
 source's sets grow by their missing suffix.  A reservoir's family
 (``disjoint_sets``) cannot append to a set cut from a permutation, so a
 family that must grow is redrawn whole at the covering size, and the
-compiled caches and probe sketches built over the old sets are dropped
-with it.  Serving never grows a family: the maintainer's budgets are
-fixed.
+sketches built over the old sets are dropped with it: the learn
+compiles and probe sketches here, and the fleet's tester compiles
+through :attr:`SketchBundle.tester_epoch`.  Serving never grows a
+family: the maintainer's budgets are fixed.
 
 Draw order is fixed — a learn-family fill from empty performs the same
 ``sample()`` calls in the same order as
@@ -51,7 +54,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.source import draw_sets
-from repro.core.flatness import CompiledTesterSketches
 from repro.core.greedy import (
     CompiledGreedySketches,
     GreedySamples,
@@ -130,7 +132,7 @@ def _short(pools: "list[_GrowablePool]", num_sets: int, set_size: int) -> bool:
 
 
 class SketchBundle:
-    """Sample pools plus compiled sketches, shared across one member's calls.
+    """Sample pools plus the sketches built on them, for one member's calls.
 
     Parameters
     ----------
@@ -154,17 +156,20 @@ class SketchBundle:
             tuple[int, int, int], tuple[CollisionSketch, np.ndarray]
         ] = {}
         self._compiled_cache: dict[tuple, CompiledGreedySketches] = {}
-        self._tester_compiled_cache: dict[
-            tuple[int, int], CompiledTesterSketches
-        ] = {}
         self.draw_events = {_LEARN: 0, _TEST: 0}
         self.samples_drawn = 0
         #: Mutation epoch: bumped whenever retained state changes — pool
-        #: growth, a compiled-cache insert or plant, invalidation, or a
-        #: restore (which invalidates first).  Consumers key caches and
-        #: differential checkpoints on it; equality of generations means
-        #: the bundle's retained state is byte-identical.
+        #: growth, a learn compile, the fleet's tester compile over this
+        #: bundle's sets, invalidation, or a restore (which invalidates
+        #: first).  Consumers key caches and differential checkpoints on
+        #: it; equality of generations means the member's retained state
+        #: is byte-identical.
         self.generation = 0
+        #: Test-family epoch: bumped whenever the tester sets are dropped
+        #: (invalidation, or a redraw to grow them).  The fleet records it
+        #: with each tester compile and recompiles a slot whose record
+        #: no longer matches.
+        self.tester_epoch = 0
 
     @property
     def n(self) -> int:
@@ -172,14 +177,15 @@ class SketchBundle:
         return self._n
 
     def invalidate(self) -> None:
-        """Drop every pool and cache (the source's contents changed)."""
+        """Drop every pool and cache, and move :attr:`tester_epoch` (the
+        source's contents changed)."""
         self._weight_pool = _GrowablePool()
         self._collision_pool = []
         self._tester_pool = []
         self._probe_cache = {}
         self._compiled_cache = {}
-        self._tester_compiled_cache = {}
         self.generation += 1
+        self.tester_epoch += 1
 
     # -------------------------------------------------------------- #
     # pool growth
@@ -248,7 +254,7 @@ class SketchBundle:
         self.draw_events[_TEST] += 1
         self.generation += 1
         if self._grow_family(self._tester_pool, params.num_sets, params.set_size):
-            self._tester_compiled_cache = {}
+            self.tester_epoch += 1
             self._probe_cache = {}
 
     # -------------------------------------------------------------- #
@@ -336,68 +342,3 @@ class SketchBundle:
             probe = (CollisionSketch(samples, self._n), samples)
             self._probe_cache[key] = probe
         return probe
-
-    # -------------------------------------------------------------- #
-    # persistence
-    # -------------------------------------------------------------- #
-
-    def snapshot(self, path) -> None:
-        """Write this bundle's warm state to a snapshot file.
-
-        Persists the sample pools, every compiled greedy/tester cache
-        entry (verdict memos and accounting included), the draw
-        counters, and the generator state — everything a restored
-        bundle needs to answer byte-identically and to continue drawing
-        the same stream of samples.  The write is crash-safe (temp file
-        + fsync + atomic rename; see :mod:`repro.persist.format`).
-        """
-        from repro.persist import codec, format as persist_format
-
-        meta, slabs = codec.bundle_state(self)
-        persist_format.write_snapshot(path, kind="bundle", meta=meta, slabs=slabs)
-
-    def restore(self, path) -> None:
-        """Adopt a snapshot's warm state in place (zero-copy).
-
-        Compiled slabs arrive as read-only ``np.memmap`` views planted
-        through the same cache keys :meth:`compiled_sketches` /
-        :meth:`adopt_compiled_tester` use; pools serve views off the mapped
-        file and copy out only if they later grow.  Raises
-        :class:`~repro.errors.SnapshotError` on any mismatch (missing
-        or corrupt file, wrong domain size) without touching state
-        beyond an :meth:`invalidate` — the caller's cold path still
-        works.
-        """
-        from repro.persist import codec, format as persist_format
-
-        snap = persist_format.load_snapshot(path, kind="bundle")
-        codec.restore_bundle(self, snap.meta, snap.slab)
-
-    # -------------------------------------------------------------- #
-    # fleet plant (a member's tester compile adopted into the cache)
-    # -------------------------------------------------------------- #
-
-    def adopt_compiled_tester(
-        self, params: TesterParams, compiled: CompiledTesterSketches
-    ) -> None:
-        """Cache a tester layout compiled for ``params``' budget.
-
-        The fleet compiles each member's layout into its stacked slab
-        (:meth:`~repro.core.flatness.FleetTesterSketches.compile_member`)
-        and plants it here, which is what the bundle's snapshot persists
-        and what tells the fleet the slab is current: every later tester
-        or min-k call on this budget reuses the planted object and its
-        verdict memo.  The caller vouches that ``compiled`` was built
-        over :meth:`tester_sets` of the same ``params``.
-        """
-        if (
-            compiled.n != self._n
-            or compiled.num_sets != params.num_sets
-            or compiled.set_size != params.set_size
-        ):
-            raise InvalidParameterError(
-                "compiled tester layout does not match the bundle's domain "
-                "or the params' (num_sets, set_size)"
-            )
-        self._tester_compiled_cache[(params.num_sets, params.set_size)] = compiled
-        self.generation += 1

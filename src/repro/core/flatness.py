@@ -39,10 +39,11 @@ The module is layered so Algorithm 2 can run on a *compiled* engine
   differences, with verdicts memoised by
   ``(start, stop, metric, epsilon, scale)`` across binary searches,
   ``test_many`` grid points, and min-k sweeps;
-* **fleet layer** — :class:`FleetTesterSketches` compiles every
-  member's layout straight from its raw sample sets (in
-  :meth:`FleetTesterSketches.compile_member`, the one tester compile)
-  into a slab of stacks with a leading fleet axis, and
+* **fleet layer** — :class:`FleetTesterSketches` owns its members'
+  compiles: it builds each layout straight from the member's raw
+  sample sets (in :meth:`FleetTesterSketches.compile_member`, the one
+  tester compile) into a slab of stacks with a leading fleet axis, or
+  takes a restored one as it is, and
   :class:`FleetFlatnessOracle` answers one batch of probes (at most one
   per member) as ``B`` kernel rows gathered from the stacks, keeping
   each member's verdict memo and accounting byte-compatible with the
@@ -684,12 +685,14 @@ class FleetTesterSketches:
       and close with one sentinel, so the flattened key stack is sorted
       and one ``searchsorted`` over it places a whole batch's endpoints.
 
-    Members compiled here wrap zero-copy views of their slab; every
-    member keeps its own verdict memo — and its hit/miss accounting — so
-    a fleet run stays byte-compatible with a looped single-session run.
-    Members compile independently (:meth:`compile_member`) and can be
-    dropped independently (:meth:`drop_member`), which is what gives the
-    fleet facade its lazy per-member invalidation: refreshing one
+    It is the one owner of its members' compiles.  Members compiled here
+    wrap zero-copy views of their slab; a restored member
+    (:meth:`restore_member`) keeps its own arrays until a search over
+    several members needs it stacked (:meth:`stack`).  Every member keeps
+    its own verdict memo — and its hit/miss accounting — so a fleet run
+    stays byte-compatible with a looped single-session run.  Members
+    compile independently (:meth:`compile_member`), which is what gives
+    the fleet facade its lazy per-member invalidation: refreshing one
     member's stream recompiles one slab, not the fleet.
 
     Memory is O(F r min(m, n)): ``F`` per-member layouts, stacked.
@@ -717,6 +720,8 @@ class FleetTesterSketches:
         # built (see _slabs).
         self._stacks: tuple[np.ndarray, np.ndarray] | None = None
         self._members: list[CompiledTesterSketches | None] = [None] * fleet_size
+        # Restored members whose arrays are not in the stacks yet.
+        self._unstacked: set[int] = set()
 
     @property
     def n(self) -> int:
@@ -745,7 +750,7 @@ class FleetTesterSketches:
 
     @property
     def nbytes(self) -> int:
-        """Bytes the stacks hold (0 until a member is compiled or adopted)."""
+        """Bytes the stacks hold (0 until a member is compiled or stacked)."""
         return 0 if self._stacks is None else sum(a.nbytes for a in self._stacks)
 
     def _slabs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -807,10 +812,6 @@ class FleetTesterSketches:
         if sketches is None:
             raise InvalidParameterError(f"fleet member {index} is not compiled")
         return sketches
-
-    def member_or_none(self, index: int) -> CompiledTesterSketches | None:
-        """Member ``index``'s compiled sketches, or ``None``."""
-        return self._members[index]
 
     def _detach_member(self, index: int) -> None:
         """Give an outgoing member its own copy of the slab data.
@@ -878,51 +879,34 @@ class FleetTesterSketches:
             offset=index * self._span,
         )
         self._members[index] = member
+        self._unstacked.discard(index)
         return member
 
-    def adopt_member(self, index: int, sketches: CompiledTesterSketches) -> None:
-        """Adopt an externally compiled member into the stacks.
+    def restore_member(self, index: int, sketches: CompiledTesterSketches) -> None:
+        """Make a restored compile of this ``(n, r, m)`` member ``index``.
 
-        Copies the member's layout into its slab and keeps the *object*
-        — verdict memo, accounting and all — as the fleet member, so a
-        compile restored from a snapshot (and partially memoised before
-        it was taken) loses nothing.
-        """
-        if (
-            sketches.n != self._n
-            or sketches.num_sets != self._num_sets
-            or sketches.set_size != self._set_size
-        ):
-            raise InvalidParameterError(
-                "compiled sketches do not match the fleet's (n, r, m) layout"
-            )
-        if self._members[index] is not sketches:
-            self._detach_member(index)
-            self._plant(index, sketches._layout, sketches._offset())
-            self._members[index] = sketches
-
-    @classmethod
-    def holding(
-        cls, index: int, sketches: CompiledTesterSketches, fleet_size: int
-    ) -> "FleetTesterSketches":
-        """A stackless fleet whose only member is ``sketches`` at ``index``.
-
-        For a one-member search, which reads the member's own object
-        (:meth:`FleetFlatnessOracle.member_oracle`) and never the
-        stacks: the view allocates none and copies nothing.
-        """
-        view = cls(sketches.n, sketches.num_sets, sketches.set_size, fleet_size)
-        view._members[index] = sketches
-        return view
-
-    def drop_member(self, index: int) -> None:
-        """Forget one member's compiled sketches (its source changed).
-
-        The outgoing member is detached first, so a reference held
-        elsewhere keeps consistent data when the slab is recompiled.
+        The *object* — its arrays (a snapshot's read-only mapping),
+        verdict memo and accounting — becomes the member, uncopied, so a
+        compile memoised before the snapshot loses nothing.  A lone
+        member's search reads only the object, so nothing is copied
+        into the stacks until a search over several members lists it
+        (:meth:`stack`).
         """
         self._detach_member(index)
-        self._members[index] = None
+        self._members[index] = sketches
+        self._unstacked.add(index)
+
+    def stack(self, members: "list[int]") -> None:
+        """Copy the restored members among ``members`` into the stacks.
+
+        A search over two or more members reads the stacks
+        (:meth:`interval_counts`), so it stacks them first; each restored
+        member is copied once, and its object stays the member.
+        """
+        for index in self._unstacked.intersection(members):
+            member = self._members[index]
+            self._plant(index, member._layout, member._offset())
+            self._unstacked.discard(index)
 
     def oracle(
         self, metric: str, epsilon: float, scale: float = 1.0

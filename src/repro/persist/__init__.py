@@ -1,8 +1,8 @@
 """Versioned, mmap-backed snapshot/restore for compiled sketch state.
 
 ``repro.persist`` lets every warm layer of the stack survive a process
-restart: :class:`~repro.api.SketchBundle` pools and compiled caches,
-whole :class:`~repro.api.HistogramFleet` /
+restart: :class:`~repro.api.HistogramSession` and whole
+:class:`~repro.api.HistogramFleet` /
 :class:`~repro.streaming.fleet.FleetMaintainer` trees (reservoirs,
 histograms, rng states included), and :class:`~repro.serving.service.
 HistogramService` checkpoints behind ``repro-serve --snapshot-dir``.

@@ -11,16 +11,22 @@ maintainer), so one file checkpoints a whole serving tree.
 Restores are zero-copy where the engines allow it: compiled prefix
 slabs, candidate grids, sorted weight samples, and sample pools are
 handed to the engines as the loader's read-only memmap views, planted
-under the same cache keys the bundle's own compiles use.
+where the live compiles sit: learn compiles under the bundle's cache
+keys, tester compiles in the fleet's slots.
 The structures that must stay mutable (reservoir buffers, the small
 ``k``-piece histograms) are copied.  A compiled tester is read and
-written only through :meth:`~repro.core.flatness.CompiledTesterSketches.state`
-and :meth:`~repro.core.flatness.CompiledTesterSketches.from_state`, so
-its layout (dense ``count_cols``/``pair_cols`` or sparse
+written only through the fleet that owns it
+(:meth:`~repro.api.HistogramFleet.tester_compiles` and
+:meth:`~repro.core.flatness.FleetTesterSketches.restore_member`) and
+:meth:`~repro.core.flatness.CompiledTesterSketches.state` /
+:meth:`~repro.core.flatness.CompiledTesterSketches.from_state`, so its
+layout (dense ``count_cols``/``pair_cols`` or sparse
 ``keys``/``pair_prefix`` slabs) stays private to ``core/flatness.py``.
-The fleet's tester stacks are deliberately *not* persisted: the fleet
-repairs them member by member from the restored compiled testers
-through its existing ``adopt_member`` path, byte-identically.
+Each member's tester entries sit in its own record, under
+``member/{f}/test/{j}/``, so a delta checkpoint rewrites only the
+members that moved.  The fleet's stacks are deliberately *not*
+persisted: a restored member keeps its mapped arrays, and the first
+call over several members that lists it copies them in.
 
 The binding contract: a restored instance answers byte-identical
 responses — verdicts, histograms, query logs, memo accounting, and
@@ -30,13 +36,13 @@ bits of every finite float (``repr`` ↔ parse) and arbitrary-precision
 ints, so memo keys, thresholds, and PCG64 states restore exactly.
 Second, each fleet member's reservoir and bundle share one
 ``Generator`` object, so assigning ``bit_generator.state`` in the
-bundle restore rewinds both at once.
+member restore rewinds both at once.
 
 A configuration fingerprint mismatch (the restoring instance was built
 with different ``n``/sizes/method than the snapshotted one) raises
 :class:`~repro.errors.SnapshotError` with ``reason="config-mismatch"``
 *before* any state is touched at that layer, so callers fall back to a
-cold rebuild.  Each bundle's record includes its draw scheme (the
+cold rebuild.  Each member's record includes its draw scheme (the
 source's ``disjoint_sets``) and each compiled tester's form
 (:func:`~repro.core.flatness.tester_form`); a snapshot that lacks them,
 as every one written before they were recorded does, restores cold.
@@ -86,12 +92,13 @@ def _check_fingerprint(layer: str, meta: dict, expected: dict) -> None:
 
 
 # ------------------------------------------------------------------ #
-# SketchBundle
+# HistogramFleet
 # ------------------------------------------------------------------ #
 
 
-def bundle_state(bundle) -> tuple[dict, dict]:
-    """One bundle's pools, compiled caches, memos, and rng state."""
+def _member_state(fleet, f: int) -> tuple[dict, dict]:
+    """One member's pools, compiles, memos, and rng state."""
+    bundle = fleet.bundle(f)
     meta = {
         "n": int(bundle._n),
         "disjoint_sets": bool(bundle._disjoint_sets),
@@ -140,7 +147,7 @@ def bundle_state(bundle) -> tuple[dict, dict]:
         slabs[f"learn/{j}/pair_prefix_cols"] = compiled.pair_prefix_cols
         slabs[f"learn/{j}/self_costs"] = compiled.self_costs
     for j, ((num_sets, set_size), compiled) in enumerate(
-        bundle._tester_compiled_cache.items()
+        fleet.tester_compiles(f).items()
     ):
         tester_meta, arrays = compiled.state()
         meta["test"].append(
@@ -151,16 +158,16 @@ def bundle_state(bundle) -> tuple[dict, dict]:
     return meta, slabs
 
 
-def _check_bundle(bundle, meta: dict) -> None:
-    """Refuse a bundle snapshot taken under another configuration.
+def _check_member(bundle, meta: dict) -> None:
+    """Refuse a member record taken under another configuration.
 
     The domain, the draw scheme (whether the source cuts disjoint sets)
-    and the layout of every compiled tester must match what this bundle
+    and the layout of every compiled tester must match what this member
     would build: pools drawn another way, or a compile in another form,
     restore cold.  Snapshots that predate either record fail here too.
     """
     _check_fingerprint(
-        "bundle",
+        "member",
         meta,
         {"n": int(bundle._n), "disjoint_sets": bool(bundle._disjoint_sets)},
     )
@@ -172,9 +179,9 @@ def _check_bundle(bundle, meta: dict) -> None:
         )
 
 
-def restore_bundle(bundle, meta: dict, slab) -> None:
-    """Rebuild one bundle in place from restored state (zero-copy)."""
-    _check_bundle(bundle, meta)
+def _restore_member(fleet, f: int, meta: dict, slab) -> None:
+    """Rebuild one member in place from restored state (zero-copy)."""
+    bundle = fleet.bundle(f)
     bundle.invalidate()
     bundle._weight_pool = _GrowablePool(slab("pool/weight"))
     bundle._collision_pool = [
@@ -224,11 +231,10 @@ def restore_bundle(bundle, meta: dict, slab) -> None:
         )
         bundle._compiled_cache[key] = compiled
     for j, entry in enumerate(meta["test"]):
-        set_size = int(entry["set_size"])
         compiled = CompiledTesterSketches.from_state(
-            bundle._n, set_size, entry, _scoped(slab, f"test/{j}/")
+            bundle._n, int(entry["set_size"]), entry, _scoped(slab, f"test/{j}/")
         )
-        bundle._tester_compiled_cache[(int(entry["num_sets"]), set_size)] = compiled
+        fleet._restore_tester(f, compiled)
     bundle.draw_events.clear()
     bundle.draw_events.update(
         {str(key): int(value) for key, value in meta["draw_events"].items()}
@@ -237,11 +243,6 @@ def restore_bundle(bundle, meta: dict, slab) -> None:
     # In place: the reservoir and bundle of one fleet member share this
     # Generator, so both rewind together.
     bundle._rng.bit_generator.state = meta["rng_state"]
-
-
-# ------------------------------------------------------------------ #
-# HistogramFleet
-# ------------------------------------------------------------------ #
 
 
 def _fleet_fingerprint(fleet) -> dict:
@@ -254,16 +255,17 @@ def _fleet_fingerprint(fleet) -> dict:
 
 
 def fleet_state(fleet) -> tuple[dict, dict]:
-    """Every member bundle plus the fleet's configuration fingerprint.
+    """Every member's state plus the fleet's configuration fingerprint.
 
-    The fleet's tester stacks are recomputed on restore
-    from the members' compiled testers (``adopt_member`` copies each
-    layout back into fresh stacks), so only per-member state persists.
+    A member's tester compiles are read from the fleet
+    (:meth:`~repro.api.HistogramFleet.tester_compiles`), in the order
+    they were compiled, under ``member/{f}/test/{j}/``; the stacks that
+    hold them are not persisted.
     """
     members = []
     slabs: dict = {}
     for f in range(fleet.size):
-        member_meta, member_slabs = bundle_state(fleet.bundle(f))
+        member_meta, member_slabs = _member_state(fleet, f)
         members.append(member_meta)
         for name, array in member_slabs.items():
             slabs[f"member/{f}/{name}"] = array
@@ -271,15 +273,15 @@ def fleet_state(fleet) -> tuple[dict, dict]:
 
 
 def restore_fleet(fleet, meta: dict, slab) -> None:
-    """Rebuild every member bundle of a freshly constructed fleet."""
+    """Rebuild every member of a freshly constructed fleet."""
     _check_fingerprint("fleet", meta, _fleet_fingerprint(fleet))
     for f, member_meta in enumerate(meta["members"]):
-        _check_bundle(fleet.bundle(f), member_meta)
-    # Drop any existing warm state (including stacked tester slabs);
-    # the next fleet op re-adopts the restored compiled testers.
+        _check_member(fleet.bundle(f), member_meta)
+    # Drop any existing warm state; every tester slot goes stale until
+    # the member restore refills it.
     fleet.invalidate()
     for f, member_meta in enumerate(meta["members"]):
-        restore_bundle(fleet.bundle(f), member_meta, _scoped(slab, f"member/{f}/"))
+        _restore_member(fleet, f, member_meta, _scoped(slab, f"member/{f}/"))
 
 
 # ------------------------------------------------------------------ #
@@ -291,7 +293,7 @@ def slab_member(name: str) -> int | None:
     """Which fleet member owns one maintainer-level slab (or ``None``).
 
     The maintainer's slab namespace is member-partitioned —
-    ``fleet/member/{f}/...`` (the bundle tree), ``hist/{f}/...`` (the
+    ``fleet/member/{f}/...`` (the member tree), ``hist/{f}/...`` (the
     stored histogram), ``reservoir/{f}`` — which is what lets a
     differential checkpoint re-write only the slabs of members whose
     generation moved.  Names outside those prefixes (there are none

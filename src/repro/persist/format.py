@@ -15,9 +15,9 @@ nbytes, crc32}`` with ``offset`` relative to the page-aligned data
 start, so the header can be sized *after* the payload layout is fixed
 without a circular dependency.  ``meta`` is the caller's JSON document —
 compile parameters, rng state fingerprints, memo tables — and ``kind``
-names the producing layer (``bundle`` / ``fleet`` / ``maintainer`` /
-``service``) so a restore seam never maps a snapshot from the wrong
-layer.
+names the producing layer (``fleet`` / ``maintainer`` / ``service``;
+a session writes its one-member fleet's) so a restore seam never maps a
+snapshot from the wrong layer.
 
 Format version 2 adds **differential snapshots**: a file written with
 ``parent=`` may carry *reference* entries ``{name, dtype, shape, nbytes,

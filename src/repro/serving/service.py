@@ -426,7 +426,8 @@ class HistogramService:
         ``drain=True`` (the default) serves every already-admitted
         request before returning; ``drain=False`` cancels the collector
         and fails pending requests with
-        :class:`~repro.errors.ServiceClosedError`.  Idempotent.
+        :class:`~repro.errors.ServiceClosedError`.  Idempotent.  If the
+        collector crashed (see :meth:`_collect`), this re-raises the crash.
         """
         self._accepting = False
         if self._collector is not None:
@@ -440,15 +441,7 @@ class HistogramService:
                     await self._collector
                 except asyncio.CancelledError:
                     pass
-                while not self._queue.empty():
-                    entry = self._queue.get_nowait()
-                    if entry is _STOP:
-                        continue
-                    future = entry[1]
-                    if not future.done():
-                        future.set_exception(
-                            ServiceClosedError("service closed before serving")
-                        )
+                self._fail_pending([], "service closed before serving")
             self._collector = None
             self._queue = None
 
@@ -591,8 +584,26 @@ class HistogramService:
     # the collector
     # -------------------------------------------------------------- #
 
+    def _fail_pending(self, window: list, message: str, cause=None) -> None:
+        """Fail every unresolved request in ``window`` and the queue as
+        closed, chained from ``cause``."""
+        while not self._queue.empty():
+            window.append(self._queue.get_nowait())
+        for entry in window:
+            if entry is not _STOP and not entry[1].done():
+                error = ServiceClosedError(message)
+                error.__cause__ = cause
+                entry[1].set_exception(error)
+
     async def _collect(self) -> None:
-        """Drain admission windows until the shutdown sentinel arrives."""
+        """Drain admission windows until the shutdown sentinel arrives.
+
+        A non-library exception out of a window ends the collector, so
+        it also ends admission: later submits raise
+        :class:`~repro.errors.ServiceClosedError`, as does every request
+        still in the window or the queue, chained from the crash, and
+        :meth:`close` re-raises the crash.
+        """
         config = self._config
         linger_s = config.max_linger_us / 1e6
         loop = asyncio.get_running_loop()
@@ -626,8 +637,13 @@ class HistogramService:
                         stopping = True
                         break
                     window.append(entry)
-            self._serve_window(window)
-            self._maybe_checkpoint()
+            try:
+                self._serve_window(window)
+                self._maybe_checkpoint()
+            except BaseException as exc:
+                self._accepting = False
+                self._fail_pending(window, "service collector crashed", exc)
+                raise
             if stopping:
                 return
 

@@ -113,7 +113,7 @@ def _freeze_learn(result):
     )
 
 
-def _freeze_memo(bundles) -> tuple:
+def _freeze_memo(fleet) -> tuple:
     """Per-member flatness-memo accounting of every compiled budget.
 
     Part of the byte-identity contract on the compiled tester: a
@@ -124,9 +124,9 @@ def _freeze_memo(bundles) -> tuple:
     return tuple(
         tuple(
             (key, compiled.memo_hits, compiled.memo_misses, compiled.memo_size)
-            for key, compiled in sorted(bundle._tester_compiled_cache.items())
+            for key, compiled in sorted(fleet.tester_compiles(f).items())
         )
-        for bundle in bundles
+        for f in range(fleet.size)
     )
 
 
@@ -264,7 +264,7 @@ def test_snapshot_cell_matches_live_fleet(tmp_path, case):
             tuple(fleet.min_k(0.3, max_k=6, norm="l2")),
             tuple(fleet.test_l2(2, 0.3, params=grown)),
         )
-        return outcome, _freeze_memo(fleet.bundle(f) for f in range(fleet.size))
+        return outcome, _freeze_memo(fleet)
 
     live = build()
     live.learn(3, 0.3)
@@ -278,7 +278,7 @@ def test_snapshot_cell_matches_live_fleet(tmp_path, case):
     forms = {
         compiled.form
         for f in range(restored.size)
-        for compiled in restored.bundle(f)._tester_compiled_cache.values()
+        for compiled in restored.tester_compiles(f).values()
     }
     assert forms == {"sparse" if case == "sparse" else "dense"}
 
@@ -341,9 +341,7 @@ def _serve_memo(service) -> tuple:
     return tuple(
         tuple(
             (key, compiled.memo_misses, compiled.memo_size)
-            for key, compiled in sorted(
-                maintainer.fleet.bundle(f)._tester_compiled_cache.items()
-            )
+            for key, compiled in sorted(maintainer.fleet.tester_compiles(f).items())
         )
         for f in range(maintainer.fleet_size)
     )

@@ -17,11 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import compiled_tester
 from repro.api import ArraySource, CountingSource, HistogramFleet, HistogramSession
 from repro.core.flatness import FleetTesterSketches
 from repro.core.params import GreedyParams, TesterParams
 from repro.core.selection import _reference_min_k
-from repro.core.tester import _reference_test, fleet_test_on_sketches
+from repro.core.tester import _reference_test
 from repro.distributions import families
 from repro.errors import InvalidParameterError
 from repro.samples.collision import (
@@ -53,8 +54,8 @@ def make_fleet_and_sessions(n=128, fleet_size=6, seed=0, **kwargs):
     return fleet, sessions
 
 
-def memo_stats(bundle, params):
-    sketches = bundle._tester_compiled_cache[(params.num_sets, params.set_size)]
+def memo_stats(owner, params, member=0):
+    sketches = compiled_tester(owner, params, member)
     return sketches.memo_hits, sketches.memo_misses, sketches.memo_size
 
 
@@ -72,8 +73,8 @@ class TestFleetEquivalence:
         ]
         # Memo accounting matches per member after the whole op sequence.
         for f, session in enumerate(sessions):
-            assert memo_stats(fleet.bundle(f), TEST_PARAMS) == (
-                memo_stats(session._bundle, TEST_PARAMS)
+            assert memo_stats(fleet, TEST_PARAMS, f) == memo_stats(
+                session, TEST_PARAMS
             )
 
     def test_sparse_budget_matches_sessions(self):
@@ -90,10 +91,8 @@ class TestFleetEquivalence:
             s.min_k(0.3, max_k=8, norm="l2") for s in sessions
         ]
         for f, session in enumerate(sessions):
-            assert memo_stats(fleet.bundle(f), sparse) == (
-                memo_stats(session._bundle, sparse)
-            )
-        slab = fleet._tester_fleet_cache[(sparse.num_sets, sparse.set_size)]
+            assert memo_stats(fleet, sparse, f) == memo_stats(session, sparse)
+        slab = fleet._testers((sparse.num_sets, sparse.set_size))
         assert slab.form == "sparse"
         assert slab.nbytes == 2 * fleet.size * (5 * 30 + 1) * 8
 
@@ -233,13 +232,11 @@ def test_lockstep_random_fleets(seed):
                 sess_runner(s, k, epsilon) for s in sessions
             ]
 
-    key = (params.num_sets, params.set_size)
     for f, session in enumerate(sessions):
-        fleet_cache = fleet.bundle(f)._tester_compiled_cache
-        session_cache = session._bundle._tester_compiled_cache
-        assert (key in fleet_cache) == (key in session_cache)
-        if key in fleet_cache:
-            a, b = fleet_cache[key], session_cache[key]
+        a = compiled_tester(fleet, params, f)
+        b = compiled_tester(session, params)
+        assert (a is None) == (b is None)
+        if a is not None:
             assert (a.memo_hits, a.memo_misses, a.memo_size) == (
                 b.memo_hits, b.memo_misses, b.memo_size
             )
@@ -312,60 +309,58 @@ class TestFleetCacheLifetime:
     def test_repeat_op_is_all_memo_hits(self):
         fleet, _ = make_fleet_and_sessions(test_budget=TEST_PARAMS)
         first = fleet.test_l2(4, 0.3)
-        misses = [
-            memo_stats(fleet.bundle(f), TEST_PARAMS)[1] for f in range(fleet.size)
-        ]
+        misses = [memo_stats(fleet, TEST_PARAMS, f)[1] for f in range(fleet.size)]
         assert fleet.test_l2(4, 0.3) == first
         assert [
-            memo_stats(fleet.bundle(f), TEST_PARAMS)[1] for f in range(fleet.size)
+            memo_stats(fleet, TEST_PARAMS, f)[1] for f in range(fleet.size)
         ] == misses
 
-    def test_bundle_compiled_member_is_adopted_with_memo(self):
-        """A member whose bundle holds a compile the fleet did not plant
-        (as a restore leaves it) keeps that object and its verdict memo."""
-        fleet, _ = make_fleet_and_sessions(test_budget=TEST_PARAMS)
-        bundle = fleet.bundle(3)
-        # Compile and search member 3's sets outside the fleet first.
-        outside = FleetTesterSketches(
-            fleet.n, TEST_PARAMS.num_sets, TEST_PARAMS.set_size, fleet_size=1
-        )
-        planted = outside.compile_member(0, bundle.tester_sets(TEST_PARAMS))
-        (direct,) = fleet_test_on_sketches(outside, fleet.n, 4, 0.3, "l2", TEST_PARAMS)
-        bundle.adopt_compiled_tester(TEST_PARAMS, planted)
+    def test_restored_member_keeps_its_object_and_memo(self, tmp_path):
+        """A restored member's compile (memoised before the snapshot)
+        stays the fleet's member through a call over several members:
+        its object and verdict memo carry over, and its searches replay
+        from the memo."""
+        live, _ = make_fleet_and_sessions(fleet_size=4, test_budget=TEST_PARAMS)
+        live.test_l2(4, 0.3, members=[3])
+        live.snapshot(tmp_path / "fleet.snap")
+        restored, _ = make_fleet_and_sessions(fleet_size=4, test_budget=TEST_PARAMS)
+        restored.restore(tmp_path / "fleet.snap")
+        planted = compiled_tester(restored, TEST_PARAMS, 3)
+        assert planted.memo_misses > 0
         misses_before = planted.memo_misses
-        results = fleet.test_l2(4, 0.3)
-        assert results[3] == direct
-        adopted = bundle._tester_compiled_cache[
-            (TEST_PARAMS.num_sets, TEST_PARAMS.set_size)
-        ]
-        assert adopted is planted  # same object, memo preserved
-        assert adopted.memo_misses == misses_before  # replayed from memo
+        results = restored.test_l2(4, 0.3)
+        assert results == live.test_l2(4, 0.3)
+        assert compiled_tester(restored, TEST_PARAMS, 3) is planted
+        assert planted.memo_misses == misses_before  # replayed from memo
+        assert memo_stats(restored, TEST_PARAMS, 3) == memo_stats(
+            live, TEST_PARAMS, 3
+        )
 
     def test_restored_lone_member_call_is_not_mirrored(self, tmp_path):
         """A restored compile searched by a one-member call stays out of
-        the slab (the search reads only the object); a later call over
-        two members adopts the same object, memo included."""
-        key = (TEST_PARAMS.num_sets, TEST_PARAMS.set_size)
+        the stacks (the search reads only the object); a later call over
+        two members stacks the same object, memo included."""
         live, _ = make_fleet_and_sessions(fleet_size=3, test_budget=TEST_PARAMS)
         expected = live.test_l2(4, 0.3)
         live.snapshot(tmp_path / "fleet.snap")
         restored, _ = make_fleet_and_sessions(fleet_size=3, test_budget=TEST_PARAMS)
         restored.restore(tmp_path / "fleet.snap")
-        planted = restored.bundle(0)._tester_compiled_cache[key]
+        planted = compiled_tester(restored, TEST_PARAMS, 0)
         hits, misses = planted.memo_hits, planted.memo_misses
 
         assert restored.test_l2(4, 0.3, members=[0]) == [expected[0]]
         assert restored.min_k(0.3, max_k=6, norm="l2", members=[0]) == [
             live.min_k(0.3, max_k=6, norm="l2", members=[0])[0]
         ]
-        slab = restored._tester_fleet_cache[key]
-        assert slab.member_or_none(0) is None
+        slab = restored._testers((TEST_PARAMS.num_sets, TEST_PARAMS.set_size))
         assert slab.nbytes == 0  # no stack allocated or copied
+        assert compiled_tester(restored, TEST_PARAMS, 0) is planted
         assert planted.memo_misses == misses and planted.memo_hits > hits
 
         hits = planted.memo_hits
         assert restored.test_l2(4, 0.3, members=[0, 1]) == expected[:2]
-        assert slab.member_or_none(0) is planted
+        assert slab.nbytes > 0
+        assert compiled_tester(restored, TEST_PARAMS, 0) is planted
         assert planted.memo_misses == misses and planted.memo_hits > hits
         assert restored.draw_events == live.draw_events
 
@@ -438,6 +433,25 @@ class TestMemberSubsets:
         with pytest.raises(InvalidParameterError):
             fleet.test_l2(3, 0.3, members=[99])
 
+    def test_repeated_members_are_refused(self):
+        """A member listed twice would search twice against one memo, so
+        its memo accounting would no longer equal a looped session's:
+        every op refuses the repeat before drawing anything."""
+        fleet, _ = make_fleet_and_sessions(
+            fleet_size=3, test_budget=TEST_PARAMS, learn_budget=LEARN_PARAMS
+        )
+        calls = [
+            lambda: fleet.learn(2, 0.3, members=[1, 1]),
+            lambda: fleet.test_l1(3, 0.3, members=[0, 2, 0]),
+            lambda: fleet.test_l2(3, 0.3, members=[0, 0]),
+            lambda: fleet.test_many([(2, 0.3)], members=[2, 2]),
+            lambda: fleet.min_k(0.3, max_k=4, norm="l2", members=[1, 1]),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidParameterError, match="repeat"):
+                call()
+        assert fleet.samples_drawn == [0, 0, 0]
+
     def test_member_accessors_reject_out_of_range(self):
         """invalidate / generation / bundle validate their index the way
         members= does: -1 must not alias the last member."""
@@ -486,8 +500,7 @@ class TestRecompileDetachesOldMember:
     def test_held_compiled_object_stays_consistent(self):
         fleet, _ = make_fleet_and_sessions(fleet_size=2, test_budget=TEST_PARAMS)
         first = fleet.test_l2(3, 0.3)
-        key = (TEST_PARAMS.num_sets, TEST_PARAMS.set_size)
-        held = fleet.bundle(0)._tester_compiled_cache[key]
+        held = compiled_tester(fleet, TEST_PARAMS, 0)
         # Every prefix [0, x): the held object's whole count layout.
         stops = np.arange(fleet.n + 1)
         counts_before = held.interval_counts(np.zeros_like(stops), stops)
@@ -500,7 +513,7 @@ class TestRecompileDetachesOldMember:
         assert all(map(np.array_equal, counts_after, counts_before))
         assert held.query(0, 64, "l2", 0.3) == verdict_before
         # ...while the fleet serves a freshly compiled member.
-        fresh = fleet.bundle(0)._tester_compiled_cache[key]
+        fresh = compiled_tester(fleet, TEST_PARAMS, 0)
         assert fresh is not held
         assert first[1] == fleet.test_l2(3, 0.3)[1]  # member 1 untouched
 
@@ -509,7 +522,7 @@ class TestRecompileDetachesOldMember:
         sparse = TesterParams(num_sets=5, set_size=30)
         fleet, _ = make_fleet_and_sessions(fleet_size=3, test_budget=sparse)
         fleet.test_l2(3, 0.3)
-        held = fleet.bundle(1)._tester_compiled_cache[(5, 30)]
+        held = compiled_tester(fleet, sparse, 1)
         assert held.form == "sparse"
         starts, stops = np.triu_indices(fleet.n + 1)
         counts_before = held.interval_counts(starts, stops)
@@ -520,4 +533,4 @@ class TestRecompileDetachesOldMember:
         assert all(map(np.array_equal, counts_after, counts_before))
         for name, array in held.state()[1].items():
             assert np.array_equal(array, state_before[name])
-        assert fleet.bundle(1)._tester_compiled_cache[(5, 30)] is not held
+        assert compiled_tester(fleet, sparse, 1) is not held

@@ -17,6 +17,7 @@ import struct
 import numpy as np
 import pytest
 
+from helpers import compiled_tester
 from repro.api.session import HistogramSession
 from repro.core.params import GreedyParams, TesterParams
 from repro.errors import InjectedFaultError, InvalidParameterError, SnapshotError
@@ -479,24 +480,26 @@ def _freeze_probe(maintainer: FleetMaintainer):
     )
     memo = []
     for f in range(maintainer.fleet_size):
-        bundle = maintainer.fleet.bundle(f)
         memo.append(
             sorted(
                 (key, c.memo_hits, c.memo_misses, c.memo_size)
-                for key, c in bundle._tester_compiled_cache.items()
+                for key, c in maintainer.fleet.tester_compiles(f).items()
             )
         )
     return outcome, memo
 
 
 class TestSessionRoundTrip:
-    def test_bundle_snapshot_restores_memo_and_rng(self, tmp_path):
+    def test_session_snapshot_restores_memo_rng_and_counters(self, tmp_path):
+        """A session snapshot is its one-member fleet's: it round-trips
+        the tester memo, the generator state and the draw counters."""
         pmf = np.full(N, 1.0 / N)
         live = HistogramSession(pmf, N, rng=7, max_candidates=64)
         live.test_l2(3, 0.3, params=TEST_PARAMS)
         live.learn(3, 0.3, params=LEARN_PARAMS)
-        path = tmp_path / "bundle.snap"
+        path = tmp_path / "session.snap"
         live.snapshot(path)
+        assert load_snapshot(path).kind == "fleet"
 
         restored = HistogramSession(pmf, N, rng=12345, max_candidates=64)
         restored.restore(path)
@@ -504,16 +507,62 @@ class TestSessionRoundTrip:
             restored._bundle._rng.bit_generator.state
             == live._bundle._rng.bit_generator.state
         )
+        assert restored.samples_drawn == live.samples_drawn
+        assert restored.draw_events == live.draw_events
         # The memoised verdict log replays: phase-B queries hit/miss in
         # the same pattern on both instances.
         a = live.test_l2(4, 0.25, params=TEST_PARAMS)
         b = restored.test_l2(4, 0.25, params=TEST_PARAMS)
         assert a == b
-        live_tester = next(iter(live._bundle._tester_compiled_cache.values()))
-        rest_tester = next(iter(restored._bundle._tester_compiled_cache.values()))
+        live_tester = compiled_tester(live, TEST_PARAMS)
+        rest_tester = compiled_tester(restored, TEST_PARAMS)
         assert live_tester._memo == rest_tester._memo
         assert live_tester.memo_hits == rest_tester.memo_hits
         assert live_tester.memo_misses == rest_tester.memo_misses
+
+    def test_bundle_kind_snapshot_restores_cold(self, tmp_path):
+        """A file of the retired per-bundle kind (one member's record at
+        the top level) is a kind mismatch, and the session stays usable:
+        it answers exactly as a fresh one."""
+        from repro.persist import codec
+
+        pmf = np.full(N, 1.0 / N)
+        live = HistogramSession(pmf, N, rng=7)
+        live.test_l2(3, 0.3, params=TEST_PARAMS)
+        meta, slabs = codec.fleet_state(live._fleet)
+        prefix = "member/0/"
+        path = tmp_path / "bundle.snap"
+        write_snapshot(
+            path,
+            kind="bundle",
+            meta=meta["members"][0],
+            slabs={name[len(prefix) :]: array for name, array in slabs.items()},
+        )
+        session = HistogramSession(pmf, N, rng=7)
+        with pytest.raises(SnapshotError) as excinfo:
+            session.restore(path)
+        assert excinfo.value.reason == "kind-mismatch"
+        assert session.samples_drawn == 0
+        assert session.test_l2(3, 0.3, params=TEST_PARAMS) == HistogramSession(
+            pmf, N, rng=7
+        ).test_l2(3, 0.3, params=TEST_PARAMS)
+
+    def test_other_method_or_cap_restores_cold(self, tmp_path):
+        """A session snapshot records its fleet's configuration: another
+        ``method`` or ``max_candidates`` is a config mismatch."""
+        pmf = np.full(N, 1.0 / N)
+        live = HistogramSession(pmf, N, rng=7, max_candidates=64)
+        live.test_l2(3, 0.3, params=TEST_PARAMS)
+        path = tmp_path / "session.snap"
+        live.snapshot(path)
+        for other in (
+            HistogramSession(pmf, N, rng=7, max_candidates=32),
+            HistogramSession(pmf, N, rng=7, method="exhaustive", max_candidates=64),
+        ):
+            with pytest.raises(SnapshotError) as excinfo:
+                other.restore(path)
+            assert excinfo.value.reason == "config-mismatch"
+            assert other.samples_drawn == 0
 
     def test_capped_learn_snapshot_keeps_its_pair_list(self, tmp_path):
         """A binding ``max_candidates`` cap compiles a pair list, which

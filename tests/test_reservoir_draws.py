@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import compiled_tester
 from repro.api import ArraySource, CountingSource, HistogramSession, SketchBundle
 from repro.core.params import GreedyParams, TesterParams
 from repro.core.tester import _reference_test
@@ -182,6 +183,34 @@ class TestFamilyDraw:
             assert session.test_l2(4, 0.3, params=params) == _reference_test(
                 multi, 8_192, 4, 0.3, "l2", params
             )
+
+    def test_growth_leaves_the_stale_compile_out_of_snapshots(self, tmp_path):
+        """After a redraw the smaller budget's compile is stale: it is
+        neither reused by the next call on that budget nor written by a
+        snapshot, which lists only the compile over the new sets."""
+        from repro.persist import codec
+
+        reservoir = _distinct_reservoir(1_024, 8_192, 4)
+        session = HistogramSession(reservoir, 8_192, rng=1)
+        small, large = TesterParams(5, 100), TesterParams(5, 200)
+        session.test_l2(4, 0.3, params=small)
+        stale = compiled_tester(session, small)
+        session.test_l2(4, 0.3, params=large)
+        assert compiled_tester(session, small) is None
+        meta, slabs = codec.fleet_state(session._fleet)
+        (member,) = meta["members"]
+        assert [(e["num_sets"], e["set_size"]) for e in member["test"]] == [(5, 200)]
+        assert not any(name.startswith("member/0/test/1/") for name in slabs)
+        session.snapshot(tmp_path / "session.snap")
+        restored = HistogramSession(reservoir, 8_192, rng=1)
+        restored.restore(tmp_path / "session.snap")
+        assert list(restored._fleet.tester_compiles(0)) == [(5, 200)]
+
+        multi = MultiSketch.from_sample_sets(session._bundle.tester_sets(small), 8_192)
+        expected = _reference_test(multi, 8_192, 4, 0.3, "l2", small)
+        assert session.test_l2(4, 0.3, params=small) == expected
+        assert compiled_tester(session, small) is not stale
+        assert restored.test_l2(4, 0.3, params=small) == expected
 
 
 class TestUnbiasedServing:

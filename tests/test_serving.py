@@ -536,6 +536,42 @@ class TestAdmission:
         except Exception as exc:  # close() re-raises the collector crash
             assert not isinstance(exc, ReproError)
 
+    @pytest.mark.parametrize("drain", [False, True])
+    def test_collector_crash_fails_pending_requests_and_admission(
+        self, monkeypatch, drain
+    ):
+        # A crash once ended the collector silently: the rest of its
+        # window, the queue and every later submit waited forever, and
+        # close(drain=False) re-raised before failing the queue.
+        def broken(*args, **kwargs):
+            raise RuntimeError("a programming error inside the fleet op")
+
+        async def run():
+            service = build_service(["a", "b"], max_batch=4, linger_us=0.0)
+            monkeypatch.setattr(service.maintainer, "uniformity", broken)
+            await service.start()
+            for name in ("a", "b"):
+                await service.submit(Request.ingest(name, [1, 2, 3, 4]))
+            crashed, pending = await asyncio.wait_for(
+                asyncio.gather(
+                    service.submit(Request.uniformity("a")),
+                    service.submit(Request.test("b")),
+                    return_exceptions=True,
+                ),
+                2,
+            )
+            with pytest.raises(ServiceClosedError):
+                await asyncio.wait_for(service.submit(Request.test("b")), 2)
+            assert not service.health()["accepting"]
+            with pytest.raises(RuntimeError, match="programming error"):
+                await asyncio.wait_for(service.close(drain=drain), 2)
+            return crashed, pending
+
+        crashed, pending = asyncio.run(run())
+        assert isinstance(crashed, RuntimeError)
+        assert isinstance(pending, ServiceClosedError)
+        assert pending.__cause__ is crashed
+
     @pytest.mark.parametrize(
         "reference",
         [

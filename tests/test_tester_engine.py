@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import compiled_tester
 from repro.api import CountingSource, HistogramSession
 from repro.core.flatness import (
     CompiledTesterSketches,
@@ -176,9 +177,7 @@ def test_lockstep_random_grids(seed):
     b = [reference(compiled_session._bundle, norm, k, e, params) for k, e in grid]
     assert a == b
     # Memo accounting on the session's shared compiled object.
-    sketches = compiled_session._bundle._tester_compiled_cache[
-        (params.num_sets, params.set_size)
-    ]
+    sketches = compiled_tester(compiled_session, params)
     total_queries = sum(len(r.queries) for r in a)
     assert sketches.memo_hits + sketches.memo_misses == total_queries
     assert sketches.memo_misses == sketches.memo_size
@@ -192,9 +191,7 @@ class TestMemoSharing:
         dist = families.zipf(128, 1.0)
         session = HistogramSession(dist, 128, rng=1, test_budget=PARAMS)
         first = session.test_l2(4, 0.3)
-        sketches = session._bundle._tester_compiled_cache[
-            (PARAMS.num_sets, PARAMS.set_size)
-        ]
+        sketches = compiled_tester(session, PARAMS)
         misses_after_first = sketches.memo_misses
         second = session.test_l2(4, 0.3)
         assert first == second
@@ -205,9 +202,7 @@ class TestMemoSharing:
         dist = families.random_tiling_histogram(128, 4, rng=5, min_piece=8)
         session = HistogramSession(dist, 128, rng=1, test_budget=PARAMS)
         session.test_l2(2, 0.3)
-        sketches = session._bundle._tester_compiled_cache[
-            (PARAMS.num_sets, PARAMS.set_size)
-        ]
+        sketches = compiled_tester(session, PARAMS)
         misses_small_k = sketches.memo_misses
         session.test_l2(6, 0.3)
         hits = sketches.memo_hits
@@ -234,25 +229,25 @@ class TestCacheLifetime:
         counting = CountingSource(families.zipf(96, 1.0))
         session = HistogramSession(counting, 96, rng=1, test_budget=PARAMS)
         session.test_l2(3, 0.3)
-        sketches_first = session._bundle._tester_compiled_cache[
-            (PARAMS.num_sets, PARAMS.set_size)
-        ]
+        sketches_first = compiled_tester(session, PARAMS)
         session.test_l1(4, 0.25)
         session.min_k(0.3, max_k=5)
-        cache = session._bundle._tester_compiled_cache
-        assert len(cache) == 1
-        assert cache[(PARAMS.num_sets, PARAMS.set_size)] is sketches_first
+        assert len(session._fleet.tester_compiles(0)) == 1
+        assert compiled_tester(session, PARAMS) is sketches_first
 
     def test_invalidate_drops_tester_compile_cache(self):
         session = HistogramSession(
             families.zipf(96, 1.0), 96, rng=1, test_budget=PARAMS
         )
         session.test_l2(3, 0.3)
-        assert session._bundle._tester_compiled_cache
+        first = compiled_tester(session, PARAMS)
+        assert first is not None
         session.invalidate()
-        assert session._bundle._tester_compiled_cache == {}
+        assert compiled_tester(session, PARAMS) is None
+        assert session._fleet.tester_compiles(0) == {}
         session.test_l2(3, 0.3)  # recompiles from the fresh pool
-        assert len(session._bundle._tester_compiled_cache) == 1
+        assert len(session._fleet.tester_compiles(0)) == 1
+        assert compiled_tester(session, PARAMS) is not first
 
     def test_validation_happens_once_not_per_query(self):
         """Bad parameters fail at oracle creation, before any probe."""
