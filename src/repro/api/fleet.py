@@ -57,12 +57,23 @@ from repro.core.params import (
     validate_epsilon,
     validate_k,
     validate_member,
+    validate_method,
 )
 from repro.core.results import LearnResult, TestResult
 from repro.core.selection import SelectionResult, select_min_k_on_fleet
 from repro.core.tester import fleet_test_on_sketches
 from repro.errors import InvalidParameterError
 from repro.utils.rng import as_rng, spawn_rngs
+
+
+def _checked_learn_config(
+    method: str, max_candidates: int | None
+) -> "tuple[str, int | None]":
+    """A learner ``method`` and candidate cap (``None``: uncapped), refused
+    unless valid."""
+    if max_candidates is not None:
+        max_candidates = validate_k(max_candidates, name="max_candidates")
+    return validate_method(method), max_candidates
 
 
 class HistogramFleet:
@@ -130,10 +141,11 @@ class HistogramFleet:
                 )
         self._n = validate_k(n, name="n")
         self._scale = float(scale)
-        self._method = method
+        self._method, self._max_candidates = _checked_learn_config(
+            method, max_candidates
+        )
         self._learn_budget = learn_budget
         self._test_budget = test_budget
-        self._max_candidates = max_candidates
         # One bundle per member; each member's generator owns its draws.
         self._bundles = [
             SketchBundle(as_sample_source(source, self._n), self._n, as_rng(member_rng))
@@ -226,10 +238,12 @@ class HistogramFleet:
     def snapshot(self, path) -> None:
         """Write every member's warm state to one snapshot file.
 
-        Each member's pools, learn compiles, tester compiles (verdict
-        memos included), draw counters and generator state.  The stacks
-        themselves are not persisted: a restored member keeps its mapped
-        arrays, and a call over several members copies them in.
+        Each member's pools, tester compiles (verdict memos included),
+        draw counters and generator state.  Learn compiles are left out:
+        each is a pure function of the learn-family pools, so a restored
+        member's first learn compiles again.  The stacks are not
+        persisted either: a restored member keeps its mapped arrays, and
+        a call over several members copies them in.
         """
         from repro.persist import codec, format as persist_format
 
@@ -239,11 +253,14 @@ class HistogramFleet:
     def restore(self, path) -> None:
         """Adopt a whole-fleet snapshot in place (zero-copy per member).
 
-        The snapshot must come from a fleet of the same shape and
-        configuration (``n``, member count, method, candidate cap);
-        anything else — including a missing or corrupt file — raises
-        :class:`~repro.errors.SnapshotError` and leaves the fleet able
-        to rebuild cold.
+        The snapshot must come from a fleet of the same ``n`` and member
+        count; anything else — including a missing or corrupt file —
+        raises :class:`~repro.errors.SnapshotError` and leaves the fleet
+        able to rebuild cold.  The learner ``method`` and
+        ``max_candidates`` may differ: the snapshot holds no learn
+        compile, so each member's next learn compiles under this fleet's
+        configuration and answers as a fresh fleet of that configuration
+        making the same calls would.
         """
         from repro.persist import codec, format as persist_format
 
@@ -257,8 +274,9 @@ class HistogramFleet:
     def _learn_params(
         self, k: int, epsilon: float, params: GreedyParams | None
     ) -> GreedyParams:
-        # Validates k and epsilon, explicit params or not.
-        rounds = greedy_rounds(k, epsilon)
+        # Validates k (a piece count in [1, n]) and epsilon, explicit
+        # params or not.
+        rounds = greedy_rounds(validate_k(k, self._n), epsilon)
         if params is not None:
             return params
         if self._learn_budget is not None:
@@ -305,16 +323,27 @@ class HistogramFleet:
         the entry point serving batches and partial maintainer rebuilds
         coalesce into.
         """
+        method, max_candidates = self._learn_config(method, max_candidates)
         runs = self._learn_runs(
             self._members(members), [(k, epsilon)], method, params, max_candidates
         )
         return lockstep_learn(runs)
 
+    def _learn_config(
+        self, method: str | None, max_candidates: int | None
+    ) -> "tuple[str, int | None]":
+        """A call's ``method`` and cap, defaulted to the fleet's and
+        checked before anything is drawn."""
+        return _checked_learn_config(
+            self._method if method is None else method,
+            self._max_candidates if max_candidates is None else max_candidates,
+        )
+
     def _learn_runs(
         self,
         members: "list[int]",
         points: "list[tuple[int, float]]",
-        method: str | None,
+        method: str,
         params: GreedyParams | None,
         max_candidates: int | None,
     ) -> "list[LockstepRun]":
@@ -322,13 +351,9 @@ class HistogramFleet:
 
         Each member compiles (or fetches) in its own bundle's cache
         (:meth:`repro.api.SketchBundle.compiled_sketches`), member by
-        member — pool draws and any candidate-cap rng consumption in the
-        order looped sessions would use, which keeps the fleet equal to
-        them draw for draw.
+        member — pool draws in the order looped sessions would use,
+        which keeps the fleet equal to them draw for draw.
         """
-        method = self._method if method is None else method
-        if max_candidates is None:
-            max_candidates = self._max_candidates
         runs = []
         for k, epsilon in points:
             resolved = self._learn_params(k, epsilon, params)
@@ -387,6 +412,7 @@ class HistogramFleet:
         ``results[member][point]``.
         """
         points = list(grid)
+        method, max_candidates = self._learn_config(method, max_candidates)
         self.prefetch_learn(points, params=params)
         runs = self._learn_runs(
             self._members(None), points, method, params, max_candidates

@@ -147,9 +147,9 @@ class HistogramSession:
 
         Raises :class:`~repro.errors.SnapshotError` on a missing,
         corrupt, or mismatched snapshot — one taken under another
-        ``n``, ``method`` or ``max_candidates``, or not by a session or
-        one-member fleet — and the session stays usable and rebuilds
-        cold.  See :meth:`HistogramFleet.restore`.
+        ``n``, or not by a session or one-member fleet — and the session
+        stays usable and rebuilds cold.  See
+        :meth:`HistogramFleet.restore`.
         """
         self._fleet.restore(path)
 

@@ -12,9 +12,12 @@ The paper's algorithms consume two *sketch families*:
 
 :class:`SketchBundle` owns one growable pool of raw samples per set and
 memoises the learn compiles and probe sketches over them; it holds no
-tester compile.  A batch of ``(k, epsilon)`` operations issues at most
-one draw event per family and member, and an operation
-whose sizes fit the existing pools issues none.  Each pool is a
+tester compile.  A learn compile is a pure function of the pools
+(:func:`~repro.core.greedy.compile_greedy_sketches`), so a snapshot
+stores only the pools, and a restored member's first learn compiles
+again the bits the live member holds.  A batch of ``(k, epsilon)``
+operations issues at most one draw event per family and member, and an
+operation whose sizes fit the existing pools issues none.  Each pool is a
 capacity-doubling buffer with a length cursor (:class:`_GrowablePool`),
 so repeated budget bumps append in amortised O(1) per element; every
 consumer receives read-only views, never copies.
@@ -299,11 +302,7 @@ class SketchBundle:
         compiled = self._compiled_cache.get(key)
         if compiled is None:
             compiled = compile_greedy_sketches(
-                samples,
-                self._n,
-                method=method,
-                max_candidates=max_candidates,
-                rng=self._rng,
+                samples, self._n, method=method, max_candidates=max_candidates
             )
             self._compiled_cache[key] = compiled
             self.generation += 1

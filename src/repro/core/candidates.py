@@ -19,6 +19,12 @@ evaluation a pure gather.  A set takes one of two forms (README.md,
   a dense matrix;
 * a *pair list* — explicit ``lo``/``hi`` index arrays, for an arbitrary
   subset of a triangle (a ``max_candidates`` cap).
+
+A cap keeps a uniform subset drawn from a generator seeded with the
+module constant ``_CAP_SEED``, never from a caller's generator, so a
+capped set is a pure function of its samples, like an uncapped one: a
+compile built again from the same samples is the same compile, and
+capping a learn consumes no draw.
 """
 
 from __future__ import annotations
@@ -27,7 +33,10 @@ import numpy as np
 
 from repro.core.params import validate_k
 from repro.errors import InvalidParameterError
-from repro.utils.rng import as_rng
+
+#: The seed of the generator a binding ``max_candidates`` cap draws its
+#: subset from.  Fixed once; any value keeps an equally uniform subset.
+_CAP_SEED = 0
 
 
 class CandidateSet:
@@ -133,25 +142,25 @@ class CandidateSet:
         """
         return np.nonzero((self.hi > lo_index) & (self.lo < hi_index))[0]
 
-    def subsample(
-        self, max_candidates: int, rng: int | None | np.random.Generator = None
-    ) -> "CandidateSet":
+    def subsample(self, max_candidates: int) -> "CandidateSet":
         """Uniformly subsample candidates (practicality escape hatch).
 
         Deviates from the paper (README.md, "Design notes"); only used when
         the caller explicitly caps the candidate count.  The kept
         positions come from one ``choice(size, size=cap, replace=False)``
-        call (plus sort) in either form; a triangle inverts them to
-        ``(i, j)`` arithmetically, so capping never allocates the whole
-        pair list — which matters out of core, where ``|T'|^2`` pairs
-        would dwarf every other allocation of a learn.  A cap at or above
-        the size touches the generator not at all.
+        call (plus sort) on a generator seeded with ``_CAP_SEED``, in
+        either form, so the same set and cap always keep the same
+        candidates; a triangle inverts them to ``(i, j)``
+        arithmetically, so capping never allocates the whole pair list —
+        which matters out of core, where ``|T'|^2`` pairs would dwarf
+        every other allocation of a learn.
         """
-        if max_candidates < 1:
-            raise InvalidParameterError("max_candidates must be >= 1")
+        max_candidates = validate_k(max_candidates, name="max_candidates")
         if self.size <= max_candidates:
             return self
-        keep = as_rng(rng).choice(self.size, size=max_candidates, replace=False)
+        keep = np.random.default_rng(_CAP_SEED).choice(
+            self.size, size=max_candidates, replace=False
+        )
         keep.sort()
         if self.starts is None:
             return CandidateSet(self.grid, self._lo[keep], self._hi[keep])
@@ -178,7 +187,6 @@ def sample_endpoint_candidates(
     n: int,
     *,
     max_candidates: int | None = None,
-    rng: int | None | np.random.Generator = None,
 ) -> CandidateSet:
     """Theorem 2's restricted candidates.
 
@@ -189,9 +197,8 @@ def sample_endpoint_candidates(
     over the axes ``T'`` and ``T' + 1``.
 
     ``max_candidates`` caps the pair count lazily through
-    :meth:`CandidateSet.subsample` (validated before any generator
-    draw), so a capped set is a pair list that never materialised the
-    uncapped one.
+    :meth:`CandidateSet.subsample`, so a capped set is a pair list that
+    never materialised the uncapped one.
     """
     samples = np.asarray(samples, dtype=np.int64)
     validate_k(n, name="n")
@@ -218,5 +225,5 @@ def sample_endpoint_candidates(
         np.searchsorted(grid, t_prime + 1).astype(np.int64),
     )
     if max_candidates is not None:
-        candidates = candidates.subsample(max_candidates, rng)
+        candidates = candidates.subsample(max_candidates)
     return candidates

@@ -43,12 +43,11 @@ dirty grid span; it then rescores only the dirty candidates.  Where the
 candidates' ``rel`` lives follows the candidate set's form: a whole
 triangle (every uncapped search) is a dense ``(K, K)`` matrix whose
 dirty candidates are one rectangle of contiguous row slices, and a
-pair list (a ``max_candidates`` cap, or a snapshot from before the
-triangle form) is a flat vector with a block-argmin.  The two stores
-agree bit for bit.  The engine's private ``full_span`` mode refreshes
-every grid point and rescores every candidate every round through the
-same code path — the reference the test suite holds the production
-engine to, bit for bit.
+pair list (a binding ``max_candidates`` cap) is a flat vector with a
+block-argmin.  The two stores agree bit for bit.  The engine's private
+``full_span`` mode refreshes every grid point and rescores every
+candidate every round through the same code path — the reference the
+test suite holds the production engine to, bit for bit.
 
 The module is split into layers so samples can be reused across calls
 (see :class:`repro.api.HistogramSession`):
@@ -57,7 +56,9 @@ The module is split into layers so samples can be reused across calls
 * :func:`compile_greedy_sketches` — candidate grid + prefix compilation
   (one vectorised pass over all ``r`` collision sets) plus the
   round-invariant per-candidate self-costs (a dense matrix for a
-  triangle, a flat vector for a pair list);
+  triangle, a flat vector for a pair list).  It is a pure function of
+  the samples, so a compile dropped (or never persisted) is rebuilt
+  bit for bit from the same pools;
 * :func:`lockstep_learn` — the greedy rounds of any number of runs over
   compiled sketches, each run stepped alone: the one learn driver every
   session, fleet and maintainer goes through;
@@ -79,7 +80,7 @@ from repro.core.candidates import (
     all_interval_candidates,
     sample_endpoint_candidates,
 )
-from repro.core.params import GreedyParams
+from repro.core.params import GreedyParams, validate_method
 from repro.core.results import GreedyRound, LearnResult
 from repro.errors import InvalidParameterError
 from repro.histograms.intervals import Interval
@@ -90,7 +91,6 @@ from repro.samples.sample_set import SampleSet
 from repro.utils.prefix import pairs_count
 from repro.utils.rng import as_rng
 
-_METHODS = ("fast", "exhaustive")
 # Values in a scoring block's largest temporary: ``cells * r`` per-set
 # estimates when compiling self-costs, ``cells`` when rescoring.  Blocks
 # this small stay cache-resident; 200k-cell blocks measured up to 2x
@@ -312,10 +312,9 @@ class _PairStore:
     """``rel`` of a pair-list candidate set, as a flat vector.
 
     The store for ``max_candidates``-capped sets (arbitrary subsets of
-    the triangle) and for snapshots written before the triangle form.
-    Each round masks the candidates intersecting the dirty span, gathers
-    their operands, scatters the new ``rel`` and repairs the minima of
-    the touched argmin blocks.
+    the triangle).  Each round masks the candidates intersecting the
+    dirty span, gathers their operands, scatters the new ``rel`` and
+    repairs the minima of the touched argmin blocks.
     """
 
     def __init__(self, candidates: CandidateSet, self_costs: np.ndarray) -> None:
@@ -509,19 +508,13 @@ class _GreedyEngine:
         candidates = compiled.candidates
         self._cands = candidates
         self._grid = candidates.grid
-        self._wprefix = np.asarray(compiled.weight_prefix).astype(np.float64)
-        self._wtotal = float(compiled.weight_set.size)
-        # One set-major copy of the persisted (G, r) columns: the median
-        # reads a contiguous row per set.
-        self._pair_rows = np.ascontiguousarray(
-            np.asarray(compiled.pair_prefix_cols).T, dtype=np.float64
-        )
-        self._pairs_per_set = float(compiled.pairs_per_set)
+        self._wprefix = compiled.weight_prefix
+        self._wtotal = compiled.weight_total
+        self._pair_rows = compiled.pair_rows
+        self._pairs_per_set = compiled.pairs_per_set
         self._full_span = bool(full_span)
         store = _TriangleStore if candidates.is_triangle else _PairStore
-        self._store = store(
-            candidates, np.asarray(compiled.self_costs, dtype=np.float64)
-        )
+        self._store = store(candidates, compiled.self_costs)
 
         last = self._grid.size - 1
         self._seg_lo: list[int] = [0]
@@ -779,17 +772,21 @@ class CompiledGreedySketches:
     Produced by :func:`compile_greedy_sketches`; building it is the
     expensive per-draw work (sorting, uniquing, prefix compilation, and
     the median-of-``r`` self-cost pass) that
-    :class:`repro.api.HistogramSession` caches across calls.
+    :class:`repro.api.SketchBundle` caches across calls.  Every field is
+    in the layout :class:`_GreedyEngine` reads, shared by every engine
+    built over the compile.
 
     Attributes
     ----------
-    candidates / weight_set / weight_prefix:
-        The candidate grid and the weight sample compiled onto it.
-    pair_prefix_cols:
-        The ``r`` collision sets' pair-count prefixes in a C-contiguous
-        ``(G, r)`` float64 layout, as snapshots store them.  The median
-        reads them set-major: the compile from the ``(r, G)`` rows it
-        builds them from, the engine from one transposed copy.
+    candidates:
+        The candidate grid.
+    weight_prefix / weight_total:
+        The weight sample's counts below each grid point, as float64,
+        and its size ``ell``.
+    pair_rows:
+        The ``r`` collision sets' pair-count prefixes on the grid, a
+        C-contiguous set-major ``(r, G)`` float64 array: the median
+        reads one contiguous row per set.
     self_costs:
         Per-candidate ``z_J - y_J^2/|J|`` — including the median across
         the ``r`` sets — which never changes across greedy rounds.  For
@@ -801,9 +798,9 @@ class CompiledGreedySketches:
     """
 
     candidates: CandidateSet
-    weight_set: "SampleSet"
     weight_prefix: np.ndarray
-    pair_prefix_cols: np.ndarray
+    weight_total: float
+    pair_rows: np.ndarray
     self_costs: np.ndarray
     pairs_per_set: float
 
@@ -836,14 +833,14 @@ def compile_greedy_sketches(
     *,
     method: str = "fast",
     max_candidates: int | None = None,
-    rng: int | None | np.random.Generator = None,
 ) -> CompiledGreedySketches:
     """Build the candidate set and compile every sketch onto its grid.
 
-    Pure in the samples (``rng`` is consumed only when ``max_candidates``
-    forces a subsample).  The result depends on the sample *contents*,
-    so it is reusable by any number of ``(k, epsilon)`` learn calls over
-    the same draw.
+    Pure in the samples: a binding ``max_candidates`` cap keeps a subset
+    fixed by the samples alone (:meth:`CandidateSet.subsample`).  The
+    result depends on the sample *contents*, so it is reusable by any
+    number of ``(k, epsilon)`` learn calls over the same draw, and
+    rebuilding it from the same samples gives the same bits.
 
     The weight sample is sorted once; all ``r`` collision sets get their
     pair-count prefixes from the one shared prefix function
@@ -854,40 +851,35 @@ def compile_greedy_sketches(
     straight from the axes; a ``max_candidates`` cap that binds leaves a
     pair list, compiled as a flat vector.
     """
-    if method not in _METHODS:
-        raise InvalidParameterError(f"method must be one of {_METHODS}, got {method!r}")
+    validate_method(method)
     if method == "fast":
         candidates = sample_endpoint_candidates(
-            samples.weight_samples, n, max_candidates=max_candidates, rng=rng
+            samples.weight_samples, n, max_candidates=max_candidates
         )
     else:
         candidates = all_interval_candidates(n)
         if max_candidates is not None:
-            candidates = candidates.subsample(max_candidates, as_rng(rng))
+            candidates = candidates.subsample(max_candidates)
 
     weight_set = SampleSet(samples.weight_samples, n)
-    pair_rows = interval_prefixes(samples.collision_sets, n, candidates.grid)[1]
-    pair_prefix_cols = np.ascontiguousarray(pair_rows.T, dtype=np.float64)
-    weight_prefix = weight_set.count_prefix_on_grid(candidates.grid)
+    weight_prefix = weight_set.count_prefix_on_grid(candidates.grid).astype(
+        np.float64
+    )
+    weight_total = float(weight_set.size)
+    pair_rows = np.ascontiguousarray(
+        interval_prefixes(samples.collision_sets, n, candidates.grid)[1],
+        dtype=np.float64,
+    )
     set_size = samples.collision_sets[0].shape[0] if samples.collision_sets else 0
     pairs_per_set = float(pairs_count(set_size))
     self_cost_pass = (
         _triangle_self_costs if candidates.is_triangle else _pair_self_costs
     )
     self_costs = self_cost_pass(
-        candidates,
-        weight_prefix.astype(np.float64),
-        float(weight_set.size),
-        pair_rows.astype(np.float64),
-        pairs_per_set,
+        candidates, weight_prefix, weight_total, pair_rows, pairs_per_set
     )
     return CompiledGreedySketches(
-        candidates,
-        weight_set,
-        weight_prefix,
-        pair_prefix_cols,
-        self_costs,
-        pairs_per_set,
+        candidates, weight_prefix, weight_total, pair_rows, self_costs, pairs_per_set
     )
 
 
@@ -905,11 +897,9 @@ def _pair_list_sketches(compiled: CompiledGreedySketches) -> CompiledGreedySketc
     )
     self_costs = _pair_self_costs(
         candidates,
-        np.asarray(compiled.weight_prefix).astype(np.float64),
-        float(compiled.weight_set.size),
-        np.ascontiguousarray(
-            np.asarray(compiled.pair_prefix_cols).T, dtype=np.float64
-        ),
+        compiled.weight_prefix,
+        compiled.weight_total,
+        compiled.pair_rows,
         compiled.pairs_per_set,
     )
     return replace(compiled, candidates=candidates, self_costs=self_costs)
@@ -1005,7 +995,6 @@ def learn_from_samples(
     params: GreedyParams,
     method: str = "fast",
     max_candidates: int | None = None,
-    rng: int | None | np.random.Generator = None,
     compiled: CompiledGreedySketches | None = None,
 ) -> LearnResult:
     """Run the greedy rounds on already-drawn samples (no source access).
@@ -1018,8 +1007,7 @@ def learn_from_samples(
     samples) to skip the grid/prefix compilation.  The rounds run as a
     one-run :func:`lockstep_learn`.
     """
-    if method not in _METHODS:
-        raise InvalidParameterError(f"method must be one of {_METHODS}, got {method!r}")
+    validate_method(method)
     if not samples.matches(params):
         raise InvalidParameterError(
             "sample array sizes do not match params "
@@ -1030,11 +1018,7 @@ def learn_from_samples(
         )
     if compiled is None:
         compiled = compile_greedy_sketches(
-            samples,
-            n,
-            method=method,
-            max_candidates=max_candidates,
-            rng=rng,
+            samples, n, method=method, max_candidates=max_candidates
         )
     run = LockstepRun(compiled=compiled, params=params, method=method, n=n)
     return lockstep_learn([run])[0]

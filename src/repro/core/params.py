@@ -95,6 +95,20 @@ def validate_member(member: int, size: int) -> int:
     return int(member)
 
 
+#: Algorithm 1's candidate strategies: Theorem 2's grid ``T'`` or every
+#: interval (Theorem 1).
+LEARN_METHODS = ("fast", "exhaustive")
+
+
+def validate_method(method: str) -> str:
+    """The one check on a learner ``method``; returns it."""
+    if not isinstance(method, str) or method not in LEARN_METHODS:
+        raise InvalidParameterError(
+            f"method must be one of {LEARN_METHODS}, got {method!r}"
+        )
+    return method
+
+
 def _validate_scale(scale: float) -> None:
     if not 0.0 < scale <= 1.0:
         raise InvalidParameterError(

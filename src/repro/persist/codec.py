@@ -1,18 +1,23 @@
 """Codecs between live objects and snapshot ``(meta, slabs)`` pairs.
 
 Each ``*_state`` function flattens one layer's warm state — sample
-pools, compiled greedy/tester sketches, verdict memos, rng states,
-reservoirs, counters — into a JSON-safe ``meta`` document plus a flat
-dict of named arrays; the matching ``restore_*`` rebuilds the layer *in
-place* on a freshly constructed instance.  Layers nest by slab-name
-prefixing (``member/{f}/...`` inside a fleet, ``fleet/...`` inside a
-maintainer), so one file checkpoints a whole serving tree.
+pools, compiled tester sketches with their verdict memos, draw
+counters, rng states, reservoirs, stored histograms — into a JSON-safe
+``meta`` document plus a flat dict of named arrays; the matching
+``restore_*`` rebuilds the layer *in place* on a freshly constructed
+instance.  Layers nest by slab-name prefixing (``member/{f}/...``
+inside a fleet, ``fleet/...`` inside a maintainer), so one file
+checkpoints a whole serving tree.
 
-Restores are zero-copy where the engines allow it: compiled prefix
-slabs, candidate grids, sorted weight samples, and sample pools are
-handed to the engines as the loader's read-only memmap views, planted
-where the live compiles sit: learn compiles under the bundle's cache
-keys, tester compiles in the fleet's slots.
+Learn compiles are not persisted.  A compile is a pure function of the
+learn-family pools a snapshot already holds
+(:func:`~repro.core.greedy.compile_greedy_sketches`), so a restored
+member's first learn compiles again, as any live member's first learn
+does, and gets the bits the live member held.
+
+Restores are zero-copy where the engines allow it: sample pools and
+compiled tester slabs are handed over as the loader's read-only memmap
+views, tester compiles planted in the fleet's slots.
 The structures that must stay mutable (reservoir buffers, the small
 ``k``-piece histograms) are copied.  A compiled tester is read and
 written only through the fleet that owns it
@@ -39,11 +44,13 @@ Second, each fleet member's reservoir and bundle share one
 member restore rewinds both at once.
 
 A configuration fingerprint mismatch (the restoring instance was built
-with different ``n``/sizes/method than the snapshotted one) raises
+with another ``n`` or size than the snapshotted one) raises
 :class:`~repro.errors.SnapshotError` with ``reason="config-mismatch"``
 *before* any state is touched at that layer, so callers fall back to a
-cold rebuild.  Each member's record includes its draw scheme (the
-source's ``disjoint_sets``) and each compiled tester's form
+cold rebuild.  A fleet's learner ``method`` and ``max_candidates`` are
+not part of it: nothing a snapshot holds depends on either.  Each
+member's record includes its draw scheme (the source's
+``disjoint_sets``) and each compiled tester's form
 (:func:`~repro.core.flatness.tester_form`); a snapshot that lacks them,
 as every one written before they were recorded does, restores cold.
 """
@@ -53,31 +60,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.sketches import _GrowablePool
-from repro.core.candidates import CandidateSet
 from repro.core.flatness import CompiledTesterSketches, tester_form
-from repro.core.greedy import CompiledGreedySketches
 from repro.errors import SnapshotError
 from repro.histograms.tiling import TilingHistogram
-from repro.samples.sample_set import SampleSet
 
 
 def _scoped(slab, prefix: str):
     """A slab accessor that resolves names under ``prefix``."""
     return lambda name: slab(prefix + name)
-
-
-def _sample_set_over(sorted_values: np.ndarray, n: int) -> SampleSet:
-    """A :class:`SampleSet` adopting an already-sorted read-only view.
-
-    The constructor would sort (and copy) again; the snapshot's payload
-    is the checksummed ``sorted_values`` of the set being restored, so
-    the view is adopted directly (sortedness was established when it was
-    built).
-    """
-    built = SampleSet.__new__(SampleSet)
-    built._sorted = sorted_values
-    built._n = int(n)
-    return built
 
 
 def _check_fingerprint(layer: str, meta: dict, expected: dict) -> None:
@@ -97,7 +87,7 @@ def _check_fingerprint(layer: str, meta: dict, expected: dict) -> None:
 
 
 def _member_state(fleet, f: int) -> tuple[dict, dict]:
-    """One member's pools, compiles, memos, and rng state."""
+    """One member's pools, tester compiles, memos, and rng state."""
     bundle = fleet.bundle(f)
     meta = {
         "n": int(bundle._n),
@@ -109,7 +99,6 @@ def _member_state(fleet, f: int) -> tuple[dict, dict]:
         "rng_state": bundle._rng.bit_generator.state,
         "collision_pools": len(bundle._collision_pool),
         "tester_pools": len(bundle._tester_pool),
-        "learn": [],
         "test": [],
     }
     slabs = {
@@ -119,33 +108,6 @@ def _member_state(fleet, f: int) -> tuple[dict, dict]:
         slabs[f"pool/collision/{i}"] = pool.view(pool.length)
     for i, pool in enumerate(bundle._tester_pool):
         slabs[f"pool/tester/{i}"] = pool.view(pool.length)
-    for j, (key, compiled) in enumerate(bundle._compiled_cache.items()):
-        method, max_candidates, weight_size, num_sets, set_size = key
-        meta["learn"].append(
-            {
-                "method": str(method),
-                "max_candidates": (
-                    None if max_candidates is None else int(max_candidates)
-                ),
-                "weight_sample_size": int(weight_size),
-                "collision_sets": int(num_sets),
-                "collision_set_size": int(set_size),
-                "pairs_per_set": float(compiled.pairs_per_set),
-                "triangle": compiled.candidates.is_triangle,
-            }
-        )
-        candidates = compiled.candidates
-        slabs[f"learn/{j}/grid"] = candidates.grid
-        if candidates.is_triangle:
-            slabs[f"learn/{j}/starts"] = candidates.starts
-            slabs[f"learn/{j}/stops"] = candidates.stops
-        else:
-            slabs[f"learn/{j}/lo"] = candidates.lo
-            slabs[f"learn/{j}/hi"] = candidates.hi
-        slabs[f"learn/{j}/weight_sorted"] = compiled.weight_set.sorted_values
-        slabs[f"learn/{j}/weight_prefix"] = compiled.weight_prefix
-        slabs[f"learn/{j}/pair_prefix_cols"] = compiled.pair_prefix_cols
-        slabs[f"learn/{j}/self_costs"] = compiled.self_costs
     for j, ((num_sets, set_size), compiled) in enumerate(
         fleet.tester_compiles(f).items()
     ):
@@ -165,12 +127,20 @@ def _check_member(bundle, meta: dict) -> None:
     and the layout of every compiled tester must match what this member
     would build: pools drawn another way, or a compile in another form,
     restore cold.  Snapshots that predate either record fail here too.
+
+    Files written while snapshots still held learn compiles list them
+    under ``"learn"``; a restore never reads them.  A pair-list entry
+    (``"triangle": false``, a cap that bound) is refused: that compile
+    drew its subset from the member's generator, so the recorded
+    generator state is ahead of the one this member would hold.
     """
     _check_fingerprint(
         "member",
         meta,
         {"n": int(bundle._n), "disjoint_sets": bool(bundle._disjoint_sets)},
     )
+    for entry in meta.get("learn", ()):
+        _check_fingerprint("learn", entry, {"triangle": True})
     for entry in meta["test"]:
         _check_fingerprint(
             "tester",
@@ -192,44 +162,6 @@ def _restore_member(fleet, f: int, meta: dict, slab) -> None:
         _GrowablePool(slab(f"pool/tester/{i}"))
         for i in range(int(meta["tester_pools"]))
     ]
-    for j, entry in enumerate(meta["learn"]):
-        # Snapshots written before the triangle form carry no flag and a
-        # pair list with flat self-costs; the engine's pair-list store
-        # answers them byte-identically.
-        if entry.get("triangle", False):
-            candidates = CandidateSet.triangle(
-                slab(f"learn/{j}/grid"),
-                slab(f"learn/{j}/starts"),
-                slab(f"learn/{j}/stops"),
-            )
-        else:
-            candidates = CandidateSet(
-                slab(f"learn/{j}/grid"),
-                slab(f"learn/{j}/lo"),
-                slab(f"learn/{j}/hi"),
-            )
-        compiled = CompiledGreedySketches(
-            candidates=candidates,
-            weight_set=_sample_set_over(
-                slab(f"learn/{j}/weight_sorted"), bundle._n
-            ),
-            weight_prefix=slab(f"learn/{j}/weight_prefix"),
-            pair_prefix_cols=slab(f"learn/{j}/pair_prefix_cols"),
-            self_costs=slab(f"learn/{j}/self_costs"),
-            pairs_per_set=float(entry["pairs_per_set"]),
-        )
-        key = (
-            str(entry["method"]),
-            (
-                None
-                if entry["max_candidates"] is None
-                else int(entry["max_candidates"])
-            ),
-            int(entry["weight_sample_size"]),
-            int(entry["collision_sets"]),
-            int(entry["collision_set_size"]),
-        )
-        bundle._compiled_cache[key] = compiled
     for j, entry in enumerate(meta["test"]):
         compiled = CompiledTesterSketches.from_state(
             bundle._n, int(entry["set_size"]), entry, _scoped(slab, f"test/{j}/")
@@ -246,18 +178,14 @@ def _restore_member(fleet, f: int, meta: dict, slab) -> None:
 
 
 def _fleet_fingerprint(fleet) -> dict:
-    return {
-        "n": int(fleet._n),
-        "size": int(fleet.size),
-        "method": fleet._method,
-        "max_candidates": fleet._max_candidates,
-    }
+    return {"n": int(fleet._n), "size": int(fleet.size)}
 
 
 def fleet_state(fleet) -> tuple[dict, dict]:
     """Every member's state plus the fleet's configuration fingerprint.
 
-    A member's tester compiles are read from the fleet
+    No learn compile is written (see the module docstring).  A member's
+    tester compiles are read from the fleet
     (:meth:`~repro.api.HistogramFleet.tester_compiles`), in the order
     they were compiled, under ``member/{f}/test/{j}/``; the stacks that
     hold them are not persisted.

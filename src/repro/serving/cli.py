@@ -184,10 +184,12 @@ async def _run(args: argparse.Namespace) -> None:
 
 def _check(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Reject flag mistakes up front, before any workload is generated."""
-    for flag in ("streams", "max_batch", "clients"):
+    for flag in ("streams", "n", "k", "max_batch", "clients"):
         value = getattr(args, flag)
         if value < 1:
             parser.error(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
+    if args.k > args.n:
+        parser.error(f"--k must be <= --n, got --k {args.k} and --n {args.n}")
     if args.cache_capacity < 0:
         parser.error(f"--cache-capacity must be >= 0, got {args.cache_capacity}")
     if args.checkpoint_every is not None and args.checkpoint_every < 1:

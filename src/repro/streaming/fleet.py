@@ -84,19 +84,19 @@ class FleetMaintainer:
     ) -> None:
         fleet_size = validate_k(fleet_size, name="fleet_size")
         self._n = validate_k(n, name="n")
-        self._k = validate_k(k)
+        self._k = validate_k(k, self._n)
         self._epsilon = validate_epsilon(epsilon)
         rngs = spawn_rngs(rng, fleet_size)
         self._reservoirs = [
             ReservoirSampler(reservoir_capacity, member_rng) for member_rng in rngs
         ]
         self._refresh_every = (
-            int(refresh_every) if refresh_every is not None else 4 * reservoir_capacity
+            validate_k(refresh_every, name="refresh_every")
+            if refresh_every is not None
+            else 4 * self._reservoirs[0].capacity
         )
-        if self._refresh_every < 1:
-            raise InvalidParameterError("refresh_every must be >= 1")
         if params is None:
-            budget = reservoir_capacity
+            budget = self._reservoirs[0].capacity
             params = GreedyParams(
                 weight_sample_size=max(budget // 2, 16),
                 collision_sets=5,
@@ -203,9 +203,11 @@ class FleetMaintainer:
 
         Covers every layer a warm restart needs: per-stream reservoirs
         and intake counters, stored histograms, staleness flags, and the
-        fleet's full warm state (pools, compiled slabs, verdict memos,
-        rng states).  Crash-safe: a kill mid-write leaves the previous
-        snapshot generation untouched.
+        fleet's warm state (pools, tester compiles with their verdict
+        memos, rng states).  Learn compiles are not written: each is a
+        pure function of its member's pools, so a restored member's
+        first learn compiles again.  Crash-safe: a kill mid-write leaves
+        the previous snapshot generation untouched.
         """
         from repro.persist import codec, format as persist_format
 
@@ -433,7 +435,7 @@ class FleetMaintainer:
         learn-after-failed-test path a serving client drives.
         """
         members = self._probe_members(members)
-        k = self._k if k is None else validate_k(k)
+        k = self._k if k is None else validate_k(k, self._n)
         epsilon = self._epsilon if epsilon is None else validate_epsilon(epsilon)
         self._sync()
         results = self._fleet.learn(

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.params import validate_k
 from repro.errors import InvalidParameterError
 from repro.utils.rng import as_rng
 
@@ -60,11 +61,9 @@ class ReservoirSampler:
         capacity: int,
         rng: "int | None | np.random.Generator" = None,
     ) -> None:
-        if capacity < 1:
-            raise InvalidParameterError(f"capacity must be >= 1, got {capacity}")
-        self._capacity = int(capacity)
+        self._capacity = validate_k(capacity, name="capacity")
         self._rng = as_rng(rng)
-        self._items = np.empty(capacity, dtype=np.int64)
+        self._items = np.empty(self._capacity, dtype=np.int64)
         self._seen = 0
 
     @property

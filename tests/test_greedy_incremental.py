@@ -161,7 +161,7 @@ def _engines(n, seed, method, max_candidates=None, pair_list=False):
     )
     samples = draw_greedy_samples(dist, params, seed)
     compiled = compile_greedy_sketches(
-        samples, n, method=method, max_candidates=max_candidates, rng=seed
+        samples, n, method=method, max_candidates=max_candidates
     )
     if pair_list and compiled.candidates.is_triangle:
         compiled = _pair_list_sketches(compiled)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ import pytest
 from helpers import compiled_tester
 from repro.api.session import HistogramSession
 from repro.core.params import GreedyParams, TesterParams
+from repro.distributions import families
 from repro.errors import InjectedFaultError, InvalidParameterError, SnapshotError
 from repro.persist import format as persist_format
 from repro.persist import load_snapshot, write_snapshot
@@ -467,6 +469,25 @@ def _built_maintainer(seed: int) -> FleetMaintainer:
     return maintainer
 
 
+def _learned(result):
+    """A learn result's answer, comparable with ``==``."""
+    return (
+        result.histogram,
+        result.filled_histogram,
+        result.rounds,
+        result.num_candidates,
+    )
+
+
+def _assert_holds_no_learn_compile(path) -> None:
+    """No slab lies under ``.../learn/`` and no member record lists a
+    ``learn`` entry."""
+    snap = load_snapshot(path)
+    assert not [name for name in snap.slab_names if "/learn/" in name]
+    fleet_meta = snap.meta.get("fleet", snap.meta)
+    assert all("learn" not in member for member in fleet_meta["members"])
+
+
 def _freeze_probe(maintainer: FleetMaintainer):
     """Phase-B probes + memo accounting, hashable for equality checks."""
     outcome = (
@@ -547,41 +568,75 @@ class TestSessionRoundTrip:
             pmf, N, rng=7
         ).test_l2(3, 0.3, params=TEST_PARAMS)
 
-    def test_other_method_or_cap_restores_cold(self, tmp_path):
-        """A session snapshot records its fleet's configuration: another
-        ``method`` or ``max_candidates`` is a config mismatch."""
-        pmf = np.full(N, 1.0 / N)
-        live = HistogramSession(pmf, N, rng=7, max_candidates=64)
-        live.test_l2(3, 0.3, params=TEST_PARAMS)
+    def test_other_method_or_cap_restores_warm(self, tmp_path):
+        """Nothing a snapshot holds depends on the learner's ``method``
+        or ``max_candidates``: restored under another one, a session
+        learns, tests and draws exactly like a fresh session of that
+        configuration making the same calls.  (Another ``n`` is still a
+        config mismatch: ``test_bundle_config_mismatch``.)"""
+        dist = families.random_tiling_histogram(N, 4, rng=7, min_piece=4)
+        bigger = replace(LEARN_PARAMS, weight_sample_size=700)
+
+        def phase_a(session):
+            session.test_l2(3, 0.3, params=TEST_PARAMS)
+            session.learn(3, 0.3, params=LEARN_PARAMS)
+
+        def phase_b(session):
+            return (
+                _learned(session.learn(3, 0.3, params=LEARN_PARAMS)),
+                _learned(session.learn(4, 0.25, params=bigger)),
+                session.test_l2(4, 0.25, params=TEST_PARAMS),
+                session.samples_drawn,
+                session.draw_events,
+                session._bundle._rng.bit_generator.state,
+            )
+
+        live = HistogramSession(dist, N, rng=7, max_candidates=64)
+        phase_a(live)
         path = tmp_path / "session.snap"
         live.snapshot(path)
-        for other in (
-            HistogramSession(pmf, N, rng=7, max_candidates=32),
-            HistogramSession(pmf, N, rng=7, method="exhaustive", max_candidates=64),
+        for config in (
+            {"max_candidates": 32},
+            {"method": "exhaustive", "max_candidates": 64},
+            {},
         ):
-            with pytest.raises(SnapshotError) as excinfo:
-                other.restore(path)
-            assert excinfo.value.reason == "config-mismatch"
-            assert other.samples_drawn == 0
+            restored = HistogramSession(dist, N, rng=12345, **config)
+            restored.restore(path)
+            fresh = HistogramSession(dist, N, rng=7, **config)
+            phase_a(fresh)
+            assert phase_b(restored) == phase_b(fresh)
 
-    def test_capped_learn_snapshot_keeps_its_pair_list(self, tmp_path):
-        """A binding ``max_candidates`` cap compiles a pair list, which
-        snapshots as ``lo``/``hi`` plus flat self-costs and restores onto
-        the same store, answering later learns identically."""
+    @pytest.mark.parametrize("cap", [None, 40], ids=["uncapped", "capped"])
+    def test_learn_compile_is_rebuilt_on_first_learn(self, tmp_path, cap):
+        """A snapshot holds no learn compile.  The restored session's
+        first learn compiles from the restored pools (its generation
+        moves once, as a live compile's does) and matches the live
+        session bit for bit, at the same budget, at another ``(k, eps)``
+        and after a larger budget draws more samples."""
         values = np.random.default_rng(2).integers(0, N, size=4_000)
-        live = HistogramSession(values, N, rng=7, max_candidates=40)
+        live = HistogramSession(values, N, rng=7, max_candidates=cap)
         live.learn(3, 0.3, params=LEARN_PARAMS)
-        path = tmp_path / "bundle.snap"
+        path = tmp_path / "session.snap"
         live.snapshot(path)
-        restored = HistogramSession(values, N, rng=12345, max_candidates=40)
+        _assert_holds_no_learn_compile(path)
+        restored = HistogramSession(values, N, rng=12345, max_candidates=cap)
         restored.restore(path)
-        (compiled,) = restored._bundle._compiled_cache.values()
-        assert not compiled.candidates.is_triangle
-        assert compiled.candidates.size == 40
-        a = live.learn(4, 0.25, params=LEARN_PARAMS)
-        b = restored.learn(4, 0.25, params=LEARN_PARAMS)
-        assert a.histogram == b.histogram
-        assert a.rounds == b.rounds
+
+        generation = restored.generation
+        first = live.learn(3, 0.3, params=LEARN_PARAMS)
+        assert _learned(restored.learn(3, 0.3, params=LEARN_PARAMS)) == _learned(first)
+        assert restored.generation == generation + 1
+        assert (first.num_candidates == 40) == (cap is not None)
+        bigger = replace(LEARN_PARAMS, weight_sample_size=700)
+        for k, epsilon, params in ((4, 0.25, LEARN_PARAMS), (3, 0.3, bigger)):
+            assert _learned(restored.learn(k, epsilon, params=params)) == _learned(
+                live.learn(k, epsilon, params=params)
+            )
+        assert restored.samples_drawn == live.samples_drawn > 0
+        assert (
+            restored._bundle._rng.bit_generator.state
+            == live._bundle._rng.bit_generator.state
+        )
 
     def test_bundle_config_mismatch(self, tmp_path):
         pmf = np.full(N, 1.0 / N)
@@ -647,37 +702,100 @@ class TestMaintainerRoundTrip:
         restored.restore(path)
         assert _freeze_probe(live) == _freeze_probe(restored)
 
-    def test_pair_list_snapshot_restores_byte_identically(self, tmp_path):
-        """Snapshots from before the triangle form hold each compiled
-        learn as a ``lo``/``hi`` pair list with flat self-costs and no
-        ``triangle`` flag; they restore onto the pair-list store and
-        answer exactly as the live, triangle-form maintainer."""
-        from repro.core.candidates import CandidateSet
+    def test_restored_maintainer_relearns_byte_identically(self, tmp_path):
+        """A maintainer snapshot holds no learn compile; each restored
+        member compiles on its first learn and answers as the live one,
+        at the stored budget and at another ``(k, eps)``, and the
+        members' generators stay in step."""
+        live = _built_maintainer(seed=3)
+        path = tmp_path / "m.snap"
+        live.snapshot(path)
+        _assert_holds_no_learn_compile(path)
+        restored = _fresh_maintainer(seed=3)
+        restored.restore(path)
+        for k, epsilon in ((3, 0.3), (4, 0.25)):
+            assert [_learned(r) for r in restored.learn(k, epsilon)] == [
+                _learned(r) for r in live.learn(k, epsilon)
+            ]
+        assert restored.fleet.samples_drawn == live.fleet.samples_drawn
+        for f in range(live.fleet_size):
+            assert (
+                restored.fleet.bundle(f)._rng.bit_generator.state
+                == live.fleet.bundle(f)._rng.bit_generator.state
+            )
+
+    @staticmethod
+    def _with_parent_learn_entries(live, *, triangle: bool):
+        """``live``'s snapshot as the parent format wrote it, which also
+        stored each member's learn compiles: one ``learn`` entry each in
+        the member record, arrays under ``member/{f}/learn/{j}/``.  With
+        ``triangle=False`` every entry is the pair list a binding cap
+        left (``lo``/``hi`` and flat self-costs)."""
         from repro.persist import codec
 
-        live = _built_maintainer(seed=3)
         meta, slabs = codec.maintainer_state(live)
         for f, member in enumerate(meta["fleet"]["members"]):
-            for j, entry in enumerate(member["learn"]):
-                assert entry.pop("triangle") is True
-                prefix = f"fleet/member/{f}/learn/{j}/"
-                triangle = CandidateSet.triangle(
-                    slabs[prefix + "grid"],
-                    slabs.pop(prefix + "starts"),
-                    slabs.pop(prefix + "stops"),
+            bundle = live.fleet.bundle(f)
+            member["learn"] = []
+            for j, (key, compiled) in enumerate(bundle._compiled_cache.items()):
+                method, cap, weight_size, num_sets, set_size = key
+                member["learn"].append(
+                    {
+                        "method": method,
+                        "max_candidates": cap,
+                        "weight_sample_size": weight_size,
+                        "collision_sets": num_sets,
+                        "collision_set_size": set_size,
+                        "pairs_per_set": compiled.pairs_per_set,
+                        "triangle": triangle,
+                    }
                 )
-                matrix = slabs[prefix + "self_costs"]
-                slabs[prefix + "lo"] = triangle.lo
-                slabs[prefix + "hi"] = triangle.hi
-                slabs[prefix + "self_costs"] = matrix[np.triu_indices(len(matrix))]
+                prefix = f"fleet/member/{f}/learn/{j}/"
+                candidates, costs = compiled.candidates, compiled.self_costs
+                arrays = {"grid": candidates.grid}
+                if triangle:
+                    arrays.update(starts=candidates.starts, stops=candidates.stops)
+                else:
+                    arrays.update(lo=candidates.lo, hi=candidates.hi)
+                    costs = costs[np.triu_indices(len(costs))]
+                arrays.update(
+                    weight_sorted=np.sort(bundle._weight_pool.view(weight_size)),
+                    weight_prefix=compiled.weight_prefix.astype(np.int64),
+                    pair_prefix_cols=np.ascontiguousarray(compiled.pair_rows.T),
+                    self_costs=costs,
+                )
+                for name, array in arrays.items():
+                    slabs[prefix + name] = array
+        return meta, slabs
+
+    def test_parent_snapshot_with_triangle_learns_restores_warm(self, tmp_path):
+        """A file written while snapshots held learn compiles restores
+        warm when each is a triangle (no cap bound): the entries are
+        never read, and the restored maintainer answers as the live one."""
+        live = _built_maintainer(seed=3)
+        meta, slabs = self._with_parent_learn_entries(live, triangle=True)
+        assert any(name.endswith("/learn/0/self_costs") for name in slabs)
         path = tmp_path / "m.snap"
         write_snapshot(path, kind="maintainer", meta=meta, slabs=slabs)
         restored = _fresh_maintainer(seed=3)
         restored.restore(path)
-        for f in range(restored.fleet_size):
-            for compiled in restored.fleet.bundle(f)._compiled_cache.values():
-                assert not compiled.candidates.is_triangle
         assert _freeze_probe(live) == _freeze_probe(restored)
+
+    def test_parent_snapshot_with_a_pair_list_learn_restores_cold(self, tmp_path):
+        """A parent-format pair-list entry (``"triangle": false``) means a
+        cap bound, and that compile drew from the member's generator, so
+        the recorded generator state is not one this code reaches: the
+        file is a config mismatch before any state is touched."""
+        live = _built_maintainer(seed=3)
+        meta, slabs = self._with_parent_learn_entries(live, triangle=False)
+        path = tmp_path / "m.snap"
+        write_snapshot(path, kind="maintainer", meta=meta, slabs=slabs)
+        other = _fresh_maintainer(seed=3)
+        with pytest.raises(SnapshotError) as excinfo:
+            other.restore(path)
+        assert excinfo.value.reason == "config-mismatch"
+        assert other.items_seen == [0, 0, 0]  # untouched
+        assert other.fleet.samples_drawn == [0, 0, 0]
 
     def test_pool_growth_never_writes_the_mapping(self, tmp_path):
         """A larger post-restore budget grows pools off the mapped file."""

@@ -971,6 +971,8 @@ class TestCli:
             (["--streams", "0"], "--streams must be >= 1"),
             (["--cache-capacity", "-1"], "--cache-capacity must be >= 0"),
             (["--checkpoint-every", "0"], "--checkpoint-every must be >= 1"),
+            (["--n", "0"], "--n must be >= 1"),
+            (["--n", "4", "--k", "8"], "--k must be <= --n"),
         ],
         ids=[
             "checkpoint-every-no-dir",
@@ -980,6 +982,8 @@ class TestCli:
             "streams-0",
             "cache-capacity-negative",
             "checkpoint-every-0",
+            "n-0",
+            "k-above-n",
         ],
     )
     def test_flag_mistakes_exit_before_any_work(

@@ -95,11 +95,10 @@ class TestSampleSource:
 
 def legacy_learn(k, epsilon, params, *, rng, method="fast", max_candidates=None):
     """The paper's one-shot learn: one draw, then the pure algorithm."""
-    generator = np.random.default_rng(rng)
-    samples = draw_greedy_samples(DIST, params, generator)
+    samples = draw_greedy_samples(DIST, params, np.random.default_rng(rng))
     return learn_from_samples(
         samples, N, k, epsilon, params=params, method=method,
-        max_candidates=max_candidates, rng=generator,
+        max_candidates=max_candidates,
     )
 
 
@@ -394,18 +393,25 @@ class TestEpsilonValidation:
         assert target.samples_drawn in (0, [0, 0])
 
 
-_BAD_LEARN_POINTS = [(0, 0.3), (-2, 0.3), (2, 0.0), (2, float("nan"))]
+_BAD_LEARN_POINTS = [(0, 0.3), (-2, 0.3), (N + 1, 0.3), (2, 0.0), (2, float("nan"))]
 
 
 class TestLearnValidation:
     """A learn rejects an invalid (k, epsilon) even with explicit params."""
 
     @pytest.mark.parametrize(
-        "k, epsilon", _BAD_LEARN_POINTS, ids=["k0", "k-2", "eps0", "eps-nan"]
+        "k, epsilon", _BAD_LEARN_POINTS, ids=["k0", "k-2", "k-above-n", "eps0", "eps-nan"]
     )
     @pytest.mark.parametrize("surface", ["session", "fleet", "maintainer", "service"])
     def test_bad_point_rejected_before_any_draw(self, surface, k, epsilon):
-        message = "k must be a positive integer" if k < 1 else r"epsilon must be in \(0, 1\)"
+        """Every learn surface refuses a ``k`` outside ``[1, n]`` (as
+        ``test`` and ``min_k`` do) or a bad ``epsilon``."""
+        if k < 1:
+            message = "k must be a positive integer"
+        elif k > N:
+            message = r"k must be in \[1, n\]"
+        else:
+            message = r"epsilon must be in \(0, 1\)"
         if surface == "session":
             session = HistogramSession(DIST, N, rng=1)
             with pytest.raises(InvalidParameterError, match=message):
@@ -425,8 +431,12 @@ class TestLearnValidation:
 
             maintainer = FleetMaintainer(2, N, 2, 0.3, reservoir_capacity=256, rng=3)
             maintainer.update_many(0, DIST.sample(512, rng=4))
+            drawn = maintainer.fleet.samples_drawn
             with pytest.raises(InvalidParameterError, match=message):
                 maintainer.learn(k, epsilon, members=[0])
+            with pytest.raises(InvalidParameterError, match=message):
+                FleetMaintainer(1, N, k, epsilon)
+            assert maintainer.fleet.samples_drawn == drawn
         else:
             import asyncio
 
@@ -443,6 +453,42 @@ class TestLearnValidation:
             response = asyncio.run(run())
             assert not response.ok
             assert response.error_code == "invalid_parameter"
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"max_candidates": 0},
+            {"max_candidates": -3},
+            {"max_candidates": 2.5},
+            {"max_candidates": True},
+            {"max_candidates": "10"},
+            {"method": "bogus"},
+        ],
+        ids=["cap0", "cap-3", "cap-fraction", "cap-bool", "cap-text", "method"],
+    )
+    @pytest.mark.parametrize("surface", ["session", "fleet"])
+    def test_bad_method_or_cap_rejected_before_any_draw(self, surface, bad):
+        """At construction and per call, ``learn`` and ``learn_many``
+        refuse a bad ``method`` or ``max_candidates`` before drawing or
+        moving a generation."""
+        message = "method must be" if "method" in bad else "max_candidates must be"
+        build = (
+            (lambda **kw: HistogramSession(DIST, N, rng=1, **kw))
+            if surface == "session"
+            else (lambda **kw: HistogramFleet([DIST, DIST], N, rngs=[1, 2], **kw))
+        )
+        with pytest.raises(InvalidParameterError, match=message):
+            build(**bad)
+        target = build()
+        generations = target.generation if surface == "session" else target.generations
+        with pytest.raises(InvalidParameterError, match=message):
+            target.learn(2, 0.5, params=LEARN_PARAMS, **bad)
+        with pytest.raises(InvalidParameterError, match=message):
+            target.learn_many([(2, 0.5)], params=LEARN_PARAMS, **bad)
+        assert target.samples_drawn in (0, [0, 0])
+        assert (
+            target.generation if surface == "session" else target.generations
+        ) == generations
 
 
 class TestGrowablePool:

@@ -272,6 +272,25 @@ class TestConstructionSizes:
         maintainer = FleetMaintainer(2.0, 64.0, 2)
         assert maintainer.fleet_size == 2
 
+    @pytest.mark.parametrize("bad", [2.5, "8", True], ids=["fraction", "text", "bool"])
+    @pytest.mark.parametrize("name", ["reservoir_capacity", "refresh_every"])
+    def test_counts_refused(self, name, bad):
+        """Neither count is truncated by ``int()`` or refused with a bare
+        ``TypeError``: not by the reservoir, the maintainer or the
+        service that forwards both."""
+        from repro.serving import HistogramService
+
+        message = ("capacity" if name == "reservoir_capacity" else name) + (
+            " must be a positive integer"
+        )
+        with pytest.raises(InvalidParameterError, match=message):
+            FleetMaintainer(2, 64, 4, 0.3, **{name: bad})
+        with pytest.raises(InvalidParameterError, match=message):
+            HistogramService(["a"], 64, 4, 0.3, **{name: bad})
+        if name == "reservoir_capacity":
+            with pytest.raises(InvalidParameterError, match=message):
+                ReservoirSampler(bad)
+
 
 class TestEmptyStreamProbes:
     """Probing any maintainer before its first observation is a clear
